@@ -68,6 +68,6 @@ from .path import (
     terminal_subset,
 )
 from .simulate import MetricsReport, SimConfig, SimInstance, generate, metrics
-from .solver import SolverConfig, SolverRun, TracePoint, minimize
+from .solver import SolverConfig, SolverRun, minimize
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -425,7 +425,7 @@ def q2(
     n, p = X.shape
     q_dim = Y.shape[1]
     if supports is None:
-        supports = [Subset(bits=(1,) * p)] * H
+        supports = [Subset(p, tuple(range(p)))] * H
     if len(supports) != H:
         raise ValueError(f"need {H} supports, got {len(supports)}")
     rng = np.random.default_rng(seed)

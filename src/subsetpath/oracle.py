@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .path import Subset
 
 EXHAUSTIVE_P_LIMIT = 25
 CHECK_P_LIMIT = 15
+
+# Combinations scored per stacked eigen-solve; bounds memory at any size.
+_CHUNK = 256
 
 
 @dataclass
@@ -32,12 +35,6 @@ class OracleResult:
     enumerated_count: int
 
 
-def _top_eig(A: np.ndarray) -> float:
-    if A.shape == (1, 1):
-        return float(A[0, 0])
-    return float(np.linalg.eigvalsh(A)[-1])
-
-
 def exhaustive_path(
     X: np.ndarray,
     Y: np.ndarray | None,
@@ -48,9 +45,10 @@ def exhaustive_path(
     objective. Refuses p above 25 (cost grows as 2^p).
 
     pls1 walks all subsets in Gray-code order, updating a running sum of
-    z_j^2 in O(1) per subset. pls2/pca enumerate combinations per size,
-    with one dense eigen-solve on the smaller Gram block per subset.
-    Ties keep the lexicographically smallest bits.
+    z_j^2 in O(1) per subset. pls2/pca enumerate combinations per size in
+    chunks of _CHUNK, with one stacked dense eigen-solve per chunk on the
+    smaller Gram block of each subset. Ties keep the lexicographically
+    smallest bits.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -92,7 +90,7 @@ def exhaustive_path(
             elif value == best_val[size] and tuple(bits) < best_bits[size]:
                 best_bits[size] = tuple(bits)
         for k in range(1, max_k + 1):
-            per_size[k] = (Subset(bits=best_bits[k]), float(best_val[k]))
+            per_size[k] = (Subset.from_bits(best_bits[k]), float(best_val[k]))
         return OracleResult(model, p, per_size, enumerated_count=(1 << p) - 1)
 
     if model == "pls2":
@@ -115,23 +113,27 @@ def exhaustive_path(
     count = 0
     for k in range(1, max_k + 1):
         best_val = np.inf
-        best_bits = None
-        for idx in combinations(range(p), k):
-            count += 1
-            ii = list(idx)
+        best = None
+        combos = combinations(range(p), k)
+        while True:
+            chunk = np.array(list(islice(combos, _CHUNK)), dtype=np.intp).reshape(-1, k)
+            if not len(chunk):
+                break
+            count += len(chunk)
             if q is not None and q < k:
-                Ms = M[ii, :]
-                value = -_top_eig(Ms.T @ Ms)
+                Ms = M[chunk]
+                blocks = np.swapaxes(Ms, 1, 2) @ Ms
             else:
-                value = -_top_eig(G[np.ix_(ii, ii)])
-            if value < best_val:
-                best_val = value
-                best_bits = Subset.from_indices(p, ii).bits
-            elif value == best_val:
-                cand = Subset.from_indices(p, ii).bits
-                if cand < best_bits:
-                    best_bits = cand
-        per_size[k] = (Subset(bits=best_bits), float(best_val))
+                blocks = G[chunk[:, :, None], chunk[:, None, :]]
+            values = -np.linalg.eigvalsh(blocks)[:, -1]
+            low = values.min()
+            # Combinations come in index order, not bits order: compare the
+            # tied ones explicitly.
+            tied = min(Subset(p, tuple(chunk[i].tolist()))
+                       for i in np.flatnonzero(values == low))
+            if low < best_val or (low == best_val and tied < best):
+                best_val, best = low, tied
+        per_size[k] = (best, float(best_val))
     total_count = count if max_k < p else (1 << p) - 1
     return OracleResult(model, p, per_size, enumerated_count=total_count)
 

@@ -2,14 +2,20 @@
 
 A single solver run visits a trajectory of points t; every visited point
 contributes, for each k up to K, the subset holding its k largest
-coordinates. Buckets collect those candidates per size and keep the one
-with the lowest unpenalized corner objective. The dynamic grid drives the
-solver over a data-dependent schedule of penalty values so that terminal
-subsets cover all sizes 1..K.
+coordinates. The solver hands over only the distinct top-K orderings it
+visited, and subsets are stored as sorted index tuples, so extraction costs
+O(K^2) per ordering whatever p is. Buckets collect those candidates per
+size and keep the one with the lowest unpenalized corner objective, scored
+for a whole bucket at once: a closed form for pls1 and one stacked dense
+eigen-solve over the k x k (or q x q) blocks otherwise. The dynamic grid
+drives the solver over a data-dependent schedule of penalty values so that
+terminal subsets cover all sizes 1..K.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -17,40 +23,70 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverAbort
-from .objective import ObjectiveContext, corner_objective, lambda_max, make_context
+from .objective import ObjectiveContext, lambda_max, make_context
 from .solver import SolverConfig, SolverRun, minimize
 
+# Candidates per stacked eigen-solve in select_best; bounds the block stack
+# to _BATCH * K^2 floats.
+_BATCH = 256
 
-@dataclass(frozen=True, order=True)
+
+@functools.total_ordering
+@dataclass(frozen=True)
 class Subset:
-    """A binary selection over the p columns, hashable and totally ordered
-    (lexicographically on bits) so ties break deterministically."""
+    """A selection of columns out of p, stored as its sorted column indices.
 
-    bits: tuple[int, ...]
+    Subsets are hashable and totally ordered, lexicographically on bits, so
+    ties break deterministically. On the index tuple that is the order of
+    the key ((-i for i in idx), p): the subset holding the lowest column
+    outside the other is the larger one.
+    """
+
+    p: int
+    idx: tuple[int, ...]
 
     @classmethod
     def from_indices(cls, p: int, indices) -> "Subset":
-        bits = [0] * p
-        for j in indices:
-            bits[int(j)] = 1
-        return cls(bits=tuple(bits))
+        idx = tuple(sorted({int(j) for j in indices}))
+        if idx and not (0 <= idx[0] and idx[-1] < p):
+            raise IndexError(f"subset index out of range 0..{p - 1}")
+        return cls(p, idx)
+
+    @classmethod
+    def from_bits(cls, bits) -> "Subset":
+        return cls(len(bits), tuple(j for j, b in enumerate(bits) if b))
 
     @classmethod
     def from_bitstring(cls, s: str) -> "Subset":
         if not set(s) <= {"0", "1"}:
             raise ValueError(f"bad bit string {s!r}")
-        return cls(bits=tuple(int(c) for c in s))
+        return cls.from_bits([c == "1" for c in s])
+
+    def _key(self) -> tuple:
+        return tuple(-j for j in self.idx), self.p
+
+    def __lt__(self, other: "Subset") -> bool:
+        if not isinstance(other, Subset):
+            return NotImplemented
+        return self._key() < other._key()
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        bits = [0] * self.p
+        for j in self.idx:
+            bits[j] = 1
+        return tuple(bits)
 
     @property
     def size(self) -> int:
-        return sum(self.bits)
+        return len(self.idx)
 
     @property
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.bits))
+        return np.array(self.idx, dtype=np.intp)
 
     def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
 
 @dataclass
@@ -101,47 +137,69 @@ class SolutionPath:
 
 
 def extract_subsets(run: SolverRun, K: int) -> dict[int, list[Subset]]:
-    """Per size k = 1..K, the deduplicated subsets of the k largest entries
-    of every visited t. Ties sort stably, so the lower index wins."""
-    p = run.trace[0].t.shape[0]
+    """Per size k = 1..K, the deduplicated subsets formed by the first k
+    entries of every top-K ordering in the run's trace, in first-visit
+    order."""
+    p = run.terminal_t.shape[0]
     if K > p:
         raise ValueError(f"K={K} exceeds p={p}")
     out: dict[int, list[Subset]] = {k: [] for k in range(1, K + 1)}
-    seen_orders: set[tuple[int, ...]] = set()
-    seen: dict[int, set[Subset]] = {k: set() for k in range(1, K + 1)}
-    for point in run.trace:
-        order = tuple(int(j) for j in np.argsort(-point.t, kind="stable")[:K])
-        if order in seen_orders:
-            continue
-        seen_orders.add(order)
+    seen: set[tuple[int, ...]] = set()
+    for order in run.trace:
+        if len(order) < K:
+            raise ValueError(f"run recorded top-{len(order)} orderings, not top-{K}")
+        prefix: list[int] = []
         for k in range(1, K + 1):
-            s = Subset.from_indices(p, order[:k])
-            if s not in seen[k]:
-                seen[k].add(s)
-                out[k].append(s)
+            bisect.insort(prefix, order[k - 1])
+            idx = tuple(prefix)
+            if idx not in seen:
+                seen.add(idx)
+                out[k].append(Subset(p, idx))
     return out
 
 
+def _corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
+    """Unpenalized corner objectives of m subsets of one size k >= 1, given
+    as an (m, k) array of sorted column indices; the batched counterpart of
+    corner_objective. Each block is solved by numpy's dense eigvalsh."""
+    if ctx.model == "pls1":
+        zs = ctx.z[I]
+        return -np.sum(zs * zs, axis=1)
+    if ctx.M is not None:
+        Ms = ctx.M[I]
+        k, q = Ms.shape[1:]
+        Mt = np.swapaxes(Ms, 1, 2)
+        blocks = Ms @ Mt if k <= q else Mt @ Ms
+    else:
+        blocks = ctx.G[I[:, :, None], I[:, None, :]]
+    return -np.linalg.eigvalsh(blocks)[:, -1]
+
+
 def select_best(
-    candidates: list[Subset],
-    ctx0: ObjectiveContext,
-    cache: dict[tuple[int, ...], float] | None = None,
+    candidates: list[Subset], ctx0: ObjectiveContext
 ) -> tuple[Subset, float]:
     """Candidate with the lowest unpenalized corner objective; ties break
-    lexicographically on bits."""
+    lexicographically on bits. Candidates of one size are scored together
+    in _BATCH-sized stacks."""
     if not candidates:
         raise ValueError("empty candidate set")
+    by_size: dict[int, list[Subset]] = {}
+    for s in candidates:
+        by_size.setdefault(s.size, []).append(s)
     best = None
     best_value = np.inf
-    for s in candidates:
-        if cache is not None and s.bits in cache:
-            value = cache[s.bits]
+    for k, group in by_size.items():
+        if k == 0:
+            values = np.zeros(len(group))
         else:
-            value = corner_objective(ctx0, s.bits)
-            if cache is not None:
-                cache[s.bits] = value
-        if value < best_value or (value == best_value and (best is None or s < best)):
-            best, best_value = s, value
+            I = np.array([s.idx for s in group], dtype=np.intp)
+            values = np.concatenate([
+                _corner_values(ctx0, I[i:i + _BATCH]) for i in range(0, len(I), _BATCH)
+            ])
+        low = values.min()
+        winner = min(group[i] for i in np.flatnonzero(values == low))
+        if low < best_value or (low == best_value and winner < best):
+            best, best_value = winner, float(low)
     return best, best_value
 
 
@@ -149,7 +207,8 @@ def terminal_subset(t: np.ndarray, rho: float) -> Subset:
     """Threshold the terminal point: bit j is set iff t_j > rho (strict)."""
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
-    return Subset(bits=tuple(int(b) for b in (np.asarray(t) > rho)))
+    t = np.asarray(t)
+    return Subset(t.shape[0], tuple(np.flatnonzero(t > rho).tolist()))
 
 
 def path_objective_curve(path: SolutionPath) -> list[tuple[int, float]]:
@@ -174,10 +233,10 @@ def dynamic_grid(
     the budget runs out or no gap remains. All evaluations, the lambda_max
     one included, count against L.
 
-    Every successful run feeds its whole trace into the size buckets, so
-    buckets are filled for all k = 1..K as soon as one run succeeds. A
-    penalty whose run aborts contributes nothing but the grid continues;
-    if every run aborts, SolverAbort is raised.
+    Every successful run feeds the top-K orderings it visited into the size
+    buckets, so buckets are filled for all k = 1..K as soon as one run
+    succeeds. A penalty whose run aborts contributes nothing but the grid
+    continues; if every run aborts, SolverAbort is raised.
     """
     if solver_cfg is None:
         solver_cfg = SolverConfig()
@@ -191,16 +250,14 @@ def dynamic_grid(
             raise SolverAbort(f"cannot start the grid: {exc}") from exc
         raise
 
-    cache: dict[tuple[int, ...], float] = {}
     buckets = {k: SizeBucket(k=k) for k in range(1, grid_cfg.K + 1)}
-    bucket_seen: dict[int, set[Subset]] = {k: set() for k in buckets}
+    seen: set[tuple[int, ...]] = set()  # index tuples of every size
     grid_entries: list[tuple[float, int]] = []
     diagnostics: list[LambdaDiagnostic] = []
-    runs: list[tuple[float, SolverRun]] = []
 
     def run_one(lam: float) -> tuple[float, SolverRun | None, SolverAbort | None]:
         try:
-            return lam, minimize(ctx0.with_lambda(lam), solver_cfg), None
+            return lam, minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K), None
         except SolverAbort as exc:
             return lam, None, exc
 
@@ -213,15 +270,12 @@ def dynamic_grid(
         k_lam = terminal_subset(run.terminal_t, grid_cfg.rho).size
         grid_entries.append((lam, k_lam))
         diagnostics.append(
-            LambdaDiagnostic(
-                lam, k_lam, run.iterations, run.converged, run.trace[-1].objective
-            )
+            LambdaDiagnostic(lam, k_lam, run.iterations, run.converged, run.objective)
         )
-        runs.append((lam, run))
         for k, subs in extract_subsets(run, grid_cfg.K).items():
             for s in subs:
-                if s not in bucket_seen[k]:
-                    bucket_seen[k].add(s)
+                if s.idx not in seen:
+                    seen.add(s.idx)
                     buckets[k].candidates.append(s)
         return k_lam
 
@@ -257,17 +311,13 @@ def dynamic_grid(
         for res in results:
             absorb(*res)
 
-    if not runs:
+    if not grid_entries:  # one entry per successful run
         raise SolverAbort("no penalty value produced a successful run")
 
-    for k, bucket in buckets.items():
-        if not bucket.candidates:
-            # Cannot happen when a run succeeded (traces seed every size),
-            # but the output contract promises all sizes 1..K.
-            fallback = min(runs, key=lambda lr: lr[1].trace[-1].objective)[1]
-            order = np.argsort(-fallback.terminal_t, kind="stable")[:k]
-            bucket.candidates.append(Subset.from_indices(ctx0.p, order))
-        bucket.best, bucket.best_value = select_best(bucket.candidates, ctx0, cache)
+    # Every successful run visits at least one top-K ordering, so no bucket
+    # is empty here.
+    for bucket in buckets.values():
+        bucket.best, bucket.best_value = select_best(bucket.candidates, ctx0)
 
     return SolutionPath(
         model=model,

@@ -1,7 +1,9 @@
 """First-order minimization of the relaxed objective over unconstrained r.
 
-The solver records the whole visited t-trajectory: the trajectory, not just
-the terminal point, is what the path builder mines for candidate subsets.
+The path builder mines the visited trajectory, not just the terminal point,
+for candidate subsets, but it only needs each visited point's top-K
+ordering. The solver therefore streams those orderings out as it goes,
+deduplicated in first-visit order, and keeps no per-iterate copy of t.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .objective import (
     t_of_r,
     T_MAX,
 )
-
-# Past this many stored points, only every 10th iterate is kept.
-_TRACE_DENSE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,18 +54,21 @@ class SolverConfig:
 
 
 @dataclass
-class TracePoint:
-    iter: int
-    t: np.ndarray
-    objective: float
-
-
-@dataclass
 class SolverRun:
-    trace: list[TracePoint] = field(default_factory=list)
+    """``trace`` holds the distinct top-K orderings of the visited points, in
+    first-visit order; ``objective`` is the penalized value at ``terminal_t``."""
+
+    trace: list[tuple[int, ...]] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     terminal_t: np.ndarray | None = None
+    objective: float | None = None
+
+
+def top_k_order(t: np.ndarray, K: int) -> tuple[int, ...]:
+    """Indices of the K largest entries of t, largest first. The sort is
+    stable, so among equal entries the lower index comes first."""
+    return tuple(np.argsort(-t, kind="stable")[:K].tolist())
 
 
 def _initial_t(cfg: SolverConfig, p: int) -> np.ndarray:
@@ -80,24 +82,34 @@ def _initial_t(cfg: SolverConfig, p: int) -> np.ndarray:
     return np.minimum(t0, T_MAX)
 
 
-def minimize(ctx: ObjectiveContext, cfg: SolverConfig) -> SolverRun:
+def minimize(
+    ctx: ObjectiveContext, cfg: SolverConfig, K: int | None = None
+) -> SolverRun:
     """Run Adam or plain gradient descent on g(r) = f(t(r)).
+
+    Every visited point, the initial and the terminal one included, adds
+    its top-K ordering (see top_k_order) to ``run.trace`` unless an earlier
+    point had the same one. K defaults to p.
 
     Terminates once max_j |t_j - t_j_prev| < cfg.tol for cfg.patience
     consecutive updates (converged) or after cfg.max_iter updates.
     Raises SolverAbort on a non-finite objective or gradient, naming the
     iteration.
     """
+    if K is None:
+        K = ctx.p
+    if not (1 <= K <= ctx.p):
+        raise ValueError(f"K={K} out of range 1..{ctx.p}")
     t = _initial_t(cfg, ctx.p)
     r = r_of_t(t)
     run = SolverRun()
+    seen: set[tuple[int, ...]] = set()
 
     m = np.zeros(ctx.p)
     v = np.zeros(ctx.p)
     warm = None
     stall = 0
     it = 0
-    last_recorded = -1
 
     while True:
         try:
@@ -112,9 +124,10 @@ def minimize(ctx: ObjectiveContext, cfg: SolverConfig) -> SolverRun:
             raise SolverAbort(
                 f"non-finite objective or gradient at iteration {it}", iteration=it
             )
-        if len(run.trace) < _TRACE_DENSE_LIMIT or it % 10 == 0:
-            run.trace.append(TracePoint(iter=it, t=t.copy(), objective=ev.value))
-            last_recorded = it
+        order = top_k_order(t, K)
+        if order not in seen:
+            seen.add(order)
+            run.trace.append(order)
         if ev.dominant is not None:
             warm = ev.dominant.vector
 
@@ -140,11 +153,7 @@ def minimize(ctx: ObjectiveContext, cfg: SolverConfig) -> SolverRun:
         stall = stall + 1 if np.max(np.abs(t_next - t)) < cfg.tol else 0
         t = t_next
 
-    if last_recorded != it:
-        # Trace thinning skipped the final point; the terminal state must
-        # still be the last entry.
-        ev = eval_objective(ctx, t, seed=cfg.seed, v0=warm)
-        run.trace.append(TracePoint(iter=it, t=t.copy(), objective=ev.value))
     run.iterations = it
-    run.terminal_t = run.trace[-1].t
+    run.terminal_t = t
+    run.objective = ev.value
     return run

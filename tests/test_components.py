@@ -27,7 +27,7 @@ from subsetpath.solver import SolverConfig
 
 
 def full_subset(p):
-    return Subset(bits=(1,) * p)
+    return Subset.from_bits((1,) * p)
 
 
 def regression_comps(X, Y, model, supports, e_denominator="psi-xi"):
@@ -50,7 +50,7 @@ class TestLoadingFromSubset:
 
     def test_single_column(self):
         u, _, _ = loading_from_subset(
-            np.eye(2), np.array([[1.0], [2.0]]), "pls1", Subset(bits=(0, 1))
+            np.eye(2), np.array([[1.0], [2.0]]), "pls1", Subset.from_bits((0, 1))
         )
         np.testing.assert_allclose(u, [0.0, 1.0])
 
@@ -80,7 +80,7 @@ class TestLoadingFromSubset:
         rng = np.random.default_rng(2)
         X = center_columns(rng.standard_normal((20, 6)))
         Y = center_columns(rng.standard_normal((20, 3)))
-        s = Subset(bits=(1, 0, 1, 0, 0, 1))
+        s = Subset.from_bits((1, 0, 1, 0, 0, 1))
         u, _, _ = loading_from_subset(X, Y, "pls2", s)
         assert np.all(u[[1, 3, 4]] == 0.0)
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-10)
@@ -95,7 +95,7 @@ class TestLoadingFromSubset:
 class TestDeflate:
     def test_identity_design(self):
         comp = _build_component(
-            np.eye(2), None, "pca", Subset(bits=(1, 0)), 1, None, "psi-xi"
+            np.eye(2), None, "pca", Subset.from_bits((1, 0)), 1, None, "psi-xi"
         )
         X1, _ = deflate(np.eye(2), None, comp, None, "pca")
         np.testing.assert_allclose(X1, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
@@ -153,9 +153,9 @@ class TestAdjustedWeights:
     def test_orthogonal_design_second_weight_unchanged(self):
         # Orthonormal columns and disjoint supports give c_1^T u_2 = 0.
         X = np.eye(4)
-        c1 = _build_component(X, None, "pca", Subset(bits=(1, 0, 0, 0)), 1, None, "psi-xi")
+        c1 = _build_component(X, None, "pca", Subset.from_bits((1, 0, 0, 0)), 1, None, "psi-xi")
         X1, _ = deflate(X, None, c1, None, "pca")
-        c2 = _build_component(X1, None, "pca", Subset(bits=(0, 1, 0, 0)), 2, None, "psi-xi")
+        c2 = _build_component(X1, None, "pca", Subset.from_bits((0, 1, 0, 0)), 2, None, "psi-xi")
         assert float(c1.c @ c2.u) == pytest.approx(0.0, abs=1e-12)
         W = adjusted_weights(X, [c1, c2])
         np.testing.assert_allclose(W[:, 1], c2.u, atol=1e-12)
@@ -173,7 +173,7 @@ class TestAdjustedWeights:
         rng = np.random.default_rng(8)
         X = center_columns(rng.standard_normal((30, 6)))
         Y = center_columns(rng.standard_normal((30, 2)))
-        supports = [Subset(bits=(1, 1, 0, 1, 0, 0)), Subset(bits=(0, 0, 1, 0, 1, 1)),
+        supports = [Subset.from_bits((1, 1, 0, 1, 0, 0)), Subset.from_bits((0, 0, 1, 0, 1, 1)),
                     full_subset(6)]
         comps, _, _ = regression_comps(X, Y, "pls2", supports)
         W = adjusted_weights(X, comps)
@@ -205,8 +205,8 @@ class TestRegressionCoefficients:
         Y = center_columns(rng.standard_normal((40, 5)))
         comps, _, _ = regression_comps(
             X, Y, "pls2",
-            [Subset(bits=(1, 1, 1, 0, 0, 0, 0, 0)),
-             Subset(bits=(0, 0, 0, 1, 1, 1, 0, 0)), full_subset(8)],
+            [Subset.from_bits((1, 1, 1, 0, 0, 0, 0, 0)),
+             Subset.from_bits((0, 0, 0, 1, 1, 1, 0, 0)), full_subset(8)],
         )
         beta = regression_coefficients(comps)
         score_pred = sum(np.outer(c.xi, c.d) for c in comps)

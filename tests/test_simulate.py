@@ -143,25 +143,25 @@ class TestGenerateDispatch:
 
 class TestMetrics:
     def test_perfect_recovery(self):
-        s = Subset(bits=(1, 0, 1, 0))
+        s = Subset.from_bits((1, 0, 1, 0))
         report = metrics(s, s)
         assert report.sensitivity == 1.0
         assert report.specificity == 1.0
         assert report.f1 == 1.0
 
     def test_hand_count(self):
-        report = metrics(Subset(bits=(1, 0, 1, 0)), Subset(bits=(1, 1, 0, 0)))
+        report = metrics(Subset.from_bits((1, 0, 1, 0)), Subset.from_bits((1, 1, 0, 0)))
         assert report.sensitivity == 0.5
         assert report.specificity == 0.5
         assert report.f1 == 0.5
 
     def test_msep_zero_for_equal_matrices(self):
         Y = np.arange(12.0).reshape(4, 3)
-        report = metrics(Subset(bits=(1,)), Subset(bits=(1,)), Y, Y.copy())
+        report = metrics(Subset.from_bits((1,)), Subset.from_bits((1,)), Y, Y.copy())
         assert report.msep == 0.0
 
     def test_empty_true_support_sensitivity_absent(self):
-        report = metrics(Subset(bits=(1, 0)), Subset(bits=(0, 0)))
+        report = metrics(Subset.from_bits((1, 0)), Subset.from_bits((0, 0)))
         assert report.sensitivity is None
 
     def test_f1_between_precision_and_sensitivity(self):
@@ -171,7 +171,7 @@ class TestMetrics:
             b = tuple(int(b) for b in rng.integers(0, 2, size=10))
             if sum(b) == 0 or sum(a) == 0:
                 continue
-            rep = metrics(Subset(bits=a), Subset(bits=b))
+            rep = metrics(Subset.from_bits(a), Subset.from_bits(b))
             tp = sum(x and y for x, y in zip(a, b))
             if tp == 0:
                 continue
@@ -181,7 +181,7 @@ class TestMetrics:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            metrics(Subset(bits=(1, 0)), Subset(bits=(1, 0, 0)))
+            metrics(Subset.from_bits((1, 0)), Subset.from_bits((1, 0, 0)))
         with pytest.raises(DimensionError):
-            metrics(Subset(bits=(1,)), Subset(bits=(1,)),
+            metrics(Subset.from_bits((1,)), Subset.from_bits((1,)),
                     np.zeros((2, 2)), np.zeros((3, 2)))

@@ -1,10 +1,30 @@
 import numpy as np
 import pytest
 
+from subsetpath import solver
 from subsetpath.errors import SolverAbort
 from subsetpath.linalg import center_columns
 from subsetpath.objective import make_context
-from subsetpath.solver import SolverConfig, minimize
+from subsetpath.solver import SolverConfig, minimize, top_k_order
+
+
+@pytest.fixture()
+def iterates(monkeypatch):
+    """Every point the solver visits, as (t, objective), in visiting order.
+
+    The solver evaluates the objective exactly once per visited point, so
+    wrapping its evaluator sees every iterate without the solver storing
+    any of them."""
+    seen = []
+    evaluate = solver.eval_objective
+
+    def recording(ctx, t, **kwargs):
+        ev = evaluate(ctx, t, **kwargs)
+        seen.append((t.copy(), ev.value))
+        return ev
+
+    monkeypatch.setattr(solver, "eval_objective", recording)
+    return seen
 
 
 def pls1_context(z_target, lam, n=2):
@@ -50,7 +70,7 @@ class TestMinimize:
         assert terminal[3.0].tolist() == [0, 0]
 
     @pytest.mark.parametrize("model", ["pls1", "pls2", "pca"])
-    def test_trace_stays_in_cube(self, model):
+    def test_trace_stays_in_cube(self, model, iterates):
         rng = np.random.default_rng(10)
         X = center_columns(rng.standard_normal((20, 5)))
         Y = center_columns(rng.standard_normal((20, 3)))
@@ -62,34 +82,41 @@ class TestMinimize:
         else:
             ctx = make_context(X, model="pca", lam=0.05)
         run = minimize(ctx, SolverConfig(max_iter=200))
-        for point in run.trace:
-            assert np.all(point.t >= 0.0) and np.all(point.t <= 1.0)
-        np.testing.assert_array_equal(run.terminal_t, run.trace[-1].t)
+        assert len(iterates) == run.iterations + 1
+        for t, _ in iterates:
+            assert np.all(t >= 0.0) and np.all(t <= 1.0)
+        np.testing.assert_array_equal(run.terminal_t, iterates[-1][0])
+        assert run.objective == iterates[-1][1]
 
-    def test_plain_gd_objective_non_increasing(self):
+    def test_plain_gd_objective_non_increasing(self, iterates):
         # Coordinatewise Lipschitz constant of the gradient is 2 z_j^2;
         # a step below 1/L makes descent monotone.
         z = np.array([0.5, 1.0, 0.8, 0.3])
         ctx = pls1_context(z, lam=0.1)
         lr = 0.4 / (2.0 * np.max(z**2))
         run = minimize(ctx, SolverConfig(method="gd", learning_rate=lr))
-        objs = [p.objective for p in run.trace]
+        objs = [value for _, value in iterates]
+        assert len(objs) == run.iterations + 1
         diffs = np.diff(objs)
         assert np.all(diffs <= 1e-12)
 
-    def test_determinism(self):
+    def test_determinism(self, iterates):
         rng = np.random.default_rng(2)
         X = center_columns(rng.standard_normal((25, 6)))
         Y = center_columns(rng.standard_normal((25, 4)))
         ctx = make_context(X, Y, "pls2", lam=0.1)
         cfg = SolverConfig(seed=123)
         run1 = minimize(ctx, cfg)
+        first = iterates[:]
         run2 = minimize(ctx, cfg)
+        second = iterates[len(first):]
         assert run1.iterations == run2.iterations
         assert run1.converged == run2.converged
-        for a, b in zip(run1.trace, run2.trace):
-            np.testing.assert_array_equal(a.t, b.t)
-            assert a.objective == b.objective
+        assert run1.trace == run2.trace
+        assert len(first) == len(second) == run1.iterations + 1
+        for (t1, obj1), (t2, obj2) in zip(first, second):
+            np.testing.assert_array_equal(t1, t2)
+            assert obj1 == obj2
 
     def test_non_finite_abort_names_iteration(self):
         X = np.array([[1e200], [-1e200]])
@@ -107,12 +134,42 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(ctx, SolverConfig(t_init=np.array([0.5, 1.0])))
 
-    def test_max_iter_cap_reported(self):
+    def test_max_iter_cap_reported(self, iterates):
         ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
         run = minimize(ctx, SolverConfig(max_iter=5))
         assert not run.converged
         assert run.iterations == 5
-        assert len(run.trace) == 6  # initial point plus five updates
+        assert len(iterates) == 6  # initial point plus five updates
+
+
+class TestStreamedOrderings:
+    def test_initial_tie_goes_to_lowest_index(self):
+        assert top_k_order(np.full(4, 0.5), 2) == (0, 1)
+        assert top_k_order(np.array([0.2, 0.7, 0.7, 0.1]), 3) == (1, 2, 0)
+
+    @pytest.mark.parametrize("model", ["pls1", "pls2"])
+    def test_trace_is_distinct_orderings_of_every_iterate(self, model, iterates):
+        rng = np.random.default_rng(4)
+        X = center_columns(rng.standard_normal((30, 8)))
+        if model == "pls1":
+            ctx = make_context(X, rng.standard_normal(30), model, lam=0.02)
+        else:
+            ctx = make_context(X, center_columns(rng.standard_normal((30, 3))),
+                               model, lam=0.02)
+        run = minimize(ctx, SolverConfig(max_iter=300), K=5)
+        want = []
+        for t, _ in iterates:
+            order = tuple(int(j) for j in np.argsort(-t, kind="stable")[:5])
+            if order not in want:
+                want.append(order)
+        assert len(iterates) == run.iterations + 1
+        assert len(want) > 1
+        assert run.trace == want
+
+    def test_k_out_of_range_rejected(self):
+        ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
+        with pytest.raises(ValueError):
+            minimize(ctx, SolverConfig(), K=3)
 
 
 class TestSolverConfig:
