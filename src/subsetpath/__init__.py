@@ -33,7 +33,9 @@ from .errors import (
     SizeGuardError,
     SolverAbort,
 )
-from .linalg import DominantPair, center_columns, frobenius_norm, power_iteration
+from .linalg import (
+    DominantPair, center_columns, frobenius_norm, power_iteration, top_eigpair,
+)
 from .objective import (
     ObjectiveContext,
     ObjectiveEval,

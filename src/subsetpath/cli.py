@@ -1,10 +1,12 @@
 """Command-line surface: simulate, path, fit, oracle, metrics.
 
-Exit codes are stable API: 0 success, 2 parse error, 3 dimension error,
-4 solver abort, 5 singular system, 6 size guard. CSV files are RFC-4180
-with an optional auto-detected header row; floats are serialized at full
-round-trip precision. Every command writes a manifest.json recording the
-resolved configuration and input checksums.
+Exit codes are stable API (see EXIT_CODES): 0 success, 2 parse error,
+3 dimension error, 4 solver abort or convergence failure, 5 singular system,
+6 size guard, 7 degenerate data (a zero loading or score, as from a response
+without signal). CSV files are RFC-4180 with an optional auto-detected
+header row; floats are serialized at full round-trip precision. Every
+command writes a manifest.json recording the resolved configuration and
+input checksums.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import numpy as np
 from . import __version__
 from .components import PickStrategy, fit, model_to_dict, predict, q2
 from .errors import (
+    ConvergenceFailure,
+    DegenerateLoadingError,
+    DegenerateScoreError,
     DimensionError,
     ParseError,
     SingularMatrixError,
@@ -37,10 +42,17 @@ from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_DIMENSION = 3
-EXIT_SOLVER = 4
-EXIT_SINGULAR = 5
-EXIT_GUARD = 6
+# Package error -> exit code; each ends the run with one "error:" line.
+EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    DimensionError: 3,
+    SolverAbort: 4,
+    ConvergenceFailure: 4,
+    SingularMatrixError: 5,
+    SizeGuardError: 6,
+    DegenerateLoadingError: 7,
+    DegenerateScoreError: 7,
+}
 
 
 def read_csv_matrix(path: str) -> np.ndarray:
@@ -407,21 +419,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except SolverAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .errors import (
     DimensionError,
     SingularMatrixError,
 )
-from .linalg import power_iteration
+from .linalg import top_eigpair
 from .path import GridConfig, SolutionPath, Subset, dynamic_grid
 from .solver import SolverConfig
 
@@ -158,7 +158,7 @@ def loading_from_subset(
     """Optimal loading for a fixed support on (possibly deflated) data.
 
     pls1: the normalized masked cross-covariance. pls2: the top singular
-    pair of the masked M, via power iteration on the smaller Gram block.
+    pair of the masked M, from the top eigenpair of the smaller Gram block.
     pca: the top eigenvector of the masked covariance. The returned u is
     embedded in R^p with zeros off-support.
     """
@@ -182,14 +182,14 @@ def loading_from_subset(
         Ms = Xs.T @ Y_h / n
         k, q = Ms.shape
         if k <= q:
-            pair = power_iteration(Ms @ Ms.T, seed=seed)
+            pair = top_eigpair(Ms @ Ms.T, seed=seed)
             if pair.value <= 0.0:
                 raise DegenerateLoadingError("masked cross-covariance is zero")
             us = pair.vector
             v = Ms.T @ us
             v /= np.linalg.norm(v)
         else:
-            pair = power_iteration(Ms.T @ Ms, seed=seed)
+            pair = top_eigpair(Ms.T @ Ms, seed=seed)
             if pair.value <= 0.0:
                 raise DegenerateLoadingError("masked cross-covariance is zero")
             v = pair.vector
@@ -203,7 +203,7 @@ def loading_from_subset(
         return u, v, float(np.sqrt(pair.value))
 
     if model == "pca":
-        pair = power_iteration(Xs.T @ Xs / n, seed=seed)
+        pair = top_eigpair(Xs.T @ Xs / n, seed=seed)
         if pair.value <= 0.0:
             raise DegenerateLoadingError("masked covariance is zero")
         u[idx] = pair.vector

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes (see cli.py): parse errors -> 2,
-dimension errors -> 3, solver aborts -> 4, singular systems -> 5, size
-guards -> 6.
+dimension errors -> 3, solver aborts and convergence failures -> 4,
+singular systems -> 5, size guards -> 6, degenerate loadings or scores -> 7.
 """
 
 
@@ -15,7 +15,8 @@ class DimensionError(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """Power iteration hit its iteration cap.
+    """An eigen-solve by power iteration (power_iteration, or the warm
+    large-matrix route of top_eigpair) hit its iteration cap.
 
     Carries the last iterate in ``last`` so callers can decide whether the
     partial answer is acceptable.

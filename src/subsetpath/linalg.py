@@ -1,5 +1,6 @@
-"""Dense matrix primitives: column centering, Frobenius norm, and
-dominant-eigenpair extraction by power iteration.
+"""Dense matrix primitives: column centering, Frobenius norm, and the
+package's one dominant-eigenpair routine, top_eigpair (dense eigh, or warm
+power iteration on large matrices; power_iteration is its checked form).
 
 Everything operates on plain float ndarrays. All functions are pure; the
 returned arrays never alias their inputs.
@@ -16,6 +17,10 @@ from .errors import ConvergenceFailure, DimensionError
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
+# Largest dimension at which a warm-started top_eigpair call still uses the
+# dense solver; above it, warm power iteration is faster (sweep in CHANGES.md).
+EIGH_CROSSOVER = 100
+
 # Consecutive zero Rayleigh quotients tolerated before re-drawing the start
 # vector (start landed in the nullspace).
 _ZERO_STALL_LIMIT = 10
@@ -24,11 +29,14 @@ _MAX_REDRAWS = 50
 
 @dataclass(frozen=True)
 class DominantPair:
-    """Largest eigenvalue of a symmetric PSD matrix and its unit eigenvector."""
+    """Largest eigenvalue of a symmetric PSD matrix and its unit eigenvector;
+    ``iterations`` counts power-iteration steps, ``gap`` (dense route only,
+    inf at 1 x 1) is the distance to the second eigenvalue."""
 
     value: float
     vector: np.ndarray
     iterations: int
+    gap: float | None = None
 
 
 def center_columns(X: np.ndarray) -> np.ndarray:
@@ -64,6 +72,30 @@ def _seed_vector(n: int, seed: int, offset: int = 0) -> np.ndarray:
     return v / norm
 
 
+def top_eigpair(
+    A: np.ndarray,
+    v0: np.ndarray | None = None,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> DominantPair:
+    """Dominant eigenpair of a symmetric PSD matrix, such as a Gram product.
+
+    Cold calls (``v0`` None) and matrices up to EIGH_CROSSOVER rows go to
+    numpy's dense ``eigh``, which reads one triangle; larger warm-started
+    ones to power iteration from ``v0``, the only route that uses ``seed``,
+    ``tol`` and ``max_iter``. Checks only finiteness (ValueError)."""
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains non-finite entries")
+    n = A.shape[0]
+    if v0 is None or n <= EIGH_CROSSOVER:
+        w, V = np.linalg.eigh(A)
+        gap = float(w[-1] - w[-2]) if n > 1 else np.inf
+        return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0, gap)
+    return _power_steps(A, tol, max_iter, seed, v0)
+
+
 def power_iteration(
     A: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -77,10 +109,10 @@ def power_iteration(
     eta = v^T A v until both the change in eta and the residual
     ||A v - eta v||_inf fall below tol * max(1, eta).
 
-    ``v0`` warm-starts the iteration (used by the objective evaluators,
-    where successive calls see nearby matrices); otherwise the start
-    vector is drawn deterministically from ``seed``, re-drawn with a new
-    offset if the Rayleigh quotient stagnates at zero.
+    ``v0`` warm-starts the iteration; otherwise the start vector is drawn
+    deterministically from ``seed``, re-drawn with a new offset if the
+    Rayleigh quotient stagnates at zero. The matrix is checked to be
+    square, finite and symmetric.
 
     Raises ConvergenceFailure (carrying the last iterate) if ``max_iter``
     is exhausted.
@@ -90,7 +122,6 @@ def power_iteration(
         raise DimensionError(f"power iteration needs a square matrix, got {A.shape}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = A.shape[0]
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     scale = float(np.max(np.abs(A))) if A.size else 0.0
@@ -99,8 +130,13 @@ def power_iteration(
         if asym > 1e-10 * max(1.0, scale):
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     if scale == 0.0:
-        return DominantPair(0.0, _fix_sign(_seed_vector(n, seed)), 0)
+        return DominantPair(0.0, _fix_sign(_seed_vector(A.shape[0], seed)), 0)
+    return _power_steps(A, tol, max_iter, seed, v0)
 
+
+def _power_steps(A, tol, max_iter, seed, v0) -> DominantPair:
+    # power_iteration on a matrix already checked.
+    n = A.shape[0]
     if v0 is not None:
         v = np.asarray(v0, dtype=float)
         norm = np.linalg.norm(v)
@@ -116,6 +152,8 @@ def power_iteration(
     for it in range(1, max_iter + 1):
         norm_w = float(np.linalg.norm(w))
         if norm_w <= tiny:
+            if not A.any():
+                return DominantPair(0.0, _fix_sign(v), 0)
             zero_stall += 1
             if zero_stall >= _ZERO_STALL_LIMIT:
                 redraws += 1

@@ -9,7 +9,8 @@ objectives minimized over the hypercube are
   pca:   -delta_t + lam * sum(t),    delta_t = top eigenvalue of X_t^T X_t / n
 
 The box constraint is removed through t_j = 1 - exp(-r_j^2), so downstream
-solvers work on unconstrained r; grad_r applies the chain rule.
+solvers work on unconstrained r; grad_r applies the chain rule. Every
+spectral quantity comes from linalg.top_eigpair.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateLoadingError, DimensionError
-from .linalg import DominantPair, power_iteration
+from .linalg import DominantPair, top_eigpair
 
 MODELS = ("pls1", "pls2", "pca")
 
 # t = 1 is reached only asymptotically under the map; callers clamp to this.
 T_MAX = 1.0 - 1e-12
-
-# Top-eigenvalue ties closer than this are flagged as crossings when
-# diagnosis is requested; the gradient formula is used regardless.
-CROSSING_GAP = 1e-9
 
 
 def t_of_r(r: np.ndarray) -> np.ndarray:
@@ -92,15 +89,15 @@ class ObjectiveEval:
     """Objective value, gradient in t, and the spectral quantity behind it.
 
     ``delta`` is delta_t^2 for pls2, delta_t for pca, and
-    ||X_t^T y||^2 / n^2 for pls1. ``crossing`` is None unless a
-    near-degenerate top eigenvalue was checked for (see eval_pls2/eval_pca).
+    ||X_t^T y||^2 / n^2 for pls1. ``dominant.gap`` (when the dense solver
+    ran) shows how close the top eigenvalue is to a crossing; the gradient
+    formula is used regardless.
     """
 
     value: float
     grad_t: np.ndarray
     delta: float
     dominant: DominantPair | None = None
-    crossing: bool | None = None
 
 
 def make_context(
@@ -112,8 +109,9 @@ def make_context(
 ) -> ObjectiveContext:
     """Precompute the model kernel from (already centered) data.
 
-    ``pls2_branch`` forces "v" (store M, power-iterate a q x q matrix) or
-    "u" (store G = M M^T, p x p); by default q < p selects "v".
+    ``pls2_branch`` forces "v" (store M, solve a q x q eigenproblem per
+    evaluation) or "u" (store G = M M^T, p x p); by default q < p selects
+    "v".
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -168,17 +166,6 @@ def eval_pls1(ctx: ObjectiveContext, t: np.ndarray) -> ObjectiveEval:
     return ObjectiveEval(value=value, grad_t=grad, delta=delta)
 
 
-def _second_eigenvalue_gap(A: np.ndarray, pair: DominantPair, seed: int) -> bool:
-    # Crude deflated power iteration, only used when crossing diagnosis is on.
-    B = A - pair.value * np.outer(pair.vector, pair.vector)
-    try:
-        second = power_iteration(B, tol=1e-6, max_iter=500, seed=seed + 1)
-        gap = pair.value - second.value
-    except Exception:
-        return False
-    return gap < CROSSING_GAP * max(1.0, pair.value)
-
-
 def eval_pls2(
     ctx: ObjectiveContext,
     t: np.ndarray,
@@ -186,9 +173,9 @@ def eval_pls2(
     v0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    diagnose_crossing: bool = False,
 ) -> ObjectiveEval:
-    """Multivariate-response objective via power iteration.
+    """Multivariate-response objective via top_eigpair, warm-started from
+    ``v0``; ``tol`` and ``max_iter`` reach only its power-iteration route.
 
     With M stored (q < p) the dominant eigenpair of M_t^T M_t gives
     delta_t^2 and its eigenvector v_t, and
@@ -205,19 +192,16 @@ def eval_pls2(
     if ctx.M is not None:
         Mt = t[:, None] * ctx.M
         A = Mt.T @ Mt
-        pair = power_iteration(A, tol=tol, max_iter=max_iter, seed=seed, v0=v0)
+        pair = top_eigpair(A, v0=v0, seed=seed, tol=tol, max_iter=max_iter)
         mv = ctx.M @ pair.vector
         grad = ctx.lam - 2.0 * t * mv * mv
     else:
         A = (t[:, None] * ctx.G) * t[None, :]
-        pair = power_iteration(A, tol=tol, max_iter=max_iter, seed=seed, v0=v0)
+        pair = top_eigpair(A, v0=v0, seed=seed, tol=tol, max_iter=max_iter)
         gu = ctx.G @ (t * pair.vector)
         grad = ctx.lam - 2.0 * pair.vector * gu
-    crossing = _second_eigenvalue_gap(A, pair, seed) if diagnose_crossing else None
-    value = -pair.value + ctx.lam * float(np.sum(t))
-    return ObjectiveEval(
-        value=value, grad_t=grad, delta=pair.value, dominant=pair, crossing=crossing
-    )
+    value = -pair.value + ctx.lam * float(t.sum())
+    return ObjectiveEval(value=value, grad_t=grad, delta=pair.value, dominant=pair)
 
 
 def eval_pca(
@@ -227,22 +211,19 @@ def eval_pca(
     v0: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    diagnose_crossing: bool = False,
 ) -> ObjectiveEval:
     """Variance objective: delta_t is the top eigenvalue of T_t (X^T X / n) T_t,
-    and grad = lam - 2 (u_t * (G (t * u_t))) with G = X^T X / n."""
+    and grad = lam - 2 (u_t * (G (t * u_t))) with G = X^T X / n. The
+    eigen-solve is as in eval_pls2."""
     if ctx.model != "pca":
         raise ValueError(f"context is for {ctx.model}, not pca")
     t = np.asarray(t, dtype=float)
     A = (t[:, None] * ctx.G) * t[None, :]
-    pair = power_iteration(A, tol=tol, max_iter=max_iter, seed=seed, v0=v0)
+    pair = top_eigpair(A, v0=v0, seed=seed, tol=tol, max_iter=max_iter)
     gu = ctx.G @ (t * pair.vector)
     grad = ctx.lam - 2.0 * pair.vector * gu
-    crossing = _second_eigenvalue_gap(A, pair, seed) if diagnose_crossing else None
-    value = -pair.value + ctx.lam * float(np.sum(t))
-    return ObjectiveEval(
-        value=value, grad_t=grad, delta=pair.value, dominant=pair, crossing=crossing
-    )
+    value = -pair.value + ctx.lam * float(t.sum())
+    return ObjectiveEval(value=value, grad_t=grad, delta=pair.value, dominant=pair)
 
 
 def eval_objective(
@@ -285,9 +266,9 @@ def corner_objective(ctx: ObjectiveContext, bits) -> float:
             A = Ms @ Ms.T if k <= q else Ms.T @ Ms
         else:
             A = ctx.G[np.ix_(idx, idx)]
-        return -power_iteration(A).value
+        return -top_eigpair(A).value
     A = ctx.G[np.ix_(idx, idx)]
-    return -power_iteration(A).value
+    return -top_eigpair(A).value
 
 
 def lambda_max(ctx: ObjectiveContext) -> float:

@@ -145,16 +145,23 @@ def extract_subsets(run: SolverRun, K: int) -> dict[int, list[Subset]]:
         raise ValueError(f"K={K} exceeds p={p}")
     out: dict[int, list[Subset]] = {k: [] for k in range(1, K + 1)}
     seen: set[tuple[int, ...]] = set()
+    prev = (-1,) * K
+    prefixes: list[tuple[int, ...]] = [()] * (K + 1)  # prev's sorted k-prefixes
     for order in run.trace:
         if len(order) < K:
             raise ValueError(f"run recorded top-{len(order)} orderings, not top-{K}")
-        prefix: list[int] = []
-        for k in range(1, K + 1):
+        # The first c prefixes are the previous ordering's, already seen.
+        c = 0
+        while c < K and order[c] == prev[c]:
+            c += 1
+        prefix = list(prefixes[c])
+        for k in range(c + 1, K + 1):
             bisect.insort(prefix, order[k - 1])
-            idx = tuple(prefix)
+            idx = prefixes[k] = tuple(prefix)
             if idx not in seen:
                 seen.add(idx)
                 out[k].append(Subset(p, idx))
+        prev = order
     return out
 
 

@@ -8,6 +8,7 @@ deduplicated in first-visit order, and keeps no per-iterate copy of t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +66,29 @@ class SolverRun:
     objective: float | None = None
 
 
+# top_k_order selects before sorting from this many coordinates on, when
+# K <= p / 4; below that a full sort is cheaper (CHANGES.md has the sweep).
+_SELECT_MIN_P = 500
+
+
 def top_k_order(t: np.ndarray, K: int) -> tuple[int, ...]:
-    """Indices of the K largest entries of t, largest first. The sort is
-    stable, so among equal entries the lower index comes first."""
-    return tuple(np.argsort(-t, kind="stable")[:K].tolist())
+    """Indices of the K largest entries of t, largest first; among equal
+    entries the lower index comes first, as in np.argsort(-t,
+    kind="stable")[:K].
+
+    For large p and small K, the K-th largest value is found by partial
+    selection, the places of entries tied with it go to the lowest tied
+    indices, and only the K winners are sorted."""
+    p = t.shape[0]
+    if p < _SELECT_MIN_P or 4 * K > p:
+        return tuple(np.argsort(-t, kind="stable")[:K].tolist())
+    kth = np.partition(t, p - K)[p - K]
+    top = np.flatnonzero(t >= kth)
+    if top.size > K:
+        keep = t > kth
+        keep[np.flatnonzero(t == kth)[: K - np.count_nonzero(keep)]] = True
+        top = np.flatnonzero(keep)
+    return tuple(top[np.argsort(-t[top], kind="stable")].tolist())
 
 
 def _initial_t(cfg: SolverConfig, p: int) -> np.ndarray:
@@ -120,7 +140,7 @@ def minimize(
                     f"non-finite objective matrix at iteration {it}", iteration=it
                 ) from exc
             raise
-        if not np.isfinite(ev.value) or not np.all(np.isfinite(ev.grad_t)):
+        if not math.isfinite(ev.value) or not np.isfinite(ev.grad_t).all():
             raise SolverAbort(
                 f"non-finite objective or gradient at iteration {it}", iteration=it
             )
@@ -138,7 +158,7 @@ def minimize(
             break
 
         g = grad_r(ev, RelaxationPoint(t=t, r=r))
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise SolverAbort(f"non-finite gradient at iteration {it}", iteration=it)
         it += 1
         if cfg.method == "adam":
@@ -150,7 +170,7 @@ def minimize(
         else:
             r = r - cfg.learning_rate * g
         t_next = t_of_r(r)
-        stall = stall + 1 if np.max(np.abs(t_next - t)) < cfg.tol else 0
+        stall = stall + 1 if np.abs(t_next - t).max() < cfg.tol else 0
         t = t_next
 
     run.iterations = it

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from subsetpath import cli, path
 from subsetpath.cli import main, read_csv_matrix, write_csv_matrix
+from subsetpath.errors import ConvergenceFailure, DegenerateScoreError
 
 
 def run_cli(*argv):
@@ -259,3 +261,55 @@ class TestMetricsCommand:
         code = run_cli("metrics", "--truth", str(truth_file), "--subset", "0 1")
         assert code == 0
         assert capsys.readouterr().out.splitlines()[1] == ",1.0,1.0,1.0"
+
+
+class TestErrorExits:
+    """Package errors end with a documented exit code and one error line."""
+
+    def sim(self, tmp_path, zero_y=False):
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--scenario", "multiresponse", "--p", "6", "--gamma", "2",
+                "--seed", "1", "--out", str(sim))
+        if zero_y:
+            write_csv_matrix(sim / "Y.csv", np.zeros((100, 10)))
+            write_csv_matrix(sim / "y.csv", np.zeros((100, 1)))
+        else:
+            Y = read_csv_matrix(str(sim / "Y.csv"))
+            write_csv_matrix(sim / "y.csv", Y[:, :1])
+        return sim
+
+    def argv(self, command, model, sim, out):
+        y = sim / ("y.csv" if model == "pls1" else "Y.csv")
+        extra = (["--k-max", "3"] if command == "path"
+                 else ["--pick", "fixed-k=3", "--components", "2"])
+        return [command, "--model", model, "--x", str(sim / "X.csv"), "--y", str(y),
+                "--budget", "6", *extra, "--out", str(out)]
+
+    def assert_one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["path", "fit"])
+    @pytest.mark.parametrize("model", ["pls1", "pls2"])
+    def test_zero_response_exits_7(self, tmp_path, capsys, command, model):
+        sim = self.sim(tmp_path, zero_y=True)
+        assert run_cli(*self.argv(command, model, sim, tmp_path / "out")) == 7
+        self.assert_one_error_line(capsys)
+
+    def test_degenerate_score_exits_7(self, tmp_path, capsys, monkeypatch):
+        def zero_score(*args, **kwargs):
+            raise DegenerateScoreError("component 1 has a zero score")
+
+        monkeypatch.setattr(cli, "fit", zero_score)
+        sim = self.sim(tmp_path)
+        assert run_cli(*self.argv("fit", "pls2", sim, tmp_path / "out")) == 7
+        self.assert_one_error_line(capsys)
+
+    def test_convergence_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceFailure("power iteration did not converge")
+
+        monkeypatch.setattr(path, "minimize", no_convergence)
+        sim = self.sim(tmp_path)
+        assert run_cli(*self.argv("path", "pls2", sim, tmp_path / "out")) == 4
+        self.assert_one_error_line(capsys)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from subsetpath.errors import ConvergenceFailure, DimensionError
-from subsetpath.linalg import center_columns, frobenius_norm, power_iteration
+from subsetpath import linalg
+from subsetpath.linalg import center_columns, frobenius_norm, power_iteration, top_eigpair
 
 
 class TestCenterColumns:
@@ -124,3 +125,57 @@ class TestPowerIteration:
             power_iteration(A, max_iter=1)
         assert exc.value.last is not None
         assert exc.value.last.iterations == 1
+
+
+def spiked_psd(n, seed):
+    # Gram matrix with a clear top eigengap, so every route converges fast.
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n)) / np.sqrt(n)
+    u = rng.standard_normal(n)
+    return B @ B.T + 4.0 * np.outer(u, u) / (u @ u)
+
+
+CROSSOVER = linalg.EIGH_CROSSOVER
+
+
+class TestTopEigpair:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 10, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 150])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_eigvalsh_and_power_iteration(self, n, warm):
+        A = spiked_psd(n, seed=n)
+        ref = power_iteration(A, tol=1e-12)
+        v0 = None
+        if warm:
+            rng = np.random.default_rng(n + 1)
+            v0 = ref.vector + 1e-3 * rng.standard_normal(n)
+        pair = top_eigpair(A, v0=v0, tol=1e-12)
+        w = np.linalg.eigvalsh(A)
+        assert pair.value == pytest.approx(w[-1], rel=1e-10)
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(pair.vector, ref.vector, atol=1e-6)
+        if warm and n > CROSSOVER:
+            assert pair.gap is None and pair.iterations > 0
+        else:
+            assert pair.iterations == 0
+            want_gap = w[-1] - w[-2] if n > 1 else np.inf
+            assert pair.gap == pytest.approx(want_gap, rel=1e-8)
+
+    @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True)])
+    def test_zero_matrix(self, n, warm):
+        v0 = np.ones(n) if warm else None
+        pair = top_eigpair(np.zeros((n, n)), v0=v0)
+        assert pair.value == 0.0
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n,warm", [(3, False), (3, True), (CROSSOVER + 1, True)])
+    def test_non_finite_rejected(self, n, warm):
+        A = np.eye(n)
+        A[0, 1] = A[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            top_eigpair(A, v0=np.ones(n) if warm else None)
+
+    def test_tied_spectrum_has_zero_gap(self):
+        pair = top_eigpair(2.0 * np.eye(3))
+        assert pair.value == pytest.approx(2.0)
+        assert pair.gap == 0.0

@@ -275,10 +275,10 @@ class TestEvalPls2:
         X = np.sqrt(2.0) * np.eye(2)
         Y = np.sqrt(2.0) * np.diag([2.0, 2.0])
         ctx = make_context(X, Y, "pls2")
-        ev = eval_pls2(ctx, np.ones(2), diagnose_crossing=True)
-        assert ev.crossing is True
-        ev2 = eval_pls2(ctx, np.ones(2))
-        assert ev2.crossing is None
+        ev = eval_pls2(ctx, np.ones(2))
+        assert ev.dominant.gap == 0.0
+        ev2 = eval_pls2(ctx, np.array([1.0, 0.5]))
+        assert ev2.dominant.gap == pytest.approx(3.0)
 
 
 class TestEvalPca:

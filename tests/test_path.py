@@ -1,3 +1,4 @@
+import bisect
 import json
 
 import numpy as np
@@ -106,6 +107,35 @@ class TestExtractSubsets:
         run = run_from_points([[0.9, 0.1], [0.9, 0.1], [0.8, 0.2]])
         out = extract_subsets(run, K=1)
         assert out[1] == [Subset.from_bits((1, 0))]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_full_rebuild_on_random_traces(self, seed):
+        # Reference: every ordering rebuilds all of its K sorted prefixes.
+        def rebuild(run, K):
+            out, seen = {k: [] for k in range(1, K + 1)}, set()
+            for order in run.trace:
+                prefix = []
+                for k in range(1, K + 1):
+                    bisect.insort(prefix, order[k - 1])
+                    if tuple(prefix) not in seen:
+                        seen.add(tuple(prefix))
+                        out[k].append(Subset(p, tuple(prefix)))
+            return out
+
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 30))
+        K = int(rng.integers(1, p + 1))
+        # A random walk of t, so consecutive orderings share long prefixes.
+        t = rng.uniform(size=p)
+        run = SolverRun(terminal_t=t)
+        for _ in range(200):
+            t = np.clip(t + 0.05 * rng.standard_normal(p), 0.0, 1.0)
+            order = top_k_order(t, K)
+            if order not in run.trace:
+                run.trace.append(order)
+        # Orderings revisited out of sequence exercise a short shared prefix.
+        run.trace += [run.trace[i] for i in rng.permutation(len(run.trace))[:20]]
+        assert extract_subsets(run, K) == rebuild(run, K)
 
 
 class TestSelectBest:

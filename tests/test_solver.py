@@ -5,6 +5,7 @@ from subsetpath import solver
 from subsetpath.errors import SolverAbort
 from subsetpath.linalg import center_columns
 from subsetpath.objective import make_context
+from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.solver import SolverConfig, minimize, top_k_order
 
 
@@ -127,6 +128,18 @@ class TestMinimize:
                 minimize(ctx, SolverConfig())
         assert "iteration 0" in str(exc.value)
 
+    @pytest.mark.parametrize("branch", ["v", "u"])
+    def test_pls2_overflow_aborts_at_iteration_0(self, branch):
+        X = np.array([[1e200, 1.0], [-1e200, -1.0]])
+        Y = np.array([[1e200, 1.0], [-1e200, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ctx = make_context(X, Y, "pls2", lam=0.0, pls2_branch=branch)
+            with pytest.raises(SolverAbort) as exc:
+                minimize(ctx, SolverConfig())
+            assert "iteration 0" in str(exc.value)
+            with pytest.raises(SolverAbort, match="cannot start the grid"):
+                dynamic_grid(X, Y, "pls2", GridConfig(K=1, L=2))
+
     def test_t_init_must_be_interior(self):
         ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
         with pytest.raises(ValueError):
@@ -146,6 +159,19 @@ class TestStreamedOrderings:
     def test_initial_tie_goes_to_lowest_index(self):
         assert top_k_order(np.full(4, 0.5), 2) == (0, 1)
         assert top_k_order(np.array([0.2, 0.7, 0.7, 0.1]), 3) == (1, 2, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_stable_argsort_under_ties(self, seed):
+        # Sizes on both sides of the partial-selection threshold.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 60)) if seed % 2 else int(rng.integers(500, 800))
+        # Few distinct levels, so most entries tie with others.
+        levels = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 5)))
+        Ks = {1, 2, p // 4, p // 4 + 1, p, *rng.integers(1, p + 1, size=10).tolist()}
+        for t in (rng.choice(levels, size=p), np.full(p, 0.5), rng.uniform(size=p)):
+            for K in sorted(Ks - {0}):
+                want = tuple(np.argsort(-t, kind="stable")[:K].tolist())
+                assert top_k_order(t, K) == want
 
     @pytest.mark.parametrize("model", ["pls1", "pls2"])
     def test_trace_is_distinct_orderings_of_every_iterate(self, model, iterates):
