@@ -39,7 +39,6 @@ from .linalg import (
 from .objective import (
     ObjectiveContext,
     ObjectiveEval,
-    RelaxationPoint,
     corner_objective,
     eval_objective,
     eval_pca,

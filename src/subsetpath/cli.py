@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -138,7 +137,7 @@ def write_manifest(outdir: Path, command: str, args: argparse.Namespace,
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs],
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(manifest, fh, indent=2, default=str)
 
 
 def _outdir(args) -> Path:
@@ -198,8 +197,7 @@ def cmd_path(args) -> int:
     if args.k_max > X.shape[1]:
         raise DimensionError(f"--k-max {args.k_max} exceeds p={X.shape[1]}")
     grid = GridConfig(K=args.k_max, L=args.budget, rho=args.rho)
-    path = dynamic_grid(X, Y, args.model, grid, _solver_config(args),
-                        threads=args.threads)
+    path = dynamic_grid(X, Y, args.model, grid, _solver_config(args))
     with open(out / "path.json", "w", encoding="utf-8") as fh:
         json.dump(path_to_dict(path), fh, indent=2)
     write_csv_rows(
@@ -221,10 +219,16 @@ def cmd_fit(args) -> int:
         raise DimensionError(f"model {args.model} requires --y")
     if args.model == "pca" and Y is not None:
         raise DimensionError("pca takes no --y")
-    strategy = PickStrategy.parse(args.pick)
+    strategy = args.pick
     if strategy.kind in ("min-msep", "max-cor"):
+        if args.model == "pca":
+            raise ParseError(f"--pick {strategy.kind} needs a pls model")
         strategy = PickStrategy(kind=strategy.kind, folds=args.folds)
-    p = X.shape[1]
+    if strategy.kind == "min-msep" and args.mode != "regression":
+        raise ParseError("--pick min-msep needs --mode regression")
+    n, p = X.shape
+    if args.folds > n:
+        raise ParseError(f"--folds {args.folds} exceeds the {n} rows of X")
     if args.k_max is not None and args.k_max > p:
         raise DimensionError(f"--k-max {args.k_max} exceeds p={p}")
     grid = GridConfig(K=args.k_max or p, L=args.budget, rho=args.rho)
@@ -234,7 +238,7 @@ def cmd_fit(args) -> int:
     result = fit(
         X, Y, model=args.model, H=args.components, strategy=strategy,
         mode=args.mode, grid_cfg=grid, solver_cfg=_solver_config(args),
-        center=not args.no_center, test=test, threads=args.threads,
+        center=not args.no_center, test=test,
     )
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(result), fh, indent=2)
@@ -336,6 +340,30 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _int_from(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _open_unit(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subsetpath",
@@ -369,26 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     pth = sub.add_parser("path", help="compute a best-subset solution path")
     common_model_flags(pth)
-    pth.add_argument("--k-max", type=int, required=True)
-    pth.add_argument("--budget", type=int, default=50)
-    pth.add_argument("--rho", type=float, default=0.9)
+    pth.add_argument("--k-max", type=_int_from(1), required=True)
+    pth.add_argument("--budget", type=_int_from(2), default=50)
+    pth.add_argument("--rho", type=_open_unit, default=0.9)
     pth.add_argument("--solver", choices=["adam", "gd"], default="adam")
-    pth.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     pth.set_defaults(func=cmd_path)
 
     fit_p = sub.add_parser("fit", help="fit a multi-component sparse model")
     common_model_flags(fit_p)
-    fit_p.add_argument("--components", type=int, default=1)
+    fit_p.add_argument("--components", type=_int_from(1), default=1)
     fit_p.add_argument("--mode", choices=["regression", "canonical"],
                        default="regression")
-    fit_p.add_argument("--pick", required=True,
+    fit_p.add_argument("--pick", required=True, type=PickStrategy.parse,
                        help="fixed-k=K | cpev-drop=F | min-msep | max-cor")
-    fit_p.add_argument("--folds", type=int, default=5)
-    fit_p.add_argument("--k-max", type=int, default=None)
-    fit_p.add_argument("--budget", type=int, default=50)
-    fit_p.add_argument("--rho", type=float, default=0.9)
+    fit_p.add_argument("--folds", type=_int_from(2), default=5)
+    fit_p.add_argument("--k-max", type=_int_from(1), default=None)
+    fit_p.add_argument("--budget", type=_int_from(2), default=50)
+    fit_p.add_argument("--rho", type=_open_unit, default=0.9)
     fit_p.add_argument("--solver", choices=["adam", "gd"], default="adam")
-    fit_p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     fit_p.add_argument("--test", nargs=2, metavar=("X_TEST", "Y_TEST"))
     fit_p.set_defaults(func=cmd_fit)
 

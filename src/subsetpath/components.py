@@ -36,8 +36,6 @@ from .solver import SolverConfig
 # power criterion; reported only, never asserted.
 Q2_SIGNIFICANCE = 0.0975
 
-_COND_LIMIT = 1e8
-
 
 @dataclass
 class ComponentState:
@@ -69,7 +67,6 @@ class FittedModel:
     pev: np.ndarray
     cpev: np.ndarray
     paths: list[SolutionPath] = field(default_factory=list)
-    weight_routes_agree: bool | None = None
 
     # Stacked per-component matrices of the score-space reparameterization.
 
@@ -146,6 +143,11 @@ class PickStrategy:
         if name == "max-cor":
             return cls.max_cor()
         raise ValueError(f"unknown pick strategy {text!r}")
+
+    def __str__(self) -> str:
+        """The CLI form that parse reads."""
+        arg = self.k if self.kind == "fixed-k" else self.fraction
+        return self.kind if arg is None else f"{self.kind}={arg}"
 
 
 def loading_from_subset(
@@ -270,8 +272,7 @@ def adjusted_weights(X: np.ndarray, components: list[ComponentState]) -> np.ndar
 
     w_1 = u_1 and w_h = prod_{j<h} (I - u_j c_j^T) u_h, so that
     X w_h = X_{h-1} u_h holds as an algebraic identity (verified here).
-    When C^T U is well-conditioned the closed form U (C^T U)^{-1} must
-    agree; a singular C^T U falls back to the product formula alone.
+    Where C^T U is nonsingular this equals the closed form U (C^T U)^{-1}.
     """
     p = components[0].u.shape[0]
     H = len(components)
@@ -289,17 +290,6 @@ def adjusted_weights(X: np.ndarray, components: list[ComponentState]) -> np.ndar
                 f"adjusted weight {h + 1} violates X w = X_(h-1) u: {resid:.3e}"
             )
     return W
-
-
-def _solve_weights(components: list[ComponentState]) -> np.ndarray:
-    U = np.column_stack([c.u for c in components])
-    C = np.column_stack([c.c for c in components])
-    CtU = C.T @ U
-    if np.linalg.cond(CtU) > _COND_LIMIT:
-        raise SingularMatrixError(
-            f"C^T U is ill-conditioned (cond={np.linalg.cond(CtU):.3e})"
-        )
-    return U @ np.linalg.inv(CtU)
 
 
 def regression_coefficients(components: list[ComponentState]) -> np.ndarray:
@@ -386,7 +376,7 @@ def _refit_fixed(
     model: str,
     supports: list[Subset],
     mode: str,
-    e_denominator: str,
+    e_denominator: str = "psi-xi",
     seed: int = 0,
 ) -> list[ComponentState]:
     comps = []
@@ -408,7 +398,6 @@ def q2(
     folds: int = 5,
     seed: int = 0,
     supports: list[Subset] | None = None,
-    e_denominator: str = "psi-xi",
 ) -> Q2Report:
     """v-fold PRESS/RSS criterion for regression-mode models.
 
@@ -436,7 +425,7 @@ def q2(
     Yc = Y - Y.mean(axis=0)
     rss = np.zeros((H + 1, q_dim))
     rss[0] = np.sum(Yc * Yc, axis=0)
-    comps = _refit_fixed(Xc, Yc, model, supports, "regression", e_denominator, seed)
+    comps = _refit_fixed(Xc, Yc, model, supports, "regression", seed=seed)
     for h in range(1, H + 1):
         beta = regression_coefficients(comps[:h])
         resid = Yc - Xc @ beta
@@ -450,9 +439,7 @@ def q2(
             raise DegenerateLoadingError("a training fold has a constant response")
         xm, ym = Xtr_raw.mean(axis=0), Ytr_raw.mean(axis=0)
         Xtr, Ytr = Xtr_raw - xm, Ytr_raw - ym
-        fold_comps = _refit_fixed(
-            Xtr, Ytr, model, supports, "regression", e_denominator, seed
-        )
+        fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression", seed=seed)
         Xval = X[val] - xm
         for h in range(1, H + 1):
             beta = regression_coefficients(fold_comps[:h])
@@ -467,6 +454,73 @@ def q2(
 def _msep(Y_hat: np.ndarray, Y_obs: np.ndarray) -> float:
     diff = Y_hat - Y_obs
     return float(np.mean(diff * diff))
+
+
+def _cv_scores(
+    strategy: PickStrategy,
+    path: SolutionPath,
+    comps: list[ComponentState],
+    X0: np.ndarray,
+    Y0: np.ndarray,
+    model: str,
+    mode: str,
+    e_denominator: str,
+    seed: int,
+    x_means: np.ndarray,
+    y_means: np.ndarray,
+) -> np.ndarray:
+    """v-fold score, for k = 1..K, of bucket k's best subset as the next
+    component (the protocols of Le Cao et al. 2008): the held-out mean
+    squared prediction error for min-msep, the mean absolute correlation
+    of the held-out X and Y scores for max-cor (folds where either score
+    is constant are skipped).
+
+    Per fold, the training rows are centered and the earlier components
+    refitted and deflated once; each k then builds only its last component.
+    """
+    n, K, h = X0.shape[0], path.K, len(comps) + 1
+    folds = _fold_indices(n, strategy.folds, np.random.default_rng(seed))
+    Xraw, Yraw = X0 + x_means, Y0 + y_means
+    sse = [0.0] * K
+    cors: list[list[float]] = [[] for _ in range(K)]
+    count = 0
+    for val in folds:
+        tr = np.setdiff1d(np.arange(n), val)
+        xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
+        Xtr, Ytr = Xraw[tr] - xm, Yraw[tr] - ym
+        X_val = Xraw[val] - xm
+        Xv, Yv = X_val, Yraw[val] - ym
+        prev = []
+        for j, earlier in enumerate(comps, start=1):
+            comp = _build_component(
+                Xtr, Ytr, model, earlier.subset, j, mode, e_denominator, seed
+            )
+            Xtr, Ytr = deflate(Xtr, Ytr, comp, mode, model)
+            prev.append(comp)
+            if strategy.kind == "max-cor":
+                # Deflate held-out rows with the column-space operators.
+                xi_v = Xv @ comp.u
+                if mode == "regression":
+                    Yv = Yv - np.outer(xi_v, comp.d)
+                else:
+                    Yv = Yv - np.outer(Yv @ comp.v, comp.e)
+                Xv = Xv - np.outer(xi_v, comp.c)
+        count += Yv.size
+        for k in range(1, K + 1):
+            last = _build_component(
+                Xtr, Ytr, model, path.buckets[k].best, h, mode, e_denominator, seed
+            )
+            if strategy.kind == "min-msep":
+                beta = regression_coefficients(prev + [last])
+                pred = X_val @ beta + ym
+                sse[k - 1] += float(np.sum((pred - Yraw[val]) ** 2))
+            else:
+                xi_v, psi_v = Xv @ last.u, Yv @ last.v
+                if float(np.std(xi_v)) > 0.0 and float(np.std(psi_v)) > 0.0:
+                    cors[k - 1].append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
+    if strategy.kind == "min-msep":
+        return np.array(sse) / count
+    return np.array([np.mean(c) if c else -np.inf for c in cors])
 
 
 def _pick_subset_size(
@@ -504,79 +558,25 @@ def _pick_subset_size(
                 return k
         return K
 
-    supports_prev = [c.subset for c in comps]
-
-    if strategy.kind == "min-msep":
-        if mode != "regression":
-            raise ValueError("min-msep requires regression mode")
+    if strategy.kind == "min-msep" and test is not None:
+        X_test, Y_test = test
         scores = np.full(K + 1, np.inf)
-        if test is not None:
-            X_test, Y_test = test
-            for k in range(1, K + 1):
-                trial = _build_component(
-                    Xh, Yh, model, path.buckets[k].best, h, mode, e_denominator, seed
-                )
-                beta = regression_coefficients(comps + [trial])
-                pred = (np.asarray(X_test, dtype=float) - x_means) @ beta + y_means
-                scores[k] = _msep(pred, np.asarray(Y_test, dtype=float))
-        else:
-            n = X0.shape[0]
-            rng = np.random.default_rng(seed)
-            folds = _fold_indices(n, strategy.folds, rng)
-            Xraw = X0 + x_means
-            Yraw = Y0 + y_means
-            for k in range(1, K + 1):
-                supports = supports_prev + [path.buckets[k].best]
-                err = 0.0
-                count = 0
-                for val in folds:
-                    tr = np.setdiff1d(np.arange(n), val)
-                    xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
-                    fold_comps = _refit_fixed(
-                        Xraw[tr] - xm, Yraw[tr] - ym, model, supports,
-                        mode, e_denominator, seed,
-                    )
-                    beta = regression_coefficients(fold_comps)
-                    pred = (Xraw[val] - xm) @ beta + ym
-                    err += float(np.sum((pred - Yraw[val]) ** 2))
-                    count += pred.size
-                scores[k] = err / count
-        return int(np.argmin(scores[1:])) + 1
-
-    if strategy.kind == "max-cor":
-        n = X0.shape[0]
-        rng = np.random.default_rng(seed)
-        folds = _fold_indices(n, strategy.folds, rng)
-        Xraw = X0 + x_means
-        Yraw = Y0 + y_means
-        scores = np.full(K + 1, -np.inf)
         for k in range(1, K + 1):
-            supports = supports_prev + [path.buckets[k].best]
-            cors = []
-            for val in folds:
-                tr = np.setdiff1d(np.arange(n), val)
-                xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
-                fold_comps = _refit_fixed(
-                    Xraw[tr] - xm, Yraw[tr] - ym, model, supports,
-                    mode, e_denominator, seed,
-                )
-                Xv, Yv = Xraw[val] - xm, Yraw[val] - ym
-                # Deflate held-out rows with the column-space operators.
-                for comp in fold_comps[:-1]:
-                    xi_v = Xv @ comp.u
-                    if mode == "regression":
-                        Yv = Yv - np.outer(xi_v, comp.d)
-                    else:
-                        Yv = Yv - np.outer(Yv @ comp.v, comp.e)
-                    Xv = Xv - np.outer(xi_v, comp.c)
-                last = fold_comps[-1]
-                xi_v = Xv @ last.u
-                psi_v = Yv @ last.v
-                sx, sy = float(np.std(xi_v)), float(np.std(psi_v))
-                if sx > 0.0 and sy > 0.0:
-                    cors.append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
-            scores[k] = np.mean(cors) if cors else -np.inf
-        return int(np.argmax(scores[1:])) + 1
+            trial = _build_component(
+                Xh, Yh, model, path.buckets[k].best, h, mode, e_denominator, seed
+            )
+            beta = regression_coefficients(comps + [trial])
+            pred = (np.asarray(X_test, dtype=float) - x_means) @ beta + y_means
+            scores[k] = _msep(pred, np.asarray(Y_test, dtype=float))
+        return int(np.argmin(scores[1:])) + 1
+    if strategy.kind in ("min-msep", "max-cor"):
+        scores = _cv_scores(
+            strategy, path, comps, X0, Y0, model, mode, e_denominator, seed,
+            x_means, y_means,
+        )
+        if strategy.kind == "min-msep":
+            return int(np.argmin(scores)) + 1
+        return int(np.argmax(scores)) + 1
 
     raise ValueError(f"unknown pick strategy {strategy.kind!r}")
 
@@ -594,7 +594,6 @@ def fit(
     test: tuple[np.ndarray, np.ndarray] | None = None,
     e_denominator: str = "psi-xi",
     keep_paths: bool = False,
-    threads: int = 1,
 ) -> FittedModel:
     """Fit H components, each from a fresh solution path on the deflated
     data, picking one subset per component with ``strategy``.
@@ -613,6 +612,10 @@ def fit(
         mode = None
     elif mode not in ("regression", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
+    if strategy.kind == "min-msep" and mode != "regression":
+        raise ValueError("min-msep requires a regression-mode pls model")
+    if strategy.kind == "max-cor" and model == "pca":
+        raise ValueError("max-cor needs a response; pca has none")
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     x_means = X.mean(axis=0) if center else np.zeros(p)
@@ -639,7 +642,7 @@ def fit(
     Xh, Yh = X0, Y0
     for h in range(1, H + 1):
         try:
-            path = dynamic_grid(Xh, Yh, model, grid_cfg, solver_cfg, threads=threads)
+            path = dynamic_grid(Xh, Yh, model, grid_cfg, solver_cfg)
             k = _pick_subset_size(
                 strategy, path, comps, X0, Y0, Xh, Yh, model, mode,
                 e_denominator, h, solver_cfg.seed, test, x_means, y_means,
@@ -657,12 +660,6 @@ def fit(
             paths.append(path)
 
     W = adjusted_weights(X0, comps)
-    routes_agree = None
-    try:
-        W_solve = _solve_weights(comps)
-        routes_agree = bool(np.max(np.abs(W - W_solve)) <= 1e-8 * max(1.0, np.max(np.abs(W))))
-    except SingularMatrixError:
-        routes_agree = None
     T = X0 @ W
     beta = None
     if model != "pca" and mode == "regression":
@@ -671,7 +668,7 @@ def fit(
     return FittedModel(
         model=model, mode=mode, H=H, x_means=x_means, y_means=y_means,
         components=comps, W=W, T=T, beta=beta, pev=pev, cpev=cpev,
-        paths=paths, weight_routes_agree=routes_agree,
+        paths=paths,
     )
 
 

@@ -43,24 +43,6 @@ def r_of_t(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RelaxationPoint:
-    """A point t in [0,1]^p paired with an unconstrained preimage r."""
-
-    t: np.ndarray
-    r: np.ndarray
-
-    @classmethod
-    def from_r(cls, r: np.ndarray) -> "RelaxationPoint":
-        r = np.asarray(r, dtype=float)
-        return cls(t=t_of_r(r), r=r)
-
-    @classmethod
-    def from_t(cls, t: np.ndarray) -> "RelaxationPoint":
-        t = np.asarray(t, dtype=float)
-        return cls(t=t, r=r_of_t(t))
-
-
-@dataclass(frozen=True)
 class ObjectiveContext:
     """Per-dataset quantities the objectives need; independent of t.
 
@@ -171,11 +153,8 @@ def eval_pls2(
     t: np.ndarray,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> ObjectiveEval:
-    """Multivariate-response objective via top_eigpair, warm-started from
-    ``v0``; ``tol`` and ``max_iter`` reach only its power-iteration route.
+    """Multivariate-response objective via top_eigpair, warm-started from v0.
 
     With M stored (q < p) the dominant eigenpair of M_t^T M_t gives
     delta_t^2 and its eigenvector v_t, and
@@ -192,12 +171,12 @@ def eval_pls2(
     if ctx.M is not None:
         Mt = t[:, None] * ctx.M
         A = Mt.T @ Mt
-        pair = top_eigpair(A, v0=v0, seed=seed, tol=tol, max_iter=max_iter)
+        pair = top_eigpair(A, v0=v0, seed=seed)
         mv = ctx.M @ pair.vector
         grad = ctx.lam - 2.0 * t * mv * mv
     else:
         A = (t[:, None] * ctx.G) * t[None, :]
-        pair = top_eigpair(A, v0=v0, seed=seed, tol=tol, max_iter=max_iter)
+        pair = top_eigpair(A, v0=v0, seed=seed)
         gu = ctx.G @ (t * pair.vector)
         grad = ctx.lam - 2.0 * pair.vector * gu
     value = -pair.value + ctx.lam * float(t.sum())
@@ -209,8 +188,6 @@ def eval_pca(
     t: np.ndarray,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> ObjectiveEval:
     """Variance objective: delta_t is the top eigenvalue of T_t (X^T X / n) T_t,
     and grad = lam - 2 (u_t * (G (t * u_t))) with G = X^T X / n. The
@@ -219,7 +196,7 @@ def eval_pca(
         raise ValueError(f"context is for {ctx.model}, not pca")
     t = np.asarray(t, dtype=float)
     A = (t[:, None] * ctx.G) * t[None, :]
-    pair = top_eigpair(A, v0=v0, seed=seed, tol=tol, max_iter=max_iter)
+    pair = top_eigpair(A, v0=v0, seed=seed)
     gu = ctx.G @ (t * pair.vector)
     grad = ctx.lam - 2.0 * pair.vector * gu
     value = -pair.value + ctx.lam * float(t.sum())
@@ -231,19 +208,18 @@ def eval_objective(
     t: np.ndarray,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    **kwargs,
 ) -> ObjectiveEval:
     """Dispatch to the model-specific evaluator."""
     if ctx.model == "pls1":
         return eval_pls1(ctx, t)
     if ctx.model == "pls2":
-        return eval_pls2(ctx, t, seed=seed, v0=v0, **kwargs)
-    return eval_pca(ctx, t, seed=seed, v0=v0, **kwargs)
+        return eval_pls2(ctx, t, seed=seed, v0=v0)
+    return eval_pca(ctx, t, seed=seed, v0=v0)
 
 
-def grad_r(ev: ObjectiveEval, point: RelaxationPoint) -> np.ndarray:
-    """Chain rule through the map: dg/dr_j = df/dt_j * 2 r_j exp(-r_j^2)."""
-    r = point.r
+def grad_r(ev: ObjectiveEval, r: np.ndarray) -> np.ndarray:
+    """Gradient in r of f(t_of_r(r)), for ``ev`` evaluated at t_of_r(r):
+    dg/dr_j = df/dt_j * 2 r_j exp(-r_j^2)."""
     return ev.grad_t * 2.0 * r * np.exp(-r * r)
 
 

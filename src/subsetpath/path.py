@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,7 +228,6 @@ def dynamic_grid(
     model: str,
     grid_cfg: GridConfig,
     solver_cfg: SolverConfig | None = None,
-    threads: int = 1,
 ) -> SolutionPath:
     """Build the full solution path with a data-driven penalty schedule.
 
@@ -262,14 +260,11 @@ def dynamic_grid(
     grid_entries: list[tuple[float, int]] = []
     diagnostics: list[LambdaDiagnostic] = []
 
-    def run_one(lam: float) -> tuple[float, SolverRun | None, SolverAbort | None]:
+    def solve(lam: float) -> int:
+        # Terminal size of the run at lam, or -1 if it aborted.
         try:
-            return lam, minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K), None
-        except SolverAbort as exc:
-            return lam, None, exc
-
-    def absorb(lam: float, run: SolverRun | None, err: SolverAbort | None) -> int:
-        if run is None:
+            run = minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K)
+        except SolverAbort as err:
             diagnostics.append(
                 LambdaDiagnostic(lam, -1, err.iteration or 0, False, None, failed=True)
             )
@@ -288,14 +283,14 @@ def dynamic_grid(
 
     # Step 1: from lambda_max (whose terminal subset is empty), halve until
     # the terminal size reaches K or the budget is spent.
-    absorb(*run_one(lam_top))
+    solve(lam_top)
     evals = 1
     ell = 0
     k_lam = 0
     while evals < grid_cfg.L and k_lam < grid_cfg.K:
         ell += 1
         evals += 1
-        k_lam = absorb(*run_one(lam_top / 2.0**ell))
+        k_lam = solve(lam_top / 2.0**ell)
     budget = grid_cfg.L - evals
 
     # Step 2: bisect terminal-size gaps, left to right, re-sweeping.
@@ -310,13 +305,8 @@ def dynamic_grid(
         if not mids:
             break
         budget -= len(mids)
-        if threads > 1 and len(mids) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_one, mids))
-        else:
-            results = [run_one(lam) for lam in mids]
-        for res in results:
-            absorb(*res)
+        for lam in mids:
+            solve(lam)
 
     if not grid_entries:  # one entry per successful run
         raise SolverAbort("no penalty value produced a successful run")

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import SolverAbort
 from .objective import (
     ObjectiveContext,
-    RelaxationPoint,
     eval_objective,
     grad_r,
     r_of_t,
@@ -157,7 +156,7 @@ def minimize(
         if it >= cfg.max_iter:
             break
 
-        g = grad_r(ev, RelaxationPoint(t=t, r=r))
+        g = grad_r(ev, r)
         if not np.isfinite(g).all():
             raise SolverAbort(f"non-finite gradient at iteration {it}", iteration=it)
         it += 1

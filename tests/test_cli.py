@@ -313,3 +313,34 @@ class TestErrorExits:
         sim = self.sim(tmp_path)
         assert run_cli(*self.argv("path", "pls2", sim, tmp_path / "out")) == 4
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command, model, bad", [
+        ("path", "pls2", ["--budget", "1"]),
+        ("path", "pls2", ["--budget", "0"]),
+        ("path", "pls2", ["--rho", "1.5"]),
+        ("path", "pls2", ["--k-max", "0"]),
+        ("fit", "pls2", ["--folds", "1"]),
+        ("fit", "pls2", ["--folds", "1000"]),
+        ("fit", "pls2", ["--pick", "bogus"]),
+        ("fit", "pls2", ["--pick", "fixed-k=x"]),
+        ("fit", "pls2", ["--pick", "fixed-k=0"]),
+        ("fit", "pls2", ["--components", "0"]),
+        ("fit", "pls2", ["--mode", "canonical", "--pick", "min-msep"]),
+        ("fit", "pls2", ["--k-max", "0"]),
+        ("fit", "pca", ["--pick", "min-msep"]),
+        ("fit", "pca", ["--pick", "max-cor"]),
+    ])
+    def test_bad_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                              command, model, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        monkeypatch.setattr(cli, "dynamic_grid", no_work)
+        monkeypatch.setattr(cli, "fit", no_work)
+        sim = self.sim(tmp_path)
+        argv = self.argv(command, model, sim, tmp_path / "out") + bad
+        if model == "pca":
+            argv = [a for a in argv if a not in ("--y", str(sim / "Y.csv"))]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1

@@ -4,7 +4,9 @@ import pytest
 from subsetpath.components import (
     PickStrategy,
     _build_component,
-    _solve_weights,
+    _cv_scores,
+    _fold_indices,
+    _refit_fixed,
     adjusted_weights,
     deflate,
     fit,
@@ -166,8 +168,9 @@ class TestAdjustedWeights:
         Y = center_columns(rng.standard_normal((30, 4)))
         comps, _, _ = regression_comps(X, Y, "pls2", [full_subset(7)] * 3)
         W = adjusted_weights(X, comps)
-        W_solve = _solve_weights(comps)
-        np.testing.assert_allclose(W, W_solve, atol=1e-8)
+        U = np.column_stack([c.u for c in comps])
+        C = np.column_stack([c.c for c in comps])
+        np.testing.assert_allclose(W, U @ np.linalg.inv(C.T @ U), atol=1e-8)
 
     def test_score_identity_on_original_data(self):
         rng = np.random.default_rng(8)
@@ -183,10 +186,10 @@ class TestAdjustedWeights:
     def test_singular_ctu_detected(self):
         rng = np.random.default_rng(9)
         X = center_columns(rng.standard_normal((10, 3)))
-        comp = _build_component(X, None, "pca", full_subset(3), 1, None, "psi-xi")
-        duplicate = _build_component(X, None, "pca", full_subset(3), 1, None, "psi-xi")
+        Y = center_columns(rng.standard_normal((10, 2)))
+        (comp,), _, _ = regression_comps(X, Y, "pls2", [full_subset(3)])
         with pytest.raises(SingularMatrixError):
-            _solve_weights([comp, duplicate])
+            regression_coefficients([comp, comp])
 
 
 class TestRegressionCoefficients:
@@ -395,7 +398,9 @@ class TestFit:
             inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.fixed_k(10),
             grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver(),
         )
-        assert result.weight_routes_agree is True
+        # the product-formula weights equal the closed form U (C^T U)^-1
+        W_solve = result.U @ np.linalg.inv(result.C.T @ result.U)
+        assert np.max(np.abs(result.W - W_solve)) <= 1e-8 * max(1.0, np.max(np.abs(result.W)))
         # scores are mutually orthogonal
         TtT = result.T.T @ result.T
         off = TtT - np.diag(np.diag(TtT))
@@ -489,3 +494,67 @@ class TestFit:
         assert set(comp) == {"h", "k", "support", "u", "v", "w", "objective"}
         assert comp["k"] == 6 and len(comp["support"]) == 6
         assert len(doc["beta"]) == 15 and len(doc["beta"][0]) == 10
+
+
+def reference_cv_scores(kind, path, supports_prev, Xraw, Yraw, mode, folds, seed):
+    """The v-fold protocol refitted from scratch for every (k, fold) pair,
+    with per-k sums in fold order."""
+    n = Xraw.shape[0]
+    fold_idx = _fold_indices(n, folds, np.random.default_rng(seed))
+    scores = []
+    for k in range(1, path.K + 1):
+        supports = supports_prev + [path.buckets[k].best]
+        err, count, cors = 0.0, 0, []
+        for val in fold_idx:
+            tr = np.setdiff1d(np.arange(n), val)
+            xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
+            comps = _refit_fixed(Xraw[tr] - xm, Yraw[tr] - ym, "pls2", supports,
+                                 mode, "psi-xi", seed)
+            if kind == "min-msep":
+                pred = (Xraw[val] - xm) @ regression_coefficients(comps) + ym
+                err += float(np.sum((pred - Yraw[val]) ** 2))
+                count += pred.size
+                continue
+            Xv, Yv = Xraw[val] - xm, Yraw[val] - ym
+            for comp in comps[:-1]:
+                xi_v = Xv @ comp.u
+                if mode == "regression":
+                    Yv = Yv - np.outer(xi_v, comp.d)
+                else:
+                    Yv = Yv - np.outer(Yv @ comp.v, comp.e)
+                Xv = Xv - np.outer(xi_v, comp.c)
+            xi_v, psi_v = Xv @ comps[-1].u, Yv @ comps[-1].v
+            if float(np.std(xi_v)) > 0.0 and float(np.std(psi_v)) > 0.0:
+                cors.append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
+        if kind == "min-msep":
+            scores.append(err / count)
+        else:
+            scores.append(np.mean(cors) if cors else -np.inf)
+    return np.array(scores)
+
+
+class TestCrossValidatedPick:
+    @pytest.mark.parametrize("kind, mode", [("min-msep", "regression"),
+                                            ("max-cor", "canonical")])
+    def test_two_components_match_per_fold_refits(self, kind, mode):
+        # Picks fall inside 1..K here: (11, 6) for min-msep, (11, 2) for max-cor.
+        inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=23))
+        strategy = PickStrategy(kind=kind, folds=4)
+        result = fit(
+            inst.X, inst.Y, model="pls2", H=2, mode=mode, strategy=strategy,
+            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver(),
+            keep_paths=True,
+        )
+        X0 = inst.X - result.x_means
+        Y0 = inst.Y - result.y_means
+        Xraw, Yraw = X0 + result.x_means, Y0 + result.y_means
+        for h in (1, 2):
+            prev = result.components[:h - 1]
+            path = result.paths[h - 1]
+            want = reference_cv_scores(kind, path, [c.subset for c in prev],
+                                       Xraw, Yraw, mode, folds=4, seed=0)
+            got = _cv_scores(strategy, path, prev, X0, Y0, "pls2", mode, "psi-xi",
+                             0, result.x_means, result.y_means)
+            assert np.array_equal(got, want)
+            k = int(np.argmin(want) if kind == "min-msep" else np.argmax(want)) + 1
+            assert result.components[h - 1].subset == path.buckets[k].best
