@@ -40,6 +40,7 @@ from .objective import (
     ObjectiveContext,
     ObjectiveEval,
     corner_objective,
+    eval_batch,
     eval_objective,
     eval_pca,
     eval_pls1,
@@ -61,14 +62,15 @@ from .path import (
     SizeBucket,
     SolutionPath,
     Subset,
+    best_row,
     dynamic_grid,
-    extract_subsets,
     path_objective_curve,
     path_to_dict,
-    select_best,
+    prefix_rows,
+    score_buckets,
     terminal_subset,
 )
 from .simulate import MetricsReport, SimConfig, SimInstance, generate, metrics
-from .solver import SolverConfig, SolverRun, minimize
+from .solver import SolverConfig, SolverRun, minimize, minimize_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

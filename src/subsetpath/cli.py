@@ -364,6 +364,19 @@ def _open_unit(text: str) -> float:
     return value
 
 
+PICK_FORMS = "fixed-k=K, cpev-drop=F, min-msep, max-cor"
+
+
+def _pick(text: str) -> PickStrategy:
+    """argparse type: a pick strategy in one of PICK_FORMS."""
+    try:
+        return PickStrategy.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid pick {text!r} ({exc}); expected one of {PICK_FORMS}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subsetpath",
@@ -408,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--components", type=_int_from(1), default=1)
     fit_p.add_argument("--mode", choices=["regression", "canonical"],
                        default="regression")
-    fit_p.add_argument("--pick", required=True, type=PickStrategy.parse,
-                       help="fixed-k=K | cpev-drop=F | min-msep | max-cor")
+    fit_p.add_argument("--pick", required=True, type=_pick,
+                       help=f"one of {PICK_FORMS}")
     fit_p.add_argument("--folds", type=_int_from(2), default=5)
     fit_p.add_argument("--k-max", type=_int_from(1), default=None)
     fit_p.add_argument("--budget", type=_int_from(2), default=50)

@@ -271,8 +271,10 @@ def adjusted_weights(X: np.ndarray, components: list[ComponentState]) -> np.ndar
     """Weights expressing deflated-space loadings in original coordinates.
 
     w_1 = u_1 and w_h = prod_{j<h} (I - u_j c_j^T) u_h, so that
-    X w_h = X_{h-1} u_h holds as an algebraic identity (verified here).
-    Where C^T U is nonsingular this equals the closed form U (C^T U)^{-1}.
+    X w_h = X_{h-1} u_h holds as an algebraic identity (verified here;
+    rounding breaks it when C^T U is near-singular, which raises
+    SingularMatrixError). Where C^T U is nonsingular this equals the
+    closed form U (C^T U)^{-1}.
     """
     p = components[0].u.shape[0]
     H = len(components)
@@ -286,7 +288,7 @@ def adjusted_weights(X: np.ndarray, components: list[ComponentState]) -> np.ndar
         resid = float(np.max(np.abs(X @ w - comp.xi)))
         scale = max(1.0, float(np.max(np.abs(comp.xi))))
         if resid > 1e-8 * scale:
-            raise AssertionError(
+            raise SingularMatrixError(
                 f"adjusted weight {h + 1} violates X w = X_(h-1) u: {resid:.3e}"
             )
     return W

@@ -1,6 +1,8 @@
 """Dense matrix primitives: column centering, Frobenius norm, and the
 package's one dominant-eigenpair routine, top_eigpair (dense eigh, or warm
 power iteration on large matrices; power_iteration is its checked form).
+top_eigpair also takes a (B, d, d) stack, which the solver passes to solve
+the eigenproblems of a whole sweep of penalties in one call.
 
 Everything operates on plain float ndarrays. All functions are pure; the
 returned arrays never alias their inputs.
@@ -31,12 +33,21 @@ _MAX_REDRAWS = 50
 class DominantPair:
     """Largest eigenvalue of a symmetric PSD matrix and its unit eigenvector;
     ``iterations`` counts power-iteration steps, ``gap`` (dense route only,
-    inf at 1 x 1) is the distance to the second eigenvalue."""
+    inf at 1 x 1) is the distance to the second eigenvalue.
+
+    For a stack of B matrices every field is stacked: value, iterations and
+    gap have shape (B,), vector (B, d); ``row(b)`` is the b-th pair."""
 
     value: float
     vector: np.ndarray
     iterations: int
     gap: float | None = None
+
+    def row(self, b: int) -> "DominantPair":
+        gap = None if self.gap is None else float(self.gap[b])
+        return DominantPair(
+            float(self.value[b]), self.vector[b], int(self.iterations[b]), gap
+        )
 
 
 def center_columns(X: np.ndarray) -> np.ndarray:
@@ -56,9 +67,16 @@ def frobenius_norm(A: np.ndarray) -> float:
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # Entry of largest magnitude made positive, for stable serialization.
-    j = int(np.argmax(np.abs(v)))
-    return -v if v[j] < 0 else v
+    # Entry of largest magnitude made positive (in each row of a stack),
+    # for stable serialization.
+    if v.ndim == 1:
+        j = int(np.argmax(np.abs(v)))
+        return -v if v[j] < 0 else v
+    v = v.copy()
+    for b, j in enumerate(np.argmax(np.abs(v), axis=1).tolist()):
+        if v[b, j] < 0:
+            v[b] = -v[b]
+    return v
 
 
 def _seed_vector(n: int, seed: int, offset: int = 0) -> np.ndarray:
@@ -79,21 +97,57 @@ def top_eigpair(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DominantPair:
-    """Dominant eigenpair of a symmetric PSD matrix, such as a Gram product.
+    """Dominant eigenpair of a symmetric PSD matrix, such as a Gram product,
+    or of each matrix in a (B, d, d) stack (then ``v0`` is (B, d) and the
+    pair is stacked, see DominantPair).
 
     Cold calls (``v0`` None) and matrices up to EIGH_CROSSOVER rows go to
-    numpy's dense ``eigh``, which reads one triangle; larger warm-started
-    ones to power iteration from ``v0``, the only route that uses ``seed``,
-    ``tol`` and ``max_iter``. Checks only finiteness (ValueError)."""
+    numpy's dense ``eigh``, which reads one triangle, in one stacked call;
+    larger warm-started ones to power iteration from ``v0``, one matrix at
+    a time, the only route that uses ``seed``, ``tol`` and ``max_iter``.
+    Checks only finiteness: a single matrix with a non-finite entry raises
+    ValueError, a stacked one gets a NaN value and vector so that the
+    others are still solved."""
     A = np.asarray(A, dtype=float)
+    if A.ndim == 3:
+        return _top_eigpairs(A, v0, seed, tol, max_iter)
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
     n = A.shape[0]
     if v0 is None or n <= EIGH_CROSSOVER:
         w, V = np.linalg.eigh(A)
         gap = float(w[-1] - w[-2]) if n > 1 else np.inf
+        # The vector stays a view of eigh's column where its sign allows:
+        # BLAS products round differently on strided and contiguous
+        # vectors, and callers' outputs are pinned to this layout.
         return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0, gap)
     return _power_steps(A, tol, max_iter, seed, v0)
+
+
+def _top_eigpairs(A, v0, seed, tol, max_iter) -> DominantPair:
+    # top_eigpair on a (B, d, d) stack. A matrix with a non-finite entry is
+    # solved as the zero matrix, then given a NaN value and vector.
+    bad = None
+    if not np.isfinite(A).all():
+        bad = ~np.isfinite(A).all(axis=(1, 2))
+        A = np.where(bad[:, None, None], 0.0, A)
+    B, n = A.shape[:2]
+    if v0 is None or n <= EIGH_CROSSOVER:
+        w, V = np.linalg.eigh(A)
+        gap = w[:, -1] - w[:, -2] if n > 1 else np.full(B, np.inf)
+        vector = _fix_sign(V[:, :, -1])
+        pair = DominantPair(w[:, -1], vector, np.zeros(B, dtype=int), gap)
+    else:
+        pairs = [_power_steps(A[b], tol, max_iter, seed, v0[b]) for b in range(B)]
+        pair = DominantPair(
+            np.array([q.value for q in pairs]),
+            np.array([q.vector for q in pairs]),
+            np.array([q.iterations for q in pairs]),
+        )
+    if bad is not None:
+        pair.value[bad] = np.nan
+        pair.vector[bad] = np.nan
+    return pair
 
 
 def power_iteration(

@@ -10,7 +10,9 @@ objectives minimized over the hypercube are
 
 The box constraint is removed through t_j = 1 - exp(-r_j^2), so downstream
 solvers work on unconstrained r; grad_r applies the chain rule. Every
-spectral quantity comes from linalg.top_eigpair.
+spectral quantity comes from linalg.top_eigpair. eval_batch evaluates a
+stack of points, each under its own penalty, in one pass; the per-point
+evaluators are its one-row case.
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ class ObjectiveEval:
     ``delta`` is delta_t^2 for pls2, delta_t for pca, and
     ||X_t^T y||^2 / n^2 for pls1. ``dominant.gap`` (when the dense solver
     ran) shows how close the top eigenvalue is to a crossing; the gradient
-    formula is used regardless.
+    formula is used regardless. From eval_batch every field is stacked:
+    value and delta have shape (B,), grad_t (B, p), dominant is a stacked
+    DominantPair.
     """
 
     value: float
@@ -136,71 +140,45 @@ def make_context(
     raise ValueError(f"unknown pls2 branch {pls2_branch!r}")
 
 
-def eval_pls1(ctx: ObjectiveContext, t: np.ndarray) -> ObjectiveEval:
-    """Closed-form objective and gradient for the univariate-response model."""
-    if ctx.model != "pls1":
-        raise ValueError(f"context is for {ctx.model}, not pls1")
-    t = np.asarray(t, dtype=float)
-    z2 = ctx.z * ctx.z
-    delta = float(np.sum(t * t * z2))
-    value = -delta + ctx.lam * float(np.sum(t))
-    grad = ctx.lam - 2.0 * t * z2
-    return ObjectiveEval(value=value, grad_t=grad, delta=delta)
-
-
-def eval_pls2(
+def eval_batch(
     ctx: ObjectiveContext,
-    t: np.ndarray,
+    T: np.ndarray,
+    lam: np.ndarray,
     seed: int = 0,
     v0: np.ndarray | None = None,
 ) -> ObjectiveEval:
-    """Multivariate-response objective via top_eigpair, warm-started from v0.
+    """Objectives and gradients in t at the rows of T (B, p), row b
+    penalized by lam[b] rather than ctx.lam; eigen-solves are warm-started
+    from the rows of v0 and run as one stacked top_eigpair call. Each row
+    is computed exactly as if it were evaluated alone.
 
-    With M stored (q < p) the dominant eigenpair of M_t^T M_t gives
-    delta_t^2 and its eigenvector v_t, and
-
-        grad = lam - 2 (t * (M v_t) * (M v_t)).
-
-    With G = M M^T stored (q >= p) the eigenpair of T_t G T_t gives u_t and
-
-        grad = lam - 2 (u_t * (G (t * u_t))).
+    pls1 has the closed form delta = sum(t^2 z^2), grad = lam - 2 t z^2.
+    pls2 with M stored (q < p): the dominant eigenpair of M_t^T M_t gives
+    delta_t^2 and v_t, and grad = lam - 2 (t * (M v_t) * (M v_t)).
+    pls2 with G = M M^T stored (q >= p) and pca (G = X^T X / n): the
+    eigenpair of T_t G T_t gives delta and u_t, and
+    grad = lam - 2 (u_t * (G (t * u_t))).
     """
-    if ctx.model != "pls2":
-        raise ValueError(f"context is for {ctx.model}, not pls2")
-    t = np.asarray(t, dtype=float)
-    if ctx.M is not None:
-        Mt = t[:, None] * ctx.M
-        A = Mt.T @ Mt
-        pair = top_eigpair(A, v0=v0, seed=seed)
-        mv = ctx.M @ pair.vector
-        grad = ctx.lam - 2.0 * t * mv * mv
+    lam = np.asarray(lam, dtype=float)
+    pair = None
+    if ctx.model == "pls1":
+        z2 = ctx.z * ctx.z
+        delta = (T * T * z2).sum(axis=1)
+        grad = lam[:, None] - 2.0 * T * z2
+    elif ctx.M is not None:
+        Mt = T[:, :, None] * ctx.M
+        pair = top_eigpair(Mt.transpose(0, 2, 1) @ Mt, v0=v0, seed=seed)
+        mv = (ctx.M @ pair.vector[:, :, None])[:, :, 0]
+        grad = lam[:, None] - 2.0 * T * mv * mv
     else:
-        A = (t[:, None] * ctx.G) * t[None, :]
+        A = (T[:, :, None] * ctx.G) * T[:, None, :]
         pair = top_eigpair(A, v0=v0, seed=seed)
-        gu = ctx.G @ (t * pair.vector)
-        grad = ctx.lam - 2.0 * pair.vector * gu
-    value = -pair.value + ctx.lam * float(t.sum())
-    return ObjectiveEval(value=value, grad_t=grad, delta=pair.value, dominant=pair)
-
-
-def eval_pca(
-    ctx: ObjectiveContext,
-    t: np.ndarray,
-    seed: int = 0,
-    v0: np.ndarray | None = None,
-) -> ObjectiveEval:
-    """Variance objective: delta_t is the top eigenvalue of T_t (X^T X / n) T_t,
-    and grad = lam - 2 (u_t * (G (t * u_t))) with G = X^T X / n. The
-    eigen-solve is as in eval_pls2."""
-    if ctx.model != "pca":
-        raise ValueError(f"context is for {ctx.model}, not pca")
-    t = np.asarray(t, dtype=float)
-    A = (t[:, None] * ctx.G) * t[None, :]
-    pair = top_eigpair(A, v0=v0, seed=seed)
-    gu = ctx.G @ (t * pair.vector)
-    grad = ctx.lam - 2.0 * pair.vector * gu
-    value = -pair.value + ctx.lam * float(t.sum())
-    return ObjectiveEval(value=value, grad_t=grad, delta=pair.value, dominant=pair)
+        gu = (ctx.G @ (T * pair.vector)[:, :, None])[:, :, 0]
+        grad = lam[:, None] - 2.0 * pair.vector * gu
+    if pair is not None:
+        delta = pair.value
+    value = -delta + lam * T.sum(axis=1)
+    return ObjectiveEval(value=value, grad_t=grad, delta=delta, dominant=pair)
 
 
 def eval_objective(
@@ -209,12 +187,52 @@ def eval_objective(
     seed: int = 0,
     v0: np.ndarray | None = None,
 ) -> ObjectiveEval:
-    """Dispatch to the model-specific evaluator."""
-    if ctx.model == "pls1":
-        return eval_pls1(ctx, t)
-    if ctx.model == "pls2":
-        return eval_pls2(ctx, t, seed=seed, v0=v0)
-    return eval_pca(ctx, t, seed=seed, v0=v0)
+    """Objective and gradient at one point t under ctx.lam, warm-started
+    from v0: the one-row case of eval_batch."""
+    t = np.asarray(t, dtype=float)
+    v0 = None if v0 is None else np.asarray(v0, dtype=float)[None]
+    ev = eval_batch(ctx, t[None], np.array([ctx.lam]), seed=seed, v0=v0)
+    return ObjectiveEval(
+        value=float(ev.value[0]),
+        grad_t=ev.grad_t[0],
+        delta=float(ev.delta[0]),
+        dominant=None if ev.dominant is None else ev.dominant.row(0),
+    )
+
+
+def _require(ctx: ObjectiveContext, model: str) -> None:
+    if ctx.model != model:
+        raise ValueError(f"context is for {ctx.model}, not {model}")
+
+
+def eval_pls1(ctx: ObjectiveContext, t: np.ndarray) -> ObjectiveEval:
+    """Closed-form objective and gradient for the univariate-response model."""
+    _require(ctx, "pls1")
+    return eval_objective(ctx, t)
+
+
+def eval_pls2(
+    ctx: ObjectiveContext,
+    t: np.ndarray,
+    seed: int = 0,
+    v0: np.ndarray | None = None,
+) -> ObjectiveEval:
+    """Multivariate-response objective via top_eigpair, warm-started from v0
+    (formulas in eval_batch)."""
+    _require(ctx, "pls2")
+    return eval_objective(ctx, t, seed=seed, v0=v0)
+
+
+def eval_pca(
+    ctx: ObjectiveContext,
+    t: np.ndarray,
+    seed: int = 0,
+    v0: np.ndarray | None = None,
+) -> ObjectiveEval:
+    """Variance objective: delta_t is the top eigenvalue of T_t (X^T X / n) T_t
+    (formulas in eval_batch)."""
+    _require(ctx, "pca")
+    return eval_objective(ctx, t, seed=seed, v0=v0)
 
 
 def grad_r(ev: ObjectiveEval, r: np.ndarray) -> np.ndarray:

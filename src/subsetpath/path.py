@@ -1,20 +1,26 @@
-"""Subset extraction from solver traces and the dynamic penalty grid.
+"""Bucket scoring from solver traces, and the dynamic penalty grid.
 
 A single solver run visits a trajectory of points t; every visited point
 contributes, for each k up to K, the subset holding its k largest
 coordinates. The solver hands over only the distinct top-K orderings it
-visited, and subsets are stored as sorted index tuples, so extraction costs
-O(K^2) per ordering whatever p is. Buckets collect those candidates per
-size and keep the one with the lowest unpenalized corner objective, scored
-for a whole bucket at once: a closed form for pls1 and one stacked dense
-eigen-solve over the k x k (or q x q) blocks otherwise. The dynamic grid
-drives the solver over a data-dependent schedule of penalty values so that
-terminal subsets cover all sizes 1..K.
+visited, as an (m, K) int array. The grid stacks the orderings of all its
+runs into one (M, K) array of distinct rows, and bucket k is scored from
+it directly: the k-prefixes of the rows are sorted and deduplicated, and
+the resulting (m_k, k) array of index rows, ``SizeBucket.candidates``, is
+scored in stacks with the closed form for pls1 and one stacked dense
+eigen-solve over the k x k (or q x q) blocks otherwise. The lowest
+unpenalized corner objective wins; exact ties go to the smallest bits. For
+pls1 only the prefixes whose visit-order sum of z^2 comes within
+_PLS1_BAND of the best are scored exactly (see there).
+
+The dynamic grid drives the solver over a data-dependent schedule of
+penalty values so that terminal subsets cover all sizes 1..K; the
+penalties of one bisection sweep are solved together in one batched
+solver call (solver.minimize_batch).
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 from dataclasses import dataclass, field
@@ -23,11 +29,18 @@ import numpy as np
 
 from .errors import SolverAbort
 from .objective import ObjectiveContext, lambda_max, make_context
-from .solver import SolverConfig, SolverRun, minimize
+from .solver import SolverConfig, SolverRun, minimize, minimize_batch, unique_rows
 
-# Candidates per stacked eigen-solve in select_best; bounds the block stack
-# to _BATCH * K^2 floats.
+# Candidates per stacked eigen-solve in best_row; bounds the block stack to
+# _BATCH * K^2 floats.
 _BATCH = 256
+
+# pls1 scores a k-prefix exactly only if its visit-order sum of z^2 is at
+# least (1 - _PLS1_BAND) times the largest one. That sum and the exact score
+# add the same k non-negative terms in different orders, so they differ by
+# at most about 2k eps relative (2e-14 at k = 50); any band far above that,
+# as this one is for k below 10^6, holds every exact minimizer and tie.
+_PLS1_BAND = 1e-9
 
 
 @functools.total_ordering
@@ -90,10 +103,13 @@ class Subset:
 
 @dataclass
 class SizeBucket:
+    """``candidates`` is the (m, k) int array of the distinct sorted index
+    rows that were scored exactly; ``best`` is the winner among them."""
+
     k: int
-    candidates: list[Subset] = field(default_factory=list)
-    best: Subset | None = None
-    best_value: float | None = None
+    candidates: np.ndarray
+    best: Subset
+    best_value: float
 
 
 @dataclass(frozen=True)
@@ -135,35 +151,6 @@ class SolutionPath:
     diagnostics: list[LambdaDiagnostic] = field(default_factory=list)
 
 
-def extract_subsets(run: SolverRun, K: int) -> dict[int, list[Subset]]:
-    """Per size k = 1..K, the deduplicated subsets formed by the first k
-    entries of every top-K ordering in the run's trace, in first-visit
-    order."""
-    p = run.terminal_t.shape[0]
-    if K > p:
-        raise ValueError(f"K={K} exceeds p={p}")
-    out: dict[int, list[Subset]] = {k: [] for k in range(1, K + 1)}
-    seen: set[tuple[int, ...]] = set()
-    prev = (-1,) * K
-    prefixes: list[tuple[int, ...]] = [()] * (K + 1)  # prev's sorted k-prefixes
-    for order in run.trace:
-        if len(order) < K:
-            raise ValueError(f"run recorded top-{len(order)} orderings, not top-{K}")
-        # The first c prefixes are the previous ordering's, already seen.
-        c = 0
-        while c < K and order[c] == prev[c]:
-            c += 1
-        prefix = list(prefixes[c])
-        for k in range(c + 1, K + 1):
-            bisect.insort(prefix, order[k - 1])
-            idx = prefixes[k] = tuple(prefix)
-            if idx not in seen:
-                seen.add(idx)
-                out[k].append(Subset(p, idx))
-        prev = order
-    return out
-
-
 def _corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
     """Unpenalized corner objectives of m subsets of one size k >= 1, given
     as an (m, k) array of sorted column indices; the batched counterpart of
@@ -181,32 +168,45 @@ def _corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
     return -np.linalg.eigvalsh(blocks)[:, -1]
 
 
-def select_best(
-    candidates: list[Subset], ctx0: ObjectiveContext
-) -> tuple[Subset, float]:
-    """Candidate with the lowest unpenalized corner objective; ties break
-    lexicographically on bits. Candidates of one size are scored together
-    in _BATCH-sized stacks."""
-    if not candidates:
-        raise ValueError("empty candidate set")
-    by_size: dict[int, list[Subset]] = {}
-    for s in candidates:
-        by_size.setdefault(s.size, []).append(s)
-    best = None
-    best_value = np.inf
-    for k, group in by_size.items():
-        if k == 0:
-            values = np.zeros(len(group))
-        else:
-            I = np.array([s.idx for s in group], dtype=np.intp)
-            values = np.concatenate([
-                _corner_values(ctx0, I[i:i + _BATCH]) for i in range(0, len(I), _BATCH)
-            ])
-        low = values.min()
-        winner = min(group[i] for i in np.flatnonzero(values == low))
-        if low < best_value or (low == best_value and winner < best):
-            best, best_value = winner, float(low)
-    return best, best_value
+def best_row(ctx0: ObjectiveContext, I: np.ndarray) -> tuple[Subset, float]:
+    """Row of I, an (m, k) array of sorted column indices with m, k >= 1,
+    with the lowest unpenalized corner objective; exact ties go to the
+    smallest bits. Rows are scored in _BATCH-sized stacks."""
+    if I.size == 0:
+        raise ValueError("no candidate rows to score")
+    values = np.concatenate([
+        _corner_values(ctx0, I[i:i + _BATCH]) for i in range(0, len(I), _BATCH)
+    ])
+    low = values.min()
+    tied = np.flatnonzero(values == low)
+    best = min(Subset(ctx0.p, tuple(I[i].tolist())) for i in tied)
+    return best, float(low)
+
+
+def prefix_rows(orders: np.ndarray, k: int) -> np.ndarray:
+    """Distinct sorted k-prefixes of the rows of an (M, K) ordering array,
+    as an (m, k) array in order of first occurrence."""
+    return unique_rows(np.sort(orders[:, :k], axis=1))
+
+
+def score_buckets(
+    ctx0: ObjectiveContext, orders: np.ndarray, K: int
+) -> dict[int, SizeBucket]:
+    """Buckets k = 1..K from an (M, K) array of top-K orderings: each k
+    scores the distinct k-prefixes of the rows (for pls1 only those within
+    _PLS1_BAND of the best visit-order sum) with best_row."""
+    if ctx0.model == "pls1":
+        sums = np.cumsum((ctx0.z * ctx0.z)[orders], axis=1)
+    buckets = {}
+    for k in range(1, K + 1):
+        rows = orders
+        if ctx0.model == "pls1":
+            s = sums[:, k - 1]
+            rows = orders[s >= s.max() * (1.0 - _PLS1_BAND)]
+        I = prefix_rows(rows, k)
+        best, value = best_row(ctx0, I)
+        buckets[k] = SizeBucket(k, I, best, value)
+    return buckets
 
 
 def terminal_subset(t: np.ndarray, rho: float) -> Subset:
@@ -239,9 +239,9 @@ def dynamic_grid(
     one included, count against L.
 
     Every successful run feeds the top-K orderings it visited into the size
-    buckets, so buckets are filled for all k = 1..K as soon as one run
-    succeeds. A penalty whose run aborts contributes nothing but the grid
-    continues; if every run aborts, SolverAbort is raised.
+    buckets (score_buckets), so buckets are filled for all k = 1..K as soon
+    as one run succeeds. A penalty whose run aborts contributes nothing but
+    the grid continues; if every run aborts, SolverAbort is raised.
     """
     if solver_cfg is None:
         solver_cfg = SolverConfig()
@@ -255,18 +255,15 @@ def dynamic_grid(
             raise SolverAbort(f"cannot start the grid: {exc}") from exc
         raise
 
-    buckets = {k: SizeBucket(k=k) for k in range(1, grid_cfg.K + 1)}
-    seen: set[tuple[int, ...]] = set()  # index tuples of every size
+    orders: list[np.ndarray] = []  # the trace of every successful run
     grid_entries: list[tuple[float, int]] = []
     diagnostics: list[LambdaDiagnostic] = []
 
-    def solve(lam: float) -> int:
+    def record(lam: float, run: SolverRun | SolverAbort) -> int:
         # Terminal size of the run at lam, or -1 if it aborted.
-        try:
-            run = minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K)
-        except SolverAbort as err:
+        if isinstance(run, SolverAbort):
             diagnostics.append(
-                LambdaDiagnostic(lam, -1, err.iteration or 0, False, None, failed=True)
+                LambdaDiagnostic(lam, -1, run.iteration or 0, False, None, failed=True)
             )
             return -1
         k_lam = terminal_subset(run.terminal_t, grid_cfg.rho).size
@@ -274,12 +271,15 @@ def dynamic_grid(
         diagnostics.append(
             LambdaDiagnostic(lam, k_lam, run.iterations, run.converged, run.objective)
         )
-        for k, subs in extract_subsets(run, grid_cfg.K).items():
-            for s in subs:
-                if s.idx not in seen:
-                    seen.add(s.idx)
-                    buckets[k].candidates.append(s)
+        orders.append(run.trace)
         return k_lam
+
+    def solve(lam: float) -> int:
+        try:
+            run = minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K)
+        except SolverAbort as err:
+            run = err
+        return record(lam, run)
 
     # Step 1: from lambda_max (whose terminal subset is empty), halve until
     # the terminal size reaches K or the budget is spent.
@@ -293,7 +293,8 @@ def dynamic_grid(
         k_lam = solve(lam_top / 2.0**ell)
     budget = grid_cfg.L - evals
 
-    # Step 2: bisect terminal-size gaps, left to right, re-sweeping.
+    # Step 2: bisect terminal-size gaps, left to right, re-sweeping; the
+    # midpoints of one sweep are solved as one batch and recorded in order.
     while budget > 0:
         entries = sorted(grid_entries)
         mids = []
@@ -305,16 +306,15 @@ def dynamic_grid(
         if not mids:
             break
         budget -= len(mids)
-        for lam in mids:
-            solve(lam)
+        for lam, run in zip(mids, minimize_batch(ctx0, mids, solver_cfg, grid_cfg.K)):
+            record(lam, run)
 
     if not grid_entries:  # one entry per successful run
         raise SolverAbort("no penalty value produced a successful run")
 
     # Every successful run visits at least one top-K ordering, so no bucket
     # is empty here.
-    for bucket in buckets.values():
-        bucket.best, bucket.best_value = select_best(bucket.candidates, ctx0)
+    buckets = score_buckets(ctx0, unique_rows(np.concatenate(orders)), grid_cfg.K)
 
     return SolutionPath(
         model=model,

@@ -2,21 +2,29 @@
 
 The path builder mines the visited trajectory, not just the terminal point,
 for candidate subsets, but it only needs each visited point's top-K
-ordering. The solver therefore streams those orderings out as it goes,
-deduplicated in first-visit order, and keeps no per-iterate copy of t.
+ordering. The solver therefore records those orderings as it goes, hands
+them over deduplicated in first-visit order, and keeps no per-iterate copy
+of t.
+
+One loop serves every caller: minimize_batch runs a whole sweep of
+penalties at once, with r, t and the Adam moments held as (B, p) arrays,
+one row per penalty still running, and one stacked objective evaluation
+per iteration. Each row keeps its own stall counter and ends on its own
+(converged, capped or aborted); rows share no arithmetic, so every row
+gives bit for bit what a run of its penalty alone gives. minimize is the
+one-row case.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverAbort
 from .objective import (
     ObjectiveContext,
-    eval_objective,
+    eval_batch,
     grad_r,
     r_of_t,
     t_of_r,
@@ -55,10 +63,11 @@ class SolverConfig:
 
 @dataclass
 class SolverRun:
-    """``trace`` holds the distinct top-K orderings of the visited points, in
-    first-visit order; ``objective`` is the penalized value at ``terminal_t``."""
+    """``trace`` is an (m, K) int array of the distinct top-K orderings of
+    the visited points, in first-visit order; ``objective`` is the
+    penalized value at ``terminal_t``."""
 
-    trace: list[tuple[int, ...]] = field(default_factory=list)
+    trace: np.ndarray
     converged: bool = False
     iterations: int = 0
     terminal_t: np.ndarray | None = None
@@ -70,24 +79,31 @@ class SolverRun:
 _SELECT_MIN_P = 500
 
 
-def top_k_order(t: np.ndarray, K: int) -> tuple[int, ...]:
-    """Indices of the K largest entries of t, largest first; among equal
-    entries the lower index comes first, as in np.argsort(-t,
-    kind="stable")[:K].
+def top_k_order(t: np.ndarray, K: int) -> np.ndarray:
+    """Indices of the K largest entries of t (or of each row of a 2-D t),
+    largest first; among equal entries the lower index comes first, as in
+    np.argsort(-t, axis=-1, kind="stable")[..., :K].
 
     For large p and small K, the K-th largest value is found by partial
     selection, the places of entries tied with it go to the lowest tied
     indices, and only the K winners are sorted."""
-    p = t.shape[0]
+    t = np.asarray(t)
+    p = t.shape[-1]
     if p < _SELECT_MIN_P or 4 * K > p:
-        return tuple(np.argsort(-t, kind="stable")[:K].tolist())
-    kth = np.partition(t, p - K)[p - K]
-    top = np.flatnonzero(t >= kth)
-    if top.size > K:
-        keep = t > kth
-        keep[np.flatnonzero(t == kth)[: K - np.count_nonzero(keep)]] = True
-        top = np.flatnonzero(keep)
-    return tuple(top[np.argsort(-t[top], kind="stable")].tolist())
+        return np.argsort(-t, axis=-1, kind="stable")[..., :K]
+    T = t.reshape(-1, p)
+    B = T.shape[0]
+    kth = np.partition(T, p - K, axis=1)[:, p - K, None]
+    keep = T >= kth
+    if np.count_nonzero(keep) > B * K:  # ties at the K-th value
+        above = T > kth
+        tied = keep & ~above
+        room = K - np.count_nonzero(above, axis=1)
+        keep = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    top = np.nonzero(keep)[1].reshape(B, K)
+    row = np.arange(B)[:, None]
+    rank = np.argsort(-T[row, top], axis=1, kind="stable")
+    return top[row, rank].reshape(t.shape[:-1] + (K,))
 
 
 def _initial_t(cfg: SolverConfig, p: int) -> np.ndarray:
@@ -101,78 +117,106 @@ def _initial_t(cfg: SolverConfig, p: int) -> np.ndarray:
     return np.minimum(t0, T_MAX)
 
 
-def minimize(
-    ctx: ObjectiveContext, cfg: SolverConfig, K: int | None = None
-) -> SolverRun:
-    """Run Adam or plain gradient descent on g(r) = f(t(r)).
+def unique_rows(A: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D array, in order of first occurrence."""
+    A = np.ascontiguousarray(A)
+    keys = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    return A[np.sort(first)]
 
-    Every visited point, the initial and the terminal one included, adds
-    its top-K ordering (see top_k_order) to ``run.trace`` unless an earlier
-    point had the same one. K defaults to p.
 
-    Terminates once max_j |t_j - t_j_prev| < cfg.tol for cfg.patience
-    consecutive updates (converged) or after cfg.max_iter updates.
-    Raises SolverAbort on a non-finite objective or gradient, naming the
-    iteration.
+def minimize_batch(
+    ctx: ObjectiveContext, lams, cfg: SolverConfig, K: int | None = None
+) -> list[SolverRun | SolverAbort]:
+    """Run Adam or plain gradient descent on g(r) = f(t(r)) for every
+    penalty in ``lams`` (ctx.lam is ignored), in one loop.
+
+    Entry b is the run of penalty lams[b], or the SolverAbort that ended
+    it when its objective or gradient went non-finite (naming the
+    iteration); an aborted row ends only its own run. Every visited point,
+    the initial and the terminal one included, adds its top-K ordering
+    (see top_k_order) to the run's ``trace`` unless an earlier point of
+    that run had the same one. K defaults to p.
+
+    A row terminates once max_j |t_j - t_j_prev| < cfg.tol for
+    cfg.patience consecutive updates (converged) or after cfg.max_iter
+    updates.
     """
     if K is None:
         K = ctx.p
     if not (1 <= K <= ctx.p):
         raise ValueError(f"K={K} out of range 1..{ctx.p}")
-    t = _initial_t(cfg, ctx.p)
-    r = r_of_t(t)
-    run = SolverRun()
-    seen: set[tuple[int, ...]] = set()
+    lams = np.asarray(lams, dtype=float)
+    B = lams.shape[0]
+    T = np.tile(_initial_t(cfg, ctx.p), (B, 1))
+    R = r_of_t(T)
+    out: list[SolverRun | SolverAbort | None] = [None] * B
+    traces: list[list[np.ndarray]] = [[] for _ in range(B)]
 
-    m = np.zeros(ctx.p)
-    v = np.zeros(ctx.p)
+    rows = list(range(B))  # penalty index of each row still running
+    m = np.zeros_like(T)
+    v = np.zeros_like(T)
+    stall = np.zeros(B, dtype=int)
     warm = None
-    stall = 0
     it = 0
 
     while True:
-        try:
-            ev = eval_objective(ctx, t, seed=cfg.seed, v0=warm)
-        except ValueError as exc:
-            if "non-finite" in str(exc):
-                raise SolverAbort(
-                    f"non-finite objective matrix at iteration {it}", iteration=it
-                ) from exc
-            raise
-        if not math.isfinite(ev.value) or not np.isfinite(ev.grad_t).all():
-            raise SolverAbort(
-                f"non-finite objective or gradient at iteration {it}", iteration=it
-            )
-        order = top_k_order(t, K)
-        if order not in seen:
-            seen.add(order)
-            run.trace.append(order)
+        ev = eval_batch(ctx, T, lams, seed=cfg.seed, v0=warm)
+        G = grad_r(ev, R)
+        order = top_k_order(T, K)
+        for i, b in enumerate(rows):
+            traces[b].append(order[i])
         if ev.dominant is not None:
             warm = ev.dominant.vector
 
-        if stall >= cfg.patience:
-            run.converged = True
-            break
+        ok = np.isfinite(G).all(axis=1) & np.isfinite(ev.value)
+        done = ~ok | (stall >= cfg.patience)
         if it >= cfg.max_iter:
-            break
+            done[:] = True
+        if done.any():
+            for i in np.flatnonzero(done):
+                b = rows[i]
+                if not ok[i]:
+                    out[b] = SolverAbort(
+                        f"non-finite objective or gradient at iteration {it}",
+                        iteration=it,
+                    )
+                else:
+                    out[b] = SolverRun(
+                        trace=unique_rows(np.array(traces[b])),
+                        converged=bool(stall[i] >= cfg.patience),
+                        iterations=it,
+                        terminal_t=T[i],
+                        objective=float(ev.value[i]),
+                    )
+            live = ~done
+            if not live.any():
+                return out
+            rows = [b for b, keep in zip(rows, live) if keep]
+            lams, T, R, G, m, v, stall = (a[live] for a in (lams, T, R, G, m, v, stall))
+            if warm is not None:
+                warm = warm[live]
 
-        g = grad_r(ev, r)
-        if not np.isfinite(g).all():
-            raise SolverAbort(f"non-finite gradient at iteration {it}", iteration=it)
         it += 1
         if cfg.method == "adam":
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * G
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * G * G
             m_hat = m / (1.0 - cfg.beta1**it)
             v_hat = v / (1.0 - cfg.beta2**it)
-            r = r - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            R = R - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
         else:
-            r = r - cfg.learning_rate * g
-        t_next = t_of_r(r)
-        stall = stall + 1 if np.abs(t_next - t).max() < cfg.tol else 0
-        t = t_next
+            R = R - cfg.learning_rate * G
+        T_next = t_of_r(R)
+        stall = (stall + 1) * (np.abs(T_next - T).max(axis=1) < cfg.tol)
+        T = T_next
 
-    run.iterations = it
-    run.terminal_t = t
-    run.objective = ev.value
+
+def minimize(
+    ctx: ObjectiveContext, cfg: SolverConfig, K: int | None = None
+) -> SolverRun:
+    """minimize_batch for the single penalty ctx.lam; raises its
+    SolverAbort."""
+    run = minimize_batch(ctx, [ctx.lam], cfg, K)[0]
+    if isinstance(run, SolverAbort):
+        raise run
     return run

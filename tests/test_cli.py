@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from subsetpath import cli, path
+from subsetpath import cli, components, path
 from subsetpath.cli import main, read_csv_matrix, write_csv_matrix
 from subsetpath.errors import ConvergenceFailure, DegenerateScoreError
 
@@ -305,6 +305,14 @@ class TestErrorExits:
         assert run_cli(*self.argv("fit", "pls2", sim, tmp_path / "out")) == 7
         self.assert_one_error_line(capsys)
 
+    def test_repeated_component_exits_5(self, tmp_path, capsys, monkeypatch):
+        # Without deflation the second component repeats the first, so
+        # C^T U is singular and the adjusted weights cannot reproduce it.
+        monkeypatch.setattr(components, "deflate", lambda X, Y, *args: (X, Y))
+        sim = self.sim(tmp_path)
+        assert run_cli(*self.argv("fit", "pls2", sim, tmp_path / "out")) == 5
+        self.assert_one_error_line(capsys)
+
     def test_convergence_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise ConvergenceFailure("power iteration did not converge")
@@ -344,3 +352,6 @@ class TestErrorExits:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
+        if bad[0] == "--pick" and bad[1] in ("bogus", "fixed-k=x", "fixed-k=0"):
+            for form in ("fixed-k=K", "cpev-drop=F", "min-msep", "max-cor"):
+                assert form in err

@@ -191,6 +191,19 @@ class TestAdjustedWeights:
         with pytest.raises(SingularMatrixError):
             regression_coefficients([comp, comp])
 
+    def test_near_singular_ctu_breaks_weight_identity(self):
+        # A repeated component gives C^T U = [[1, 1], [1, 1]] up to rounding:
+        # w_2 = (I - u c^T) u is rounding noise, so X w_2 misses xi_2.
+        rng = np.random.default_rng(9)
+        X = center_columns(rng.standard_normal((10, 3)))
+        Y = center_columns(rng.standard_normal((10, 2)))
+        (comp,), _, _ = regression_comps(X, Y, "pls2", [full_subset(3)])
+        U = np.column_stack([comp.u, comp.u])
+        C = np.column_stack([comp.c, comp.c])
+        assert np.linalg.cond(C.T @ U) > 1e12
+        with pytest.raises(SingularMatrixError, match="adjusted weight 2 violates"):
+            adjusted_weights(X, [comp, comp])
+
 
 class TestRegressionCoefficients:
     def test_single_component_prediction_identity(self):

@@ -1,41 +1,50 @@
-import bisect
 import json
 
 import numpy as np
 import pytest
 
+from subsetpath import path as path_module
 from subsetpath.linalg import center_columns
-from subsetpath.objective import corner_objective, make_context
+from subsetpath.objective import ObjectiveContext, corner_objective, make_context
 from subsetpath.path import (
     GridConfig,
     SolutionPath,
     Subset,
+    best_row,
     dynamic_grid,
-    extract_subsets,
     path_objective_curve,
     path_to_dict,
-    select_best,
+    prefix_rows,
+    score_buckets,
     terminal_subset,
 )
-from subsetpath.solver import SolverConfig, SolverRun, top_k_order
-from subsetpath.simulate import SimConfig, gen_multiresponse
+from subsetpath.solver import top_k_order, unique_rows
+from subsetpath.simulate import SimConfig, gen_multiresponse, generate
 
 
-def run_from_points(points):
-    # What the solver records for these visited points, with K = p.
-    points = [np.asarray(t, dtype=float) for t in points]
-    run = SolverRun(iterations=len(points) - 1, terminal_t=points[-1])
-    for t in points:
-        order = top_k_order(t, len(t))
-        if order not in run.trace:
-            run.trace.append(order)
-    return run
+def orders_from_points(points):
+    # The distinct top-p orderings the solver records for these points.
+    return unique_rows(top_k_order(np.array(points, dtype=float), len(points[0])))
+
+
+def rows(*indices):
+    return np.array(indices, dtype=np.intp)
 
 
 def random_subsets(rng, p, count):
     return [Subset.from_indices(p, rng.choice(p, size=rng.integers(0, p + 1),
                                               replace=False))
             for _ in range(count)]
+
+
+def brute_force_bucket(ctx, orders, k):
+    # Every distinct sorted k-prefix scored one by one with corner_objective;
+    # the lowest value wins, exact ties go to the smallest bits.
+    p = ctx.p
+    cands = {tuple(sorted(o[:k])) for o in orders.tolist()}
+    scored = [(corner_objective(ctx, Subset(p, idx).bits), Subset(p, idx)) for idx in cands]
+    low = min(v for v, _ in scored)
+    return min(s for v, s in scored if v == low), low
 
 
 class TestSubset:
@@ -86,79 +95,71 @@ class TestSubset:
 
 
 class TestExtractSubsets:
+    """Candidate extraction: the distinct sorted k-prefixes of the recorded
+    orderings (prefix_rows)."""
+
     def test_direct_sort(self):
-        run = run_from_points([[0.9, 0.1, 0.5]])
-        out = extract_subsets(run, K=2)
-        assert out[1] == [Subset.from_bits((1, 0, 0))]
-        assert out[2] == [Subset.from_bits((1, 0, 1))]
+        O = orders_from_points([[0.9, 0.1, 0.5]])
+        assert prefix_rows(O, 1).tolist() == [[0]]
+        assert prefix_rows(O, 2).tolist() == [[0, 2]]
 
     def test_tie_broken_by_lowest_index(self):
-        run = run_from_points([[0.4, 0.4, 0.4]])
-        out = extract_subsets(run, K=1)
-        assert out[1] == [Subset.from_bits((1, 0, 0))]
+        O = orders_from_points([[0.4, 0.4, 0.4]])
+        assert prefix_rows(O, 1).tolist() == [[0]]
 
     def test_single_point_full_t(self):
-        run = run_from_points([[1.0, 1.0]])
-        out = extract_subsets(run, K=2)
-        assert out[1] == [Subset.from_bits((1, 0))]
-        assert out[2] == [Subset.from_bits((1, 1))]
+        O = orders_from_points([[1.0, 1.0]])
+        assert prefix_rows(O, 1).tolist() == [[0]]
+        assert prefix_rows(O, 2).tolist() == [[0, 1]]
 
     def test_duplicates_collapsed(self):
-        run = run_from_points([[0.9, 0.1], [0.9, 0.1], [0.8, 0.2]])
-        out = extract_subsets(run, K=1)
-        assert out[1] == [Subset.from_bits((1, 0))]
+        O = orders_from_points([[0.9, 0.1], [0.9, 0.1], [0.8, 0.2]])
+        assert prefix_rows(O, 1).tolist() == [[0]]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_full_rebuild_on_random_traces(self, seed):
         # Reference: every ordering rebuilds all of its K sorted prefixes.
-        def rebuild(run, K):
-            out, seen = {k: [] for k in range(1, K + 1)}, set()
-            for order in run.trace:
-                prefix = []
-                for k in range(1, K + 1):
-                    bisect.insort(prefix, order[k - 1])
-                    if tuple(prefix) not in seen:
-                        seen.add(tuple(prefix))
-                        out[k].append(Subset(p, tuple(prefix)))
-            return out
-
         rng = np.random.default_rng(seed)
         p = int(rng.integers(2, 30))
         K = int(rng.integers(1, p + 1))
-        # A random walk of t, so consecutive orderings share long prefixes.
+        # A random walk of t, so consecutive orderings share long prefixes,
+        # plus orderings revisited out of sequence.
         t = rng.uniform(size=p)
-        run = SolverRun(terminal_t=t)
+        orders = []
         for _ in range(200):
             t = np.clip(t + 0.05 * rng.standard_normal(p), 0.0, 1.0)
-            order = top_k_order(t, K)
-            if order not in run.trace:
-                run.trace.append(order)
-        # Orderings revisited out of sequence exercise a short shared prefix.
-        run.trace += [run.trace[i] for i in rng.permutation(len(run.trace))[:20]]
-        assert extract_subsets(run, K) == rebuild(run, K)
+            orders.append(top_k_order(t, K))
+        orders += [orders[i] for i in rng.permutation(len(orders))[:20]]
+        O = np.array(orders)
+        for k in range(1, K + 1):
+            want = list(dict.fromkeys(tuple(sorted(o[:k])) for o in O.tolist()))
+            assert prefix_rows(O, k).tolist() == [list(w) for w in want]
 
 
 class TestSelectBest:
+    """Scoring one bucket's rows (best_row) and every bucket from the
+    stacked orderings (score_buckets)."""
+
     def test_picks_larger_z_squared(self):
         ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1")
-        best, value = select_best([Subset.from_bits((1, 0)), Subset.from_bits((0, 1))], ctx)
+        best, value = best_row(ctx, rows([0], [1]))
         assert best.bits == (0, 1)
         assert value == pytest.approx(-1.0)
 
     def test_single_candidate(self):
         ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1")
-        best, _ = select_best([Subset.from_bits((1, 0))], ctx)
+        best, _ = best_row(ctx, rows([0]))
         assert best.bits == (1, 0)
 
     def test_ties_break_lexicographically(self):
         ctx = make_context(np.eye(2), np.array([1.0, 1.0]), "pls1")
-        best, _ = select_best([Subset.from_bits((1, 0)), Subset.from_bits((0, 1))], ctx)
+        best, _ = best_row(ctx, rows([0], [1]))
         assert best.bits == (0, 1)
 
     def test_empty_candidates_rejected(self):
         ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1")
         with pytest.raises(ValueError):
-            select_best([], ctx)
+            best_row(ctx, np.empty((0, 1), dtype=np.intp))
 
     @pytest.mark.parametrize("model,branch,k", [
         ("pls1", None, 3),
@@ -174,12 +175,12 @@ class TestSelectBest:
         Y = None if model == "pca" else center_columns(
             rng.standard_normal((40, 1 if model == "pls1" else q)))
         ctx = make_context(X, Y, model, pls2_branch=branch)
-        cands = list({Subset.from_indices(p, rng.choice(p, size=k, replace=False))
-                      for _ in range(300)})
-        values = [corner_objective(ctx, s.bits) for s in cands]
+        cands = sorted({tuple(sorted(rng.choice(p, size=k, replace=False)))
+                        for _ in range(300)})
+        values = [corner_objective(ctx, Subset(p, c).bits) for c in cands]
         low = min(values)
-        want = min(s for s, v in zip(cands, values) if v == low)
-        best, value = select_best(cands, ctx)
+        want = min(Subset(p, c) for c, v in zip(cands, values) if v == low)
+        best, value = best_row(ctx, np.array(cands))
         assert best == want
         assert value == pytest.approx(low, rel=1e-10)
 
@@ -194,21 +195,70 @@ class TestSelectBest:
         X = np.column_stack([a, b, a, b, c])
         Y = np.column_stack([a + b, a - b]) if model == "pls2" else None
         ctx = make_context(X, Y, model)
-        cands = [Subset.from_indices(5, ix)
-                 for ix in ([0, 1], [0, 4], [2, 3], [0, 3])]
+        cands = rows([0, 1], [0, 4], [2, 3], [0, 3])
         for order in (cands, cands[::-1]):
-            best, value = select_best(order, ctx)
+            best, value = best_row(ctx, order)
             assert best == Subset(5, (2, 3))
             assert best.bitstring() == "00110"
             assert value == pytest.approx(corner_objective(ctx, best.bits), rel=1e-10)
+        # The same tie through score_buckets, from orderings.
+        bucket = score_buckets(ctx, rows([0, 1, 4], [2, 3, 0], [3, 0, 1]), 3)[2]
+        assert bucket.best == Subset(5, (2, 3))
 
-    def test_mixed_sizes_and_empty_subset(self):
-        ctx = make_context(np.eye(3), np.array([1.0, 2.0, 0.5]), "pls1")
-        cands = [Subset(3, ()), Subset(3, (2,)), Subset(3, (0, 1)), Subset(3, (1,))]
-        best, value = select_best(cands, ctx)
-        assert best == Subset(3, (0, 1))
-        assert value == pytest.approx(-5.0 / 9.0)
-        assert select_best([Subset(3, ())], ctx) == (Subset(3, ()), 0.0)
+    @pytest.mark.parametrize("model,branch", [
+        ("pls1", None), ("pls2", "v"), ("pls2", "u"), ("pca", None)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_score_buckets_matches_brute_force(self, model, branch, seed):
+        rng = np.random.default_rng(40 + seed)
+        p, q, K = 9, 3, 6
+        X = center_columns(rng.standard_normal((30, p)))
+        Y = None if model == "pca" else center_columns(
+            rng.standard_normal((30, 1 if model == "pls1" else q)))
+        ctx = make_context(X, Y, model, pls2_branch=branch)
+        orders = unique_rows(np.array([rng.permutation(p)[:K] for _ in range(60)]))
+        buckets = score_buckets(ctx, orders, K)
+        for k in range(1, K + 1):
+            want, low = brute_force_bucket(ctx, orders, k)
+            assert buckets[k].best == want
+            if model == "pls1":
+                assert buckets[k].best_value == low
+            else:
+                assert buckets[k].best_value == pytest.approx(low, rel=1e-12)
+            scored = {tuple(r) for r in buckets[k].candidates.tolist()}
+            assert want.idx in scored and all(len(r) == k for r in scored)
+
+    def test_pls1_exact_ties_on_integer_data(self):
+        # z^2 = (4, 1, 1, 4, 2, 2): many prefixes tie exactly.
+        z = np.array([2.0, 1.0, 1.0, 2.0, np.sqrt(2.0), np.sqrt(2.0)])
+        ctx = ObjectiveContext("pls1", 1, 6, 1, 0.0, z=z)
+        orders = np.array([np.roll(np.arange(6), s) for s in range(6)]
+                          + [np.arange(6)[::-1]])
+        buckets = score_buckets(ctx, orders, 6)
+        for k in range(1, 7):
+            want, low = brute_force_bucket(ctx, orders, k)
+            assert (buckets[k].best, buckets[k].best_value) == (want, low)
+
+    def test_pls1_near_tie_whose_visit_order_sum_rounds_up(self):
+        # z^2 = (1, e, e, f, f) with e below half an ulp of 1 but 2e above
+        # it and f tiny. {0,1,2} visited as (1, 2, 0) sums to 1 + 2^-52,
+        # while its exact score, summed in index order, and {0,3,4} both
+        # come to 1.0: an exact tie that {0,3,4}, the smaller bits, wins.
+        z = np.array([1.0, 0.9e-8, 0.9e-8, 1e-10, 1e-10])
+        z2 = z * z
+        ctx = ObjectiveContext("pls1", 1, 5, 1, 0.0, z=z)
+        orders = rows([1, 2, 0], [0, 3, 4])
+        visit = np.cumsum(z2[orders], axis=1)[:, 2]
+        assert visit[0] > visit[1] == 1.0  # the visit order ranks {0,1,2} first
+        bucket = score_buckets(ctx, orders, 3)[3]
+        best, value = bucket.best, bucket.best_value
+        assert (best, value) == brute_force_bucket(ctx, orders, 3)
+        assert best == Subset(5, (0, 3, 4)) and value == -1.0
+
+    def test_pls1_band_skips_far_prefixes(self):
+        ctx = make_context(np.eye(4), np.array([4.0, 3.0, 2.0, 1.0]), "pls1")
+        buckets = score_buckets(ctx, rows([0, 1], [3, 2], [2, 3]), 2)
+        assert buckets[1].candidates.tolist() == [[0]]
+        assert buckets[2].candidates.tolist() == [[0, 1]]
 
 
 class TestTerminalSubset:
@@ -278,9 +328,42 @@ class TestDynamicGrid:
         X = center_columns(rng.standard_normal((25, 5)))
         y = rng.standard_normal(25)
         path = dynamic_grid(X, y, "pls1", GridConfig(K=5, L=10))
-        assert all(path.buckets[k].best in path.buckets[k].candidates
+        assert all(path.buckets[k].best.idx
+                   in map(tuple, path.buckets[k].candidates.tolist())
                    for k in path.buckets)
         assert all(path.buckets[k].best.size == k for k in path.buckets)
+
+
+    def test_each_sweep_is_one_batched_solve(self, monkeypatch):
+        # Step 2 hands each sweep's midpoints, left to right, to one
+        # minimize_batch call and records the runs in that order.
+        calls = []
+        solve = path_module.minimize_batch
+
+        def spy(ctx, lams, cfg, K):
+            calls.append(list(lams))
+            return solve(ctx, lams, cfg, K)
+
+        monkeypatch.setattr(path_module, "minimize_batch", spy)
+        rng = np.random.default_rng(5)
+        X = center_columns(rng.standard_normal((40, 12)))
+        path = dynamic_grid(X, rng.standard_normal(40), "pls1", GridConfig(K=12, L=30))
+        swept = [lam for call in calls for lam in call]
+        assert any(len(call) > 1 for call in calls)
+        assert all(call == sorted(call) for call in calls)
+        assert [d.lam for d in path.diagnostics[-len(swept):]] == swept
+
+    def test_pls1_closed_form_at_p_10000(self):
+        # Beyond the oracle's reach the closed form still certifies pls1:
+        # the best k-subset holds the k largest z_j^2.
+        n, p, K = 100, 10_000, 20
+        inst = generate(SimConfig(scenario="univariate", n=n, p=p, gamma=p - K, seed=50))
+        X, y = center_columns(inst.X), center_columns(inst.Y)
+        path = dynamic_grid(X, y, "pls1", GridConfig(K=K, L=50))
+        z2 = ((X.T @ y[:, 0]) / n) ** 2
+        order = np.argsort(-z2, kind="stable")
+        for k in range(1, K + 1):
+            assert set(path.buckets[k].best.idx) == set(order[:k].tolist())
 
 
 class TestCurveAndJson:

@@ -1,30 +1,33 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from subsetpath import solver
+from subsetpath import linalg, solver
 from subsetpath.errors import SolverAbort
-from subsetpath.linalg import center_columns
-from subsetpath.objective import make_context
+from subsetpath.linalg import EIGH_CROSSOVER, center_columns
+from subsetpath.objective import lambda_max, make_context
 from subsetpath.path import GridConfig, dynamic_grid
-from subsetpath.solver import SolverConfig, minimize, top_k_order
+from subsetpath.solver import SolverConfig, minimize, minimize_batch, top_k_order
 
 
 @pytest.fixture()
 def iterates(monkeypatch):
-    """Every point the solver visits, as (t, objective), in visiting order.
+    """Every point the solver visits, as (t, objective), in visiting order
+    (row by row within one batched evaluation).
 
-    The solver evaluates the objective exactly once per visited point, so
-    wrapping its evaluator sees every iterate without the solver storing
-    any of them."""
+    The solver evaluates the objective exactly once per visited point, in
+    one batched call per iteration, so wrapping its evaluator sees every
+    iterate without the solver storing any of them."""
     seen = []
-    evaluate = solver.eval_objective
+    evaluate = solver.eval_batch
 
-    def recording(ctx, t, **kwargs):
-        ev = evaluate(ctx, t, **kwargs)
-        seen.append((t.copy(), ev.value))
+    def recording(ctx, T, lam, **kwargs):
+        ev = evaluate(ctx, T, lam, **kwargs)
+        seen.extend((t.copy(), float(value)) for t, value in zip(T, ev.value))
         return ev
 
-    monkeypatch.setattr(solver, "eval_objective", recording)
+    monkeypatch.setattr(solver, "eval_batch", recording)
     return seen
 
 
@@ -113,7 +116,7 @@ class TestMinimize:
         second = iterates[len(first):]
         assert run1.iterations == run2.iterations
         assert run1.converged == run2.converged
-        assert run1.trace == run2.trace
+        np.testing.assert_array_equal(run1.trace, run2.trace)
         assert len(first) == len(second) == run1.iterations + 1
         for (t1, obj1), (t2, obj2) in zip(first, second):
             np.testing.assert_array_equal(t1, t2)
@@ -157,8 +160,8 @@ class TestMinimize:
 
 class TestStreamedOrderings:
     def test_initial_tie_goes_to_lowest_index(self):
-        assert top_k_order(np.full(4, 0.5), 2) == (0, 1)
-        assert top_k_order(np.array([0.2, 0.7, 0.7, 0.1]), 3) == (1, 2, 0)
+        assert top_k_order(np.full(4, 0.5), 2).tolist() == [0, 1]
+        assert top_k_order(np.array([0.2, 0.7, 0.7, 0.1]), 3).tolist() == [1, 2, 0]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_stable_argsort_under_ties(self, seed):
@@ -168,10 +171,14 @@ class TestStreamedOrderings:
         # Few distinct levels, so most entries tie with others.
         levels = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 5)))
         Ks = {1, 2, p // 4, p // 4 + 1, p, *rng.integers(1, p + 1, size=10).tolist()}
-        for t in (rng.choice(levels, size=p), np.full(p, 0.5), rng.uniform(size=p)):
-            for K in sorted(Ks - {0}):
-                want = tuple(np.argsort(-t, kind="stable")[:K].tolist())
-                assert top_k_order(t, K) == want
+        stack = np.array([rng.choice(levels, size=p), np.full(p, 0.5), rng.uniform(size=p)])
+        for K in sorted(Ks - {0}):
+            for t in stack:
+                want = np.argsort(-t, kind="stable")[:K].tolist()
+                assert top_k_order(t, K).tolist() == want
+            # A stack of points is ordered row by row.
+            want = np.argsort(-stack, axis=1, kind="stable")[:, :K]
+            np.testing.assert_array_equal(top_k_order(stack, K), want)
 
     @pytest.mark.parametrize("model", ["pls1", "pls2"])
     def test_trace_is_distinct_orderings_of_every_iterate(self, model, iterates):
@@ -190,12 +197,84 @@ class TestStreamedOrderings:
                 want.append(order)
         assert len(iterates) == run.iterations + 1
         assert len(want) > 1
-        assert run.trace == want
+        assert run.trace.tolist() == [list(w) for w in want]
 
     def test_k_out_of_range_rejected(self):
         ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
         with pytest.raises(ValueError):
             minimize(ctx, SolverConfig(), K=3)
+
+
+def sweep_context(model, branch=None, p=8, n=30, seed=12):
+    rng = np.random.default_rng(seed)
+    X = center_columns(rng.standard_normal((n, p)))
+    if model == "pca":
+        return make_context(X, model="pca")
+    q = 1 if model == "pls1" else (3 if branch == "v" else p + 2)
+    Y = center_columns(rng.standard_normal((n, q)))
+    return make_context(X, Y[:, 0] if model == "pls1" else Y, model, pls2_branch=branch)
+
+
+def assert_same_run(got, want):
+    np.testing.assert_array_equal(got.trace, want.trace)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    np.testing.assert_array_equal(got.terminal_t, want.terminal_t)
+    assert got.objective == want.objective
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("model,branch,p,max_iter", [
+        ("pls1", None, 8, 1000),
+        ("pls2", "v", 8, 1000),
+        ("pls2", "u", 6, 1000),
+        ("pca", None, 8, 1000),
+        ("pca", None, EIGH_CROSSOVER + 10, 40),  # warm power-iteration route
+    ])
+    def test_batch_equals_single_runs_bitwise(self, model, branch, p, max_iter, monkeypatch):
+        ctx = sweep_context(model, branch, p=p, n=40 if p > 10 else 30)
+        lams = lambda_max(ctx) * np.array([0.9, 0.45, 0.2, 0.07])
+        cfg = SolverConfig(max_iter=max_iter)
+        power_steps = []
+        steps = linalg._power_steps
+        monkeypatch.setattr(linalg, "_power_steps",
+                            lambda *a: power_steps.append(1) or steps(*a))
+        batch = minimize_batch(ctx, lams, cfg, K=min(p, 6))
+        assert bool(power_steps) == (p > EIGH_CROSSOVER)
+        for lam, run in zip(lams, batch):
+            assert_same_run(run, minimize(ctx.with_lambda(lam), cfg, K=min(p, 6)))
+        if max_iter == 1000:
+            # Rows stop at different iterations, so the batch shrinks mid-loop.
+            assert len({run.iterations for run in batch}) > 1
+
+    @pytest.mark.parametrize("field", ["grad_t", "value"])
+    def test_non_finite_row_aborts_alone(self, field, monkeypatch):
+        ctx = sweep_context("pls2", "v")
+        lams = lambda_max(ctx) * np.array([0.6, 0.3, 0.1])
+        cfg = SolverConfig()
+        calls = itertools.count()
+        evaluate = solver.eval_batch
+
+        def poisoned(ctx, T, lam, **kwargs):
+            ev = evaluate(ctx, T, lam, **kwargs)
+            if next(calls) == 5:  # iteration 5, all three rows still running
+                getattr(ev, field)[lam == lams[1]] = np.nan
+            return ev
+
+        monkeypatch.setattr(solver, "eval_batch", poisoned)
+        batch = minimize_batch(ctx, lams, cfg)
+        monkeypatch.undo()
+        assert isinstance(batch[1], SolverAbort)
+        assert batch[1].iteration == 5 and "iteration 5" in str(batch[1])
+        for i in (0, 2):
+            assert_same_run(batch[i], minimize(ctx.with_lambda(lams[i]), cfg))
+
+    def test_single_row_abort_is_returned(self):
+        with np.errstate(over="ignore"):
+            ctx = make_context(np.array([[1e200], [-1e200]]),
+                               np.array([1e200, -1e200]), "pls1", lam=0.0)
+            (run,) = minimize_batch(ctx, [0.0], SolverConfig())
+        assert isinstance(run, SolverAbort) and run.iteration == 0
 
 
 class TestSolverConfig:
