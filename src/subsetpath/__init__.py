@@ -28,6 +28,7 @@ from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
     DimensionError,
+    NonFiniteInputError,
     ParseError,
     SingularMatrixError,
     SizeGuardError,

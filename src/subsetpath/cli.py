@@ -1,7 +1,8 @@
 """Command-line surface: simulate, path, fit, oracle, metrics.
 
 Exit codes are stable API (see EXIT_CODES): 0 success, 2 parse error,
-3 dimension error, 4 solver abort or convergence failure, 5 singular system,
+3 dimension error, 4 solver abort, convergence failure or non-finite input
+(a NaN or infinite value in a model input), 5 singular system,
 6 size guard, 7 degenerate data (a zero loading or score, as from a response
 without signal). CSV files are RFC-4180 with an optional auto-detected
 header row; floats are serialized at full round-trip precision. Every
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
     DimensionError,
+    NonFiniteInputError,
     ParseError,
     SingularMatrixError,
     SizeGuardError,
@@ -47,6 +49,7 @@ EXIT_CODES = {
     DimensionError: 3,
     SolverAbort: 4,
     ConvergenceFailure: 4,
+    NonFiniteInputError: 4,
     SingularMatrixError: 5,
     SizeGuardError: 6,
     DegenerateLoadingError: 7,
@@ -84,6 +87,18 @@ def read_csv_matrix(path: str) -> np.ndarray:
         if len(row) != width:
             raise ParseError(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
     return np.asarray(rows, dtype=float)
+
+
+def read_finite_matrix(path: str) -> np.ndarray:
+    """read_csv_matrix for model inputs, which must hold finite values."""
+    A = read_csv_matrix(path)
+    bad = np.argwhere(~np.isfinite(A))
+    if len(bad):
+        i, j = bad[0]
+        raise NonFiniteInputError(
+            f"{path}: non-finite value at data row {i + 1}, column {j + 1}"
+        )
+    return A
 
 
 def _is_float(x: str) -> bool:
@@ -147,8 +162,8 @@ def _outdir(args) -> Path:
 
 
 def _load_xy(args, need_y: bool):
-    X = read_csv_matrix(args.x)
-    Y = read_csv_matrix(args.y) if args.y else None
+    X = read_finite_matrix(args.x)
+    Y = read_finite_matrix(args.y) if args.y else None
     if need_y and Y is None:
         raise DimensionError(f"model {args.model} requires --y")
     if args.model == "pca" and Y is not None:
@@ -213,8 +228,8 @@ def cmd_path(args) -> int:
 def cmd_fit(args) -> int:
     out = _outdir(args)
     started = time.time()
-    X = read_csv_matrix(args.x)
-    Y = read_csv_matrix(args.y) if args.y else None
+    X = read_finite_matrix(args.x)
+    Y = read_finite_matrix(args.y) if args.y else None
     if args.model in ("pls1", "pls2") and Y is None:
         raise DimensionError(f"model {args.model} requires --y")
     if args.model == "pca" and Y is not None:
@@ -232,9 +247,14 @@ def cmd_fit(args) -> int:
     if args.k_max is not None and args.k_max > p:
         raise DimensionError(f"--k-max {args.k_max} exceeds p={p}")
     grid = GridConfig(K=args.k_max or p, L=args.budget, rho=args.rho)
+    if strategy.kind == "fixed-k" and strategy.k > grid.K:
+        raise ParseError(
+            f"--pick fixed-k={strategy.k} exceeds the largest subset size K={grid.K}"
+        )
     test = None
     if args.test:
-        test = (read_csv_matrix(args.test[0]), read_csv_matrix(args.test[1]))
+        test = tuple(read_finite_matrix(f) for f in args.test)
+        _check_holdout(test, X, Y)
     result = fit(
         X, Y, model=args.model, H=args.components, strategy=strategy,
         mode=args.mode, grid_cfg=grid, solver_cfg=_solver_config(args),
@@ -266,6 +286,23 @@ def cmd_fit(args) -> int:
     write_manifest(out, "fit", args, started,
                    [p for p in (args.x, args.y, *(args.test or [])) if p])
     return EXIT_OK
+
+
+def _check_holdout(test, X: np.ndarray, Y: np.ndarray | None):
+    """The --test pair must have equal row counts and the training columns."""
+    X_test, Y_test = test
+    if X_test.shape[0] != Y_test.shape[0]:
+        raise DimensionError(
+            f"--test X has {X_test.shape[0]} rows but Y has {Y_test.shape[0]}"
+        )
+    if X_test.shape[1] != X.shape[1]:
+        raise DimensionError(
+            f"--test X has {X_test.shape[1]} columns, X has {X.shape[1]}"
+        )
+    if Y is not None and Y_test.shape[1] != Y.shape[1]:
+        raise DimensionError(
+            f"--test Y has {Y_test.shape[1]} columns, Y has {Y.shape[1]}"
+        )
 
 
 def cmd_oracle(args) -> int:

@@ -544,7 +544,7 @@ def _pick_subset_size(
 ) -> int:
     K = path.K
     if strategy.kind == "fixed-k":
-        return min(strategy.k, K)
+        return strategy.k
 
     if strategy.kind == "cpev-drop":
         cpevs = np.zeros(K + 1)
@@ -636,6 +636,10 @@ def fit(
         Y0 = Y - y_means
     if grid_cfg is None:
         grid_cfg = GridConfig(K=p)
+    if strategy.kind == "fixed-k" and strategy.k > grid_cfg.K:
+        raise ValueError(
+            f"fixed-k={strategy.k} exceeds the largest subset size K={grid_cfg.K}"
+        )
     if solver_cfg is None:
         solver_cfg = SolverConfig()
 

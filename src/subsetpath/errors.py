@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes (see cli.py): parse errors -> 2,
-dimension errors -> 3, solver aborts and convergence failures -> 4,
-singular systems -> 5, size guards -> 6, degenerate loadings or scores -> 7.
+dimension errors -> 3, solver aborts, convergence failures and non-finite
+input -> 4, singular systems -> 5, size guards -> 6, degenerate loadings or
+scores -> 7.
 """
 
 
@@ -12,6 +13,10 @@ class ParseError(ValueError):
 
 class DimensionError(ValueError):
     """Shapes or sizes inconsistent with the requested operation."""
+
+
+class NonFiniteInputError(ValueError):
+    """An input matrix holds a NaN or an infinite value."""
 
 
 class ConvergenceFailure(RuntimeError):

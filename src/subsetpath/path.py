@@ -15,8 +15,9 @@ _PLS1_BAND of the best are scored exactly (see there).
 
 The dynamic grid drives the solver over a data-dependent schedule of
 penalty values so that terminal subsets cover all sizes 1..K; the
-penalties of one bisection sweep are solved together in one batched
-solver call (solver.minimize_batch).
+penalties of one bisection sweep, and the halvings of the first phase in
+chunks, are solved together in one batched solver call
+(solver.minimize_batch).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverAbort
+from .errors import ConvergenceFailure, SolverAbort
+from .linalg import EIGH_CROSSOVER
 from .objective import ObjectiveContext, lambda_max, make_context
 from .solver import SolverConfig, SolverRun, minimize, minimize_batch, unique_rows
 
@@ -209,6 +211,14 @@ def score_buckets(
     return buckets
 
 
+def _chunk(p: int) -> int:
+    """Halvings solved per batch in step 1 of dynamic_grid. A run past the
+    one that reaches K is solved for nothing: up to EIGH_CROSSOVER columns
+    it costs little beside the loop's own overhead, above that each row
+    pays its own power iteration or wide-vector work (sweep in CHANGES.md)."""
+    return 16 if p <= EIGH_CROSSOVER else 8
+
+
 def terminal_subset(t: np.ndarray, rho: float) -> Subset:
     """Threshold the terminal point: bit j is set iff t_j > rho (strict)."""
     if not (0.0 < rho < 1.0):
@@ -235,8 +245,11 @@ def dynamic_grid(
     and halves until the terminal subset reaches size K or the budget L is
     spent; remaining budget bisects adjacent penalties whose terminal sizes
     differ by more than one, sweeping left to right and re-sweeping until
-    the budget runs out or no gap remains. All evaluations, the lambda_max
-    one included, count against L.
+    the budget runs out or no gap remains. L counts recorded runs, the
+    lambda_max one included. The halvings are solved _chunk(p) at a time,
+    so step 1 may solve up to _chunk(p) - 1 runs past the one that reaches
+    K; those are discarded and appear in no output, so the path is the one
+    the halvings solved one at a time would give.
 
     Every successful run feeds the top-K orderings it visited into the size
     buckets (score_buckets), so buckets are filled for all k = 1..K as soon
@@ -274,23 +287,34 @@ def dynamic_grid(
         orders.append(run.trace)
         return k_lam
 
-    def solve(lam: float) -> int:
+    def solve(lam: float) -> SolverRun | SolverAbort:
         try:
-            run = minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K)
+            return minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K)
         except SolverAbort as err:
-            run = err
-        return record(lam, run)
+            return err
 
     # Step 1: from lambda_max (whose terminal subset is empty), halve until
-    # the terminal size reaches K or the budget is spent.
-    solve(lam_top)
+    # the terminal size reaches K or the budget is spent. The next _chunk(p)
+    # halvings (no more than the budget left) are solved as one batch and
+    # recorded in order; the runs after the first one that reaches K are
+    # discarded. A chunk that hits ConvergenceFailure is redone one run at
+    # a time, so that a run the schedule would never reach cannot fail it.
+    record(lam_top, solve(lam_top))
     evals = 1
-    ell = 0
     k_lam = 0
+    chunk = _chunk(ctx0.p)
     while evals < grid_cfg.L and k_lam < grid_cfg.K:
-        ell += 1
-        evals += 1
-        k_lam = solve(lam_top / 2.0**ell)
+        size = min(chunk, grid_cfg.L - evals)
+        lams = [lam_top / 2.0**(evals + i) for i in range(size)]
+        try:
+            runs = minimize_batch(ctx0, lams, solver_cfg, grid_cfg.K)
+        except ConvergenceFailure:
+            runs = map(solve, lams)  # lazy: stops where the loop below stops
+        for lam, run in zip(lams, runs):
+            evals += 1
+            k_lam = record(lam, run)
+            if k_lam >= grid_cfg.K:
+                break
     budget = grid_cfg.L - evals
 
     # Step 2: bisect terminal-size gaps, left to right, re-sweeping; the

@@ -337,6 +337,8 @@ class TestErrorExits:
         ("fit", "pls2", ["--k-max", "0"]),
         ("fit", "pca", ["--pick", "min-msep"]),
         ("fit", "pca", ["--pick", "max-cor"]),
+        ("fit", "pls2", ["--pick", "fixed-k=9"]),  # above p = 6
+        ("fit", "pls2", ["--k-max", "3", "--pick", "fixed-k=4"]),
     ])
     def test_bad_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                               command, model, bad):
@@ -355,3 +357,56 @@ class TestErrorExits:
         if bad[0] == "--pick" and bad[1] in ("bogus", "fixed-k=x", "fixed-k=0"):
             for form in ("fixed-k=K", "cpev-drop=F", "min-msep", "max-cor"):
                 assert form in err
+        if bad[-1] in ("fixed-k=9", "fixed-k=4"):
+            assert "exceeds the largest subset size" in err
+
+    @pytest.mark.parametrize("command", ["path", "oracle"])
+    @pytest.mark.parametrize("name", ["X.csv", "Y.csv"])
+    def test_non_finite_input_exits_4(self, tmp_path, capsys, command, name):
+        sim = self.sim(tmp_path)
+        A = read_csv_matrix(str(sim / name))
+        A[3, 1] = np.nan
+        write_csv_matrix(sim / name, A)
+        argv = [command, "--model", "pls2", "--x", str(sim / "X.csv"),
+                "--y", str(sim / "Y.csv"), "--out", str(tmp_path / "out")]
+        if command == "path":
+            argv += ["--k-max", "3"]
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {sim / name}: non-finite value at data row 4, column 2")
+
+    def holdout_argv(self, tmp_path, monkeypatch, X_test, Y_test):
+        # A fit whose --test pair is (X_test, Y_test); it must be rejected
+        # before any work.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the holdout was checked")
+
+        monkeypatch.setattr(cli, "fit", no_work)
+        sim = self.sim(tmp_path)
+        write_csv_matrix(tmp_path / "X_test.csv", X_test(read_csv_matrix(str(sim / "X.csv"))))
+        write_csv_matrix(tmp_path / "Y_test.csv", Y_test(read_csv_matrix(str(sim / "Y.csv"))))
+        return self.argv("fit", "pls2", sim, tmp_path / "out") + [
+            "--test", str(tmp_path / "X_test.csv"), str(tmp_path / "Y_test.csv")]
+
+    def test_non_finite_holdout_exits_4(self, tmp_path, capsys, monkeypatch):
+        def with_nan(X):
+            X[0, 0] = np.nan
+            return X
+
+        argv = self.holdout_argv(tmp_path, monkeypatch, with_nan, lambda Y: Y)
+        assert run_cli(*argv) == 4
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("X_test, Y_test", [
+        (lambda X: X[:1], lambda Y: Y[:40]),    # row counts differ
+        (lambda X: X[:, :5], lambda Y: Y),      # a column short of X
+        (lambda X: X, lambda Y: Y[:, :4]),      # fewer responses than Y
+    ])
+    def test_mismatched_holdout_exits_3(self, tmp_path, capsys, monkeypatch,
+                                        X_test, Y_test):
+        argv = self.holdout_argv(tmp_path, monkeypatch, X_test, Y_test)
+        assert run_cli(*argv) == 3
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out" / "predictions.csv").exists()

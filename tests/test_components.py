@@ -405,6 +405,12 @@ class TestFit:
         with pytest.raises(DimensionError):
             predict(result, np.zeros((2, 7)))
 
+    def test_fixed_k_above_grid_k_rejected(self):
+        inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=12))
+        with pytest.raises(ValueError, match="exceeds the largest subset size K=12"):
+            fit(inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(13),
+                grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver())
+
     def test_deflation_orthogonality_across_fit(self):
         inst = gen_multiresponse(SimConfig(scenario="two-component", sigma=1.5, seed=13))
         result = fit(

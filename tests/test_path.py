@@ -1,11 +1,19 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
 from subsetpath import path as path_module
-from subsetpath.linalg import center_columns
-from subsetpath.objective import ObjectiveContext, corner_objective, make_context
+from subsetpath import solver
+from subsetpath.errors import ConvergenceFailure, SolverAbort
+from subsetpath.linalg import EIGH_CROSSOVER, center_columns
+from subsetpath.objective import (
+    ObjectiveContext,
+    corner_objective,
+    lambda_max,
+    make_context,
+)
 from subsetpath.path import (
     GridConfig,
     SolutionPath,
@@ -18,7 +26,7 @@ from subsetpath.path import (
     score_buckets,
     terminal_subset,
 )
-from subsetpath.solver import top_k_order, unique_rows
+from subsetpath.solver import SolverConfig, minimize, top_k_order, unique_rows
 from subsetpath.simulate import SimConfig, gen_multiresponse, generate
 
 
@@ -348,6 +356,10 @@ class TestDynamicGrid:
         rng = np.random.default_rng(5)
         X = center_columns(rng.standard_normal((40, 12)))
         path = dynamic_grid(X, rng.standard_normal(40), "pls1", GridConfig(K=12, L=30))
+        # Step 1's calls solve halvings of lambda_max; the rest are sweeps.
+        lam_top = path.lambda_grid[0][0]
+        halvings = {lam_top / 2.0**ell for ell in range(1, 30)}
+        calls = [call for call in calls if not set(call) <= halvings]
         swept = [lam for call in calls for lam in call]
         assert any(len(call) > 1 for call in calls)
         assert all(call == sorted(call) for call in calls)
@@ -364,6 +376,215 @@ class TestDynamicGrid:
         order = np.argsort(-z2, kind="stable")
         for k in range(1, K + 1):
             assert set(path.buckets[k].best.idx) == set(order[:k].tolist())
+
+
+def grid_case(model, branch=None, p=10, n=40, seed=21):
+    rng = np.random.default_rng(seed)
+    X = center_columns(rng.standard_normal((n, p)))
+    if model == "pca":
+        return X, None
+    q = 1 if model == "pls1" else (3 if branch == "v" else p + 2)
+    Y = center_columns(rng.standard_normal((n, q)))
+    return X, Y[:, 0] if model == "pls1" else Y
+
+
+def diagnostic(d):
+    return (d.lam, d.terminal_size, d.iterations, d.converged, d.objective, d.failed)
+
+
+def sequential_step1(X, Y, model, grid, cfg):
+    # Step 1 of the grid with every halving solved alone by minimize: the
+    # diagnostics the grid must record before any bisection.
+    ctx0 = make_context(X, Y, model)
+    lam_top = lambda_max(ctx0)
+
+    def solve(lam):
+        try:
+            run = minimize(ctx0.with_lambda(lam), cfg, grid.K)
+        except SolverAbort as err:
+            return (lam, -1, err.iteration or 0, False, None, True)
+        size = terminal_subset(run.terminal_t, grid.rho).size
+        return (lam, size, run.iterations, run.converged, run.objective, False)
+
+    runs = [solve(lam_top)]
+    while len(runs) < grid.L and (len(runs) == 1 or runs[-1][1] < grid.K):
+        runs.append(solve(lam_top / 2.0 ** len(runs)))
+    return runs
+
+
+def assert_same_path(got, want):
+    assert got.lambda_grid == want.lambda_grid
+    assert [diagnostic(d) for d in got.diagnostics] == [
+        diagnostic(d) for d in want.diagnostics]
+    assert got.buckets.keys() == want.buckets.keys()
+    for k, bucket in got.buckets.items():
+        assert bucket.best == want.buckets[k].best
+        assert bucket.best_value == want.buckets[k].best_value
+        np.testing.assert_array_equal(bucket.candidates, want.buckets[k].candidates)
+
+
+def one_at_a_time(monkeypatch, *args, **kwargs):
+    # The grid with step 1 solving one halving per call.
+    with monkeypatch.context() as m:
+        m.setattr(path_module, "_chunk", lambda p: 1)
+        return dynamic_grid(*args, **kwargs)
+
+
+def spy_step1(monkeypatch, edit=None):
+    # Records the penalties of every step-1 call to minimize_batch (the
+    # calls that solve halvings of lambda_max) and lets ``edit`` change
+    # their runs; step 2's calls pass through.
+    calls = []
+    solve = path_module.minimize_batch
+
+    def spy(ctx, lams, cfg, K):
+        runs = solve(ctx, lams, cfg, K)
+        lam_top = lambda_max(ctx)
+        if set(lams) <= {lam_top / 2.0**ell for ell in range(1, 64)}:
+            calls.append(list(lams))
+            if edit is not None:
+                runs = edit(lams, runs, K)
+        return runs
+
+    monkeypatch.setattr(path_module, "minimize_batch", spy)
+    return calls
+
+
+SPECULATION_CASES = [
+    ("pls1", None, 10, SolverConfig()),
+    ("pls2", "v", 10, SolverConfig()),
+    ("pls2", "u", 10, SolverConfig()),
+    ("pca", None, 10, SolverConfig()),
+    ("pca", None, EIGH_CROSSOVER + 10, SolverConfig(max_iter=40)),  # power route
+]
+
+
+class TestSpeculativeStep1:
+    """Step 1 solves _chunk(p) halvings per batch and keeps only the runs that
+    solving them one at a time would record."""
+
+    @pytest.mark.parametrize("model,branch,p,cfg", SPECULATION_CASES)
+    def test_recorded_runs_equal_sequential_reference(self, model, branch, p, cfg,
+                                                      monkeypatch):
+        X, Y = grid_case(model, branch, p=p)
+        grid = GridConfig(K=4, L=20)
+        path = dynamic_grid(X, Y, model, grid, cfg)
+        want = sequential_step1(X, Y, model, grid, cfg)
+        assert [diagnostic(d) for d in path.diagnostics[:len(want)]] == want
+        assert want[-1][1] >= grid.K and (len(want) - 1) % path_module._chunk(p)
+        assert_same_path(path, one_at_a_time(monkeypatch, X, Y, model, grid, cfg))
+
+    def test_discarded_runs_reach_no_output(self, monkeypatch):
+        # Every run after the first one of a chunk that reaches K is replaced
+        # by an object that fails on any use; the path must not change.
+        class Discarded:
+            def __getattr__(self, name):
+                raise AssertionError(f"a discarded run's {name} was read")
+
+        discarded = []
+
+        def poison(lams, runs, K):
+            sizes = [-1 if isinstance(r, SolverAbort)
+                     else terminal_subset(r.terminal_t, 0.9).size for r in runs]
+            first = next((i for i, k in enumerate(sizes) if k >= K), len(runs))
+            discarded.extend(lams[first + 1:])
+            return runs[:first + 1] + [Discarded()] * len(runs[first + 1:])
+
+        X, Y = grid_case("pls2", "v")
+        grid = GridConfig(K=4, L=20)
+        want = dynamic_grid(X, Y, "pls2", grid)
+        spy_step1(monkeypatch, poison)
+        got = dynamic_grid(X, Y, "pls2", grid)
+        assert discarded
+        assert_same_path(got, want)
+        assert not set(discarded) & {lam for lam, _ in got.lambda_grid}
+        assert not set(discarded) & {d.lam for d in got.diagnostics}
+
+    @pytest.mark.parametrize("L, sizes", [(2, [1]), (4, [3]), (6, [3, 2])])
+    def test_budget_caps_the_chunks(self, L, sizes, monkeypatch):
+        # With chunks of 3 and K = p out of reach within L runs, step 1
+        # spends the whole budget; the last chunk holds what is left of it.
+        monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
+        X, Y = grid_case("pls1", None)
+        grid = GridConfig(K=10, L=L)
+        calls = spy_step1(monkeypatch)
+        path = dynamic_grid(X, Y, "pls1", grid)
+        assert [len(c) for c in calls] == sizes
+        lam_top = path.lambda_grid[0][0]
+        assert [lam for lam, _ in path.lambda_grid] == [
+            lam_top / 2.0**ell for ell in range(L)]
+        assert all(size < grid.K for _, size in path.lambda_grid)
+        want = sequential_step1(X, Y, "pls1", grid, SolverConfig())
+        assert [diagnostic(d) for d in path.diagnostics] == want
+
+    def test_row_aborting_mid_chunk(self, monkeypatch):
+        # The second halving's objective turns NaN at its fifth iteration:
+        # that run alone aborts, the chunk goes on, and the path is the one
+        # the same fault gives with the halvings solved one at a time.
+        X, Y = grid_case("pls2", "v")
+        grid = GridConfig(K=6, L=20)
+        target = lambda_max(make_context(X, Y, "pls2")) / 4.0
+        evaluate = solver.eval_batch
+
+        def poisoned_grid(run_grid):
+            seen = collections.Counter()
+
+            def poisoned(ctx, T, lam, **kwargs):
+                ev = evaluate(ctx, T, lam, **kwargs)
+                hit = lam == target
+                if hit.any():
+                    seen[target] += 1
+                    if seen[target] == 6:  # the evaluation at iteration 5
+                        ev.value[hit] = np.nan
+                return ev
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "eval_batch", poisoned)
+                return run_grid()
+
+        got = poisoned_grid(lambda: dynamic_grid(X, Y, "pls2", grid))
+        want = poisoned_grid(lambda: one_at_a_time(monkeypatch, X, Y, "pls2", grid))
+        aborted = got.diagnostics[2]
+        assert (aborted.lam, aborted.failed, aborted.iterations) == (target, True, 5)
+        assert len(got.diagnostics) > 3 and not got.diagnostics[3].failed
+        assert target not in {lam for lam, _ in got.lambda_grid}
+        assert_same_path(got, want)
+
+    def test_k_reached_by_the_first_row_of_a_chunk(self, monkeypatch):
+        X, Y = grid_case("pls1", None)
+        first = sequential_step1(X, Y, "pls1", GridConfig(K=10, L=2), SolverConfig())
+        K = first[1][1]  # the terminal size at the first halving
+        assert K >= 1
+        calls = spy_step1(monkeypatch)
+        path = dynamic_grid(X, Y, "pls1", GridConfig(K=K, L=20))
+        assert [len(c) for c in calls] == [path_module._chunk(10)]
+        assert [diagnostic(d) for d in path.diagnostics[:2]] == first
+        assert calls[0][1] not in {d.lam for d in path.diagnostics}
+
+    def test_convergence_failure_redoes_the_chunk_one_run_at_a_time(self, monkeypatch):
+        # A chunk whose batch raises is solved again run by run, and only as
+        # far as the runs the schedule records.
+        X, Y = grid_case("pca", None)
+        grid = GridConfig(K=4, L=20)
+        want = dynamic_grid(X, Y, "pca", grid)
+        solve = path_module.minimize_batch
+        single = []
+
+        def failing(ctx, lams, cfg, K):
+            if len(lams) > 1 and lams[1] == lams[0] / 2.0:
+                raise ConvergenceFailure("power iteration did not converge")
+            return solve(ctx, lams, cfg, K)
+
+        def counted(ctx, cfg, K):
+            single.append(ctx.lam)
+            return minimize(ctx, cfg, K)
+
+        monkeypatch.setattr(path_module, "minimize_batch", failing)
+        monkeypatch.setattr(path_module, "minimize", counted)
+        got = dynamic_grid(X, Y, "pca", grid)
+        assert_same_path(got, want)
+        step1 = sequential_step1(X, Y, "pca", grid, SolverConfig())
+        assert single == [lam for lam, *_ in step1]
 
 
 class TestCurveAndJson:
