@@ -138,7 +138,7 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(outdir: Path, command: str, args: argparse.Namespace,
-                   started: float, inputs: list[str]):
+                   started: float, inputs: list[str], counts: dict | None = None):
     flags = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "command") and v is not None
@@ -151,6 +151,8 @@ def write_manifest(outdir: Path, command: str, args: argparse.Namespace,
         "duration_seconds": time.time() - started,
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs],
     }
+    if counts is not None:
+        manifest["counts"] = counts
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
@@ -241,6 +243,8 @@ def cmd_fit(args) -> int:
         strategy = PickStrategy(kind=strategy.kind, folds=args.folds)
     if strategy.kind == "min-msep" and args.mode != "regression":
         raise ParseError("--pick min-msep needs --mode regression")
+    if args.test and (args.model == "pca" or args.mode != "regression"):
+        raise ParseError("--test needs a pls model in --mode regression")
     n, p = X.shape
     if args.folds > n:
         raise ParseError(f"--folds {args.folds} exceeds the {n} rows of X")
@@ -280,7 +284,7 @@ def cmd_fit(args) -> int:
     write_csv_rows(out / "report.csv", rows,
                    header=["component", "k", "pev", "cpev", "q2"])
 
-    if args.test and result.beta is not None:
+    if test is not None:
         preds = predict(result, test[0])
         write_csv_matrix(out / "predictions.csv", preds)
     write_manifest(out, "fit", args, started,
@@ -327,7 +331,9 @@ def cmd_oracle(args) -> int:
         write_csv_rows(out / "compare.csv", rows,
                        header=["k", "heuristic_bits", "oracle_bits", "match"])
     write_manifest(out, "oracle", args, started,
-                   [p for p in (args.x, args.y, args.compare) if p])
+                   [p for p in (args.x, args.y, args.compare) if p],
+                   counts={"enumerated": result.enumerated_count,
+                           "scored": result.scored_count})
     return EXIT_OK
 
 

@@ -72,11 +72,9 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     if v.ndim == 1:
         j = int(np.argmax(np.abs(v)))
         return -v if v[j] < 0 else v
-    v = v.copy()
-    for b, j in enumerate(np.argmax(np.abs(v), axis=1).tolist()):
-        if v[b, j] < 0:
-            v[b] = -v[b]
-    return v
+    j = np.argmax(np.abs(v), axis=1)
+    flip = v[np.arange(v.shape[0]), j] < 0
+    return np.where(flip[:, None], -v, v)
 
 
 def _seed_vector(n: int, seed: int, offset: int = 0) -> np.ndarray:

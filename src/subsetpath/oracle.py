@@ -1,17 +1,19 @@
-"""Exhaustive best-subset search for small p, and numerical certification
-of the corner-optimality and penalty-realizability properties that make
-the relaxed problem equivalent to the discrete one.
+"""Exact oracle for small p: exhaustive enumeration, eigen-solves pruned by
+a Frobenius bound; and numerical certification of the corner-optimality and
+penalty-realizability properties that make the relaxed problem equivalent
+to the discrete one.
 
 The exhaustive enumerator is the reference the heuristic path is judged
-against, so it shares no eigen-solver with the rest of the package:
-corner values here come from numpy's dense symmetric eigendecomposition.
+against, so it shares no eigen-solver or search code with the rest of the
+package: corner values here come from numpy's dense symmetric
+eigendecomposition.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -24,15 +26,27 @@ CHECK_P_LIMIT = 15
 # Combinations scored per stacked eigen-solve; bounds memory at any size.
 _CHUNK = 256
 
+# Relative margin below the incumbent's eigenvalue under which a block's
+# Frobenius norm prunes it. eigvalsh's backward error (~k eps lambda) and the
+# rounding of the norm (~k^2 eps relative) stay below 1e-13 at k <= 25, so a
+# pruned combination's computed value lies strictly above the incumbent's.
+_BOUND_SLACK = 1e-10
+
 
 @dataclass
 class OracleResult:
-    """Per-size exact optima: k -> (subset, unpenalized objective)."""
+    """Per-size exact optima: k -> (subset, unpenalized objective).
+
+    ``enumerated_count`` counts the combinations visited, ``scored_count``
+    those whose objective was computed: every one for pls1, only those the
+    Frobenius bound could not rule out for pls2 and pca (the incumbent's
+    at most p - k + 1 seed solves per size are not counted)."""
 
     model: str
     p: int
     per_size: dict[int, tuple[Subset, float]]
     enumerated_count: int
+    scored_count: int
 
 
 def exhaustive_path(
@@ -46,9 +60,12 @@ def exhaustive_path(
 
     pls1 walks all subsets in Gray-code order, updating a running sum of
     z_j^2 in O(1) per subset. pls2/pca enumerate combinations per size in
-    chunks of _CHUNK, with one stacked dense eigen-solve per chunk on the
-    smaller Gram block of each subset. Ties keep the lexicographically
-    smallest bits.
+    chunks of _CHUNK and build the smaller Gram block of each. Since the
+    top eigenvalue of a PSD block is at most its Frobenius norm, only the
+    blocks whose norm reaches the incumbent (the best value so far, first
+    the size-(k-1) winner plus its best column) within _BOUND_SLACK go to
+    one stacked dense eigen-solve; the rest cannot win or tie. Ties keep
+    the lexicographically smallest bits.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -91,7 +108,9 @@ def exhaustive_path(
                 best_bits[size] = tuple(bits)
         for k in range(1, max_k + 1):
             per_size[k] = (Subset.from_bits(best_bits[k]), float(best_val[k]))
-        return OracleResult(model, p, per_size, enumerated_count=(1 << p) - 1)
+        count = (1 << p) - 1
+        return OracleResult(model, p, per_size, enumerated_count=count,
+                            scored_count=count)
 
     if model == "pls2":
         Y = np.asarray(Y, dtype=float)
@@ -110,21 +129,47 @@ def exhaustive_path(
     else:
         raise ValueError(f"unknown model {model!r}")
 
+    def blocks_of(rows: np.ndarray) -> np.ndarray:
+        # The smaller Gram block of each (sorted) index row.
+        if q is not None and q < rows.shape[1]:
+            Ms = M[rows]
+            return np.swapaxes(Ms, 1, 2) @ Ms
+        return G[rows[:, :, None], rows[:, None, :]]
+
     count = 0
+    scored = 0
+    prev: tuple[int, ...] = ()
     for k in range(1, max_k + 1):
+        # Incumbent: the size-(k-1) winner plus its best single column. It
+        # only sets the pruning threshold; the winner comes from the
+        # enumeration, which visits this combination too.
+        if prev:
+            rows = np.array([sorted(prev + (j,)) for j in range(p) if j not in prev],
+                            dtype=np.intp)
+            bound = float(np.linalg.eigvalsh(blocks_of(rows))[:, -1].max())
+        else:
+            bound = -np.inf
         best_val = np.inf
         best = None
         combos = combinations(range(p), k)
         while True:
-            chunk = np.array(list(islice(combos, _CHUNK)), dtype=np.intp).reshape(-1, k)
+            chunk = np.fromiter(chain.from_iterable(islice(combos, _CHUNK)),
+                                dtype=np.intp).reshape(-1, k)
             if not len(chunk):
                 break
             count += len(chunk)
-            if q is not None and q < k:
-                Ms = M[chunk]
-                blocks = np.swapaxes(Ms, 1, 2) @ Ms
-            else:
-                blocks = G[chunk[:, :, None], chunk[:, None, :]]
+            blocks = blocks_of(chunk)
+            # lambda_max <= ||block||_F: a row whose norm falls short of the
+            # incumbent by more than _BOUND_SLACK cannot win or tie; a NaN
+            # norm is kept.
+            top = max(bound, -best_val)
+            if top > 0.0:
+                fro = np.sqrt(np.einsum("bij,bij->b", blocks, blocks))
+                keep = ~(fro < top * (1.0 - _BOUND_SLACK))
+                if not keep.any():
+                    continue
+                chunk, blocks = chunk[keep], blocks[keep]
+            scored += len(chunk)
             values = -np.linalg.eigvalsh(blocks)[:, -1]
             low = values.min()
             # Combinations come in index order, not bits order: compare the
@@ -134,8 +179,10 @@ def exhaustive_path(
             if low < best_val or (low == best_val and tied < best):
                 best_val, best = low, tied
         per_size[k] = (best, float(best_val))
+        prev = best.idx
     total_count = count if max_k < p else (1 << p) - 1
-    return OracleResult(model, p, per_size, enumerated_count=total_count)
+    return OracleResult(model, p, per_size, enumerated_count=total_count,
+                        scored_count=scored)
 
 
 def oracle_to_dict(result: OracleResult) -> dict:

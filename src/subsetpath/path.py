@@ -246,10 +246,10 @@ def dynamic_grid(
     spent; remaining budget bisects adjacent penalties whose terminal sizes
     differ by more than one, sweeping left to right and re-sweeping until
     the budget runs out or no gap remains. L counts recorded runs, the
-    lambda_max one included. The halvings are solved _chunk(p) at a time,
-    so step 1 may solve up to _chunk(p) - 1 runs past the one that reaches
-    K; those are discarded and appear in no output, so the path is the one
-    the halvings solved one at a time would give.
+    lambda_max one included. lambda_max and its halvings are solved
+    _chunk(p) at a time, so step 1 may solve up to _chunk(p) - 1 runs past
+    the one that reaches K; those are discarded and appear in no output, so
+    the path is the one the penalties solved one at a time would give.
 
     Every successful run feeds the top-K orderings it visited into the size
     buckets (score_buckets), so buckets are filled for all k = 1..K as soon
@@ -295,12 +295,12 @@ def dynamic_grid(
 
     # Step 1: from lambda_max (whose terminal subset is empty), halve until
     # the terminal size reaches K or the budget is spent. The next _chunk(p)
-    # halvings (no more than the budget left) are solved as one batch and
-    # recorded in order; the runs after the first one that reaches K are
-    # discarded. A chunk that hits ConvergenceFailure is redone one run at
-    # a time, so that a run the schedule would never reach cannot fail it.
-    record(lam_top, solve(lam_top))
-    evals = 1
+    # penalties lambda_max / 2^l, from l = 0 and no more than the budget
+    # left, are solved as one batch and recorded in order; the runs after
+    # the first one that reaches K are discarded. A chunk that hits
+    # ConvergenceFailure is redone one run at a time, so that a run the
+    # schedule would never reach cannot fail it.
+    evals = 0
     k_lam = 0
     chunk = _chunk(ctx0.p)
     while evals < grid_cfg.L and k_lam < grid_cfg.K:

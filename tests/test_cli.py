@@ -216,6 +216,18 @@ class TestOracleCommand:
         matches = [int(r.split(",")[3]) for r in rows[1:]]
         assert sum(matches) >= 6  # heuristic finds most exact optima
 
+    def test_manifest_records_counts(self, tmp_path):
+        sim, out = tmp_path / "sim", tmp_path / "o"
+        run_cli("simulate", "--scenario", "multiresponse", "--p", "8",
+                "--gamma", "3", "--seed", "2", "--out", str(sim))
+        code = run_cli("oracle", "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--out", str(out))
+        assert code == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert set(counts) == {"enumerated", "scored"}
+        assert counts["enumerated"] == 255
+        assert 8 <= counts["scored"] < 255
+
     def test_guard_exit_6(self, tmp_path):
         rng = np.random.default_rng(0)
         write_csv_matrix(tmp_path / "X.csv", rng.standard_normal((4, 26)))
@@ -317,6 +329,7 @@ class TestErrorExits:
         def no_convergence(*args, **kwargs):
             raise ConvergenceFailure("power iteration did not converge")
 
+        monkeypatch.setattr(path, "minimize_batch", no_convergence)
         monkeypatch.setattr(path, "minimize", no_convergence)
         sim = self.sim(tmp_path)
         assert run_cli(*self.argv("path", "pls2", sim, tmp_path / "out")) == 4
@@ -409,4 +422,27 @@ class TestErrorExits:
         argv = self.holdout_argv(tmp_path, monkeypatch, X_test, Y_test)
         assert run_cli(*argv) == 3
         self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("model, extra", [
+        ("pca", []),
+        ("pls2", ["--mode", "canonical"]),
+    ])
+    def test_holdout_without_predictions_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 model, extra):
+        # Only regression-mode pls fits predict, so --test is refused for
+        # the others before any work.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        monkeypatch.setattr(cli, "fit", no_work)
+        sim = self.sim(tmp_path)
+        argv = self.argv("fit", model, sim, tmp_path / "out") + extra
+        if model == "pca":
+            argv = [a for a in argv if a not in ("--y", str(sim / "Y.csv"))]
+        y_test = sim / ("X.csv" if model == "pca" else "Y.csv")
+        argv += ["--test", str(sim / "X.csv"), str(y_test)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --test needs a pls model in --mode regression\n"
         assert not (tmp_path / "out" / "predictions.csv").exists()

@@ -11,6 +11,7 @@ from subsetpath.oracle import (
     oracle_to_dict,
 )
 from subsetpath.path import GridConfig, Subset, dynamic_grid
+from subsetpath.simulate import SimConfig, generate
 
 
 class TestExhaustivePath:
@@ -100,6 +101,99 @@ class TestExhaustivePath:
         doc = oracle_to_dict(result)
         assert doc["oracle"] is True
         assert doc["buckets"][0] == {"k": 1, "bits": "01", "objective": -1.0}
+
+
+def unpruned_oracle(X, Y, model, max_k):
+    # Every combination of each size eigen-solved in one stack, with the
+    # oracle's blocks (q x q from M when q < k, else k x k from G) and its
+    # tie rule: k -> (bits, value).
+    n, p = X.shape
+    if model == "pls2":
+        M = X.T @ Y / n
+        G, q = M @ M.T, M.shape[1]
+    else:
+        G, q = X.T @ X / n, None
+    per_size = {}
+    for k in range(1, max_k + 1):
+        rows = np.array(list(itertools.combinations(range(p), k)), dtype=np.intp)
+        if q is not None and q < k:
+            blocks = np.swapaxes(M[rows], 1, 2) @ M[rows]
+        else:
+            blocks = G[rows[:, :, None], rows[:, None, :]]
+        values = -np.linalg.eigvalsh(blocks)[:, -1]
+        low = values.min()
+        best = min(Subset(p, tuple(rows[i].tolist())) for i in np.flatnonzero(values == low))
+        per_size[k] = (best.bits, float(low))
+    return per_size
+
+
+def pruning_design(name):
+    rng = np.random.default_rng(8)
+    n, p = 40, 10
+    if name == "integer-ties":
+        # Duplicated integer columns: exactly tied combinations at every size.
+        Xi = rng.integers(-2, 3, size=(n, 6)).astype(float)
+        X = np.hstack([Xi, Xi[:, :4]])
+        return X, X[:, :2] @ np.array([[1.0, 2.0], [1.0, -1.0]]) + Xi[:, 4:6]
+    X = center_columns(rng.standard_normal((n, p)))
+    if name == "noise":
+        return X, center_columns(rng.standard_normal((n, 3)))
+    if name == "zero":
+        return X, np.zeros((n, 3))
+    X[:, :4] += 2.0 * rng.standard_normal((n, 1))  # spiked
+    X = center_columns(X)
+    return X, X[:, :4] @ rng.uniform(0.5, 2.0, size=(4, 3)) + rng.standard_normal((n, 3))
+
+
+class TestBoundPruning:
+    """The Frobenius bound skips eigen-solves, never changes an optimum."""
+
+    @pytest.mark.parametrize("model", ["pls2", "pca"])
+    @pytest.mark.parametrize("name", ["spiked", "noise", "integer-ties", "zero"])
+    @pytest.mark.parametrize("max_k", [None, 6])
+    def test_equals_unpruned_enumeration(self, model, name, max_k):
+        X, Y = pruning_design(name)
+        if model == "pca":
+            if name == "zero":
+                X = np.zeros_like(X)
+            Y = None
+        result = exhaustive_path(X, Y, model, max_k=max_k)
+        want = unpruned_oracle(X, Y, model, max_k or X.shape[1])
+        got = {k: (s.bits, v) for k, (s, v) in result.per_size.items()}
+        assert got == want  # k > q = 3 uses the q x q blocks for pls2
+        assert result.scored_count <= result.enumerated_count
+        if name in ("spiked", "integer-ties"):
+            assert result.scored_count < result.enumerated_count / 2
+        if name == "zero":
+            assert result.scored_count == result.enumerated_count
+
+    @pytest.mark.parametrize("model", ["pls2", "pca"])
+    def test_all_combinations_tied(self, model):
+        # Equal columns: every size-k block is the same matrix, so all
+        # combinations tie and the last one enumerated, with the smallest
+        # bits, must win although the incumbent already reaches its value.
+        col = np.array([[1.0], [-2.0], [0.0], [3.0], [-2.0]])
+        X = np.tile(col, (1, 8))
+        Y = np.hstack([col, 2.0 * col]) if model == "pls2" else None
+        result = exhaustive_path(X, Y, model)
+        want = unpruned_oracle(X, Y, model, 8)
+        for k, (best, value) in result.per_size.items():
+            assert best.bits == (0,) * (8 - k) + (1,) * k
+            assert (best.bits, value) == want[k]
+
+    def test_prunes_most_of_the_cert_fit_design(self):
+        inst = generate(SimConfig(scenario="multiresponse", n=100, p=15, q=10,
+                                  gamma=5, sigma=3.0, seed=50))
+        X, Y = center_columns(inst.X), center_columns(inst.Y)
+        result = exhaustive_path(X, Y, "pls2")
+        assert result.enumerated_count == (1 << 15) - 1
+        assert result.scored_count < result.enumerated_count / 20
+
+    def test_pls1_scores_every_subset(self):
+        rng = np.random.default_rng(9)
+        X = center_columns(rng.standard_normal((20, 6)))
+        result = exhaustive_path(X, rng.standard_normal(20), "pls1")
+        assert result.scored_count == result.enumerated_count == 63
 
 
 class TestCornerOptimalityChecks:

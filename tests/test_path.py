@@ -356,9 +356,9 @@ class TestDynamicGrid:
         rng = np.random.default_rng(5)
         X = center_columns(rng.standard_normal((40, 12)))
         path = dynamic_grid(X, rng.standard_normal(40), "pls1", GridConfig(K=12, L=30))
-        # Step 1's calls solve halvings of lambda_max; the rest are sweeps.
+        # Step 1's calls solve lambda_max and its halvings; the rest are sweeps.
         lam_top = path.lambda_grid[0][0]
-        halvings = {lam_top / 2.0**ell for ell in range(1, 30)}
+        halvings = {lam_top / 2.0**ell for ell in range(30)}
         calls = [call for call in calls if not set(call) <= halvings]
         swept = [lam for call in calls for lam in call]
         assert any(len(call) > 1 for call in calls)
@@ -432,7 +432,7 @@ def one_at_a_time(monkeypatch, *args, **kwargs):
 
 def spy_step1(monkeypatch, edit=None):
     # Records the penalties of every step-1 call to minimize_batch (the
-    # calls that solve halvings of lambda_max) and lets ``edit`` change
+    # calls that solve lambda_max and its halvings) and lets ``edit`` change
     # their runs; step 2's calls pass through.
     calls = []
     solve = path_module.minimize_batch
@@ -440,7 +440,7 @@ def spy_step1(monkeypatch, edit=None):
     def spy(ctx, lams, cfg, K):
         runs = solve(ctx, lams, cfg, K)
         lam_top = lambda_max(ctx)
-        if set(lams) <= {lam_top / 2.0**ell for ell in range(1, 64)}:
+        if set(lams) <= {lam_top / 2.0**ell for ell in range(64)}:
             calls.append(list(lams))
             if edit is not None:
                 runs = edit(lams, runs, K)
@@ -471,8 +471,23 @@ class TestSpeculativeStep1:
         path = dynamic_grid(X, Y, model, grid, cfg)
         want = sequential_step1(X, Y, model, grid, cfg)
         assert [diagnostic(d) for d in path.diagnostics[:len(want)]] == want
-        assert want[-1][1] >= grid.K and (len(want) - 1) % path_module._chunk(p)
+        # The run that reaches K is not the last of its chunk (l = 0, 1, ...).
+        assert want[-1][1] >= grid.K and len(want) % path_module._chunk(p)
         assert_same_path(path, one_at_a_time(monkeypatch, X, Y, model, grid, cfg))
+
+    def test_lambda_max_is_the_first_row_of_the_first_chunk(self, monkeypatch):
+        # No lone solve of lambda_max: step 1's first batch starts with it.
+        def lone(*args, **kwargs):
+            raise AssertionError("a penalty was solved on its own")
+
+        X, Y = grid_case("pls2", "v")
+        monkeypatch.setattr(path_module, "minimize", lone)
+        calls = spy_step1(monkeypatch)
+        path = dynamic_grid(X, Y, "pls2", GridConfig(K=4, L=20))
+        lam_top = lambda_max(make_context(X, Y, "pls2"))
+        assert calls[0][:2] == [lam_top, lam_top / 2.0]
+        assert path.diagnostics[0].lam == lam_top
+        assert path.diagnostics[0].terminal_size == 0
 
     def test_discarded_runs_reach_no_output(self, monkeypatch):
         # Every run after the first one of a chunk that reaches K is replaced
@@ -500,10 +515,11 @@ class TestSpeculativeStep1:
         assert not set(discarded) & {lam for lam, _ in got.lambda_grid}
         assert not set(discarded) & {d.lam for d in got.diagnostics}
 
-    @pytest.mark.parametrize("L, sizes", [(2, [1]), (4, [3]), (6, [3, 2])])
+    @pytest.mark.parametrize("L, sizes", [(2, [2]), (4, [3, 1]), (6, [3, 3])])
     def test_budget_caps_the_chunks(self, L, sizes, monkeypatch):
-        # With chunks of 3 and K = p out of reach within L runs, step 1
-        # spends the whole budget; the last chunk holds what is left of it.
+        # With chunks of 3 from lambda_max on and K = p out of reach within
+        # L runs, step 1 spends the whole budget; the last chunk holds what
+        # is left of it.
         monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
         X, Y = grid_case("pls1", None)
         grid = GridConfig(K=10, L=L)
@@ -551,15 +567,18 @@ class TestSpeculativeStep1:
         assert_same_path(got, want)
 
     def test_k_reached_by_the_first_row_of_a_chunk(self, monkeypatch):
+        # Chunks of 3 hold l = 0..2 and 3..5; K is the terminal size first
+        # reached at l = 3.
+        monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
         X, Y = grid_case("pls1", None)
-        first = sequential_step1(X, Y, "pls1", GridConfig(K=10, L=2), SolverConfig())
-        K = first[1][1]  # the terminal size at the first halving
-        assert K >= 1
+        first = sequential_step1(X, Y, "pls1", GridConfig(K=10, L=4), SolverConfig())
+        K = first[3][1]
+        assert K > first[2][1]
         calls = spy_step1(monkeypatch)
         path = dynamic_grid(X, Y, "pls1", GridConfig(K=K, L=20))
-        assert [len(c) for c in calls] == [path_module._chunk(10)]
-        assert [diagnostic(d) for d in path.diagnostics[:2]] == first
-        assert calls[0][1] not in {d.lam for d in path.diagnostics}
+        assert [len(c) for c in calls] == [3, 3]
+        assert [diagnostic(d) for d in path.diagnostics[:4]] == first
+        assert calls[1][1] not in {d.lam for d in path.diagnostics}
 
     def test_convergence_failure_redoes_the_chunk_one_run_at_a_time(self, monkeypatch):
         # A chunk whose batch raises is solved again run by run, and only as
