@@ -34,18 +34,14 @@ from .errors import (
     SizeGuardError,
     SolverAbort,
 )
-from .linalg import (
-    DominantPair, center_columns, frobenius_norm, power_iteration, top_eigpair,
-)
+from .linalg import DominantPair, center_columns, top_eigpair
 from .objective import (
     ObjectiveContext,
     ObjectiveEval,
     corner_objective,
+    corner_values,
     eval_batch,
     eval_objective,
-    eval_pca,
-    eval_pls1,
-    eval_pls2,
     grad_r,
     lambda_max,
     make_context,
@@ -65,7 +61,6 @@ from .path import (
     Subset,
     best_row,
     dynamic_grid,
-    path_objective_curve,
     path_to_dict,
     prefix_rows,
     score_buckets,

@@ -431,14 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a benchmark dataset")
     sim.add_argument("--scenario", required=True,
                      choices=["multiresponse", "two-component", "univariate", "pca-cov"])
-    sim.add_argument("--n", type=int, default=100)
-    sim.add_argument("--p", type=int, default=15)
-    sim.add_argument("--q", type=int, default=10)
+    sim.add_argument("--n", type=_int_from(2), default=100)
+    sim.add_argument("--p", type=_int_from(1), default=15)
+    sim.add_argument("--q", type=_int_from(1), default=10)
     sim.add_argument("--components", type=int, default=1)
     sim.add_argument("--sigma", type=float, default=3.0)
     sim.add_argument("--gamma", type=int, default=5)
     sim.add_argument("--snr", type=float, default=3.0)
-    sim.add_argument("--holdout", type=int, default=0)
+    sim.add_argument("--holdout", type=_int_from(0), default=0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--test")
     met.add_argument("--subset", required=True,
                      help="bit string or space/comma separated indices")
-    met.add_argument("--p", type=int, default=None)
+    met.add_argument("--p", type=_int_from(1), default=None)
     met.add_argument("--out")
     met.set_defaults(func=cmd_metrics)
 

@@ -10,14 +10,13 @@ then removes the fitted rank-one contribution:
     Y_h = Y_{h-1} - psi_h e_h^T  (canonical)    with psi_h = Y_{h-1} v_h
 
 where c_h = X_{h-1}^T xi_h / (xi_h^T xi_h), d_h likewise against Y, and
-e_h = Y_{h-1}^T xi_h / (psi_h^T xi_h) (an alternate psi^T psi denominator
-is exposed as a switch). Adjusted weights w_h express each score directly
-in original-variable coordinates: X w_h = X_{h-1} u_h.
+e_h = Y_{h-1}^T xi_h / (psi_h^T xi_h), the tabulated denominator. Adjusted
+weights w_h express each score directly in original-variable coordinates:
+X w_h = X_{h-1} u_h.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,7 +220,6 @@ def _build_component(
     subset: Subset,
     h: int,
     mode: str | None,
-    e_denominator: str,
     seed: int = 0,
     objective: float | None = None,
 ) -> ComponentState:
@@ -237,7 +235,7 @@ def _build_component(
         if mode == "regression":
             d = Y_h.T @ xi / ss
         else:
-            denom = float(psi @ xi) if e_denominator == "psi-xi" else float(psi @ psi)
+            denom = float(psi @ xi)
             if denom == 0.0:
                 raise DegenerateScoreError(f"component {h}: zero canonical denominator")
             e = Y_h.T @ xi / denom
@@ -378,15 +376,12 @@ def _refit_fixed(
     model: str,
     supports: list[Subset],
     mode: str,
-    e_denominator: str = "psi-xi",
     seed: int = 0,
 ) -> list[ComponentState]:
     comps = []
     Xh, Yh = Xtr, Ytr
     for h, subset in enumerate(supports, start=1):
-        comp = _build_component(
-            Xh, Yh, model, subset, h, mode, e_denominator, seed=seed
-        )
+        comp = _build_component(Xh, Yh, model, subset, h, mode, seed=seed)
         Xh, Yh = deflate(Xh, Yh, comp, mode, model)
         comps.append(comp)
     return comps
@@ -466,7 +461,6 @@ def _cv_scores(
     Y0: np.ndarray,
     model: str,
     mode: str,
-    e_denominator: str,
     seed: int,
     x_means: np.ndarray,
     y_means: np.ndarray,
@@ -494,9 +488,7 @@ def _cv_scores(
         Xv, Yv = X_val, Yraw[val] - ym
         prev = []
         for j, earlier in enumerate(comps, start=1):
-            comp = _build_component(
-                Xtr, Ytr, model, earlier.subset, j, mode, e_denominator, seed
-            )
+            comp = _build_component(Xtr, Ytr, model, earlier.subset, j, mode, seed)
             Xtr, Ytr = deflate(Xtr, Ytr, comp, mode, model)
             prev.append(comp)
             if strategy.kind == "max-cor":
@@ -510,7 +502,7 @@ def _cv_scores(
         count += Yv.size
         for k in range(1, K + 1):
             last = _build_component(
-                Xtr, Ytr, model, path.buckets[k].best, h, mode, e_denominator, seed
+                Xtr, Ytr, model, path.buckets[k].best, h, mode, seed
             )
             if strategy.kind == "min-msep":
                 beta = regression_coefficients(prev + [last])
@@ -535,7 +527,6 @@ def _pick_subset_size(
     Yh: np.ndarray | None,
     model: str,
     mode: str | None,
-    e_denominator: str,
     h: int,
     seed: int,
     test: tuple[np.ndarray, np.ndarray] | None,
@@ -550,7 +541,7 @@ def _pick_subset_size(
         cpevs = np.zeros(K + 1)
         for k in range(1, K + 1):
             trial = _build_component(
-                Xh, Yh, model, path.buckets[k].best, h, mode, e_denominator, seed
+                Xh, Yh, model, path.buckets[k].best, h, mode, seed
             )
             W = adjusted_weights(X0, comps + [trial])
             cpevs[k] = pev_cpev(X0, W)[1][-1]
@@ -565,7 +556,7 @@ def _pick_subset_size(
         scores = np.full(K + 1, np.inf)
         for k in range(1, K + 1):
             trial = _build_component(
-                Xh, Yh, model, path.buckets[k].best, h, mode, e_denominator, seed
+                Xh, Yh, model, path.buckets[k].best, h, mode, seed
             )
             beta = regression_coefficients(comps + [trial])
             pred = (np.asarray(X_test, dtype=float) - x_means) @ beta + y_means
@@ -573,8 +564,7 @@ def _pick_subset_size(
         return int(np.argmin(scores[1:])) + 1
     if strategy.kind in ("min-msep", "max-cor"):
         scores = _cv_scores(
-            strategy, path, comps, X0, Y0, model, mode, e_denominator, seed,
-            x_means, y_means,
+            strategy, path, comps, X0, Y0, model, mode, seed, x_means, y_means,
         )
         if strategy.kind == "min-msep":
             return int(np.argmin(scores)) + 1
@@ -594,7 +584,6 @@ def fit(
     solver_cfg: SolverConfig | None = None,
     center: bool = True,
     test: tuple[np.ndarray, np.ndarray] | None = None,
-    e_denominator: str = "psi-xi",
     keep_paths: bool = False,
 ) -> FittedModel:
     """Fit H components, each from a fresh solution path on the deflated
@@ -602,9 +591,7 @@ def fit(
 
     With center=True (default) the training column means are removed here
     and stored so predictions accept raw inputs. ``test`` supplies a raw
-    holdout pair for the min-msep strategy. ``e_denominator`` selects the
-    canonical-mode deflation denominator: "psi-xi" (as tabulated) or the
-    conventional "psi-psi".
+    holdout pair for the min-msep strategy.
     """
     if H < 1:
         raise ValueError("H must be at least 1")
@@ -651,11 +638,11 @@ def fit(
             path = dynamic_grid(Xh, Yh, model, grid_cfg, solver_cfg)
             k = _pick_subset_size(
                 strategy, path, comps, X0, Y0, Xh, Yh, model, mode,
-                e_denominator, h, solver_cfg.seed, test, x_means, y_means,
+                h, solver_cfg.seed, test, x_means, y_means,
             )
             bucket = path.buckets[k]
             comp = _build_component(
-                Xh, Yh, model, bucket.best, h, mode, e_denominator,
+                Xh, Yh, model, bucket.best, h, mode,
                 seed=solver_cfg.seed, objective=bucket.best_value,
             )
             Xh, Yh = deflate(Xh, Yh, comp, mode, model)
@@ -702,7 +689,3 @@ def model_to_dict(fit_result: FittedModel) -> dict:
         "pev": [float(v) for v in fit_result.pev],
         "cpev": [float(v) for v in fit_result.cpev],
     }
-
-
-def model_to_json(fit_result: FittedModel) -> str:
-    return json.dumps(model_to_dict(fit_result), indent=2)

@@ -20,8 +20,8 @@ class NonFiniteInputError(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """An eigen-solve by power iteration (power_iteration, or the warm
-    large-matrix route of top_eigpair) hit its iteration cap.
+    """An eigen-solve by power iteration (the warm large-matrix route of
+    top_eigpair) hit its iteration cap.
 
     Carries the last iterate in ``last`` so callers can decide whether the
     partial answer is acceptable.

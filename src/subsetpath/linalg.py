@@ -1,8 +1,8 @@
-"""Dense matrix primitives: column centering, Frobenius norm, and the
-package's one dominant-eigenpair routine, top_eigpair (dense eigh, or warm
-power iteration on large matrices; power_iteration is its checked form).
-top_eigpair also takes a (B, d, d) stack, which the solver passes to solve
-the eigenproblems of a whole sweep of penalties in one call.
+"""Dense matrix primitives: column centering and the package's one
+dominant-eigenpair routine, top_eigpair (dense eigh, or warm power
+iteration on large matrices). top_eigpair also takes a (B, d, d) stack,
+which the solver passes to solve the eigenproblems of a whole sweep of
+penalties in one call.
 
 Everything operates on plain float ndarrays. All functions are pure; the
 returned arrays never alias their inputs.
@@ -58,12 +58,6 @@ def center_columns(X: np.ndarray) -> np.ndarray:
     if X.shape[0] < 2:
         raise DimensionError(f"need at least 2 rows to center, got {X.shape[0]}")
     return X - X.mean(axis=0)
-
-
-def frobenius_norm(A: np.ndarray) -> float:
-    """sqrt(trace(A^T A))."""
-    A = np.asarray(A, dtype=float)
-    return float(np.sqrt(np.sum(A * A)))
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -148,14 +142,15 @@ def _top_eigpairs(A, v0, seed, tol, max_iter) -> DominantPair:
     return pair
 
 
-def power_iteration(
+def _power_steps(
     A: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
     v0: np.ndarray | None = None,
 ) -> DominantPair:
-    """Dominant eigenpair of a symmetric PSD matrix.
+    """Dominant eigenpair of a finite symmetric PSD matrix by power
+    iteration, the warm large-matrix route of top_eigpair.
 
     Repeats v <- A v / ||A v|| and tracks the Rayleigh quotient
     eta = v^T A v until both the change in eta and the residual
@@ -163,31 +158,11 @@ def power_iteration(
 
     ``v0`` warm-starts the iteration; otherwise the start vector is drawn
     deterministically from ``seed``, re-drawn with a new offset if the
-    Rayleigh quotient stagnates at zero. The matrix is checked to be
-    square, finite and symmetric.
+    Rayleigh quotient stagnates at zero. The zero matrix gives value 0.
 
     Raises ConvergenceFailure (carrying the last iterate) if ``max_iter``
     is exhausted.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"power iteration needs a square matrix, got {A.shape}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if scale > 0.0:
-        asym = float(np.max(np.abs(A - A.T)))
-        if asym > 1e-10 * max(1.0, scale):
-            raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    if scale == 0.0:
-        return DominantPair(0.0, _fix_sign(_seed_vector(A.shape[0], seed)), 0)
-    return _power_steps(A, tol, max_iter, seed, v0)
-
-
-def _power_steps(A, tol, max_iter, seed, v0) -> DominantPair:
-    # power_iteration on a matrix already checked.
     n = A.shape[0]
     if v0 is not None:
         v = np.asarray(v0, dtype=float)

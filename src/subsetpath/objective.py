@@ -9,10 +9,13 @@ objectives minimized over the hypercube are
   pca:   -delta_t + lam * sum(t),    delta_t = top eigenvalue of X_t^T X_t / n
 
 The box constraint is removed through t_j = 1 - exp(-r_j^2), so downstream
-solvers work on unconstrained r; grad_r applies the chain rule. Every
-spectral quantity comes from linalg.top_eigpair. eval_batch evaluates a
-stack of points, each under its own penalty, in one pass; the per-point
-evaluators are its one-row case.
+solvers work on unconstrained r; grad_r applies the chain rule. Spectral
+quantities at relaxed points come from linalg.top_eigpair. eval_batch
+evaluates a stack of points, each under its own penalty, in one pass, and
+eval_objective is its one-row case. Corner values (a binary t, the
+column-deleted data) come from corner_values, which scores a stack of
+subsets of one size with numpy's dense eigvalsh; corner_objective and
+lambda_max are its one-row case.
 """
 
 from __future__ import annotations
@@ -91,13 +94,11 @@ def make_context(
     Y: np.ndarray | None = None,
     model: str = "pls1",
     lam: float = 0.0,
-    pls2_branch: str | None = None,
 ) -> ObjectiveContext:
     """Precompute the model kernel from (already centered) data.
 
-    ``pls2_branch`` forces "v" (store M, solve a q x q eigenproblem per
-    evaluation) or "u" (store G = M M^T, p x p); by default q < p selects
-    "v".
+    pls2 stores M (a q x q eigenproblem per evaluation) when q < p, and
+    G = M M^T (p x p) otherwise.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -131,13 +132,9 @@ def make_context(
         return ObjectiveContext("pls1", n, p, 1, float(lam), z=z)
 
     M = (X.T @ Y) / n
-    if pls2_branch is None:
-        pls2_branch = "v" if q < p else "u"
-    if pls2_branch == "v":
+    if q < p:
         return ObjectiveContext("pls2", n, p, q, float(lam), M=M)
-    if pls2_branch == "u":
-        return ObjectiveContext("pls2", n, p, q, float(lam), G=M @ M.T)
-    raise ValueError(f"unknown pls2 branch {pls2_branch!r}")
+    return ObjectiveContext("pls2", n, p, q, float(lam), G=M @ M.T)
 
 
 def eval_batch(
@@ -200,69 +197,42 @@ def eval_objective(
     )
 
 
-def _require(ctx: ObjectiveContext, model: str) -> None:
-    if ctx.model != model:
-        raise ValueError(f"context is for {ctx.model}, not {model}")
-
-
-def eval_pls1(ctx: ObjectiveContext, t: np.ndarray) -> ObjectiveEval:
-    """Closed-form objective and gradient for the univariate-response model."""
-    _require(ctx, "pls1")
-    return eval_objective(ctx, t)
-
-
-def eval_pls2(
-    ctx: ObjectiveContext,
-    t: np.ndarray,
-    seed: int = 0,
-    v0: np.ndarray | None = None,
-) -> ObjectiveEval:
-    """Multivariate-response objective via top_eigpair, warm-started from v0
-    (formulas in eval_batch)."""
-    _require(ctx, "pls2")
-    return eval_objective(ctx, t, seed=seed, v0=v0)
-
-
-def eval_pca(
-    ctx: ObjectiveContext,
-    t: np.ndarray,
-    seed: int = 0,
-    v0: np.ndarray | None = None,
-) -> ObjectiveEval:
-    """Variance objective: delta_t is the top eigenvalue of T_t (X^T X / n) T_t
-    (formulas in eval_batch)."""
-    _require(ctx, "pca")
-    return eval_objective(ctx, t, seed=seed, v0=v0)
-
-
 def grad_r(ev: ObjectiveEval, r: np.ndarray) -> np.ndarray:
     """Gradient in r of f(t_of_r(r)), for ``ev`` evaluated at t_of_r(r):
     dg/dr_j = df/dt_j * 2 r_j exp(-r_j^2)."""
     return ev.grad_t * 2.0 * r * np.exp(-r * r)
 
 
-def corner_objective(ctx: ObjectiveContext, bits) -> float:
-    """Unpenalized objective at a binary corner, via the column-deleted data.
+def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
+    """Unpenalized corner objectives of m subsets of one size k >= 1, given
+    as an (m, k) array of sorted column indices: -sum(z^2) over the subset
+    for pls1, otherwise minus the top eigenvalue of the column-deleted
+    Gram block (k x k, or q x q from M when that is smaller), each solved
+    by numpy's dense eigvalsh. A block with a non-finite entry gets NaN
+    rather than an error (eigvalsh itself may return a finite value for
+    it)."""
+    if ctx.model == "pls1":
+        zs = ctx.z[I]
+        return -np.sum(zs * zs, axis=1)
+    if ctx.M is not None:
+        Ms = ctx.M[I]
+        k, q = Ms.shape[1:]
+        Mt = np.swapaxes(Ms, 1, 2)
+        blocks = Ms @ Mt if k <= q else Mt @ Ms
+    else:
+        blocks = ctx.G[I[:, :, None], I[:, None, :]]
+    values = -np.linalg.eigvalsh(blocks)[:, -1]
+    values[~np.isfinite(blocks).all(axis=(1, 2))] = np.nan
+    return values
 
-    Returns 0.0 for the empty subset. Used for Algorithm-1 bucket selection
-    and as the exhaustive-search objective.
-    """
+
+def corner_objective(ctx: ObjectiveContext, bits) -> float:
+    """Unpenalized objective at the binary corner ``bits``: the one-row case
+    of corner_values. Returns 0.0 for the empty subset."""
     idx = np.flatnonzero(np.asarray(bits))
     if idx.size == 0:
         return 0.0
-    if ctx.model == "pls1":
-        zs = ctx.z[idx]
-        return float(-np.sum(zs * zs))
-    if ctx.model == "pls2":
-        if ctx.M is not None:
-            Ms = ctx.M[idx, :]
-            k, q = Ms.shape
-            A = Ms @ Ms.T if k <= q else Ms.T @ Ms
-        else:
-            A = ctx.G[np.ix_(idx, idx)]
-        return -top_eigpair(A).value
-    A = ctx.G[np.ix_(idx, idx)]
-    return -top_eigpair(A).value
+    return float(corner_values(ctx, idx[None])[0])
 
 
 def lambda_max(ctx: ObjectiveContext) -> float:
@@ -271,6 +241,8 @@ def lambda_max(ctx: ObjectiveContext) -> float:
     subset for every model; the terminal subset at this penalty is empty.
     """
     value = -corner_objective(ctx, np.ones(ctx.p, dtype=int))
+    if not np.isfinite(value):
+        raise ValueError("data overflow: lambda_max is non-finite")
     if value <= 0.0:
         raise DegenerateLoadingError("data carries no signal: lambda_max is zero")
     return value

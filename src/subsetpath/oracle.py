@@ -11,7 +11,6 @@ eigendecomposition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 
@@ -81,7 +80,12 @@ def exhaustive_path(
     per_size: dict[int, tuple[Subset, float]] = {}
 
     if model == "pls1":
-        y = np.asarray(Y, dtype=float).reshape(-1)
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim == 2 and Y.shape[1] != 1:
+            raise DimensionError(
+                f"pls1 requires a single response column, got {Y.shape[1]}"
+            )
+        y = Y.reshape(-1)
         if y.shape[0] != n:
             raise DimensionError(f"X has {n} rows but y has {y.shape[0]}")
         z2 = ((X.T @ y) / n) ** 2
@@ -199,10 +203,6 @@ def oracle_to_dict(result: OracleResult) -> dict:
             for k in sorted(result.per_size)
         ],
     }
-
-
-def oracle_to_json(result: OracleResult) -> str:
-    return json.dumps(oracle_to_dict(result), indent=2)
 
 
 @dataclass

@@ -7,10 +7,10 @@ visited, as an (m, K) int array. The grid stacks the orderings of all its
 runs into one (M, K) array of distinct rows, and bucket k is scored from
 it directly: the k-prefixes of the rows are sorted and deduplicated, and
 the resulting (m_k, k) array of index rows, ``SizeBucket.candidates``, is
-scored in stacks with the closed form for pls1 and one stacked dense
-eigen-solve over the k x k (or q x q) blocks otherwise. The lowest
-unpenalized corner objective wins; exact ties go to the smallest bits. For
-pls1 only the prefixes whose visit-order sum of z^2 comes within
+scored in stacks by objective.corner_values (the closed form for pls1, one
+stacked dense eigen-solve over the k x k or q x q blocks otherwise). The
+lowest unpenalized corner objective wins; exact ties go to the smallest
+bits. For pls1 only the prefixes whose visit-order sum of z^2 comes within
 _PLS1_BAND of the best are scored exactly (see there).
 
 The dynamic grid drives the solver over a data-dependent schedule of
@@ -23,14 +23,13 @@ chunks, are solved together in one batched solver call
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceFailure, SolverAbort
 from .linalg import EIGH_CROSSOVER
-from .objective import ObjectiveContext, lambda_max, make_context
+from .objective import ObjectiveContext, corner_values, lambda_max, make_context
 from .solver import SolverConfig, SolverRun, minimize, minimize_batch, unique_rows
 
 # Candidates per stacked eigen-solve in best_row; bounds the block stack to
@@ -153,23 +152,6 @@ class SolutionPath:
     diagnostics: list[LambdaDiagnostic] = field(default_factory=list)
 
 
-def _corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
-    """Unpenalized corner objectives of m subsets of one size k >= 1, given
-    as an (m, k) array of sorted column indices; the batched counterpart of
-    corner_objective. Each block is solved by numpy's dense eigvalsh."""
-    if ctx.model == "pls1":
-        zs = ctx.z[I]
-        return -np.sum(zs * zs, axis=1)
-    if ctx.M is not None:
-        Ms = ctx.M[I]
-        k, q = Ms.shape[1:]
-        Mt = np.swapaxes(Ms, 1, 2)
-        blocks = Ms @ Mt if k <= q else Mt @ Ms
-    else:
-        blocks = ctx.G[I[:, :, None], I[:, None, :]]
-    return -np.linalg.eigvalsh(blocks)[:, -1]
-
-
 def best_row(ctx0: ObjectiveContext, I: np.ndarray) -> tuple[Subset, float]:
     """Row of I, an (m, k) array of sorted column indices with m, k >= 1,
     with the lowest unpenalized corner objective; exact ties go to the
@@ -177,7 +159,7 @@ def best_row(ctx0: ObjectiveContext, I: np.ndarray) -> tuple[Subset, float]:
     if I.size == 0:
         raise ValueError("no candidate rows to score")
     values = np.concatenate([
-        _corner_values(ctx0, I[i:i + _BATCH]) for i in range(0, len(I), _BATCH)
+        corner_values(ctx0, I[i:i + _BATCH]) for i in range(0, len(I), _BATCH)
     ])
     low = values.min()
     tied = np.flatnonzero(values == low)
@@ -225,11 +207,6 @@ def terminal_subset(t: np.ndarray, rho: float) -> Subset:
         raise ValueError("rho must lie in (0, 1)")
     t = np.asarray(t)
     return Subset(t.shape[0], tuple(np.flatnonzero(t > rho).tolist()))
-
-
-def path_objective_curve(path: SolutionPath) -> list[tuple[int, float]]:
-    """(k, best corner objective) for k = 1..K."""
-    return [(k, path.buckets[k].best_value) for k in sorted(path.buckets)]
 
 
 def dynamic_grid(
@@ -373,7 +350,3 @@ def path_to_dict(path: SolutionPath) -> dict:
             {"lambda": lam, "terminal_size": size} for lam, size in path.lambda_grid
         ],
     }
-
-
-def path_to_json(path: SolutionPath) -> str:
-    return json.dumps(path_to_dict(path), indent=2)

@@ -50,6 +50,12 @@ class SimConfig:
             raise ValueError("sigma must be non-negative")
         if self.snr <= 0.0:
             raise ValueError("snr must be positive (use inf for noise-free)")
+        if self.n < 2:
+            raise ValueError(f"n={self.n} must be at least 2 (data are centered)")
+        if self.p < 1 or self.q < 1:
+            raise ValueError(f"p={self.p} and q={self.q} must be at least 1")
+        if self.holdout < 0:
+            raise ValueError(f"holdout={self.holdout} must be non-negative")
         if not (0 <= self.gamma <= self.p):
             raise ValueError(f"gamma={self.gamma} out of range 0..{self.p}")
 

@@ -23,9 +23,7 @@ from subsetpath.components import (
 from subsetpath.linalg import center_columns
 from subsetpath.objective import (
     corner_objective,
-    eval_pca,
-    eval_pls1,
-    eval_pls2,
+    eval_objective,
     grad_r,
     make_context,
     r_of_t,
@@ -35,6 +33,8 @@ from subsetpath.oracle import check_corner_optimality, exhaustive_path
 from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.simulate import SimConfig, gen_multiresponse, gen_pca_cov
 from subsetpath.solver import SolverConfig
+
+from contexts import pls2_context
 
 
 def central_diff(f, x, h):
@@ -77,7 +77,7 @@ def _draw(variant, seed):
         if variant in ("pls2-v", "pls2-u"):
             Y = center_columns(rng.standard_normal((n, q)))
             branch = variant[-1]
-            ctx = make_context(X, Y, "pls2", lam=lam, pls2_branch=branch)
+            ctx = pls2_context(X, Y, branch, lam=lam)
             M = X.T @ Y / n
             Mt = t[:, None] * M
             w = np.linalg.eigvalsh(Mt.T @ Mt)
@@ -104,12 +104,7 @@ def test_criterion_1_gradient_correctness():
     for variant in ("pls1", "pls2-v", "pls2-u", "pca"):
         for i in range(100):
             ctx, t, f = _draw(variant, seed=17 * i + 3)
-            if variant == "pls1":
-                ev = eval_pls1(ctx, t)
-            elif variant.startswith("pls2"):
-                ev = eval_pls2(ctx, t)
-            else:
-                ev = eval_pca(ctx, t)
+            ev = eval_objective(ctx, t)
             fd_t = central_diff(f, t, h=1e-6)
             err_t = rel_err(ev.grad_t, fd_t)
 
@@ -240,7 +235,7 @@ def test_criterion_5_msep_shape(design_replicates):
     for i, (inst, Xc, Yc, xm, ym, path) in enumerate(design_replicates):
         for k in range(1, 16):
             comps = _refit_fixed(Xc, Yc, "pls2", [path.buckets[k].best],
-                                 "regression", "psi-xi")
+                                 "regression")
             beta = regression_coefficients(comps)
             pred = (inst.X_test - xm) @ beta + ym
             msep[i, k - 1] = np.mean((pred - inst.Y_test) ** 2)
@@ -339,7 +334,7 @@ def test_criterion_7_structural_invariants():
         from subsetpath.path import Subset
 
         s = Subset.from_indices(15, idx)
-        comp = _build_component(Xh, Yh, "pls2", s, h, "regression", "psi-xi")
+        comp = _build_component(Xh, Yh, "pls2", s, h, "regression")
         Xh_next, Yh_next = deflate(Xh, Yh, comp, "regression", "pls2")
         assert np.max(np.abs(Xh_next.T @ comp.xi)) <= 1e-10 * max(
             1.0, float(np.max(np.abs(Xh_next)) * np.max(np.abs(comp.xi)))

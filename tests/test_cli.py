@@ -78,6 +78,20 @@ class TestSimulateCommand:
                        "--gamma", "0", "--out", str(tmp_path / "x"))
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [
+        ["--n", "0"],
+        ["--n", "1"],                  # one row cannot be centered
+        ["--p", "0", "--gamma", "0"],
+        ["--q", "0"],
+        ["--holdout", "-3"],
+    ])
+    def test_unusable_size_exits_2_before_writing(self, tmp_path, capsys, bad):
+        out = tmp_path / "sim"
+        code = run_cli("simulate", "--scenario", "multiresponse", *bad, "--out", str(out))
+        assert code == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPathCommand:
     def test_toy_bucket(self, tmp_path):
@@ -228,6 +242,18 @@ class TestOracleCommand:
         assert counts["enumerated"] == 255
         assert 8 <= counts["scored"] < 255
 
+    def test_pls1_multicolumn_response_exits_3(self, tmp_path, capsys):
+        # The same message as path gives, not a row-count mismatch of the
+        # flattened response.
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--scenario", "multiresponse", "--p", "6", "--gamma", "2",
+                "--seed", "1", "--out", str(sim))
+        code = run_cli("oracle", "--model", "pls1", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: pls1 requires a single response column, got 10\n"
+
     def test_guard_exit_6(self, tmp_path):
         rng = np.random.default_rng(0)
         write_csv_matrix(tmp_path / "X.csv", rng.standard_normal((4, 26)))
@@ -268,6 +294,14 @@ class TestMetricsCommand:
         assert code == 0
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[0] == "0.0"
+
+    def test_zero_p_exits_2(self, truth_file, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = run_cli("metrics", "--truth", str(truth_file), "--subset", "1100",
+                       "--p", "0", "--out", str(out))
+        assert code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_indices_form(self, truth_file, capsys):
         code = run_cli("metrics", "--truth", str(truth_file), "--subset", "0 1")

@@ -32,11 +32,11 @@ def full_subset(p):
     return Subset.from_bits((1,) * p)
 
 
-def regression_comps(X, Y, model, supports, e_denominator="psi-xi"):
+def regression_comps(X, Y, model, supports):
     comps = []
     Xh, Yh = X, Y
     for h, s in enumerate(supports, start=1):
-        comp = _build_component(Xh, Yh, model, s, h, "regression", e_denominator)
+        comp = _build_component(Xh, Yh, model, s, h, "regression")
         Xh, Yh = deflate(Xh, Yh, comp, "regression", model)
         comps.append(comp)
     return comps, Xh, Yh
@@ -96,9 +96,7 @@ class TestLoadingFromSubset:
 
 class TestDeflate:
     def test_identity_design(self):
-        comp = _build_component(
-            np.eye(2), None, "pca", Subset.from_bits((1, 0)), 1, None, "psi-xi"
-        )
+        comp = _build_component(np.eye(2), None, "pca", Subset.from_bits((1, 0)), 1, None)
         X1, _ = deflate(np.eye(2), None, comp, None, "pca")
         np.testing.assert_allclose(X1, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
@@ -106,7 +104,7 @@ class TestDeflate:
         rng = np.random.default_rng(3)
         X = center_columns(rng.standard_normal((25, 6)))
         Y = center_columns(rng.standard_normal((25, 3)))
-        comp = _build_component(X, Y, "pls2", full_subset(6), 1, "regression", "psi-xi")
+        comp = _build_component(X, Y, "pls2", full_subset(6), 1, "regression")
         X1, Y1 = deflate(X, Y, comp, "regression", "pls2")
         assert np.max(np.abs(X1.T @ comp.xi)) <= 1e-10 * np.max(np.abs(X))
 
@@ -114,9 +112,7 @@ class TestDeflate:
         a = np.array([1.0, -2.0, 0.5])
         b = np.array([0.3, 0.4, -0.2, 0.6])
         X = np.outer(a, b)
-        comp = _build_component(
-            X, None, "pca", full_subset(4), 1, None, "psi-xi"
-        )
+        comp = _build_component(X, None, "pca", full_subset(4), 1, None)
         X1, _ = deflate(X, None, comp, None, "pca")
         assert np.max(np.abs(X1)) <= 1e-10
 
@@ -124,40 +120,27 @@ class TestDeflate:
         rng = np.random.default_rng(4)
         X = center_columns(rng.standard_normal((25, 5)))
         Y = center_columns(rng.standard_normal((25, 3)))
-        comp = _build_component(X, Y, "pls2", full_subset(5), 1, "canonical", "psi-xi")
+        comp = _build_component(X, Y, "pls2", full_subset(5), 1, "canonical")
         assert comp.e is not None and comp.d is None
         _, Y1 = deflate(X, Y, comp, "canonical", "pls2")
         want = Y - np.outer(comp.psi, comp.e)
         np.testing.assert_allclose(Y1, want)
-
-    def test_canonical_denominator_switch(self):
-        rng = np.random.default_rng(5)
-        X = center_columns(rng.standard_normal((25, 5)))
-        Y = center_columns(rng.standard_normal((25, 3)))
-        table = _build_component(X, Y, "pls2", full_subset(5), 1, "canonical", "psi-xi")
-        alt = _build_component(X, Y, "pls2", full_subset(5), 1, "canonical", "psi-psi")
-        # The two e vectors differ exactly by the ratio of the denominators.
-        np.testing.assert_allclose(
-            table.e * float(table.psi @ table.xi),
-            alt.e * float(alt.psi @ alt.psi),
-            rtol=1e-10,
-        )
 
 
 class TestAdjustedWeights:
     def test_single_component_weight_is_loading(self):
         rng = np.random.default_rng(6)
         X = center_columns(rng.standard_normal((20, 4)))
-        comp = _build_component(X, None, "pca", full_subset(4), 1, None, "psi-xi")
+        comp = _build_component(X, None, "pca", full_subset(4), 1, None)
         W = adjusted_weights(X, [comp])
         np.testing.assert_allclose(W[:, 0], comp.u)
 
     def test_orthogonal_design_second_weight_unchanged(self):
         # Orthonormal columns and disjoint supports give c_1^T u_2 = 0.
         X = np.eye(4)
-        c1 = _build_component(X, None, "pca", Subset.from_bits((1, 0, 0, 0)), 1, None, "psi-xi")
+        c1 = _build_component(X, None, "pca", Subset.from_bits((1, 0, 0, 0)), 1, None)
         X1, _ = deflate(X, None, c1, None, "pca")
-        c2 = _build_component(X1, None, "pca", Subset.from_bits((0, 1, 0, 0)), 2, None, "psi-xi")
+        c2 = _build_component(X1, None, "pca", Subset.from_bits((0, 1, 0, 0)), 2, None)
         assert float(c1.c @ c2.u) == pytest.approx(0.0, abs=1e-12)
         W = adjusted_weights(X, [c1, c2])
         np.testing.assert_allclose(W[:, 1], c2.u, atol=1e-12)
@@ -266,7 +249,7 @@ class TestPevCpev:
         comps = []
         Xh = X
         for h in range(1, 5):
-            comp = _build_component(Xh, None, "pca", full_subset(4), h, None, "psi-xi")
+            comp = _build_component(Xh, None, "pca", full_subset(4), h, None)
             Xh, _ = deflate(Xh, None, comp, None, "pca")
             comps.append(comp)
         W = adjusted_weights(X, comps)
@@ -439,7 +422,7 @@ class TestFit:
         Xc = X - X.mean(axis=0)
         cpevs = {}
         for k in range(1, 9):
-            trial = bc(Xc, None, "pca", path.buckets[k].best, 1, None, "psi-xi")
+            trial = bc(Xc, None, "pca", path.buckets[k].best, 1, None)
             W = adjusted_weights(Xc, [trial])
             cpevs[k] = pev_cpev(Xc, W)[1][-1]
         floor = 0.9 * cpevs[8]
@@ -528,7 +511,7 @@ def reference_cv_scores(kind, path, supports_prev, Xraw, Yraw, mode, folds, seed
             tr = np.setdiff1d(np.arange(n), val)
             xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
             comps = _refit_fixed(Xraw[tr] - xm, Yraw[tr] - ym, "pls2", supports,
-                                 mode, "psi-xi", seed)
+                                 mode, seed)
             if kind == "min-msep":
                 pred = (Xraw[val] - xm) @ regression_coefficients(comps) + ym
                 err += float(np.sum((pred - Yraw[val]) ** 2))
@@ -572,7 +555,7 @@ class TestCrossValidatedPick:
             path = result.paths[h - 1]
             want = reference_cv_scores(kind, path, [c.subset for c in prev],
                                        Xraw, Yraw, mode, folds=4, seed=0)
-            got = _cv_scores(strategy, path, prev, X0, Y0, "pls2", mode, "psi-xi",
+            got = _cv_scores(strategy, path, prev, X0, Y0, "pls2", mode,
                              0, result.x_means, result.y_means)
             assert np.array_equal(got, want)
             k = int(np.argmin(want) if kind == "min-msep" else np.argmax(want)) + 1

@@ -3,7 +3,7 @@ import pytest
 
 from subsetpath.errors import ConvergenceFailure, DimensionError
 from subsetpath import linalg
-from subsetpath.linalg import center_columns, frobenius_norm, power_iteration, top_eigpair
+from subsetpath.linalg import _power_steps, center_columns, top_eigpair
 
 
 class TestCenterColumns:
@@ -33,17 +33,6 @@ class TestCenterColumns:
             center_columns(np.array([[1.0, 2.0]]))
 
 
-class TestFrobeniusNorm:
-    def test_zero_matrix(self):
-        assert frobenius_norm(np.zeros((3, 4))) == 0.0
-
-    def test_identity(self):
-        assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
-
-    def test_three_four_five(self):
-        assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
-
-
 def random_psd(n, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, n))
@@ -51,20 +40,23 @@ def random_psd(n, seed):
 
 
 class TestPowerIteration:
+    """The power-iteration loop behind top_eigpair's warm large-matrix
+    route, called directly."""
+
     def test_diagonal(self):
-        pair = power_iteration(np.diag([2.0, 0.5]))
+        pair = _power_steps(np.diag([2.0, 0.5]))
         assert pair.value == pytest.approx(2.0, rel=1e-10)
         np.testing.assert_allclose(np.abs(pair.vector), [1.0, 0.0], atol=1e-8)
 
     def test_degenerate_spectrum_identity(self):
         # Any unit vector is acceptable; only the value and residual count.
-        pair = power_iteration(np.eye(3))
+        pair = _power_steps(np.eye(3))
         assert pair.value == pytest.approx(1.0, rel=1e-10)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_eigendecomposition(self):
         A = random_psd(6, seed=42)
-        pair = power_iteration(A)
+        pair = _power_steps(A)
         top = np.linalg.eigvalsh(A)[-1]
         assert pair.value == pytest.approx(top, rel=1e-8)
 
@@ -72,57 +64,49 @@ class TestPowerIteration:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_is_max_rayleigh_quotient_up_to_8x8(self, n, seed):
         A = random_psd(n, seed=100 * n + seed)
-        pair = power_iteration(A)
+        pair = _power_steps(A)
         top = np.linalg.eigvalsh(A)[-1]
         assert pair.value == pytest.approx(top, rel=1e-8)
 
     def test_unit_vector_and_residual_invariants(self):
         A = random_psd(5, seed=9)
-        pair = power_iteration(A, tol=1e-10)
+        pair = _power_steps(A, tol=1e-10)
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-12
         resid = np.max(np.abs(A @ pair.vector - pair.value * pair.vector))
         assert resid <= 1e-10 * max(1.0, pair.value)
 
     def test_seed_invariance_with_spectral_gap(self):
         A = np.diag([3.0, 1.0, 0.5, 0.1])
-        values = [power_iteration(A, seed=s).value for s in range(5)]
+        values = [_power_steps(A, seed=s).value for s in range(5)]
         assert max(values) - min(values) <= 1e-9
 
     def test_sign_convention(self):
         A = random_psd(4, seed=5)
-        pair = power_iteration(A)
+        pair = _power_steps(A)
         assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
 
     def test_zero_matrix_gives_zero_value(self):
-        pair = power_iteration(np.zeros((3, 3)))
+        pair = _power_steps(np.zeros((3, 3)))
         assert pair.value == 0.0
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
 
     def test_warm_start_converges(self):
         A = random_psd(6, seed=12)
-        base = power_iteration(A)
-        warm = power_iteration(A, v0=base.vector)
+        base = _power_steps(A)
+        warm = _power_steps(A, v0=base.vector)
         assert warm.value == pytest.approx(base.value, rel=1e-10)
         assert warm.iterations <= base.iterations
 
     def test_start_orthogonal_to_dominant_space_recovers(self):
         # Start vector exactly in the nullspace of a rank-one matrix.
         A = np.diag([1.0, 0.0])
-        pair = power_iteration(A, v0=np.array([0.0, 1.0]))
+        pair = _power_steps(A, v0=np.array([0.0, 1.0]))
         assert pair.value == pytest.approx(1.0, rel=1e-8)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            power_iteration(np.ones((2, 3)))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            power_iteration(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_max_iter_failure_carries_last_iterate(self):
         A = random_psd(6, seed=3)
         with pytest.raises(ConvergenceFailure) as exc:
-            power_iteration(A, max_iter=1)
+            _power_steps(A, max_iter=1)
         assert exc.value.last is not None
         assert exc.value.last.iterations == 1
 
@@ -144,7 +128,7 @@ class TestTopEigpair:
     @pytest.mark.parametrize("warm", [False, True])
     def test_matches_eigvalsh_and_power_iteration(self, n, warm):
         A = spiked_psd(n, seed=n)
-        ref = power_iteration(A, tol=1e-12)
+        ref = _power_steps(A, tol=1e-12)
         v0 = None
         if warm:
             rng = np.random.default_rng(n + 1)

@@ -5,10 +5,10 @@ import pytest
 
 from subsetpath.linalg import center_columns
 from subsetpath.objective import (
+    ObjectiveContext,
     corner_objective,
-    eval_pca,
-    eval_pls1,
-    eval_pls2,
+    corner_values,
+    eval_objective,
     grad_r,
     lambda_max,
     make_context,
@@ -16,6 +16,8 @@ from subsetpath.objective import (
     t_of_r,
 )
 from subsetpath.errors import DimensionError
+
+from contexts import pls2_context
 
 
 # --- independent finite-difference oracle ------------------------------
@@ -114,14 +116,15 @@ class TestReparameterization:
         np.testing.assert_allclose(t_of_r(r_of_t(t)), t, atol=1e-12)
 
     def test_grad_r_vanishes_at_zero(self):
-        ev = eval_pls1(make_context(np.eye(2), np.ones(2), "pls1", 3.0), np.zeros(2))
+        ctx = make_context(np.eye(2), np.ones(2), "pls1", 3.0)
+        ev = eval_objective(ctx, np.zeros(2))
         np.testing.assert_allclose(grad_r(ev, np.zeros(2)), np.zeros(2))
 
     def test_grad_r_closed_form(self):
         # grad_t = 1 at r = sqrt(ln 2) gives grad_r = 2 sqrt(ln 2) * 0.5.
         r = np.array([np.sqrt(np.log(2.0))])
-        ev = eval_pls1(make_context(np.eye(2)[:, :1], np.zeros(2), "pls1", 1.0),
-                       t_of_r(r))
+        ctx = make_context(np.eye(2)[:, :1], np.zeros(2), "pls1", 1.0)
+        ev = eval_objective(ctx, t_of_r(r))
         assert ev.grad_t[0] == pytest.approx(1.0)
         assert grad_r(ev, r)[0] == pytest.approx(np.sqrt(np.log(2.0)))
 
@@ -130,7 +133,7 @@ class TestReparameterization:
         ctx = make_context(X, Y, "pls2", lam=0.3)
         f = pls2_value(ctx.M, 0.3)
         r = r_of_t(t)
-        ev = eval_pls2(ctx, t)
+        ev = eval_objective(ctx, t)
         got = grad_r(ev, r)
         want = fd_grad(lambda rr: f(t_of_r(rr)), r, h=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
@@ -180,20 +183,20 @@ class TestMakeContext:
 class TestEvalPls1:
     def test_identity_design_hand_values(self):
         ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1", lam=0.0)
-        ev = eval_pls1(ctx, np.array([1.0, 1.0]))
+        ev = eval_objective(ctx, np.array([1.0, 1.0]))
         assert ev.value == pytest.approx(-1.25)
         np.testing.assert_allclose(ev.grad_t, [-0.5, -2.0])
 
     def test_empty_point(self):
         ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1", lam=0.7)
-        ev = eval_pls1(ctx, np.zeros(2))
+        ev = eval_objective(ctx, np.zeros(2))
         assert ev.value == 0.0
         np.testing.assert_allclose(ev.grad_t, [0.7, 0.7])
 
     def test_value_identity(self):
         ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1", lam=0.7)
         t = np.array([0.3, 0.9])
-        ev = eval_pls1(ctx, t)
+        ev = eval_objective(ctx, t)
         assert ev.value == pytest.approx(-ev.delta + 0.7 * t.sum())
 
     def test_gradient_matches_finite_differences(self):
@@ -202,7 +205,7 @@ class TestEvalPls1:
         y = rng.standard_normal(20)
         ctx = make_context(X, y, "pls1", lam=0.2)
         t = rng.uniform(0.1, 0.9, size=6)
-        ev = eval_pls1(ctx, t)
+        ev = eval_objective(ctx, t)
         want = fd_grad(pls1_value(ctx.z, 0.2), t, h=1e-6)
         np.testing.assert_allclose(ev.grad_t, want, rtol=1e-6, atol=1e-9)
 
@@ -215,8 +218,9 @@ class TestEvalPls1:
             t1 = rng.uniform(0, 1, size=5)
             t2 = rng.uniform(0, 1, size=5)
             a = rng.uniform()
-            mix = eval_pls1(ctx, a * t1 + (1 - a) * t2).value
-            sep = a * eval_pls1(ctx, t1).value + (1 - a) * eval_pls1(ctx, t2).value
+            mix = eval_objective(ctx, a * t1 + (1 - a) * t2).value
+            sep = (a * eval_objective(ctx, t1).value
+                   + (1 - a) * eval_objective(ctx, t2).value)
             assert mix >= sep - 1e-12
 
 
@@ -230,7 +234,7 @@ class TestEvalPls2:
             ctx.M if ctx.M is not None else ctx.G,
             np.diag([3.0, 1.0]) if ctx.M is not None else np.diag([9.0, 1.0]),
         )
-        ev = eval_pls2(ctx, np.array([1.0, 1.0]))
+        ev = eval_objective(ctx, np.array([1.0, 1.0]))
         assert ev.delta == pytest.approx(9.0, rel=1e-9)
         assert ev.value == pytest.approx(-9.0, rel=1e-9)
         np.testing.assert_allclose(ev.grad_t, [-18.0, 0.0], atol=1e-7)
@@ -239,31 +243,31 @@ class TestEvalPls2:
         X = np.sqrt(2.0) * np.eye(2)
         Y = np.sqrt(2.0) * np.diag([3.0, 1.0])
         ctx = make_context(X, Y, "pls2")
-        ev = eval_pls2(ctx, np.array([0.0, 1.0]))
+        ev = eval_objective(ctx, np.array([0.0, 1.0]))
         assert ev.delta == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_point(self):
         X, Y, _ = draw_pls2(seed=3)
         ctx = make_context(X, Y, "pls2", lam=0.9)
-        ev = eval_pls2(ctx, np.zeros(8))
+        ev = eval_objective(ctx, np.zeros(8))
         assert ev.delta == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(ev.grad_t, np.full(8, 0.9))
 
     @pytest.mark.parametrize("branch", ["v", "u"])
     def test_gradient_matches_finite_differences(self, branch):
         X, Y, t = draw_pls2(seed=21)
-        ctx = make_context(X, Y, "pls2", lam=0.1, pls2_branch=branch)
+        ctx = pls2_context(X, Y, branch, lam=0.1)
         M = X.T @ Y / X.shape[0]
-        ev = eval_pls2(ctx, t)
+        ev = eval_objective(ctx, t)
         want = fd_grad(pls2_value(M, 0.1), t, h=1e-6)
         np.testing.assert_allclose(ev.grad_t, want, rtol=1e-5, atol=1e-7)
 
     def test_branches_agree(self):
         X, Y, t = draw_pls2(seed=33)
-        ctx_v = make_context(X, Y, "pls2", lam=0.2, pls2_branch="v")
-        ctx_u = make_context(X, Y, "pls2", lam=0.2, pls2_branch="u")
-        ev_v = eval_pls2(ctx_v, t)
-        ev_u = eval_pls2(ctx_u, t)
+        ctx_v = pls2_context(X, Y, "v", lam=0.2)
+        ctx_u = pls2_context(X, Y, "u", lam=0.2)
+        ev_v = eval_objective(ctx_v, t)
+        ev_u = eval_objective(ctx_u, t)
         assert ev_v.value == pytest.approx(ev_u.value, rel=1e-8)
         np.testing.assert_allclose(ev_v.grad_t, ev_u.grad_t, rtol=1e-6, atol=1e-8)
 
@@ -272,9 +276,9 @@ class TestEvalPls2:
         X = np.sqrt(2.0) * np.eye(2)
         Y = np.sqrt(2.0) * np.diag([2.0, 2.0])
         ctx = make_context(X, Y, "pls2")
-        ev = eval_pls2(ctx, np.ones(2))
+        ev = eval_objective(ctx, np.ones(2))
         assert ev.dominant.gap == 0.0
-        ev2 = eval_pls2(ctx, np.array([1.0, 0.5]))
+        ev2 = eval_objective(ctx, np.array([1.0, 0.5]))
         assert ev2.dominant.gap == pytest.approx(3.0)
 
 
@@ -283,21 +287,21 @@ class TestEvalPca:
         n = 2
         X = np.sqrt(n) * np.diag([2.0, 1.0])  # X^T X / n = diag(4, 1)
         ctx = make_context(X, model="pca", lam=0.0)
-        ev = eval_pca(ctx, np.array([1.0, 1.0]))
+        ev = eval_objective(ctx, np.array([1.0, 1.0]))
         assert ev.delta == pytest.approx(4.0, rel=1e-9)
         np.testing.assert_allclose(ev.grad_t, [-8.0, 0.0], atol=1e-7)
 
     def test_zero_point(self):
         X, _ = draw_pca(seed=2)
         ctx = make_context(X, model="pca", lam=0.5)
-        ev = eval_pca(ctx, np.zeros(7))
+        ev = eval_objective(ctx, np.zeros(7))
         assert ev.value == 0.0
         assert ev.delta == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         X, t = draw_pca(seed=17)
         ctx = make_context(X, model="pca", lam=0.15)
-        ev = eval_pca(ctx, t)
+        ev = eval_objective(ctx, t)
         want = fd_grad(pca_value(ctx.G, 0.15), t, h=1e-6)
         np.testing.assert_allclose(ev.grad_t, want, rtol=1e-5, atol=1e-7)
 
@@ -341,13 +345,7 @@ class TestCornerConsistency:
         for bits in itertools.product([0, 1], repeat=p):
             want = discrete_value(model, X, data_y, bits)
             # relaxed objective evaluated exactly at the corner
-            ev = (
-                eval_pls1(ctx, np.array(bits, dtype=float))
-                if model == "pls1"
-                else (eval_pls2 if model == "pls2" else eval_pca)(
-                    ctx, np.array(bits, dtype=float)
-                )
-            )
+            ev = eval_objective(ctx, np.array(bits, dtype=float))
             assert -ev.delta == pytest.approx(want, rel=1e-10, abs=1e-12)
             assert corner_objective(ctx, bits) == pytest.approx(
                 want, rel=1e-10, abs=1e-12
@@ -365,17 +363,13 @@ class TestCornerConsistency:
             ctx = make_context(X, Y, model)
         else:
             ctx = make_context(X, model="pca")
-        evaluate = {
-            "pls1": eval_pls1,
-            "pls2": eval_pls2,
-            "pca": eval_pca,
-        }[model]
         for trial in range(20):
             t = rng.uniform(0, 0.9, size=5)
             j = trial % 5
             bumped = t.copy()
             bumped[j] = min(1.0, t[j] + rng.uniform(0.01, 0.1))
-            assert evaluate(ctx, bumped).value <= evaluate(ctx, t).value + 1e-10
+            before = eval_objective(ctx, t).value
+            assert eval_objective(ctx, bumped).value <= before + 1e-10
 
     def test_scale_relation_same_argmin_over_corners(self):
         # Per size, minimizing -||X_s^T y|| and -||X_s^T y||^2 agree.
@@ -417,3 +411,14 @@ class TestLambdaMax:
             ctx = make_context(X, model="pca")
             want = np.linalg.eigvalsh(X.T @ X / 20)[-1]
         assert lambda_max(ctx) == pytest.approx(want, rel=1e-9)
+
+    def test_nan_on_the_diagonal_is_not_a_value(self):
+        # eigvalsh may return a finite top eigenvalue for this block (sqrt 2
+        # with OpenBLAS); the scorer must not, or lambda_max would start a
+        # grid on it.
+        G = np.array([[np.nan, 1.0], [1.0, 2.0]])
+        ctx = ObjectiveContext("pca", 2, 2, 0, 0.0, G=G)
+        assert np.isnan(corner_values(ctx, np.array([[0, 1], [0, 1]]))).all()
+        assert corner_values(ctx, np.array([[1]]))[0] == -2.0
+        with pytest.raises(ValueError, match="non-finite"):
+            lambda_max(ctx)

@@ -8,19 +8,12 @@ from subsetpath import path as path_module
 from subsetpath import solver
 from subsetpath.errors import ConvergenceFailure, SolverAbort
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
-from subsetpath.objective import (
-    ObjectiveContext,
-    corner_objective,
-    lambda_max,
-    make_context,
-)
+from subsetpath.objective import ObjectiveContext, lambda_max, make_context
 from subsetpath.path import (
     GridConfig,
-    SolutionPath,
     Subset,
     best_row,
     dynamic_grid,
-    path_objective_curve,
     path_to_dict,
     prefix_rows,
     score_buckets,
@@ -28,6 +21,8 @@ from subsetpath.path import (
 )
 from subsetpath.solver import SolverConfig, minimize, top_k_order, unique_rows
 from subsetpath.simulate import SimConfig, gen_multiresponse, generate
+
+from contexts import pls2_context
 
 
 def orders_from_points(points):
@@ -45,12 +40,33 @@ def random_subsets(rng, p, count):
             for _ in range(count)]
 
 
+def context(X, Y, model, branch):
+    return make_context(X, Y, model) if branch is None else pls2_context(X, Y, branch)
+
+
+def reference_value(ctx, idx):
+    # Unpenalized corner objective of one subset straight from the stored
+    # kernel, independent of the package's scorer: -sum z^2 for pls1, else
+    # the top eigenvalue of the k x k block of G, or of the smaller Gram
+    # block of M's rows.
+    idx = np.asarray(idx, dtype=np.intp)
+    if ctx.model == "pls1":
+        zs = ctx.z[idx]
+        return -float(np.sum(zs * zs))
+    if ctx.M is not None:
+        Ms = ctx.M[idx]
+        A = Ms @ Ms.T if len(idx) <= Ms.shape[1] else Ms.T @ Ms
+    else:
+        A = ctx.G[np.ix_(idx, idx)]
+    return -float(np.linalg.eigvalsh(A)[-1])
+
+
 def brute_force_bucket(ctx, orders, k):
-    # Every distinct sorted k-prefix scored one by one with corner_objective;
+    # Every distinct sorted k-prefix scored one by one with reference_value;
     # the lowest value wins, exact ties go to the smallest bits.
     p = ctx.p
     cands = {tuple(sorted(o[:k])) for o in orders.tolist()}
-    scored = [(corner_objective(ctx, Subset(p, idx).bits), Subset(p, idx)) for idx in cands]
+    scored = [(reference_value(ctx, idx), Subset(p, idx)) for idx in cands]
     low = min(v for v, _ in scored)
     return min(s for v, s in scored if v == low), low
 
@@ -182,10 +198,10 @@ class TestSelectBest:
         X = center_columns(rng.standard_normal((40, p)))
         Y = None if model == "pca" else center_columns(
             rng.standard_normal((40, 1 if model == "pls1" else q)))
-        ctx = make_context(X, Y, model, pls2_branch=branch)
+        ctx = context(X, Y, model, branch)
         cands = sorted({tuple(sorted(rng.choice(p, size=k, replace=False)))
                         for _ in range(300)})
-        values = [corner_objective(ctx, Subset(p, c).bits) for c in cands]
+        values = [reference_value(ctx, c) for c in cands]
         low = min(values)
         want = min(Subset(p, c) for c, v in zip(cands, values) if v == low)
         best, value = best_row(ctx, np.array(cands))
@@ -208,7 +224,7 @@ class TestSelectBest:
             best, value = best_row(ctx, order)
             assert best == Subset(5, (2, 3))
             assert best.bitstring() == "00110"
-            assert value == pytest.approx(corner_objective(ctx, best.bits), rel=1e-10)
+            assert value == pytest.approx(reference_value(ctx, best.idx), rel=1e-10)
         # The same tie through score_buckets, from orderings.
         bucket = score_buckets(ctx, rows([0, 1, 4], [2, 3, 0], [3, 0, 1]), 3)[2]
         assert bucket.best == Subset(5, (2, 3))
@@ -222,7 +238,7 @@ class TestSelectBest:
         X = center_columns(rng.standard_normal((30, p)))
         Y = None if model == "pca" else center_columns(
             rng.standard_normal((30, 1 if model == "pls1" else q)))
-        ctx = make_context(X, Y, model, pls2_branch=branch)
+        ctx = context(X, Y, model, branch)
         orders = unique_rows(np.array([rng.permutation(p)[:K] for _ in range(60)]))
         buckets = score_buckets(ctx, orders, K)
         for k in range(1, K + 1):
@@ -615,16 +631,14 @@ class TestCurveAndJson:
         return dynamic_grid(X, y, "pls1", GridConfig(K=8, L=20))
 
     def test_curve_non_increasing(self, path):
-        curve = path_objective_curve(path)
-        values = [v for _, v in curve]
+        values = [path.buckets[k].best_value for k in sorted(path.buckets)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_full_model_value(self, path):
-        ctx = make_context(np.zeros((2, 8)), np.zeros(2), "pls1")
-        curve = dict(path_objective_curve(path))
-        # k = p bucket must be the full subset.
+        # k = p bucket must be the full subset, scored exactly as lambda_max
+        # (the largest penalty of the grid) scores it.
         assert path.buckets[8].best.bits == (1,) * 8
-        assert curve[8] == path.buckets[8].best_value
+        assert path.buckets[8].best_value == -path.lambda_grid[0][0]
 
     def test_json_schema(self, path):
         doc = path_to_dict(path)

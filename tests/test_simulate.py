@@ -125,6 +125,24 @@ class TestPcaCov:
             gen_pca_cov(SimConfig(scenario="pca-cov", p=9, gamma=0, seed=0))
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 0},
+        {"n": 1},             # one row cannot be centered
+        {"p": 0, "gamma": 0},
+        {"q": 0},
+        {"holdout": -3},
+    ])
+    def test_unusable_sizes_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(scenario="multiresponse", **kwargs)
+
+    def test_smallest_sizes_accepted(self):
+        inst = generate(SimConfig(scenario="multiresponse", n=2, p=1, q=1, gamma=0,
+                                  holdout=0))
+        assert inst.X.shape == (2, 1) and inst.Y.shape == (2, 1)
+
+
 class TestGenerateDispatch:
     @pytest.mark.parametrize(
         "scenario,kwargs",

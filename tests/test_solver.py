@@ -10,6 +10,8 @@ from subsetpath.objective import lambda_max, make_context
 from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.solver import SolverConfig, minimize, minimize_batch, top_k_order
 
+from contexts import pls2_context
+
 
 @pytest.fixture()
 def iterates(monkeypatch):
@@ -136,7 +138,7 @@ class TestMinimize:
         X = np.array([[1e200, 1.0], [-1e200, -1.0]])
         Y = np.array([[1e200, 1.0], [-1e200, 1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            ctx = make_context(X, Y, "pls2", lam=0.0, pls2_branch=branch)
+            ctx = pls2_context(X, Y, branch, lam=0.0)
             with pytest.raises(SolverAbort) as exc:
                 minimize(ctx, SolverConfig())
             assert "iteration 0" in str(exc.value)
@@ -210,9 +212,10 @@ def sweep_context(model, branch=None, p=8, n=30, seed=12):
     X = center_columns(rng.standard_normal((n, p)))
     if model == "pca":
         return make_context(X, model="pca")
+    # q < p gives make_context's "v" kernel (M), q >= p its "u" kernel (G).
     q = 1 if model == "pls1" else (3 if branch == "v" else p + 2)
     Y = center_columns(rng.standard_normal((n, q)))
-    return make_context(X, Y[:, 0] if model == "pls1" else Y, model, pls2_branch=branch)
+    return make_context(X, Y[:, 0] if model == "pls1" else Y, model)
 
 
 def assert_same_run(got, want):
