@@ -24,7 +24,6 @@ from .components import (
     regression_coefficients,
 )
 from .errors import (
-    ConvergenceFailure,
     DegenerateLoadingError,
     DegenerateScoreError,
     DimensionError,

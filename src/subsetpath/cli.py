@@ -1,13 +1,13 @@
 """Command-line surface: simulate, path, fit, oracle, metrics.
 
 Exit codes are stable API (see EXIT_CODES): 0 success, 2 parse error,
-3 dimension error, 4 solver abort, convergence failure or non-finite input
-(a NaN or infinite value in a model input), 5 singular system,
-6 size guard, 7 degenerate data (a zero loading or score, as from a response
-without signal). CSV files are RFC-4180 with an optional auto-detected
-header row; floats are serialized at full round-trip precision. Every
-command writes a manifest.json recording the resolved configuration and
-input checksums.
+3 dimension error, 4 solver abort or non-finite input (a NaN or infinite
+value in a model input, or cross-products of one that overflow),
+5 singular system, 6 size guard, 7 degenerate data (a zero loading or
+score, as from a response without signal). CSV files are RFC-4180 with an
+optional auto-detected header row; floats are serialized at full
+round-trip precision. Every command writes a manifest.json recording the
+resolved configuration and input checksums.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .components import PickStrategy, fit, model_to_dict, predict, q2
 from .errors import (
-    ConvergenceFailure,
     DegenerateLoadingError,
     DegenerateScoreError,
     DimensionError,
@@ -48,7 +47,6 @@ EXIT_CODES = {
     ParseError: EXIT_PARSE,
     DimensionError: 3,
     SolverAbort: 4,
-    ConvergenceFailure: 4,
     NonFiniteInputError: 4,
     SingularMatrixError: 5,
     SizeGuardError: 6,
@@ -337,6 +335,12 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _subset_in(p: int, indices, what: str) -> Subset:
+    if any(j < 0 or j >= p for j in indices):
+        raise DimensionError(f"{what} index out of range 0..{p - 1}")
+    return Subset.from_indices(p, indices)
+
+
 def _parse_subset(text: str, p: int) -> Subset:
     if set(text) <= {"0", "1"} and len(text) == p:
         return Subset.from_bitstring(text)
@@ -344,9 +348,7 @@ def _parse_subset(text: str, p: int) -> Subset:
         indices = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"cannot parse subset {text!r}") from exc
-    if any(j < 0 or j >= p for j in indices):
-        raise DimensionError(f"subset index out of range 0..{p - 1}")
-    return Subset.from_indices(p, indices)
+    return _subset_in(p, indices, "subset")
 
 
 def cmd_metrics(args) -> int:
@@ -361,7 +363,7 @@ def cmd_metrics(args) -> int:
     p = args.p or truth.get("p")
     if p is None:
         raise ParseError("truth file does not record p; pass --p")
-    s_true = Subset.from_indices(p, truth["support"])
+    s_true = _subset_in(p, truth["support"], "truth support")
     s_hat = _parse_subset(args.subset, p)
     Y_hat = read_csv_matrix(args.pred) if args.pred else None
     Y_test = read_csv_matrix(args.test) if args.test else None
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exhaustive best subsets (small p)")
     common_model_flags(orc)
-    orc.add_argument("--max-k", type=int, default=None)
+    orc.add_argument("--max-k", type=_int_from(1), default=None)
     orc.add_argument("--compare", help="path.json to compare against")
     orc.set_defaults(func=cmd_oracle)
 

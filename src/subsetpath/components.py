@@ -154,7 +154,6 @@ def loading_from_subset(
     Y_h: np.ndarray | None,
     model: str,
     subset: Subset,
-    seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Optimal loading for a fixed support on (possibly deflated) data.
 
@@ -183,14 +182,14 @@ def loading_from_subset(
         Ms = Xs.T @ Y_h / n
         k, q = Ms.shape
         if k <= q:
-            pair = top_eigpair(Ms @ Ms.T, seed=seed)
+            pair = top_eigpair(Ms @ Ms.T)
             if pair.value <= 0.0:
                 raise DegenerateLoadingError("masked cross-covariance is zero")
             us = pair.vector
             v = Ms.T @ us
             v /= np.linalg.norm(v)
         else:
-            pair = top_eigpair(Ms.T @ Ms, seed=seed)
+            pair = top_eigpair(Ms.T @ Ms)
             if pair.value <= 0.0:
                 raise DegenerateLoadingError("masked cross-covariance is zero")
             v = pair.vector
@@ -204,7 +203,7 @@ def loading_from_subset(
         return u, v, float(np.sqrt(pair.value))
 
     if model == "pca":
-        pair = top_eigpair(Xs.T @ Xs / n, seed=seed)
+        pair = top_eigpair(Xs.T @ Xs / n)
         if pair.value <= 0.0:
             raise DegenerateLoadingError("masked covariance is zero")
         u[idx] = pair.vector
@@ -220,10 +219,9 @@ def _build_component(
     subset: Subset,
     h: int,
     mode: str | None,
-    seed: int = 0,
     objective: float | None = None,
 ) -> ComponentState:
-    u, v, delta = loading_from_subset(X_h, Y_h, model, subset, seed=seed)
+    u, v, delta = loading_from_subset(X_h, Y_h, model, subset)
     xi = X_h @ u
     ss = float(xi @ xi)
     if ss == 0.0:
@@ -376,12 +374,11 @@ def _refit_fixed(
     model: str,
     supports: list[Subset],
     mode: str,
-    seed: int = 0,
 ) -> list[ComponentState]:
     comps = []
     Xh, Yh = Xtr, Ytr
     for h, subset in enumerate(supports, start=1):
-        comp = _build_component(Xh, Yh, model, subset, h, mode, seed=seed)
+        comp = _build_component(Xh, Yh, model, subset, h, mode)
         Xh, Yh = deflate(Xh, Yh, comp, mode, model)
         comps.append(comp)
     return comps
@@ -422,7 +419,7 @@ def q2(
     Yc = Y - Y.mean(axis=0)
     rss = np.zeros((H + 1, q_dim))
     rss[0] = np.sum(Yc * Yc, axis=0)
-    comps = _refit_fixed(Xc, Yc, model, supports, "regression", seed=seed)
+    comps = _refit_fixed(Xc, Yc, model, supports, "regression")
     for h in range(1, H + 1):
         beta = regression_coefficients(comps[:h])
         resid = Yc - Xc @ beta
@@ -436,7 +433,7 @@ def q2(
             raise DegenerateLoadingError("a training fold has a constant response")
         xm, ym = Xtr_raw.mean(axis=0), Ytr_raw.mean(axis=0)
         Xtr, Ytr = Xtr_raw - xm, Ytr_raw - ym
-        fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression", seed=seed)
+        fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
         Xval = X[val] - xm
         for h in range(1, H + 1):
             beta = regression_coefficients(fold_comps[:h])
@@ -488,7 +485,7 @@ def _cv_scores(
         Xv, Yv = X_val, Yraw[val] - ym
         prev = []
         for j, earlier in enumerate(comps, start=1):
-            comp = _build_component(Xtr, Ytr, model, earlier.subset, j, mode, seed)
+            comp = _build_component(Xtr, Ytr, model, earlier.subset, j, mode)
             Xtr, Ytr = deflate(Xtr, Ytr, comp, mode, model)
             prev.append(comp)
             if strategy.kind == "max-cor":
@@ -501,9 +498,7 @@ def _cv_scores(
                 Xv = Xv - np.outer(xi_v, comp.c)
         count += Yv.size
         for k in range(1, K + 1):
-            last = _build_component(
-                Xtr, Ytr, model, path.buckets[k].best, h, mode, seed
-            )
+            last = _build_component(Xtr, Ytr, model, path.buckets[k].best, h, mode)
             if strategy.kind == "min-msep":
                 beta = regression_coefficients(prev + [last])
                 pred = X_val @ beta + ym
@@ -540,9 +535,7 @@ def _pick_subset_size(
     if strategy.kind == "cpev-drop":
         cpevs = np.zeros(K + 1)
         for k in range(1, K + 1):
-            trial = _build_component(
-                Xh, Yh, model, path.buckets[k].best, h, mode, seed
-            )
+            trial = _build_component(Xh, Yh, model, path.buckets[k].best, h, mode)
             W = adjusted_weights(X0, comps + [trial])
             cpevs[k] = pev_cpev(X0, W)[1][-1]
         floor = (1.0 - strategy.fraction) * cpevs[K]
@@ -555,9 +548,7 @@ def _pick_subset_size(
         X_test, Y_test = test
         scores = np.full(K + 1, np.inf)
         for k in range(1, K + 1):
-            trial = _build_component(
-                Xh, Yh, model, path.buckets[k].best, h, mode, seed
-            )
+            trial = _build_component(Xh, Yh, model, path.buckets[k].best, h, mode)
             beta = regression_coefficients(comps + [trial])
             pred = (np.asarray(X_test, dtype=float) - x_means) @ beta + y_means
             scores[k] = _msep(pred, np.asarray(Y_test, dtype=float))
@@ -642,8 +633,7 @@ def fit(
             )
             bucket = path.buckets[k]
             comp = _build_component(
-                Xh, Yh, model, bucket.best, h, mode,
-                seed=solver_cfg.seed, objective=bucket.best_value,
+                Xh, Yh, model, bucket.best, h, mode, objective=bucket.best_value,
             )
             Xh, Yh = deflate(Xh, Yh, comp, mode, model)
         except (DegenerateLoadingError, DegenerateScoreError) as exc:

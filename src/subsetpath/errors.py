@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes (see cli.py): parse errors -> 2,
-dimension errors -> 3, solver aborts, convergence failures and non-finite
-input -> 4, singular systems -> 5, size guards -> 6, degenerate loadings or
-scores -> 7.
+dimension errors -> 3, solver aborts and non-finite input -> 4, singular
+systems -> 5, size guards -> 6, degenerate loadings or scores -> 7. No
+eigen-solve raises: linalg.top_eigpair finishes every solve its power
+steps do not settle with a dense one.
 """
 
 
@@ -16,20 +17,8 @@ class DimensionError(ValueError):
 
 
 class NonFiniteInputError(ValueError):
-    """An input matrix holds a NaN or an infinite value."""
-
-
-class ConvergenceFailure(RuntimeError):
-    """An eigen-solve by power iteration (the warm large-matrix route of
-    top_eigpair) hit its iteration cap.
-
-    Carries the last iterate in ``last`` so callers can decide whether the
-    partial answer is acceptable.
-    """
-
-    def __init__(self, message, last=None):
-        super().__init__(message)
-        self.last = last
+    """An input matrix holds a NaN or an infinite value, or (in the oracle)
+    its cross-products overflow."""
 
 
 class SolverAbort(RuntimeError):

@@ -1,8 +1,10 @@
 """Dense matrix primitives: column centering and the package's one
-dominant-eigenpair routine, top_eigpair (dense eigh, or warm power
-iteration on large matrices). top_eigpair also takes a (B, d, d) stack,
-which the solver passes to solve the eigenproblems of a whole sweep of
-penalties in one call.
+dominant-eigenpair routine, top_eigpair. Cold solves and small matrices go
+to dense eigh; warm-started solves of larger ones take power steps,
+stacked across all the matrices of a call, and finish any matrix the steps
+do not settle with dense eigh, so no solve fails. top_eigpair takes a
+(B, d, d) stack, which the solver passes to solve the eigenproblems of a
+whole sweep of penalties in one call.
 
 Everything operates on plain float ndarrays. All functions are pure; the
 returned arrays never alias their inputs.
@@ -14,26 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionError
+from .errors import DimensionError
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
+# Relative tolerance of the power steps' stopping test.
+TOL = 1e-10
 
 # Largest dimension at which a warm-started top_eigpair call still uses the
-# dense solver; above it, warm power iteration is faster (sweep in CHANGES.md).
-EIGH_CROSSOVER = 100
+# dense solver; above it, warm power steps are faster (sweep in CHANGES.md).
+EIGH_CROSSOVER = 24
 
-# Consecutive zero Rayleigh quotients tolerated before re-drawing the start
-# vector (start landed in the nullspace).
-_ZERO_STALL_LIMIT = 10
-_MAX_REDRAWS = 50
+# Power steps a matrix may take before dense eigh finishes it (sweep in
+# CHANGES.md).
+POWER_STEP_CAP = 64
 
 
 @dataclass(frozen=True)
 class DominantPair:
     """Largest eigenvalue of a symmetric PSD matrix and its unit eigenvector;
-    ``iterations`` counts power-iteration steps, ``gap`` (dense route only,
-    inf at 1 x 1) is the distance to the second eigenvalue.
+    ``iterations`` counts power steps (also those a matrix took before its
+    dense finish), ``gap`` (dense route only, inf at 1 x 1) is the distance
+    to the second eigenvalue.
 
     For a stack of B matrices every field is stacked: value, iterations and
     gap have shape (B,), vector (B, d); ``row(b)`` is the b-th pair."""
@@ -71,38 +73,19 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -v, v)
 
 
-def _seed_vector(n: int, seed: int, offset: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed + 7919 * offset)
-    v = rng.standard_normal(n)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.zeros(n)
-        v[0] = 1.0
-        return v
-    return v / norm
-
-
-def top_eigpair(
-    A: np.ndarray,
-    v0: np.ndarray | None = None,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> DominantPair:
+def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
     """Dominant eigenpair of a symmetric PSD matrix, such as a Gram product,
     or of each matrix in a (B, d, d) stack (then ``v0`` is (B, d) and the
     pair is stacked, see DominantPair).
 
     Cold calls (``v0`` None) and matrices up to EIGH_CROSSOVER rows go to
     numpy's dense ``eigh``, which reads one triangle, in one stacked call;
-    larger warm-started ones to power iteration from ``v0``, one matrix at
-    a time, the only route that uses ``seed``, ``tol`` and ``max_iter``.
-    Checks only finiteness: a single matrix with a non-finite entry raises
-    ValueError, a stacked one gets a NaN value and vector so that the
-    others are still solved."""
+    larger warm-started ones to _power_steps. Checks only finiteness: a
+    single matrix with a non-finite entry raises ValueError, a stacked one
+    gets a NaN value and vector so that the others are still solved."""
     A = np.asarray(A, dtype=float)
     if A.ndim == 3:
-        return _top_eigpairs(A, v0, seed, tol, max_iter)
+        return _top_eigpairs(A, v0)
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
     n = A.shape[0]
@@ -113,10 +96,10 @@ def top_eigpair(
         # BLAS products round differently on strided and contiguous
         # vectors, and callers' outputs are pinned to this layout.
         return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0, gap)
-    return _power_steps(A, tol, max_iter, seed, v0)
+    return _power_steps(A[None], np.asarray(v0, dtype=float)[None]).row(0)
 
 
-def _top_eigpairs(A, v0, seed, tol, max_iter) -> DominantPair:
+def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
     # top_eigpair on a (B, d, d) stack. A matrix with a non-finite entry is
     # solved as the zero matrix, then given a NaN value and vector.
     bad = None
@@ -130,81 +113,62 @@ def _top_eigpairs(A, v0, seed, tol, max_iter) -> DominantPair:
         vector = _fix_sign(V[:, :, -1])
         pair = DominantPair(w[:, -1], vector, np.zeros(B, dtype=int), gap)
     else:
-        pairs = [_power_steps(A[b], tol, max_iter, seed, v0[b]) for b in range(B)]
-        pair = DominantPair(
-            np.array([q.value for q in pairs]),
-            np.array([q.vector for q in pairs]),
-            np.array([q.iterations for q in pairs]),
-        )
+        pair = _power_steps(A, np.asarray(v0, dtype=float))
     if bad is not None:
         pair.value[bad] = np.nan
         pair.vector[bad] = np.nan
     return pair
 
 
-def _power_steps(
-    A: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-    v0: np.ndarray | None = None,
-) -> DominantPair:
-    """Dominant eigenpair of a finite symmetric PSD matrix by power
-    iteration, the warm large-matrix route of top_eigpair.
+def _power_steps(A: np.ndarray, v0: np.ndarray) -> DominantPair:
+    """Dominant eigenpairs of a finite (B, d, d) stack of symmetric PSD
+    matrices by power iteration warm-started from the rows of v0, the warm
+    large-matrix route of top_eigpair.
 
-    Repeats v <- A v / ||A v|| and tracks the Rayleigh quotient
+    Every row repeats v <- A v / ||A v|| and tracks the Rayleigh quotient
     eta = v^T A v until both the change in eta and the residual
-    ||A v - eta v||_inf fall below tol * max(1, eta).
-
-    ``v0`` warm-starts the iteration; otherwise the start vector is drawn
-    deterministically from ``seed``, re-drawn with a new offset if the
-    Rayleigh quotient stagnates at zero. The zero matrix gives value 0.
-
-    Raises ConvergenceFailure (carrying the last iterate) if ``max_iter``
-    is exhausted.
-    """
-    n = A.shape[0]
-    if v0 is not None:
-        v = np.asarray(v0, dtype=float)
-        norm = np.linalg.norm(v)
-        v = v / norm if norm > 0.0 else _seed_vector(n, seed)
-    else:
-        v = _seed_vector(n, seed)
-
-    w = A @ v
-    eta = float(v @ w)
-    zero_stall = 0
-    redraws = 0
-    tiny = 1e-300
-    for it in range(1, max_iter + 1):
-        norm_w = float(np.linalg.norm(w))
-        if norm_w <= tiny:
-            if not A.any():
-                return DominantPair(0.0, _fix_sign(v), 0)
-            zero_stall += 1
-            if zero_stall >= _ZERO_STALL_LIMIT:
-                redraws += 1
-                if redraws > _MAX_REDRAWS:
-                    raise ConvergenceFailure(
-                        "start vector repeatedly trapped in the nullspace",
-                        last=DominantPair(0.0, _fix_sign(v), it),
-                    )
-                v = _seed_vector(n, seed, offset=redraws)
-                w = A @ v
-                eta = float(v @ w)
-                zero_stall = 0
-            continue
-        v_next = w / norm_w
-        w_next = A @ v_next
-        eta_next = float(v_next @ w_next)
-        residual = float(np.max(np.abs(w_next - eta_next * v_next)))
-        bound = tol * max(1.0, abs(eta_next))
-        if abs(eta_next - eta) <= bound and residual <= bound:
-            return DominantPair(eta_next, _fix_sign(v_next), it)
-        v, w, eta = v_next, w_next, eta_next
-
-    raise ConvergenceFailure(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last eigenvalue estimate {eta:.6e})",
-        last=DominantPair(eta, _fix_sign(v), max_iter),
-    )
+    ||A v - eta v||_inf fall below TOL * max(1, eta); the rows still
+    running take each step together. A row that has not stopped after
+    POWER_STEP_CAP steps, or whose product A v vanishes (as from a zero
+    start or one in the nullspace) or overflows, is finished by dense
+    ``eigh``. Rows share no arithmetic, so each row gets the pair it would
+    get alone."""
+    B, d = v0.shape
+    value, vector = np.empty(B), np.empty((B, d))
+    steps = np.full(B, POWER_STEP_CAP)
+    solved = np.zeros(B, dtype=bool)
+    rows, Ar = np.arange(B), A  # the rows still running and their matrices
+    with np.errstate(all="ignore"):
+        # Vectors are kept as (B, d, 1) columns and scalars as (B, 1, 1).
+        v = v0[:, :, None] / np.sqrt((v0 * v0).sum(axis=1))[:, None, None]
+        w = Ar @ v
+        eta = (v * w).sum(axis=1, keepdims=True)
+        for it in range(1, POWER_STEP_CAP + 1):
+            v = w / np.sqrt((w * w).sum(axis=1, keepdims=True))
+            w = Ar @ v
+            eta_next = (v * w).sum(axis=1, keepdims=True)
+            bound = TOL * np.maximum(1.0, np.abs(eta_next))
+            # A row ends once both tests hold; a product that vanished or
+            # overflowed leaves eta NaN or infinite, which ends the row for
+            # the dense finish.
+            ended = ~(np.abs(eta_next - eta) > bound)
+            eta = eta_next
+            if not ended.any():
+                continue
+            ended &= ~(np.abs(w - eta * v).max(axis=1, keepdims=True) > bound)
+            if not ended.any():
+                continue
+            ended = ended[:, 0, 0]
+            settled = ended & np.isfinite(eta[:, 0, 0])
+            solved[rows[settled]] = True
+            value[rows[settled]] = eta[settled, 0, 0]
+            vector[rows[settled]] = v[settled, :, 0]
+            steps[rows[ended]] = it
+            rows, Ar, w, eta = (a[~ended] for a in (rows, Ar, w, eta))
+            if not rows.size:
+                break
+    rest = np.flatnonzero(~solved)
+    if rest.size:
+        w, V = np.linalg.eigh(A[rest])
+        value[rest], vector[rest] = w[:, -1], V[:, :, -1]
+    return DominantPair(value, _fix_sign(vector), steps)

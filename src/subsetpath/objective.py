@@ -10,7 +10,9 @@ objectives minimized over the hypercube are
 
 The box constraint is removed through t_j = 1 - exp(-r_j^2), so downstream
 solvers work on unconstrained r; grad_r applies the chain rule. Spectral
-quantities at relaxed points come from linalg.top_eigpair. eval_batch
+quantities at relaxed points come from linalg.top_eigpair, on the smaller
+of two eigenproblems with the same top eigenvalue (A^T A and A A^T): for
+pls2 with q < p and pca with n < p the q x q or n x n one. eval_batch
 evaluates a stack of points, each under its own penalty, in one pass, and
 eval_objective is its one-row case. Corner values (a binary t, the
 column-deleted data) come from corner_values, which scores a stack of
@@ -52,8 +54,10 @@ class ObjectiveContext:
     """Per-dataset quantities the objectives need; independent of t.
 
     Exactly one kernel is active: ``z`` for pls1, ``M`` for pls2 with
-    q < p, ``G`` for pls2 with q >= p (G = M M^T) and for pca
-    (G = X^T X / n).
+    q < p (M = X^T Y / n) and for pca with n < p (M = X^T / sqrt(n)), ``G``
+    for pls2 with q >= p (G = M M^T) and for pca with n >= p
+    (G = X^T X / n). Either way G = M M^T, so the M kernels solve the
+    smaller of the two eigenproblems.
     """
 
     model: str
@@ -98,7 +102,8 @@ def make_context(
     """Precompute the model kernel from (already centered) data.
 
     pls2 stores M (a q x q eigenproblem per evaluation) when q < p, and
-    G = M M^T (p x p) otherwise.
+    G = M M^T (p x p) otherwise; pca likewise stores M = X^T / sqrt(n)
+    (n x n) when n < p, and G = X^T X / n otherwise.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -112,6 +117,9 @@ def make_context(
     if model == "pca":
         if Y is not None:
             raise DimensionError("pca takes no response matrix")
+        if n < p:
+            M = np.ascontiguousarray(X.T) / np.sqrt(n)
+            return ObjectiveContext("pca", n, p, 0, float(lam), M=M)
         return ObjectiveContext("pca", n, p, 0, float(lam), G=(X.T @ X) / n)
 
     if Y is None:
@@ -141,7 +149,6 @@ def eval_batch(
     ctx: ObjectiveContext,
     T: np.ndarray,
     lam: np.ndarray,
-    seed: int = 0,
     v0: np.ndarray | None = None,
 ) -> ObjectiveEval:
     """Objectives and gradients in t at the rows of T (B, p), row b
@@ -150,11 +157,11 @@ def eval_batch(
     is computed exactly as if it were evaluated alone.
 
     pls1 has the closed form delta = sum(t^2 z^2), grad = lam - 2 t z^2.
-    pls2 with M stored (q < p): the dominant eigenpair of M_t^T M_t gives
-    delta_t^2 and v_t, and grad = lam - 2 (t * (M v_t) * (M v_t)).
-    pls2 with G = M M^T stored (q >= p) and pca (G = X^T X / n): the
-    eigenpair of T_t G T_t gives delta and u_t, and
-    grad = lam - 2 (u_t * (G (t * u_t))).
+    With M stored (pls2 with q < p, pca with n < p): the dominant
+    eigenpair of M_t^T M_t gives delta and v_t, and
+    grad = lam - 2 (t * (M v_t) * (M v_t)). With G stored: the eigenpair
+    of T_t G T_t gives delta and u_t, and grad = lam - 2 (u_t * (G (t * u_t))).
+    The two agree, as u_t = M_t v_t / sqrt(delta).
     """
     lam = np.asarray(lam, dtype=float)
     pair = None
@@ -164,12 +171,12 @@ def eval_batch(
         grad = lam[:, None] - 2.0 * T * z2
     elif ctx.M is not None:
         Mt = T[:, :, None] * ctx.M
-        pair = top_eigpair(Mt.transpose(0, 2, 1) @ Mt, v0=v0, seed=seed)
+        pair = top_eigpair(Mt.transpose(0, 2, 1) @ Mt, v0=v0)
         mv = (ctx.M @ pair.vector[:, :, None])[:, :, 0]
         grad = lam[:, None] - 2.0 * T * mv * mv
     else:
         A = (T[:, :, None] * ctx.G) * T[:, None, :]
-        pair = top_eigpair(A, v0=v0, seed=seed)
+        pair = top_eigpair(A, v0=v0)
         gu = (ctx.G @ (T * pair.vector)[:, :, None])[:, :, 0]
         grad = lam[:, None] - 2.0 * pair.vector * gu
     if pair is not None:
@@ -181,14 +188,13 @@ def eval_batch(
 def eval_objective(
     ctx: ObjectiveContext,
     t: np.ndarray,
-    seed: int = 0,
     v0: np.ndarray | None = None,
 ) -> ObjectiveEval:
     """Objective and gradient at one point t under ctx.lam, warm-started
     from v0: the one-row case of eval_batch."""
     t = np.asarray(t, dtype=float)
     v0 = None if v0 is None else np.asarray(v0, dtype=float)[None]
-    ev = eval_batch(ctx, t[None], np.array([ctx.lam]), seed=seed, v0=v0)
+    ev = eval_batch(ctx, t[None], np.array([ctx.lam]), v0=v0)
     return ObjectiveEval(
         value=float(ev.value[0]),
         grad_t=ev.grad_t[0],
@@ -207,10 +213,10 @@ def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
     """Unpenalized corner objectives of m subsets of one size k >= 1, given
     as an (m, k) array of sorted column indices: -sum(z^2) over the subset
     for pls1, otherwise minus the top eigenvalue of the column-deleted
-    Gram block (k x k, or q x q from M when that is smaller), each solved
-    by numpy's dense eigvalsh. A block with a non-finite entry gets NaN
-    rather than an error (eigvalsh itself may return a finite value for
-    it)."""
+    Gram block (k x k, or the q x q or n x n one from M when that is
+    smaller), each solved by numpy's dense eigvalsh. A block with a
+    non-finite entry gets NaN rather than an error (eigvalsh itself may
+    return a finite value for it)."""
     if ctx.model == "pls1":
         zs = ctx.z[I]
         return -np.sum(zs * zs, axis=1)

@@ -16,7 +16,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import DimensionError, SizeGuardError
+from .errors import DimensionError, NonFiniteInputError, SizeGuardError
 from .path import Subset
 
 EXHAUSTIVE_P_LIMIT = 25
@@ -88,7 +88,8 @@ def exhaustive_path(
         y = Y.reshape(-1)
         if y.shape[0] != n:
             raise DimensionError(f"X has {n} rows but y has {y.shape[0]}")
-        z2 = ((X.T @ y) / n) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            z2 = _finite(((X.T @ y) / n) ** 2)
         best_val = np.full(p + 1, np.inf)
         best_bits = [None] * (p + 1)
         bits = [0] * p
@@ -122,13 +123,15 @@ def exhaustive_path(
             Y = Y[:, None]
         if Y.shape[0] != n:
             raise DimensionError(f"X has {n} rows but Y has {Y.shape[0]}")
-        M = (X.T @ Y) / n
-        G = M @ M.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = (X.T @ Y) / n
+            G = _finite(M @ M.T)
         q = M.shape[1]
     elif model == "pca":
         if Y is not None:
             raise DimensionError("pca takes no response matrix")
-        G = (X.T @ X) / n
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = _finite((X.T @ X) / n)
         q = None
     else:
         raise ValueError(f"unknown model {model!r}")
@@ -187,6 +190,13 @@ def exhaustive_path(
     total_count = count if max_k < p else (1 << p) - 1
     return OracleResult(model, p, per_size, enumerated_count=total_count,
                         scored_count=scored)
+
+
+def _finite(kernel: np.ndarray) -> np.ndarray:
+    # Finite input can still overflow in its cross-products.
+    if not np.isfinite(kernel).all():
+        raise NonFiniteInputError("data overflow: the cross-products are non-finite")
+    return kernel
 
 
 def oracle_to_dict(result: OracleResult) -> dict:

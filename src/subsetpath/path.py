@@ -17,7 +17,9 @@ The dynamic grid drives the solver over a data-dependent schedule of
 penalty values so that terminal subsets cover all sizes 1..K; the
 penalties of one bisection sweep, and the halvings of the first phase in
 chunks, are solved together in one batched solver call
-(solver.minimize_batch).
+(solver.minimize_batch). Its eigen-solves cannot fail (linalg.top_eigpair
+finishes the ones its power steps do not settle densely), so a batch is
+never redone.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, SolverAbort
-from .linalg import EIGH_CROSSOVER
+from .errors import SolverAbort
 from .objective import ObjectiveContext, corner_values, lambda_max, make_context
-from .solver import SolverConfig, SolverRun, minimize, minimize_batch, unique_rows
+from .solver import SolverConfig, SolverRun, minimize_batch, unique_rows
 
 # Candidates per stacked eigen-solve in best_row; bounds the block stack to
 # _BATCH * K^2 floats.
@@ -195,10 +196,10 @@ def score_buckets(
 
 def _chunk(p: int) -> int:
     """Halvings solved per batch in step 1 of dynamic_grid. A run past the
-    one that reaches K is solved for nothing: up to EIGH_CROSSOVER columns
-    it costs little beside the loop's own overhead, above that each row
-    pays its own power iteration or wide-vector work (sweep in CHANGES.md)."""
-    return 16 if p <= EIGH_CROSSOVER else 8
+    one that reaches K is solved for nothing: up to 100 columns it costs
+    little beside the loop's own overhead, above that each row pays its own
+    eigen-solve or wide-vector work (sweep over p in CHANGES.md)."""
+    return 16 if p <= 100 else 8
 
 
 def terminal_subset(t: np.ndarray, rho: float) -> Subset:
@@ -264,30 +265,18 @@ def dynamic_grid(
         orders.append(run.trace)
         return k_lam
 
-    def solve(lam: float) -> SolverRun | SolverAbort:
-        try:
-            return minimize(ctx0.with_lambda(lam), solver_cfg, grid_cfg.K)
-        except SolverAbort as err:
-            return err
-
     # Step 1: from lambda_max (whose terminal subset is empty), halve until
     # the terminal size reaches K or the budget is spent. The next _chunk(p)
     # penalties lambda_max / 2^l, from l = 0 and no more than the budget
     # left, are solved as one batch and recorded in order; the runs after
-    # the first one that reaches K are discarded. A chunk that hits
-    # ConvergenceFailure is redone one run at a time, so that a run the
-    # schedule would never reach cannot fail it.
+    # the first one that reaches K are discarded.
     evals = 0
     k_lam = 0
     chunk = _chunk(ctx0.p)
     while evals < grid_cfg.L and k_lam < grid_cfg.K:
         size = min(chunk, grid_cfg.L - evals)
         lams = [lam_top / 2.0**(evals + i) for i in range(size)]
-        try:
-            runs = minimize_batch(ctx0, lams, solver_cfg, grid_cfg.K)
-        except ConvergenceFailure:
-            runs = map(solve, lams)  # lazy: stops where the loop below stops
-        for lam, run in zip(lams, runs):
+        for lam, run in zip(lams, minimize_batch(ctx0, lams, solver_cfg, grid_cfg.K)):
             evals += 1
             k_lam = record(lam, run)
             if k_lam >= grid_cfg.K:

@@ -161,7 +161,7 @@ def minimize_batch(
     it = 0
 
     while True:
-        ev = eval_batch(ctx, T, lams, seed=cfg.seed, v0=warm)
+        ev = eval_batch(ctx, T, lams, v0=warm)
         G = grad_r(ev, R)
         order = top_k_order(T, K)
         for i, b in enumerate(rows):

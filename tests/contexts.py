@@ -1,12 +1,15 @@
-"""Shared test helper: pls2 objective contexts with a chosen kernel.
+"""Shared test helpers: pls2 and pca objective contexts with a chosen kernel.
 
-make_context picks the pls2 kernel itself: M when q < p ("v", a q x q
-eigenproblem per evaluation), G = M M^T otherwise ("u", p x p). Tests that
+make_context picks the kernel itself: for pls2, M when q < p ("v", a q x q
+eigenproblem per evaluation) and G = M M^T otherwise ("u", p x p); for
+pca, M = X^T / sqrt(n) when n < p and G = X^T X / n otherwise. Tests that
 exercise one kernel on data where make_context would pick the other build
 it here, with exactly the arrays make_context would store.
 """
 
 import dataclasses
+
+import numpy as np
 
 from subsetpath.objective import make_context
 
@@ -23,3 +26,19 @@ def pls2_context(X, Y, branch, lam=0.0):
             return ctx
         return dataclasses.replace(ctx, M=None, G=ctx.M @ ctx.M.T)
     raise ValueError(f"unknown pls2 branch {branch!r}")
+
+
+def pca_context(X, kernel, lam=0.0):
+    """make_context(X, model="pca", lam=lam) with kernel "M" (X^T / sqrt(n),
+    an n x n eigenproblem) or "G" (X^T X / n, p x p)."""
+    ctx = make_context(X, model="pca", lam=lam)
+    n = X.shape[0]
+    if kernel == "M":
+        if ctx.M is not None:
+            return ctx
+        return dataclasses.replace(ctx, M=np.ascontiguousarray(X.T) / np.sqrt(n), G=None)
+    if kernel == "G":
+        if ctx.G is not None:
+            return ctx
+        return dataclasses.replace(ctx, M=None, G=(X.T @ X) / n)
+    raise ValueError(f"unknown pca kernel {kernel!r}")

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from subsetpath import cli, components, path
+from subsetpath import cli, components
 from subsetpath.cli import main, read_csv_matrix, write_csv_matrix
-from subsetpath.errors import ConvergenceFailure, DegenerateScoreError
+from subsetpath.errors import DegenerateScoreError
 
 
 def run_cli(*argv):
@@ -303,6 +303,15 @@ class TestMetricsCommand:
         assert "must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truth_support_beyond_p_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"support": [0, 3]}))
+        code = run_cli("metrics", "--truth", str(path), "--subset", "110", "--p", "3")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: truth support index out of range 0..2")
+        assert err.count("\n") == 1
+
     def test_indices_form(self, truth_file, capsys):
         code = run_cli("metrics", "--truth", str(truth_file), "--subset", "0 1")
         assert code == 0
@@ -359,15 +368,27 @@ class TestErrorExits:
         assert run_cli(*self.argv("fit", "pls2", sim, tmp_path / "out")) == 5
         self.assert_one_error_line(capsys)
 
-    def test_convergence_failure_exits_4(self, tmp_path, capsys, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ConvergenceFailure("power iteration did not converge")
-
-        monkeypatch.setattr(path, "minimize_batch", no_convergence)
-        monkeypatch.setattr(path, "minimize", no_convergence)
-        sim = self.sim(tmp_path)
-        assert run_cli(*self.argv("path", "pls2", sim, tmp_path / "out")) == 4
+    @pytest.mark.parametrize("command", ["path", "oracle"])
+    def test_overflowing_data_exits_4(self, tmp_path, capsys, command):
+        # Finite input whose cross-products overflow.
+        (tmp_path / "X.csv").write_text("1,2,1e200\n2,1,-1e200\n0.5,3,1e200\n")
+        argv = [command, "--model", "pca", "--x", str(tmp_path / "X.csv"),
+                "--out", str(tmp_path / "out")]
+        if command == "path":
+            argv += ["--k-max", "2"]
+        assert run_cli(*argv) == 4
         self.assert_one_error_line(capsys)
+
+    def test_oracle_max_k_below_1_exits_2_before_reading(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("data read before the flags were checked")
+
+        monkeypatch.setattr(cli, "read_finite_matrix", no_work)
+        sim = self.sim(tmp_path)
+        assert run_cli("oracle", "--model", "pca", "--x", str(sim / "X.csv"),
+                       "--max-k", "0", "--out", str(tmp_path / "out")) == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, model, bad", [
         ("path", "pls2", ["--budget", "1"]),

@@ -510,8 +510,7 @@ def reference_cv_scores(kind, path, supports_prev, Xraw, Yraw, mode, folds, seed
         for val in fold_idx:
             tr = np.setdiff1d(np.arange(n), val)
             xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
-            comps = _refit_fixed(Xraw[tr] - xm, Yraw[tr] - ym, "pls2", supports,
-                                 mode, seed)
+            comps = _refit_fixed(Xraw[tr] - xm, Yraw[tr] - ym, "pls2", supports, mode)
             if kind == "min-msep":
                 pred = (Xraw[val] - xm) @ regression_coefficients(comps) + ym
                 err += float(np.sum((pred - Yraw[val]) ** 2))

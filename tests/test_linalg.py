@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subsetpath.errors import ConvergenceFailure, DimensionError
+from subsetpath.errors import DimensionError
 from subsetpath import linalg
 from subsetpath.linalg import _power_steps, center_columns, top_eigpair
 
@@ -39,78 +39,6 @@ def random_psd(n, seed):
     return B @ B.T
 
 
-class TestPowerIteration:
-    """The power-iteration loop behind top_eigpair's warm large-matrix
-    route, called directly."""
-
-    def test_diagonal(self):
-        pair = _power_steps(np.diag([2.0, 0.5]))
-        assert pair.value == pytest.approx(2.0, rel=1e-10)
-        np.testing.assert_allclose(np.abs(pair.vector), [1.0, 0.0], atol=1e-8)
-
-    def test_degenerate_spectrum_identity(self):
-        # Any unit vector is acceptable; only the value and residual count.
-        pair = _power_steps(np.eye(3))
-        assert pair.value == pytest.approx(1.0, rel=1e-10)
-        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_dense_eigendecomposition(self):
-        A = random_psd(6, seed=42)
-        pair = _power_steps(A)
-        top = np.linalg.eigvalsh(A)[-1]
-        assert pair.value == pytest.approx(top, rel=1e-8)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_is_max_rayleigh_quotient_up_to_8x8(self, n, seed):
-        A = random_psd(n, seed=100 * n + seed)
-        pair = _power_steps(A)
-        top = np.linalg.eigvalsh(A)[-1]
-        assert pair.value == pytest.approx(top, rel=1e-8)
-
-    def test_unit_vector_and_residual_invariants(self):
-        A = random_psd(5, seed=9)
-        pair = _power_steps(A, tol=1e-10)
-        assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-12
-        resid = np.max(np.abs(A @ pair.vector - pair.value * pair.vector))
-        assert resid <= 1e-10 * max(1.0, pair.value)
-
-    def test_seed_invariance_with_spectral_gap(self):
-        A = np.diag([3.0, 1.0, 0.5, 0.1])
-        values = [_power_steps(A, seed=s).value for s in range(5)]
-        assert max(values) - min(values) <= 1e-9
-
-    def test_sign_convention(self):
-        A = random_psd(4, seed=5)
-        pair = _power_steps(A)
-        assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
-
-    def test_zero_matrix_gives_zero_value(self):
-        pair = _power_steps(np.zeros((3, 3)))
-        assert pair.value == 0.0
-        assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
-
-    def test_warm_start_converges(self):
-        A = random_psd(6, seed=12)
-        base = _power_steps(A)
-        warm = _power_steps(A, v0=base.vector)
-        assert warm.value == pytest.approx(base.value, rel=1e-10)
-        assert warm.iterations <= base.iterations
-
-    def test_start_orthogonal_to_dominant_space_recovers(self):
-        # Start vector exactly in the nullspace of a rank-one matrix.
-        A = np.diag([1.0, 0.0])
-        pair = _power_steps(A, v0=np.array([0.0, 1.0]))
-        assert pair.value == pytest.approx(1.0, rel=1e-8)
-
-    def test_max_iter_failure_carries_last_iterate(self):
-        A = random_psd(6, seed=3)
-        with pytest.raises(ConvergenceFailure) as exc:
-            _power_steps(A, max_iter=1)
-        assert exc.value.last is not None
-        assert exc.value.last.iterations == 1
-
-
 def spiked_psd(n, seed):
     # Gram matrix with a clear top eigengap, so every route converges fast.
     rng = np.random.default_rng(seed)
@@ -119,25 +47,140 @@ def spiked_psd(n, seed):
     return B @ B.T + 4.0 * np.outer(u, u) / (u @ u)
 
 
+def power(A, v0=None):
+    # The stacked warm route on one matrix, started from v0 (all ones by
+    # default), whatever its size.
+    v0 = np.ones(A.shape[0]) if v0 is None else np.asarray(v0, dtype=float)
+    return _power_steps(A[None], v0[None]).row(0)
+
+
+def near_tied(n, seed, gap=1e-6):
+    # Top two eigenvalues 1 and 1 - gap in a random basis: power steps from
+    # a start that mixes both cannot settle within POWER_STEP_CAP.
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    w = np.concatenate([[1.0, 1.0 - gap], np.linspace(0.5, 0.1, n - 2)])
+    A = (Q * w) @ Q.T
+    return (A + A.T) / 2.0, (Q[:, 0] + Q[:, 1]) / np.sqrt(2.0)
+
+
+def dense(A):
+    w, V = np.linalg.eigh(A)
+    return w[-1], linalg._fix_sign(V[:, -1])
+
+
+class TestPowerIteration:
+    """The stacked power steps behind top_eigpair's warm large-matrix
+    route, called directly."""
+
+    def test_diagonal(self):
+        pair = power(np.diag([2.0, 0.5]))
+        assert pair.value == pytest.approx(2.0, rel=1e-10)
+        np.testing.assert_allclose(np.abs(pair.vector), [1.0, 0.0], atol=1e-8)
+
+    def test_degenerate_spectrum_identity(self):
+        # Any unit vector is acceptable; only the value and residual count.
+        pair = power(np.eye(3))
+        assert pair.value == pytest.approx(1.0, rel=1e-10)
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_dense_eigendecomposition(self):
+        A = random_psd(6, seed=42)
+        pair = power(A)
+        top = np.linalg.eigvalsh(A)[-1]
+        assert pair.value == pytest.approx(top, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_is_max_rayleigh_quotient_up_to_8x8(self, n, seed):
+        A = random_psd(n, seed=100 * n + seed)
+        pair = power(A)
+        top = np.linalg.eigvalsh(A)[-1]
+        assert pair.value == pytest.approx(top, rel=1e-8)
+
+    def test_unit_vector_and_residual_invariants(self):
+        A = random_psd(5, seed=9)
+        pair = power(A)
+        assert pair.iterations < linalg.POWER_STEP_CAP  # settled, not finished
+        assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-12
+        resid = np.max(np.abs(A @ pair.vector - pair.value * pair.vector))
+        assert resid <= 1e-10 * max(1.0, pair.value)
+
+    def test_sign_convention(self):
+        pair = power(random_psd(4, seed=5), v0=-np.ones(4))
+        assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
+
+    def test_warm_start_converges(self):
+        A = random_psd(6, seed=12)
+        base = power(A)
+        warm = power(A, v0=base.vector)
+        assert warm.value == pytest.approx(base.value, rel=1e-10)
+        assert warm.iterations < base.iterations
+
+    def test_capped_row_equals_the_dense_result(self):
+        A, v0 = near_tied(12, seed=4)
+        pair = power(A, v0)
+        assert pair.iterations == linalg.POWER_STEP_CAP
+        value, vector = dense(A)
+        assert pair.value == value
+        np.testing.assert_array_equal(pair.vector, vector)
+
+    def test_zero_matrix_gives_zero_value(self):
+        pair = power(np.zeros((3, 3)))
+        assert pair.value == 0.0
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
+
+    def test_start_orthogonal_to_dominant_space_recovers(self):
+        # Start vector exactly in the nullspace of a rank-one matrix.
+        pair = power(np.diag([1.0, 0.0]), v0=np.array([0.0, 1.0]))
+        assert pair.value == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("A,v0", [
+        (np.zeros((3, 3)), np.ones(3)),                 # zero matrix
+        (np.diag([1.0, 0.0]), np.array([0.0, 1.0])),    # start in the nullspace
+        (random_psd(4, seed=2), np.zeros(4)),           # zero start
+    ])
+    def test_zero_product_row_gets_the_dense_finish(self, A, v0):
+        pair = power(A, v0)
+        assert pair.iterations == 1
+        value, vector = dense(A)
+        assert pair.value == value
+        np.testing.assert_array_equal(pair.vector, vector)
+
+    def test_rows_equal_their_runs_alone_bit_for_bit(self):
+        # A stack whose rows stop at different steps, by settling, by the
+        # cap and by a zero product, gives each row what it gives alone.
+        tied, v_tied = near_tied(12, seed=8)
+        A = np.stack([spiked_psd(12, seed=0), tied, np.zeros((12, 12)),
+                      spiked_psd(12, seed=3)])
+        v0 = np.stack([np.ones(12), v_tied, np.ones(12), np.arange(12.0)])
+        pair = _power_steps(A, v0)
+        assert len(set(pair.iterations.tolist())) == 4
+        for b in range(4):
+            alone = _power_steps(A[b:b + 1], v0[b:b + 1]).row(0)
+            assert pair.row(b).value == alone.value
+            assert pair.row(b).iterations == alone.iterations
+            np.testing.assert_array_equal(pair.vector[b], alone.vector)
+
+
 CROSSOVER = linalg.EIGH_CROSSOVER
 
 
 class TestTopEigpair:
-    @pytest.mark.parametrize(
-        "n", [1, 2, 10, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 150])
+    @pytest.mark.parametrize("n", sorted({1, 2, 10, CROSSOVER - 1, CROSSOVER,
+                                          CROSSOVER + 1, 99, 100, 101, 150}))
     @pytest.mark.parametrize("warm", [False, True])
     def test_matches_eigvalsh_and_power_iteration(self, n, warm):
         A = spiked_psd(n, seed=n)
-        ref = _power_steps(A, tol=1e-12)
+        w, V = np.linalg.eigh(A)
+        ref = linalg._fix_sign(V[:, -1])
         v0 = None
         if warm:
             rng = np.random.default_rng(n + 1)
-            v0 = ref.vector + 1e-3 * rng.standard_normal(n)
-        pair = top_eigpair(A, v0=v0, tol=1e-12)
-        w = np.linalg.eigvalsh(A)
+            v0 = ref + 1e-3 * rng.standard_normal(n)
+        pair = top_eigpair(A, v0=v0)
         assert pair.value == pytest.approx(w[-1], rel=1e-10)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(pair.vector, ref.vector, atol=1e-6)
+        np.testing.assert_allclose(pair.vector, ref, atol=1e-6)
         if warm and n > CROSSOVER:
             assert pair.gap is None and pair.iterations > 0
         else:
@@ -145,19 +188,38 @@ class TestTopEigpair:
             want_gap = w[-1] - w[-2] if n > 1 else np.inf
             assert pair.gap == pytest.approx(want_gap, rel=1e-8)
 
-    @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True)])
+    def test_single_warm_call_is_the_one_row_stack(self):
+        n = CROSSOVER + 5
+        A, v0 = near_tied(n, seed=6)
+        pair = top_eigpair(A, v0=v0)
+        stacked = top_eigpair(A[None], v0=v0[None]).row(0)
+        assert pair.value == stacked.value and pair.iterations == stacked.iterations
+        np.testing.assert_array_equal(pair.vector, stacked.vector)
+        assert pair.value == dense(A)[0]  # capped, then finished densely
+
+    @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True), (101, True)])
     def test_zero_matrix(self, n, warm):
         v0 = np.ones(n) if warm else None
         pair = top_eigpair(np.zeros((n, n)), v0=v0)
         assert pair.value == 0.0
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("n,warm", [(3, False), (3, True), (CROSSOVER + 1, True)])
+    @pytest.mark.parametrize("n,warm", [(3, False), (3, True), (CROSSOVER + 1, True),
+                                        (101, True)])
     def test_non_finite_rejected(self, n, warm):
         A = np.eye(n)
         A[0, 1] = A[1, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             top_eigpair(A, v0=np.ones(n) if warm else None)
+
+    @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True)])
+    def test_non_finite_stack_row_is_nan_alone(self, n, warm):
+        A = np.stack([spiked_psd(n, seed=1), spiked_psd(n, seed=2)])
+        A[0, 0, 1] = np.nan
+        v0 = np.ones((2, n)) if warm else None
+        pair = top_eigpair(A, v0=v0)
+        assert np.isnan(pair.value[0]) and np.isnan(pair.vector[0]).all()
+        assert pair.value[1] == pytest.approx(np.linalg.eigvalsh(A[1])[-1], rel=1e-10)
 
     def test_tied_spectrum_has_zero_gap(self):
         pair = top_eigpair(2.0 * np.eye(3))

@@ -8,6 +8,7 @@ from subsetpath.objective import (
     ObjectiveContext,
     corner_objective,
     corner_values,
+    eval_batch,
     eval_objective,
     grad_r,
     lambda_max,
@@ -17,7 +18,7 @@ from subsetpath.objective import (
 )
 from subsetpath.errors import DimensionError
 
-from contexts import pls2_context
+from contexts import pca_context, pls2_context
 
 
 # --- independent finite-difference oracle ------------------------------
@@ -159,6 +160,13 @@ class TestMakeContext:
         assert ctx.M is None and ctx.G.shape == (3, 3)
         ctx2 = make_context(rng.standard_normal((10, 6)), Y, "pls2")
         assert ctx2.M is not None and ctx2.M.shape == (6, 5)
+
+    def test_pca_kernel_selection(self):
+        rng = np.random.default_rng(2)
+        ctx = make_context(rng.standard_normal((5, 8)), model="pca")
+        assert ctx.G is None and ctx.M.shape == (8, 5) and ctx.q == 0
+        ctx2 = make_context(rng.standard_normal((8, 8)), model="pca")
+        assert ctx2.M is None and ctx2.G.shape == (8, 8)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -304,6 +312,30 @@ class TestEvalPca:
         ev = eval_objective(ctx, t)
         want = fd_grad(pca_value(ctx.G, 0.15), t, h=1e-6)
         np.testing.assert_allclose(ev.grad_t, want, rtol=1e-5, atol=1e-7)
+
+
+class TestPcaKernels:
+    """pca with n < p solves the n x n eigenproblem of M = X^T / sqrt(n),
+    the same one the pls2 M kernel solves; the p x p one of G = X^T X / n
+    has the same top eigenvalue, and the two gradients agree."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_m_kernel_matches_g_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = 12, 30
+        X = center_columns(rng.standard_normal((n, p)))
+        ctx_m, ctx_g = pca_context(X, "M"), pca_context(X, "G")
+        T = rng.uniform(0.05, 0.95, size=(5, p))
+        lam = rng.uniform(0.0, 1.0, size=5)
+        ev_m, ev_g = eval_batch(ctx_m, T, lam), eval_batch(ctx_g, T, lam)
+        np.testing.assert_allclose(ev_m.delta, ev_g.delta, rtol=1e-12)
+        scale = np.abs(ev_g.grad_t).max()
+        np.testing.assert_allclose(ev_m.grad_t, ev_g.grad_t, rtol=0, atol=1e-12 * scale)
+        for k in (1, 5, n, 20, p):  # blocks k x k below n, n x n above
+            I = np.sort(np.stack([rng.permutation(p)[:k] for _ in range(4)]), axis=1)
+            np.testing.assert_allclose(corner_values(ctx_m, I), corner_values(ctx_g, I),
+                                       rtol=1e-12)
+        assert lambda_max(ctx_m) == pytest.approx(lambda_max(ctx_g), rel=1e-12)
 
 
 # --- corner behaviour ----------------------------------------------------

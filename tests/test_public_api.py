@@ -12,7 +12,7 @@ PUBLIC_NAMES = sorted([
     "deflate", "fit", "loading_from_subset", "pev_cpev", "predict", "q2",
     "regression_coefficients",
     # errors
-    "ConvergenceFailure", "DegenerateLoadingError", "DegenerateScoreError",
+    "DegenerateLoadingError", "DegenerateScoreError",
     "DimensionError", "NonFiniteInputError", "ParseError", "SingularMatrixError",
     "SizeGuardError", "SolverAbort",
     # linalg

@@ -232,10 +232,13 @@ class TestBatchedSweep:
         ("pls2", "v", 8, 1000),
         ("pls2", "u", 6, 1000),
         ("pca", None, 8, 1000),
-        ("pca", None, EIGH_CROSSOVER + 10, 40),  # warm power-iteration route
+        # warm power steps on the n x n (M) and the p x p (G) eigenproblem
+        ("pca", None, 110, 40),
+        ("pca", None, EIGH_CROSSOVER + 6, 40),
     ])
     def test_batch_equals_single_runs_bitwise(self, model, branch, p, max_iter, monkeypatch):
-        ctx = sweep_context(model, branch, p=p, n=40 if p > 10 else 30)
+        n = 40 if p > 10 else 30
+        ctx = sweep_context(model, branch, p=p, n=n)
         lams = lambda_max(ctx) * np.array([0.9, 0.45, 0.2, 0.07])
         cfg = SolverConfig(max_iter=max_iter)
         power_steps = []
@@ -243,7 +246,8 @@ class TestBatchedSweep:
         monkeypatch.setattr(linalg, "_power_steps",
                             lambda *a: power_steps.append(1) or steps(*a))
         batch = minimize_batch(ctx, lams, cfg, K=min(p, 6))
-        assert bool(power_steps) == (p > EIGH_CROSSOVER)
+        dim = {"pls1": 0, "pls2": 3 if branch == "v" else p, "pca": min(n, p)}[model]
+        assert bool(power_steps) == (dim > EIGH_CROSSOVER)
         for lam, run in zip(lams, batch):
             assert_same_run(run, minimize(ctx.with_lambda(lam), cfg, K=min(p, 6)))
         if max_iter == 1000:
