@@ -1,10 +1,12 @@
 """Dense matrix primitives: column centering and the package's one
-dominant-eigenpair routine, top_eigpair. Cold solves and small matrices go
-to dense eigh; warm-started solves of larger ones take power steps,
-stacked across all the matrices of a call, and finish any matrix the steps
-do not settle with dense eigh, so no solve fails. top_eigpair takes a
-(B, d, d) stack, which the solver passes to solve the eigenproblems of a
-whole sweep of penalties in one call.
+dominant-eigenpair routine, top_eigpair. Cold solves go to dense eigh.
+Warm-started solves of small matrices take one power step with the 64th
+power of A / tr A, those of larger ones repeated power steps, each stacked
+across all the matrices of a call; any matrix the steps do not settle is
+finished with dense eigh, so no solve fails. Warm vectors are not
+sign-normalized. top_eigpair takes a (B, d, d) stack, which the solver
+passes to solve the eigenproblems of a whole sweep of penalties in one
+call.
 
 Everything operates on plain float ndarrays. All functions are pure; the
 returned arrays never alias their inputs.
@@ -21,9 +23,16 @@ from .errors import DimensionError
 # Relative tolerance of the power steps' stopping test.
 TOL = 1e-10
 
-# Largest dimension at which a warm-started top_eigpair call still uses the
-# dense solver; above it, warm power steps are faster (sweep in CHANGES.md).
+# Largest dimension at which a warm-started top_eigpair call takes one
+# squared power step; larger ones take repeated power steps, which beat
+# dense eigh above it (sweep in CHANGES.md).
 EIGH_CROSSOVER = 24
+
+# Squarings in that step: it applies (A / tr A)^64, which settled 62% and
+# 89% of the warm solves of pure-noise pca paths at p = 15 and p = 20,
+# against 31% and 55% at A^32, and made those paths no slower than dense
+# eigh (sweep in CHANGES.md).
+_SQUARINGS = 6
 
 # Power steps a matrix may take before dense eigh finishes it (sweep in
 # CHANGES.md).
@@ -34,8 +43,11 @@ POWER_STEP_CAP = 64
 class DominantPair:
     """Largest eigenvalue of a symmetric PSD matrix and its unit eigenvector;
     ``iterations`` counts power steps (also those a matrix took before its
-    dense finish), ``gap`` (dense route only, inf at 1 x 1) is the distance
-    to the second eigenvalue.
+    dense finish; 0 on a cold solve, 1 on the squared step), ``gap`` (cold
+    solves only, inf at 1 x 1; None for warm ones) is the distance to the
+    second eigenvalue. Only cold vectors are sign-normalized (entry of
+    largest magnitude positive); a warm vector keeps the sign its start
+    gives it, which the solver's gradient does not depend on.
 
     For a stack of B matrices every field is stacked: value, iterations and
     gap have shape (B,), vector (B, d); ``row(b)`` is the b-th pair."""
@@ -78,25 +90,28 @@ def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
     or of each matrix in a (B, d, d) stack (then ``v0`` is (B, d) and the
     pair is stacked, see DominantPair).
 
-    Cold calls (``v0`` None) and matrices up to EIGH_CROSSOVER rows go to
-    numpy's dense ``eigh``, which reads one triangle, in one stacked call;
-    larger warm-started ones to _power_steps. Checks only finiteness: a
-    single matrix with a non-finite entry raises ValueError, a stacked one
-    gets a NaN value and vector so that the others are still solved."""
+    Cold calls (``v0`` None) go to numpy's dense ``eigh``, which reads one
+    triangle, in one stacked call, and their vectors are sign-normalized
+    (_fix_sign). Warm-started ones take _squared_step up to EIGH_CROSSOVER
+    rows and _power_steps above it; a single warm matrix is the one-row
+    stack. Warm vectors are not sign-normalized: they keep the sign their
+    start gives them. Checks only finiteness: a single matrix with a
+    non-finite entry raises ValueError, a stacked one gets a NaN value and
+    vector so that the others are still solved."""
     A = np.asarray(A, dtype=float)
     if A.ndim == 3:
         return _top_eigpairs(A, v0)
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
+    if v0 is not None:
+        return _top_eigpairs(A[None], np.asarray(v0, dtype=float)[None]).row(0)
     n = A.shape[0]
-    if v0 is None or n <= EIGH_CROSSOVER:
-        w, V = np.linalg.eigh(A)
-        gap = float(w[-1] - w[-2]) if n > 1 else np.inf
-        # The vector stays a view of eigh's column where its sign allows:
-        # BLAS products round differently on strided and contiguous
-        # vectors, and callers' outputs are pinned to this layout.
-        return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0, gap)
-    return _power_steps(A[None], np.asarray(v0, dtype=float)[None]).row(0)
+    w, V = np.linalg.eigh(A)
+    gap = float(w[-1] - w[-2]) if n > 1 else np.inf
+    # The vector stays a view of eigh's column where its sign allows: BLAS
+    # products round differently on strided and contiguous vectors, and
+    # callers' outputs are pinned to this layout.
+    return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0, gap)
 
 
 def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
@@ -107,17 +122,50 @@ def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
         bad = ~np.isfinite(A).all(axis=(1, 2))
         A = np.where(bad[:, None, None], 0.0, A)
     B, n = A.shape[:2]
-    if v0 is None or n <= EIGH_CROSSOVER:
+    if v0 is None:
         w, V = np.linalg.eigh(A)
         gap = w[:, -1] - w[:, -2] if n > 1 else np.full(B, np.inf)
         vector = _fix_sign(V[:, :, -1])
         pair = DominantPair(w[:, -1], vector, np.zeros(B, dtype=int), gap)
     else:
-        pair = _power_steps(A, np.asarray(v0, dtype=float))
+        warm = _squared_step if n <= EIGH_CROSSOVER else _power_steps
+        pair = warm(A, np.asarray(v0, dtype=float))
     if bad is not None:
         pair.value[bad] = np.nan
         pair.vector[bad] = np.nan
     return pair
+
+
+def _squared_step(A: np.ndarray, v0: np.ndarray) -> DominantPair:
+    """Dominant eigenpairs of a finite (B, d, d) stack of symmetric PSD
+    matrices by one power step with a high matrix power, warm-started from
+    the rows of v0: the warm small-matrix route of top_eigpair.
+
+    Each row forms P = A / tr A and squares it _SQUARINGS times, then takes
+    v = P v0 / ||P v0|| and eta = v^T A v. P has its eigenvalues in [0, 1]
+    and its top one at least 1/d, so the powers neither overflow nor
+    vanish; the step damps the other eigendirections by
+    (lambda_2 / lambda_1)^(2^_SQUARINGS). A row settles when
+    ||A v - eta v||_inf <= TOL * eta; the others (near-tied, zero-trace or
+    overflowing ones, and those whose start is orthogonal to the top
+    eigenvector) are finished by dense ``eigh``. Every row counts one
+    step. Rows share no arithmetic, so each row gets the pair it would get
+    alone."""
+    B = v0.shape[0]
+    with np.errstate(all="ignore"):
+        # The trace is summed along a contiguous copy of the diagonal, so
+        # the order of its additions does not depend on B.
+        P = A / np.diagonal(A, axis1=1, axis2=2).copy().sum(axis=1)[:, None, None]
+        for _ in range(_SQUARINGS):
+            P = P @ P
+        u = P @ v0[:, :, None]
+        v = u / np.sqrt((u * u).sum(axis=1, keepdims=True))
+        w = A @ v
+        eta = (v * w).sum(axis=1, keepdims=True)
+        settled = np.abs(w - eta * v).max(axis=1, keepdims=True) <= TOL * eta
+    value, vector = eta[:, 0, 0], v[:, :, 0]
+    _dense_finish(A, ~settled[:, 0, 0], value, vector)
+    return DominantPair(value, vector, np.ones(B, dtype=int))
 
 
 def _power_steps(A: np.ndarray, v0: np.ndarray) -> DominantPair:
@@ -167,8 +215,14 @@ def _power_steps(A: np.ndarray, v0: np.ndarray) -> DominantPair:
             rows, Ar, w, eta = (a[~ended] for a in (rows, Ar, w, eta))
             if not rows.size:
                 break
-    rest = np.flatnonzero(~solved)
+    _dense_finish(A, ~solved, value, vector)
+    return DominantPair(value, vector, steps)
+
+
+def _dense_finish(A: np.ndarray, rest: np.ndarray, value: np.ndarray,
+                  vector: np.ndarray) -> None:
+    # Overwrite the pairs of the rows flagged in ``rest`` with dense eigh's.
+    rest = np.flatnonzero(rest)
     if rest.size:
         w, V = np.linalg.eigh(A[rest])
         value[rest], vector[rest] = w[:, -1], V[:, :, -1]
-    return DominantPair(value, _fix_sign(vector), steps)

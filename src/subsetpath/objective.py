@@ -80,8 +80,8 @@ class ObjectiveEval:
     """Objective value, gradient in t, and the spectral quantity behind it.
 
     ``delta`` is delta_t^2 for pls2, delta_t for pca, and
-    ||X_t^T y||^2 / n^2 for pls1. ``dominant.gap`` (when the dense solver
-    ran) shows how close the top eigenvalue is to a crossing; the gradient
+    ||X_t^T y||^2 / n^2 for pls1. ``dominant.gap`` (on a cold eigen-solve,
+    None on a warm one) shows how close the top eigenvalue is to a crossing; the gradient
     formula is used regardless. From eval_batch every field is stacked:
     value and delta have shape (B,), grad_t (B, p), dominant is a stacked
     DominantPair.
@@ -103,7 +103,9 @@ def make_context(
 
     pls2 stores M (a q x q eigenproblem per evaluation) when q < p, and
     G = M M^T (p x p) otherwise; pca likewise stores M = X^T / sqrt(n)
-    (n x n) when n < p, and G = X^T X / n otherwise.
+    (n x n) when n < p, and G = X^T X / n otherwise. Finite data whose
+    cross-products overflow gives a non-finite kernel without a warning;
+    lambda_max reports it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -120,7 +122,9 @@ def make_context(
         if n < p:
             M = np.ascontiguousarray(X.T) / np.sqrt(n)
             return ObjectiveContext("pca", n, p, 0, float(lam), M=M)
-        return ObjectiveContext("pca", n, p, 0, float(lam), G=(X.T @ X) / n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = (X.T @ X) / n
+        return ObjectiveContext("pca", n, p, 0, float(lam), G=G)
 
     if Y is None:
         raise DimensionError(f"{model} requires a response")
@@ -136,13 +140,16 @@ def make_context(
     if model == "pls1":
         if q != 1:
             raise DimensionError(f"pls1 requires a single response column, got {q}")
-        z = (X.T @ Y[:, 0]) / n
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (X.T @ Y[:, 0]) / n
         return ObjectiveContext("pls1", n, p, 1, float(lam), z=z)
 
-    M = (X.T @ Y) / n
-    if q < p:
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = (X.T @ Y) / n
+        G = None if q < p else M @ M.T
+    if G is None:
         return ObjectiveContext("pls2", n, p, q, float(lam), M=M)
-    return ObjectiveContext("pls2", n, p, q, float(lam), G=M @ M.T)
+    return ObjectiveContext("pls2", n, p, q, float(lam), G=G)
 
 
 def eval_batch(
@@ -219,12 +226,14 @@ def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
     return a finite value for it)."""
     if ctx.model == "pls1":
         zs = ctx.z[I]
-        return -np.sum(zs * zs, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -np.sum(zs * zs, axis=1)
     if ctx.M is not None:
         Ms = ctx.M[I]
         k, q = Ms.shape[1:]
         Mt = np.swapaxes(Ms, 1, 2)
-        blocks = Ms @ Mt if k <= q else Mt @ Ms
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = Ms @ Mt if k <= q else Mt @ Ms
     else:
         blocks = ctx.G[I[:, :, None], I[:, None, :]]
     values = -np.linalg.eigvalsh(blocks)[:, -1]

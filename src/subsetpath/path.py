@@ -15,11 +15,13 @@ _PLS1_BAND of the best are scored exactly (see there).
 
 The dynamic grid drives the solver over a data-dependent schedule of
 penalty values so that terminal subsets cover all sizes 1..K; the
-penalties of one bisection sweep, and the halvings of the first phase in
-chunks, are solved together in one batched solver call
-(solver.minimize_batch). Its eigen-solves cannot fail (linalg.top_eigpair
-finishes the ones its power steps do not settle densely), so a batch is
-never redone.
+penalties of one bisection sweep (for p <= 100 with the midpoints of the
+next sweep), and the halvings of the first phase in chunks, are solved
+together in one batched solver call (solver.minimize_batch). Each row of
+a batch is bit for bit the run of its penalty alone, so runs solved ahead
+and recorded later, or never, leave the path as it would be. Its
+eigen-solves cannot fail (linalg.top_eigpair finishes the ones its power
+steps do not settle densely), so a batch is never redone.
 """
 
 from __future__ import annotations
@@ -194,12 +196,18 @@ def score_buckets(
     return buckets
 
 
+def _cheap_rows(p: int) -> bool:
+    """Whether a solver row at p columns costs little beside the loop's own
+    overhead, so that solving runs the grid may not record pays: up to 100
+    columns; above that each row pays its own eigen-solve or wide-vector
+    work (sweep over p in CHANGES.md)."""
+    return p <= 100
+
+
 def _chunk(p: int) -> int:
-    """Halvings solved per batch in step 1 of dynamic_grid. A run past the
-    one that reaches K is solved for nothing: up to 100 columns it costs
-    little beside the loop's own overhead, above that each row pays its own
-    eigen-solve or wide-vector work (sweep over p in CHANGES.md)."""
-    return 16 if p <= 100 else 8
+    """Halvings solved per batch in step 1 of dynamic_grid; a run past the
+    one that reaches K is solved for nothing."""
+    return 16 if _cheap_rows(p) else 8
 
 
 def terminal_subset(t: np.ndarray, rho: float) -> Subset:
@@ -284,20 +292,38 @@ def dynamic_grid(
     budget = grid_cfg.L - evals
 
     # Step 2: bisect terminal-size gaps, left to right, re-sweeping; the
-    # midpoints of one sweep are solved as one batch and recorded in order.
+    # midpoints of one sweep are recorded in order. The runs of a sweep's
+    # midpoints are looked up by lambda among those solved before; the
+    # missing ones are solved as one batch, and while budget remains after
+    # the sweep, for cheap rows, so are the two children (lam_lo + mid) / 2
+    # and (mid + lam_hi) / 2 of each: the midpoints of the next sweep when
+    # both halves of the gap stay open. A child never recorded is
+    # discarded.
+    runs: dict[float, SolverRun | SolverAbort] = {}
+    speculate = _cheap_rows(ctx0.p)
     while budget > 0:
         entries = sorted(grid_entries)
-        mids = []
+        gaps = []
         for (lam_lo, k_lo), (lam_hi, k_hi) in zip(entries, entries[1:]):
             if k_lo > k_hi + 1:
-                mids.append((lam_lo + lam_hi) / 2.0)
-            if len(mids) == budget:
+                gaps.append((lam_lo, (lam_lo + lam_hi) / 2.0, lam_hi))
+            if len(gaps) == budget:
                 break
-        if not mids:
+        if not gaps:
             break
-        budget -= len(mids)
-        for lam, run in zip(mids, minimize_batch(ctx0, mids, solver_cfg, grid_cfg.K)):
-            record(lam, run)
+        budget -= len(gaps)
+        todo = [gap for gap in gaps if gap[1] not in runs]
+        lams = [mid for _, mid, _ in todo]
+        if speculate and budget > 0:
+            lams += [lam for lo, mid, hi in todo
+                     for lam in ((lo + mid) / 2.0, (mid + hi) / 2.0)]
+        if lams:
+            runs.update(zip(lams, minimize_batch(ctx0, lams, solver_cfg, grid_cfg.K)))
+        # Recorded runs leave the cache: a run's terminal_t is a row view
+        # that keeps the (B, p) iterate array of its batch alive.
+        swept = {mid: runs.pop(mid) for mid in {mid for _, mid, _ in gaps}}
+        for _, mid, _ in gaps:
+            record(mid, swept[mid])
 
     if not grid_entries:  # one entry per successful run
         raise SolverAbort("no penalty value produced a successful run")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subsetpath
 from subsetpath import cli, components
 from subsetpath.cli import main, read_csv_matrix, write_csv_matrix
 from subsetpath.errors import DegenerateScoreError
@@ -378,6 +383,26 @@ class TestErrorExits:
             argv += ["--k-max", "2"]
         assert run_cli(*argv) == 4
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["path", "fit"])
+    @pytest.mark.parametrize("model", ["pls1", "pls2", "pca"])
+    def test_overflowing_data_prints_only_the_error_line(self, tmp_path, command, model):
+        # In a fresh interpreter, so that a numpy RuntimeWarning would reach
+        # stderr as it does for a user.
+        (tmp_path / "X.csv").write_text("1,2,1e200\n2,1,-1e200\n0.5,3,1e200\n")
+        (tmp_path / "Y.csv").write_text("1e200,1\n-1e200,2\n1e200,3\n")
+        (tmp_path / "y.csv").write_text("1e200\n-1e200\n1e200\n")
+        argv = [command, "--model", model, "--x", str(tmp_path / "X.csv"),
+                "--out", str(tmp_path / "out"), "--k-max", "2"]
+        if model != "pca":
+            argv += ["--y", str(tmp_path / ("y.csv" if model == "pls1" else "Y.csv"))]
+        if command == "fit":
+            argv += ["--pick", "fixed-k=1", "--folds", "2"]
+        env = dict(os.environ, PYTHONPATH=str(Path(subsetpath.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "subsetpath.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
     def test_oracle_max_k_below_1_exits_2_before_reading(self, tmp_path, capsys,
                                                          monkeypatch):

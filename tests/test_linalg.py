@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,8 +66,10 @@ def near_tied(n, seed, gap=1e-6):
 
 
 def dense(A):
+    # The dense finish of the warm routes: eigh's top pair, sign as eigh
+    # gives it.
     w, V = np.linalg.eigh(A)
-    return w[-1], linalg._fix_sign(V[:, -1])
+    return w[-1], V[:, -1]
 
 
 class TestPowerIteration:
@@ -106,8 +110,12 @@ class TestPowerIteration:
         assert resid <= 1e-10 * max(1.0, pair.value)
 
     def test_sign_convention(self):
-        pair = power(random_psd(4, seed=5), v0=-np.ones(4))
-        assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
+        # Warm vectors are not sign-normalized: a negated start gives the
+        # negated vector, bit for bit, and the same value.
+        A = random_psd(4, seed=5)
+        pair, flipped = power(A), power(A, v0=-np.ones(4))
+        assert flipped.value == pair.value
+        np.testing.assert_array_equal(flipped.vector, -pair.vector)
 
     def test_warm_start_converges(self):
         A = random_psd(6, seed=12)
@@ -181,8 +189,9 @@ class TestTopEigpair:
         assert pair.value == pytest.approx(w[-1], rel=1e-10)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(pair.vector, ref, atol=1e-6)
-        if warm and n > CROSSOVER:
-            assert pair.gap is None and pair.iterations > 0
+        if warm:
+            assert pair.gap is None
+            assert pair.iterations == 1 if n <= CROSSOVER else pair.iterations > 0
         else:
             assert pair.iterations == 0
             want_gap = w[-1] - w[-2] if n > 1 else np.inf
@@ -212,7 +221,8 @@ class TestTopEigpair:
         with pytest.raises(ValueError, match="non-finite"):
             top_eigpair(A, v0=np.ones(n) if warm else None)
 
-    @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True)])
+    @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True), (3, True),
+                                        (CROSSOVER, True)])
     def test_non_finite_stack_row_is_nan_alone(self, n, warm):
         A = np.stack([spiked_psd(n, seed=1), spiked_psd(n, seed=2)])
         A[0, 0, 1] = np.nan
@@ -225,6 +235,91 @@ class TestTopEigpair:
         pair = top_eigpair(2.0 * np.eye(3))
         assert pair.value == pytest.approx(2.0)
         assert pair.gap == 0.0
+
+
+def squared(A, v0, monkeypatch):
+    # The warm small-matrix route on a stack, and how many of its rows took
+    # the dense finish.
+    finished = []
+    finish = linalg._dense_finish
+
+    def spy(A, rest, value, vector):
+        finished.append(int(np.count_nonzero(rest)))
+        return finish(A, rest, value, vector)
+
+    monkeypatch.setattr(linalg, "_dense_finish", spy)
+    pair = top_eigpair(A, v0=v0)
+    monkeypatch.undo()
+    return pair, sum(finished)
+
+
+class TestSquaredStep:
+    """One power step with (A / tr A)^64: top_eigpair's warm route up to
+    EIGH_CROSSOVER rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 16, CROSSOVER])
+    def test_settled_rows_match_eigh(self, n, monkeypatch):
+        A = np.stack([spiked_psd(n, seed=10 * n + s) for s in range(4)])
+        w, V = np.linalg.eigh(A)
+        rng = np.random.default_rng(n)
+        v0 = V[:, :, -1] + 1e-3 * rng.standard_normal((4, n))
+        pair, finished = squared(A, v0, monkeypatch)
+        assert finished == 0
+        assert (pair.iterations == 1).all() and pair.gap is None
+        np.testing.assert_allclose(pair.value, w[:, -1], rtol=1e-12, atol=0)
+        sign = np.sign((pair.vector * V[:, :, -1]).sum(axis=1))
+        np.testing.assert_allclose(pair.vector, sign[:, None] * V[:, :, -1],
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_tied_row_is_finished_densely(self, seed, monkeypatch):
+        A, v0 = near_tied(12, seed=seed)
+        pair, finished = squared(A[None], v0[None], monkeypatch)
+        assert finished == 1 and pair.iterations[0] == 1
+        value, vector = dense(A)
+        assert pair.value[0] == value
+        np.testing.assert_array_equal(pair.vector[0], vector)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e307])
+    def test_zero_and_overflowing_trace_are_finished_densely(self, scale, monkeypatch):
+        # 24 diagonal entries around 1e307 sum past the largest float.
+        A = scale * spiked_psd(CROSSOVER, seed=3)
+        with np.errstate(over="ignore"):
+            assert scale == 0.0 or np.isinf(np.trace(A))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair, finished = squared(A[None], np.ones((1, CROSSOVER)), monkeypatch)
+        assert finished == 1
+        value, vector = dense(A)
+        assert pair.value[0] == value
+        np.testing.assert_array_equal(pair.vector[0], vector)
+
+    def test_stack_equals_its_rows_alone_bit_for_bit(self):
+        # Rows that settle, are near-tied, are zero or have a non-finite
+        # entry give in a stack what they give alone.
+        n = 12
+        tied, v_tied = near_tied(n, seed=8)
+        broken = spiked_psd(n, seed=5)
+        broken[2, 3] = np.inf
+        A = np.stack([spiked_psd(n, seed=0), tied, np.zeros((n, n)),
+                      spiked_psd(n, seed=3), broken])
+        v0 = np.stack([np.ones(n), v_tied, np.ones(n), np.arange(n) - 5.0, np.ones(n)])
+        pair = top_eigpair(A, v0=v0)
+        assert np.isnan(pair.value[4]) and np.isnan(pair.vector[4]).all()
+        for b in range(4):
+            alone = top_eigpair(A[b:b + 1], v0=v0[b:b + 1])
+            assert pair.value[b] == alone.value[0]
+            np.testing.assert_array_equal(pair.vector[b], alone.vector[0])
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_single_warm_call_is_the_one_row_stack(self, tied):
+        n = 12
+        A, v0 = near_tied(n, seed=6) if tied else (spiked_psd(n, seed=6), np.ones(n))
+        pair = top_eigpair(A, v0=v0)
+        stacked = top_eigpair(A[None], v0=v0[None]).row(0)
+        assert pair.value == stacked.value and pair.iterations == stacked.iterations == 1
+        assert pair.gap is None
+        np.testing.assert_array_equal(pair.vector, stacked.vector)
 
 
 def fix_sign_loop(v):

@@ -358,29 +358,6 @@ class TestDynamicGrid:
         assert all(path.buckets[k].best.size == k for k in path.buckets)
 
 
-    def test_each_sweep_is_one_batched_solve(self, monkeypatch):
-        # Step 2 hands each sweep's midpoints, left to right, to one
-        # minimize_batch call and records the runs in that order.
-        calls = []
-        solve = path_module.minimize_batch
-
-        def spy(ctx, lams, cfg, K):
-            calls.append(list(lams))
-            return solve(ctx, lams, cfg, K)
-
-        monkeypatch.setattr(path_module, "minimize_batch", spy)
-        rng = np.random.default_rng(5)
-        X = center_columns(rng.standard_normal((40, 12)))
-        path = dynamic_grid(X, rng.standard_normal(40), "pls1", GridConfig(K=12, L=30))
-        # Step 1's calls solve lambda_max and its halvings; the rest are sweeps.
-        lam_top = path.lambda_grid[0][0]
-        halvings = {lam_top / 2.0**ell for ell in range(30)}
-        calls = [call for call in calls if not set(call) <= halvings]
-        swept = [lam for call in calls for lam in call]
-        assert any(len(call) > 1 for call in calls)
-        assert all(call == sorted(call) for call in calls)
-        assert [d.lam for d in path.diagnostics[-len(swept):]] == swept
-
     def test_pls1_closed_form_at_p_10000(self):
         # Beyond the oracle's reach the closed form still certifies pls1:
         # the best k-subset holds the k largest z_j^2.
@@ -474,6 +451,8 @@ SPECULATION_CASES = [
     # warm power steps on the n x n (M) and the p x p (G) eigenproblem
     ("pca", None, 110, SolverConfig(max_iter=40)),
     ("pca", None, EIGH_CROSSOVER + 6, SolverConfig(max_iter=40)),
+    # the squared step on near-tied p x p blocks, some finished densely
+    ("pca", None, 15, SolverConfig()),
 ]
 
 
@@ -593,6 +572,117 @@ class TestSpeculativeStep1:
         assert [len(c) for c in calls] == [3, 3]
         assert [diagnostic(d) for d in path.diagnostics[:4]] == first
         assert calls[1][1] not in {d.lam for d in path.diagnostics}
+
+
+def spy_step2(monkeypatch, edit=None):
+    # Records the penalties of every step-2 call to minimize_batch (the
+    # calls that solve no halving of lambda_max) and lets ``edit`` change
+    # their runs; step 1's calls pass through.
+    calls = []
+    solve = path_module.minimize_batch
+
+    def spy(ctx, lams, cfg, K):
+        runs = solve(ctx, lams, cfg, K)
+        lam_top = lambda_max(ctx)
+        if not set(lams) <= {lam_top / 2.0**ell for ell in range(64)}:
+            calls.append(list(lams))
+            if edit is not None:
+                runs = edit(lams, runs)
+        return runs
+
+    monkeypatch.setattr(path_module, "minimize_batch", spy)
+    return calls
+
+
+def without_speculation(monkeypatch, *args, **kwargs):
+    # The grid with no run solved ahead in step 2.
+    with monkeypatch.context() as m:
+        m.setattr(path_module, "_cheap_rows", lambda p: False)
+        return dynamic_grid(*args, **kwargs)
+
+
+BISECTION_CASES = [
+    ("pls1", None, 12, GridConfig(K=12, L=30)),
+    ("pls2", "v", 10, GridConfig(K=10, L=25)),
+    ("pca", None, 15, GridConfig(K=15, L=30)),   # near-tied: dense finishes
+]
+
+
+class TestSpeculativeBisection:
+    """For p <= 100, a step-2 sweep that calls the solver also solves the
+    children of its new midpoints; the next sweep records the ones it
+    needs and the rest are discarded."""
+
+    @pytest.mark.parametrize("model,branch,p,grid", BISECTION_CASES)
+    def test_path_equals_the_grid_without_speculation(self, model, branch, p, grid,
+                                                      monkeypatch):
+        X, Y = grid_case(model, branch, p=p)
+        calls = spy_step2(monkeypatch)
+        want = without_speculation(monkeypatch, X, Y, model, grid)
+        sweeps = len(calls)
+        got = dynamic_grid(X, Y, model, grid)
+        assert_same_path(got, want)
+        # Some sweeps found all their runs solved ahead and called nothing,
+        # and some runs solved ahead were never recorded.
+        assert len(calls) - sweeps < sweeps
+        solved = {lam for call in calls[sweeps:] for lam in call}
+        assert solved - {d.lam for d in got.diagnostics}
+
+    def test_unrecorded_runs_reach_no_output(self, monkeypatch):
+        # Every step-2 run that the grid does not record is replaced by an
+        # object that fails on any use; the path must not change.
+        class Discarded:
+            def __getattr__(self, name):
+                raise AssertionError(f"a discarded run's {name} was read")
+
+        X, Y = grid_case("pls1", None, p=12)
+        grid = GridConfig(K=12, L=30)
+        want = dynamic_grid(X, Y, "pls1", grid)
+        recorded = {d.lam for d in want.diagnostics}
+        discarded = []
+
+        def poison(lams, runs):
+            discarded.extend(lam for lam in lams if lam not in recorded)
+            return [run if lam in recorded else Discarded() for lam, run in zip(lams, runs)]
+
+        spy_step2(monkeypatch, poison)
+        got = dynamic_grid(X, Y, "pls1", grid)
+        assert discarded
+        assert_same_path(got, want)
+        assert not set(discarded) & {lam for lam, _ in got.lambda_grid}
+
+    @pytest.mark.parametrize("L", [16, 18, 20])
+    def test_budget_counts_recorded_runs_only(self, L, monkeypatch):
+        # Step 1 records 13 runs here; step 2 ends with the rest of the
+        # budget spent on recorded runs, however many it solved ahead.
+        X, Y = grid_case("pls1", None, p=12)
+        grid = GridConfig(K=12, L=L)
+        assert len(sequential_step1(X, Y, "pls1", grid, SolverConfig())) == 13
+        calls = spy_step2(monkeypatch)
+        path = dynamic_grid(X, Y, "pls1", grid)
+        assert len(path.diagnostics) == L
+        assert sum(map(len, calls)) > L - 13
+
+    @pytest.mark.parametrize("L", [18, 20])
+    def test_sweep_spending_the_budget_solves_no_children(self, L, monkeypatch):
+        # Here the last step-2 call is made by the sweep that spends the
+        # rest of the budget: it solves only midpoints it records.
+        X, Y = grid_case("pls1", None, p=12)
+        calls = spy_step2(monkeypatch)
+        path = dynamic_grid(X, Y, "pls1", GridConfig(K=12, L=L))
+        assert len(calls) > 1
+        assert set(calls[-1]) <= {d.lam for d in path.diagnostics[-len(calls[-1]):]}
+
+    def test_wide_grid_never_speculates(self, monkeypatch):
+        # Above 100 columns each sweep solves exactly its midpoints, left to
+        # right, in one call, and records them in that order.
+        X, Y = grid_case("pls1", None, p=120)
+        calls = spy_step2(monkeypatch)
+        path = dynamic_grid(X, Y, "pls1", GridConfig(K=20, L=30))
+        swept = [lam for call in calls for lam in call]
+        assert any(len(call) > 1 for call in calls)
+        assert all(call == sorted(call) for call in calls)
+        assert [d.lam for d in path.diagnostics[-len(swept):]] == swept
 
 
 class TestPcaBelowP:

@@ -235,19 +235,25 @@ class TestBatchedSweep:
         # warm power steps on the n x n (M) and the p x p (G) eigenproblem
         ("pca", None, 110, 40),
         ("pca", None, EIGH_CROSSOVER + 6, 40),
+        # the squared step on near-tied p x p blocks, some finished densely
+        ("pca", None, 15, 1000),
     ])
     def test_batch_equals_single_runs_bitwise(self, model, branch, p, max_iter, monkeypatch):
         n = 40 if p > 10 else 30
         ctx = sweep_context(model, branch, p=p, n=n)
         lams = lambda_max(ctx) * np.array([0.9, 0.45, 0.2, 0.07])
         cfg = SolverConfig(max_iter=max_iter)
-        power_steps = []
-        steps = linalg._power_steps
+        power_steps, finished = [], []
+        steps, finish = linalg._power_steps, linalg._dense_finish
         monkeypatch.setattr(linalg, "_power_steps",
                             lambda *a: power_steps.append(1) or steps(*a))
+        monkeypatch.setattr(linalg, "_dense_finish",
+                            lambda A, rest, *a: finished.append(rest.sum()) or finish(A, rest, *a))
         batch = minimize_batch(ctx, lams, cfg, K=min(p, 6))
         dim = {"pls1": 0, "pls2": 3 if branch == "v" else p, "pca": min(n, p)}[model]
         assert bool(power_steps) == (dim > EIGH_CROSSOVER)
+        if (model, p) == ("pca", 15):
+            assert sum(finished) > 0
         for lam, run in zip(lams, batch):
             assert_same_run(run, minimize(ctx.with_lambda(lam), cfg, K=min(p, 6)))
         if max_iter == 1000:
