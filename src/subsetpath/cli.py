@@ -176,17 +176,16 @@ def _load_xy(args, need_y: bool):
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
     started = time.time()
-    cfg = SimConfig(
-        scenario=args.scenario, n=args.n, p=args.p, q=args.q,
-        H=args.components, sigma=args.sigma, gamma=args.gamma,
-        snr=args.snr, holdout=args.holdout, seed=args.seed,
-    )
     try:
-        inst = generate(cfg)
+        inst = generate(SimConfig(
+            scenario=args.scenario, n=args.n, p=args.p, q=args.q,
+            H=args.components, sigma=args.sigma, gamma=args.gamma,
+            snr=args.snr, holdout=args.holdout, seed=args.seed,
+        ))
     except (ValueError, DimensionError) as exc:
         raise ParseError(f"invalid scenario parameters: {exc}") from exc
+    out = _outdir(args)
     write_csv_matrix(out / "X.csv", inst.X)
     if inst.Y is not None:
         name = "y.csv" if args.scenario == "univariate" else "Y.csv"
@@ -310,17 +309,12 @@ def _check_holdout(test, X: np.ndarray, Y: np.ndarray | None):
 def cmd_oracle(args) -> int:
     out = _outdir(args)
     started = time.time()
+    heur_bits = _read_compare(args.compare) if args.compare else None
     X, Y = _load_xy(args, need_y=args.model in ("pls1", "pls2"))
     result = exhaustive_path(X, Y, args.model, max_k=args.max_k)
     with open(out / "oracle.json", "w", encoding="utf-8") as fh:
         json.dump(oracle_to_dict(result), fh, indent=2)
-    if args.compare:
-        try:
-            with open(args.compare, encoding="utf-8") as fh:
-                heur = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read {args.compare}: {exc}") from exc
-        heur_bits = {b["k"]: b["bits"] for b in heur.get("buckets", [])}
+    if heur_bits is not None:
         rows = []
         for k in sorted(result.per_size):
             ob = result.per_size[k][0].bitstring()
@@ -333,6 +327,36 @@ def cmd_oracle(args) -> int:
                    counts={"enumerated": result.enumerated_count,
                            "scored": result.scored_count})
     return EXIT_OK
+
+
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _is_int(x) -> bool:
+    # A JSON integer; json.load gives bool for true/false.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_compare(path: str) -> dict[int, str]:
+    """The bucket bits of a path.json, by subset size."""
+    doc = _read_json(path)
+    buckets = doc.get("buckets") if isinstance(doc, dict) else None
+    if not isinstance(buckets, list) or not all(
+        isinstance(b, dict) and _is_int(b.get("k")) and isinstance(b.get("bits"), str)
+        for b in buckets
+    ):
+        raise ParseError(
+            f"{path}: expected an object whose buckets are objects with an "
+            "integer k and a string bits"
+        )
+    return {b["k"]: b["bits"] for b in buckets}
 
 
 def _subset_in(p: int, indices, what: str) -> Subset:
@@ -353,17 +377,19 @@ def _parse_subset(text: str, p: int) -> Subset:
 
 def cmd_metrics(args) -> int:
     started = time.time()
-    try:
-        with open(args.truth, encoding="utf-8") as fh:
-            truth = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.truth}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.truth}: {exc}") from exc
-    p = args.p or truth.get("p")
+    truth = _read_json(args.truth)
+    if not isinstance(truth, dict):
+        raise ParseError(f"{args.truth}: expected a JSON object")
+    p = truth.get("p")
+    if p is not None and not (_is_int(p) and p >= 1):
+        raise ParseError(f"{args.truth}: p must be an integer of at least 1, got {p!r}")
+    support = truth.get("support")
+    if not isinstance(support, list) or not all(_is_int(j) for j in support):
+        raise ParseError(f"{args.truth}: support must be a list of integers")
+    p = args.p or p
     if p is None:
         raise ParseError("truth file does not record p; pass --p")
-    s_true = _subset_in(p, truth["support"], "truth support")
+    s_true = _subset_in(p, support, "truth support")
     s_hat = _parse_subset(args.subset, p)
     Y_hat = read_csv_matrix(args.pred) if args.pred else None
     Y_test = read_csv_matrix(args.test) if args.test else None

@@ -17,7 +17,7 @@ X w_h = X_{h-1} u_h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,6 @@ from .errors import (
 from .linalg import top_eigpair
 from .path import GridConfig, SolutionPath, Subset, dynamic_grid
 from .solver import SolverConfig
-
-# Conventional significance threshold for the cross-validated predictive
-# power criterion; reported only, never asserted.
-Q2_SIGNIFICANCE = 0.0975
 
 
 @dataclass
@@ -65,39 +61,6 @@ class FittedModel:
     beta: np.ndarray | None
     pev: np.ndarray
     cpev: np.ndarray
-    paths: list[SolutionPath] = field(default_factory=list)
-
-    # Stacked per-component matrices of the score-space reparameterization.
-
-    @property
-    def U(self) -> np.ndarray:
-        return np.column_stack([c.u for c in self.components])
-
-    @property
-    def C(self) -> np.ndarray:
-        return np.column_stack([c.c for c in self.components])
-
-    @property
-    def D(self) -> np.ndarray | None:
-        if any(c.d is None for c in self.components):
-            return None
-        return np.column_stack([c.d for c in self.components])
-
-    @property
-    def S(self) -> np.ndarray | None:
-        if any(c.psi is None for c in self.components):
-            return None
-        return np.column_stack([c.psi for c in self.components])
-
-    @property
-    def B(self) -> np.ndarray | None:
-        """Inner-relationship diagonal: per-component slope of the Y-score
-        regressed on the X-score, so S is approximated by T diag(B)."""
-        if any(c.psi is None for c in self.components):
-            return None
-        return np.array(
-            [float(c.xi @ c.psi) / float(c.xi @ c.xi) for c in self.components]
-        )
 
 
 @dataclass(frozen=True)
@@ -349,16 +312,10 @@ def pev_cpev(X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Q2Report:
     """Cross-validated predictive power per component: 1 - PRESS_h / RSS_{h-1},
     with the total aggregating PRESS and RSS across responses before the
-    ratio. ``significant`` marks components clearing the conventional
-    threshold; informational only."""
+    ratio."""
 
     total: np.ndarray
     per_response: np.ndarray
-    threshold: float = Q2_SIGNIFICANCE
-
-    @property
-    def significant(self) -> np.ndarray:
-        return self.total >= self.threshold
 
 
 def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -575,7 +532,6 @@ def fit(
     solver_cfg: SolverConfig | None = None,
     center: bool = True,
     test: tuple[np.ndarray, np.ndarray] | None = None,
-    keep_paths: bool = False,
 ) -> FittedModel:
     """Fit H components, each from a fresh solution path on the deflated
     data, picking one subset per component with ``strategy``.
@@ -622,7 +578,6 @@ def fit(
         solver_cfg = SolverConfig()
 
     comps: list[ComponentState] = []
-    paths: list[SolutionPath] = []
     Xh, Yh = X0, Y0
     for h in range(1, H + 1):
         try:
@@ -639,8 +594,6 @@ def fit(
         except (DegenerateLoadingError, DegenerateScoreError) as exc:
             raise type(exc)(f"component {h}: {exc}") from exc
         comps.append(comp)
-        if keep_paths:
-            paths.append(path)
 
     W = adjusted_weights(X0, comps)
     T = X0 @ W
@@ -651,7 +604,6 @@ def fit(
     return FittedModel(
         model=model, mode=mode, H=H, x_means=x_means, y_means=y_means,
         components=comps, W=W, T=T, beta=beta, pev=pev, cpev=cpev,
-        paths=paths,
     )
 
 

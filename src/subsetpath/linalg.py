@@ -3,10 +3,10 @@ dominant-eigenpair routine, top_eigpair. Cold solves go to dense eigh.
 Warm-started solves of small matrices take one power step with the 64th
 power of A / tr A, those of larger ones repeated power steps, each stacked
 across all the matrices of a call; any matrix the steps do not settle is
-finished with dense eigh, so no solve fails. Warm vectors are not
-sign-normalized. top_eigpair takes a (B, d, d) stack, which the solver
-passes to solve the eigenproblems of a whole sweep of penalties in one
-call.
+finished with dense eigh, so no solve fails. Only the vector of a single
+cold matrix is sign-normalized. top_eigpair takes a (B, d, d) stack, which
+the solver passes to solve the eigenproblems of a whole sweep of penalties
+in one call.
 
 Everything operates on plain float ndarrays. All functions are pure; the
 returned arrays never alias their inputs.
@@ -43,24 +43,21 @@ POWER_STEP_CAP = 64
 class DominantPair:
     """Largest eigenvalue of a symmetric PSD matrix and its unit eigenvector;
     ``iterations`` counts power steps (also those a matrix took before its
-    dense finish; 0 on a cold solve, 1 on the squared step), ``gap`` (cold
-    solves only, inf at 1 x 1; None for warm ones) is the distance to the
-    second eigenvalue. Only cold vectors are sign-normalized (entry of
-    largest magnitude positive); a warm vector keeps the sign its start
-    gives it, which the solver's gradient does not depend on.
+    dense finish; 0 on a cold solve, 1 on the squared step). Only the
+    vector of a single cold matrix is sign-normalized (entry of largest
+    magnitude positive); the others keep the sign their solve gives them,
+    which the solver's gradient and warm starts do not depend on.
 
-    For a stack of B matrices every field is stacked: value, iterations and
-    gap have shape (B,), vector (B, d); ``row(b)`` is the b-th pair."""
+    For a stack of B matrices every field is stacked: value and iterations
+    have shape (B,), vector (B, d); ``row(b)`` is the b-th pair."""
 
     value: float
     vector: np.ndarray
     iterations: int
-    gap: float | None = None
 
     def row(self, b: int) -> "DominantPair":
-        gap = None if self.gap is None else float(self.gap[b])
         return DominantPair(
-            float(self.value[b]), self.vector[b], int(self.iterations[b]), gap
+            float(self.value[b]), self.vector[b], int(self.iterations[b])
         )
 
 
@@ -91,13 +88,14 @@ def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
     pair is stacked, see DominantPair).
 
     Cold calls (``v0`` None) go to numpy's dense ``eigh``, which reads one
-    triangle, in one stacked call, and their vectors are sign-normalized
-    (_fix_sign). Warm-started ones take _squared_step up to EIGH_CROSSOVER
-    rows and _power_steps above it; a single warm matrix is the one-row
-    stack. Warm vectors are not sign-normalized: they keep the sign their
-    start gives them. Checks only finiteness: a single matrix with a
-    non-finite entry raises ValueError, a stacked one gets a NaN value and
-    vector so that the others are still solved."""
+    triangle: a single matrix's vector is sign-normalized (_fix_sign), a
+    stack is the dense finish of every row. Warm-started ones take
+    _squared_step up to EIGH_CROSSOVER rows and _power_steps above it; a
+    single warm matrix is the one-row stack. Warm vectors are not
+    sign-normalized: they keep the sign their start gives them. Checks only
+    finiteness: a single matrix with a non-finite entry raises ValueError, a
+    stacked one gets a NaN value and vector so that the others are still
+    solved."""
     A = np.asarray(A, dtype=float)
     if A.ndim == 3:
         return _top_eigpairs(A, v0)
@@ -105,13 +103,11 @@ def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
         raise ValueError("matrix contains non-finite entries")
     if v0 is not None:
         return _top_eigpairs(A[None], np.asarray(v0, dtype=float)[None]).row(0)
-    n = A.shape[0]
     w, V = np.linalg.eigh(A)
-    gap = float(w[-1] - w[-2]) if n > 1 else np.inf
     # The vector stays a view of eigh's column where its sign allows: BLAS
     # products round differently on strided and contiguous vectors, and
     # callers' outputs are pinned to this layout.
-    return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0, gap)
+    return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0)
 
 
 def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
@@ -123,10 +119,8 @@ def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
         A = np.where(bad[:, None, None], 0.0, A)
     B, n = A.shape[:2]
     if v0 is None:
-        w, V = np.linalg.eigh(A)
-        gap = w[:, -1] - w[:, -2] if n > 1 else np.full(B, np.inf)
-        vector = _fix_sign(V[:, :, -1])
-        pair = DominantPair(w[:, -1], vector, np.zeros(B, dtype=int), gap)
+        pair = DominantPair(np.empty(B), np.empty((B, n)), np.zeros(B, dtype=int))
+        _dense_finish(A, np.ones(B, dtype=bool), pair.value, pair.vector)
     else:
         warm = _squared_step if n <= EIGH_CROSSOVER else _power_steps
         pair = warm(A, np.asarray(v0, dtype=float))

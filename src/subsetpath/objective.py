@@ -80,9 +80,8 @@ class ObjectiveEval:
     """Objective value, gradient in t, and the spectral quantity behind it.
 
     ``delta`` is delta_t^2 for pls2, delta_t for pca, and
-    ||X_t^T y||^2 / n^2 for pls1. ``dominant.gap`` (on a cold eigen-solve,
-    None on a warm one) shows how close the top eigenvalue is to a crossing; the gradient
-    formula is used regardless. From eval_batch every field is stacked:
+    ||X_t^T y||^2 / n^2 for pls1. ``dominant`` is the eigenpair behind it
+    (None for pls1). From eval_batch every field is stacked:
     value and delta have shape (B,), grad_t (B, p), dominant is a stacked
     DominantPair.
     """

@@ -1,7 +1,8 @@
-"""Exact oracle for small p: exhaustive enumeration, eigen-solves pruned by
-a Frobenius bound; and numerical certification of the corner-optimality and
-penalty-realizability properties that make the relaxed problem equivalent
-to the discrete one.
+"""Exact oracle for small p: the closed form for pls1, exhaustive
+enumeration with eigen-solves pruned by a Frobenius bound for pls2 and pca;
+and numerical certification of the corner-optimality and penalty-
+realizability properties that make the relaxed problem equivalent to the
+discrete one.
 
 The exhaustive enumerator is the reference the heuristic path is judged
 against, so it shares no eigen-solver or search code with the rest of the
@@ -37,9 +38,10 @@ class OracleResult:
     """Per-size exact optima: k -> (subset, unpenalized objective).
 
     ``enumerated_count`` counts the combinations visited, ``scored_count``
-    those whose objective was computed: every one for pls1, only those the
-    Frobenius bound could not rule out for pls2 and pca (the incumbent's
-    at most p - k + 1 seed solves per size are not counted)."""
+    those whose objective was computed: for pls1 both are max_k, one
+    subset per size from the closed form; for pls2 and pca the scored ones
+    are those the Frobenius bound could not rule out (the incumbent's at
+    most p - k + 1 seed solves per size are not counted)."""
 
     model: str
     p: int
@@ -54,17 +56,17 @@ def exhaustive_path(
     model: str,
     max_k: int | None = None,
 ) -> OracleResult:
-    """Enumerate subsets and return the per-size argmin of the corner
-    objective. Refuses p above 25 (cost grows as 2^p).
+    """Return the per-size argmin of the corner objective. Refuses p above
+    25 for every model (enumeration cost grows as 2^p).
 
-    pls1 walks all subsets in Gray-code order, updating a running sum of
-    z_j^2 in O(1) per subset. pls2/pca enumerate combinations per size in
-    chunks of _CHUNK and build the smaller Gram block of each. Since the
-    top eigenvalue of a PSD block is at most its Frobenius norm, only the
-    blocks whose norm reaches the incumbent (the best value so far, first
-    the size-(k-1) winner plus its best column) within _BOUND_SLACK go to
-    one stacked dense eigen-solve; the rest cannot win or tie. Ties keep
-    the lexicographically smallest bits.
+    pls1 takes its closed form: the best k-subset holds the k largest
+    z_j^2, ties to the higher index. pls2/pca enumerate combinations per
+    size in chunks of _CHUNK and build the smaller Gram block of each.
+    Since the top eigenvalue of a PSD block is at most its Frobenius norm,
+    only the blocks whose norm reaches the incumbent (the best value so
+    far, first the size-(k-1) winner plus its best column) within
+    _BOUND_SLACK go to one stacked dense eigen-solve; the rest cannot win
+    or tie. Ties keep the lexicographically smallest bits.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -90,32 +92,14 @@ def exhaustive_path(
             raise DimensionError(f"X has {n} rows but y has {y.shape[0]}")
         with np.errstate(over="ignore", invalid="ignore"):
             z2 = _finite(((X.T @ y) / n) ** 2)
-        best_val = np.full(p + 1, np.inf)
-        best_bits = [None] * (p + 1)
-        bits = [0] * p
-        total = 0.0
-        size = 0
-        for i in range(1, 1 << p):
-            j = (i & -i).bit_length() - 1
-            if bits[j]:
-                bits[j] = 0
-                size -= 1
-                total -= z2[j]
-            else:
-                bits[j] = 1
-                size += 1
-                total += z2[j]
-            value = -total
-            if value < best_val[size]:
-                best_val[size] = value
-                best_bits[size] = tuple(bits)
-            elif value == best_val[size] and tuple(bits) < best_bits[size]:
-                best_bits[size] = tuple(bits)
+        # The best k-subset holds the k largest z_j^2; ranking by (-z^2, -j)
+        # sends ties to the higher index, which gives the smallest bits.
+        order = np.lexsort((-np.arange(p), -z2))
         for k in range(1, max_k + 1):
-            per_size[k] = (Subset.from_bits(best_bits[k]), float(best_val[k]))
-        count = (1 << p) - 1
-        return OracleResult(model, p, per_size, enumerated_count=count,
-                            scored_count=count)
+            idx = np.sort(order[:k])
+            per_size[k] = (Subset(p, tuple(idx.tolist())), -float(np.sum(z2[idx])))
+        return OracleResult(model, p, per_size, enumerated_count=max_k,
+                            scored_count=max_k)
 
     if model == "pls2":
         Y = np.asarray(Y, dtype=float)
@@ -282,34 +266,12 @@ def check_corner_optimality(
     z2 = ((X.T @ y) / n) ** 2
     rng = np.random.default_rng(seed)
 
-    # Corner values for every mask, walked in Gray-code order.
-    n_masks = 1 << p
-    values = np.zeros(n_masks)
-    sizes = np.zeros(n_masks, dtype=int)
-    bits = [0] * p
-    total = 0.0
-    size = 0
-    best_val = np.zeros(p + 1)
-    best_mask = np.zeros(p + 1, dtype=int)
-    best_val[1:] = np.inf
-    mask = 0
-    for i in range(1, n_masks):
-        j = (i & -i).bit_length() - 1
-        if bits[j]:
-            bits[j] = 0
-            size -= 1
-            total -= z2[j]
-            mask &= ~(1 << j)
-        else:
-            bits[j] = 1
-            size += 1
-            total += z2[j]
-            mask |= 1 << j
-        values[mask] = -total
-        sizes[mask] = size
-        if -total < best_val[size]:
-            best_val[size] = -total
-            best_mask[size] = mask
+    # Corner values of every mask; row m of bits holds the bits of m.
+    bits = (np.arange(1 << p)[:, None] >> np.arange(p)) & 1
+    values = -(bits @ z2)
+    sizes = bits.sum(axis=1)
+    best_val = np.full(p + 1, np.inf)
+    np.minimum.at(best_val, sizes, values)
 
     report = CornerCheckReport(p=p, samples=samples)
     report.per_size_values = [float(v) for v in best_val]

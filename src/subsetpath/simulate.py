@@ -46,10 +46,10 @@ class SimConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
-        if self.snr <= 0.0:
-            raise ValueError("snr must be positive (use inf for noise-free)")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma={self.sigma} must be finite and non-negative")
+        if not self.snr > 0.0:
+            raise ValueError(f"snr={self.snr} must be positive (use inf for noise-free)")
         if self.n < 2:
             raise ValueError(f"n={self.n} must be at least 2 (data are centered)")
         if self.p < 1 or self.q < 1:

@@ -70,6 +70,21 @@ class TestSimulateCommand:
         assert code == 0
         assert (out / "y.csv").exists()
 
+    @pytest.mark.parametrize("bad", [
+        ["--sigma", "nan"],
+        ["--sigma", "inf"],
+        ["--sigma", "-1"],
+        ["--scenario", "univariate", "--snr", "nan"],
+    ])
+    def test_unusable_noise_exits_2_before_writing(self, tmp_path, capsys, bad):
+        out = tmp_path / "sim"
+        code = run_cli("simulate", "--scenario", "multiresponse", *bad, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario parameters:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_deterministic_output_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -247,6 +262,42 @@ class TestOracleCommand:
         assert counts["enumerated"] == 255
         assert 8 <= counts["scored"] < 255
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        *map(json.dumps, [
+            [1],
+            {"buckets": 3},
+            {"buckets": [{"bits": "1"}]},
+            {"buckets": [{"k": 1}]},
+            {"buckets": [{"k": "1", "bits": "01"}]},
+            {"buckets": [{"k": True, "bits": "01"}]},
+            {"buckets": [{"k": 1, "bits": 1}]},
+            {},
+        ]),
+    ])
+    def test_malformed_compare_exits_2_before_enumerating(self, tmp_path, capsys,
+                                                         monkeypatch, text):
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumeration started before --compare was read")
+
+        monkeypatch.setattr(cli, "exhaustive_path", no_work)
+        x, y = write_toy(tmp_path)
+        compare = tmp_path / "path.json"
+        compare.write_text(text)
+        code = run_cli("oracle", "--model", "pls1", "--x", str(x), "--y", str(y),
+                       "--compare", str(compare), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {compare}: ") and err.count("\n") == 1
+
+    def test_pls1_counts(self, tmp_path):
+        x, y = write_toy(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--model", "pls1", "--x", str(x), "--y", str(y),
+                       "--no-center", "--out", str(out)) == 0
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts == {"enumerated": 2, "scored": 2}
+
     def test_pls1_multicolumn_response_exits_3(self, tmp_path, capsys):
         # The same message as path gives, not a row-count mismatch of the
         # flattened response.
@@ -316,6 +367,34 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: truth support index out of range 0..2")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("truth, message", [
+        ({"p": 15}, "support must be a list of integers"),
+        ([1, 2], "expected a JSON object"),
+        ({"p": 15, "support": ["a"]}, "support must be a list of integers"),
+        ({"p": 15, "support": [1.5]}, "support must be a list of integers"),
+        ({"p": 15, "support": [True]}, "support must be a list of integers"),
+        ({"p": 15, "support": 3}, "support must be a list of integers"),
+        ({"p": "x", "support": [1]}, "p must be an integer of at least 1"),
+        ({"p": 15.0, "support": [1]}, "p must be an integer of at least 1"),
+        ({"p": True, "support": [0]}, "p must be an integer of at least 1"),
+        ({"p": 0, "support": []}, "p must be an integer of at least 1"),
+    ])
+    def test_malformed_truth_exits_2(self, tmp_path, capsys, truth, message):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        code = run_cli("metrics", "--truth", str(path), "--subset", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.count("\n") == 1
+
+    def test_truth_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "truth.json"
+        path.write_bytes(b"\xff\xfe")
+        assert run_cli("metrics", "--truth", str(path), "--subset", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_indices_form(self, truth_file, capsys):
         code = run_cli("metrics", "--truth", str(truth_file), "--subset", "0 1")

@@ -23,7 +23,7 @@ from subsetpath.errors import (
     SingularMatrixError,
 )
 from subsetpath.linalg import center_columns
-from subsetpath.path import GridConfig, Subset
+from subsetpath.path import GridConfig, Subset, dynamic_grid
 from subsetpath.simulate import SimConfig, gen_multiresponse
 from subsetpath.solver import SolverConfig
 
@@ -401,7 +401,9 @@ class TestFit:
             grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver(),
         )
         # the product-formula weights equal the closed form U (C^T U)^-1
-        W_solve = result.U @ np.linalg.inv(result.C.T @ result.U)
+        U = np.column_stack([c.u for c in result.components])
+        C = np.column_stack([c.c for c in result.components])
+        W_solve = U @ np.linalg.inv(C.T @ U)
         assert np.max(np.abs(result.W - W_solve)) <= 1e-8 * max(1.0, np.max(np.abs(result.W)))
         # scores are mutually orthogonal
         TtT = result.T.T @ result.T
@@ -413,13 +415,13 @@ class TestFit:
         X = rng.standard_normal((60, 8)) @ np.diag([4, 3, 2, 1, 0.5, 0.4, 0.3, 0.2])
         result = fit(
             X, model="pca", H=1, strategy=PickStrategy.cpev_drop(0.10),
-            grid_cfg=quick_grid(8), solver_cfg=quick_solver(), keep_paths=True,
+            grid_cfg=quick_grid(8), solver_cfg=quick_solver(),
         )
         k_chosen = result.components[0].subset.size
-        path = result.paths[0]
-        # rebuild the candidate CPEV curve the strategy saw
+        # rebuild the path and the candidate CPEV curve the strategy saw
         from subsetpath.components import _build_component as bc
         Xc = X - X.mean(axis=0)
+        path = dynamic_grid(Xc, None, "pca", quick_grid(8), quick_solver())
         cpevs = {}
         for k in range(1, 9):
             trial = bc(Xc, None, "pca", path.buckets[k].best, 1, None)
@@ -470,16 +472,8 @@ class TestFit:
             grid_cfg=quick_grid(15), solver_cfg=quick_solver(),
         )
         Xc = inst.X - inst.X.mean(axis=0)
+        assert result.W.shape == (15, 3) and result.T.shape == (100, 3)
         np.testing.assert_allclose(result.T, Xc @ result.W, atol=1e-8)
-        assert result.U.shape == (15, 3)
-        assert result.C.shape == (15, 3)
-        assert result.D.shape == (10, 3)
-        assert result.S.shape == (100, 3)
-        assert result.B.shape == (3,)
-        # inner relationship: B holds the per-component regression slopes
-        for j, comp in enumerate(result.components):
-            slope = float(comp.xi @ comp.psi) / float(comp.xi @ comp.xi)
-            assert result.B[j] == pytest.approx(slope)
 
     def test_model_json_schema(self):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=17))
@@ -544,14 +538,16 @@ class TestCrossValidatedPick:
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, mode=mode, strategy=strategy,
             grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver(),
-            keep_paths=True,
         )
         X0 = inst.X - result.x_means
         Y0 = inst.Y - result.y_means
         Xraw, Yraw = X0 + result.x_means, Y0 + result.y_means
+        Xh, Yh = X0, Y0
         for h in (1, 2):
             prev = result.components[:h - 1]
-            path = result.paths[h - 1]
+            if prev:
+                Xh, Yh = deflate(Xh, Yh, prev[-1], mode, "pls2")
+            path = dynamic_grid(Xh, Yh, "pls2", GridConfig(K=15, L=10), quick_solver())
             want = reference_cv_scores(kind, path, [c.subset for c in prev],
                                        Xraw, Yraw, mode, folds=4, seed=0)
             got = _cv_scores(strategy, path, prev, X0, Y0, "pls2", mode,

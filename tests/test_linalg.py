@@ -190,12 +190,9 @@ class TestTopEigpair:
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(pair.vector, ref, atol=1e-6)
         if warm:
-            assert pair.gap is None
             assert pair.iterations == 1 if n <= CROSSOVER else pair.iterations > 0
         else:
             assert pair.iterations == 0
-            want_gap = w[-1] - w[-2] if n > 1 else np.inf
-            assert pair.gap == pytest.approx(want_gap, rel=1e-8)
 
     def test_single_warm_call_is_the_one_row_stack(self):
         n = CROSSOVER + 5
@@ -231,10 +228,23 @@ class TestTopEigpair:
         assert np.isnan(pair.value[0]) and np.isnan(pair.vector[0]).all()
         assert pair.value[1] == pytest.approx(np.linalg.eigvalsh(A[1])[-1], rel=1e-10)
 
-    def test_tied_spectrum_has_zero_gap(self):
+    def test_tied_spectrum(self):
         pair = top_eigpair(2.0 * np.eye(3))
         assert pair.value == pytest.approx(2.0)
-        assert pair.gap == 0.0
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, CROSSOVER + 1, 101])
+    def test_cold_stack_equals_eigh_row_by_row(self, n):
+        # Separated, near-tied, exactly tied and zero rows.
+        A = np.stack([spiked_psd(n, seed=n), near_tied(n, seed=n)[0] if n > 2 else
+                      random_psd(n, seed=n), 2.0 * np.eye(n), np.zeros((n, n))])
+        pair = top_eigpair(A)
+        assert (pair.iterations == 0).all()
+        for b in range(len(A)):
+            w, V = np.linalg.eigh(A[b])
+            assert pair.value[b] == w[-1]
+            sign = 1.0 if pair.vector[b] @ V[:, -1] >= 0 else -1.0
+            np.testing.assert_array_equal(pair.vector[b], sign * V[:, -1])
 
 
 def squared(A, v0, monkeypatch):
@@ -265,7 +275,7 @@ class TestSquaredStep:
         v0 = V[:, :, -1] + 1e-3 * rng.standard_normal((4, n))
         pair, finished = squared(A, v0, monkeypatch)
         assert finished == 0
-        assert (pair.iterations == 1).all() and pair.gap is None
+        assert (pair.iterations == 1).all()
         np.testing.assert_allclose(pair.value, w[:, -1], rtol=1e-12, atol=0)
         sign = np.sign((pair.vector * V[:, :, -1]).sum(axis=1))
         np.testing.assert_allclose(pair.vector, sign[:, None] * V[:, :, -1],
@@ -318,7 +328,6 @@ class TestSquaredStep:
         pair = top_eigpair(A, v0=v0)
         stacked = top_eigpair(A[None], v0=v0[None]).row(0)
         assert pair.value == stacked.value and pair.iterations == stacked.iterations == 1
-        assert pair.gap is None
         np.testing.assert_array_equal(pair.vector, stacked.vector)
 
 

@@ -279,15 +279,19 @@ class TestEvalPls2:
         assert ev_v.value == pytest.approx(ev_u.value, rel=1e-8)
         np.testing.assert_allclose(ev_v.grad_t, ev_u.grad_t, rtol=1e-6, atol=1e-8)
 
-    def test_crossing_flag_on_tied_spectrum(self):
-        # Two exactly tied top singular values.
+    def test_tied_spectrum(self):
+        # Two exactly tied top singular values: whichever top vector the
+        # solve returns, the value is exact and the gradient sums to
+        # -2 delta. Halving t_2 separates them again.
         X = np.sqrt(2.0) * np.eye(2)
         Y = np.sqrt(2.0) * np.diag([2.0, 2.0])
         ctx = make_context(X, Y, "pls2")
         ev = eval_objective(ctx, np.ones(2))
-        assert ev.dominant.gap == 0.0
+        assert ev.value == pytest.approx(-4.0)
+        assert ev.grad_t.sum() == pytest.approx(-8.0)
         ev2 = eval_objective(ctx, np.array([1.0, 0.5]))
-        assert ev2.dominant.gap == pytest.approx(3.0)
+        assert ev2.value == pytest.approx(-4.0)
+        np.testing.assert_allclose(ev2.grad_t, [-8.0, 0.0], atol=1e-12)
 
 
 class TestEvalPca:

@@ -21,7 +21,7 @@ class TestExhaustivePath:
         s2, v2 = result.per_size[2]
         assert s1.bits == (0, 1) and v1 == pytest.approx(-1.0)
         assert s2.bits == (1, 1) and v2 == pytest.approx(-1.25)
-        assert result.enumerated_count == 3
+        assert result.enumerated_count == result.scored_count == 2
 
     def test_pls1_full_set_at_k_equals_p(self):
         rng = np.random.default_rng(1)
@@ -101,6 +101,64 @@ class TestExhaustivePath:
         doc = oracle_to_dict(result)
         assert doc["oracle"] is True
         assert doc["buckets"][0] == {"k": 1, "bits": "01", "objective": -1.0}
+
+
+def brute_force_pls1(X, y):
+    # Every combination of each size scored by its own sum, ties to the
+    # smallest bits: k -> (bits, value).
+    n, p = X.shape
+    z2 = ((X.T @ y) / n) ** 2
+    per_size = {}
+    for k in range(1, p + 1):
+        per_size[k] = min(
+            (-float(np.sum(z2[list(idx)])), Subset(p, idx).bits)
+            for idx in itertools.combinations(range(p), k)
+        )[::-1]
+    return per_size
+
+
+def pls1_design(name, p):
+    rng = np.random.default_rng(p)
+    if name == "gaussian":
+        return center_columns(rng.standard_normal((30, p))), rng.standard_normal(30)
+    # n = 8 and integer entries make every z_j an exact multiple of 1/8, so
+    # sums of z_j^2 are exact; repeated columns tie at every size boundary.
+    Xi = rng.integers(-2, 3, size=(8, (p + 1) // 2)).astype(float)
+    X = np.hstack([Xi, Xi])[:, :p]
+    return X, rng.integers(-3, 4, size=8).astype(float)
+
+
+class TestPls1ClosedForm:
+    """The pls1 oracle ranks the z_j^2 instead of enumerating subsets."""
+
+    @pytest.mark.parametrize("name", ["gaussian", "integer-ties"])
+    @pytest.mark.parametrize("p", [1, 2, 5, 8, 10])
+    def test_equals_brute_force(self, name, p):
+        X, y = pls1_design(name, p)
+        result = exhaustive_path(X, y, "pls1")
+        want = brute_force_pls1(X, y)
+        for k in range(1, p + 1):
+            best, value = result.per_size[k]
+            assert best.bits == want[k][0]
+            assert value == pytest.approx(want[k][1], rel=1e-12, abs=0.0)
+        if name == "integer-ties":
+            assert {k: (s.bits, v) for k, (s, v) in result.per_size.items()} == want
+
+    def test_ties_go_to_the_higher_index(self):
+        # z^2 = (1, 1, 1, 0.25): every 1- and 2-subset of the first three
+        # columns ties; the smallest bits hold the highest indices.
+        X = np.diag([1.0, 1.0, 1.0, 0.5]) * 4.0
+        result = exhaustive_path(X, np.ones(4), "pls1")
+        got = {k: s.bitstring() for k, (s, _) in result.per_size.items()}
+        assert got == {1: "0010", 2: "0110", 3: "1110", 4: "1111"}
+
+    def test_counts_one_subset_per_size(self):
+        rng = np.random.default_rng(9)
+        X = center_columns(rng.standard_normal((20, 6)))
+        y = rng.standard_normal(20)
+        for max_k, want in ((None, 6), (4, 4)):
+            result = exhaustive_path(X, y, "pls1", max_k=max_k)
+            assert result.scored_count == result.enumerated_count == want
 
 
 def unpruned_oracle(X, Y, model, max_k):
@@ -189,12 +247,6 @@ class TestBoundPruning:
         assert result.enumerated_count == (1 << 15) - 1
         assert result.scored_count < result.enumerated_count / 20
 
-    def test_pls1_scores_every_subset(self):
-        rng = np.random.default_rng(9)
-        X = center_columns(rng.standard_normal((20, 6)))
-        result = exhaustive_path(X, rng.standard_normal(20), "pls1")
-        assert result.scored_count == result.enumerated_count == 63
-
 
 class TestCornerOptimalityChecks:
     def test_zero_failures_on_random_instances(self):
@@ -237,6 +289,19 @@ class TestCornerOptimalityChecks:
         for lam in (0.3, 0.6, 0.99):
             values = {s: -np.sum(np.array(s) * z2) + lam * sum(s) for s in corners}
             assert min(values, key=values.get) == (0, 1)
+
+    @pytest.mark.parametrize("name", ["gaussian", "integer-ties"])
+    @pytest.mark.parametrize("p", [3, 8, 15])
+    def test_per_size_values_match_brute_force(self, name, p):
+        X, y = pls1_design(name, p)
+        report = check_corner_optimality(X, y, samples=40, seed=p)
+        assert report.total_failures == 0
+        z2 = ((X.T @ y) / X.shape[0]) ** 2
+        assert report.per_size_values[0] == 0.0
+        for k in range(1, p + 1):
+            want = min(-float(np.sum(z2[list(idx)]))
+                       for idx in itertools.combinations(range(p), k))
+            assert report.per_size_values[k] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_size_guard(self):
         X = np.zeros((2, 16))

@@ -137,6 +137,17 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(scenario="multiresponse", **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma": float("nan")},
+        {"sigma": float("inf")},
+        {"sigma": -1.0},
+        {"snr": float("nan")},
+        {"snr": 0.0},
+    ])
+    def test_unusable_noise_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="sigma|snr"):
+            SimConfig(scenario="univariate", **kwargs)
+
     def test_smallest_sizes_accepted(self):
         inst = generate(SimConfig(scenario="multiresponse", n=2, p=1, q=1, gamma=0,
                                   holdout=0))
