@@ -156,6 +156,9 @@ def write_manifest(outdir: Path, command: str, args: argparse.Namespace,
 
 
 def _outdir(args) -> Path:
+    # Called once the command's results are ready, just before its first
+    # output file is written, so an input or compute error leaves no
+    # directory behind.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -205,13 +208,13 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_path(args) -> int:
-    out = _outdir(args)
     started = time.time()
     X, Y = _load_xy(args, need_y=args.model in ("pls1", "pls2"))
     if args.k_max > X.shape[1]:
         raise DimensionError(f"--k-max {args.k_max} exceeds p={X.shape[1]}")
     grid = GridConfig(K=args.k_max, L=args.budget, rho=args.rho)
     path = dynamic_grid(X, Y, args.model, grid, _solver_config(args))
+    out = _outdir(args)
     with open(out / "path.json", "w", encoding="utf-8") as fh:
         json.dump(path_to_dict(path), fh, indent=2)
     write_csv_rows(
@@ -225,7 +228,6 @@ def cmd_path(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    out = _outdir(args)
     started = time.time()
     X = read_finite_matrix(args.x)
     Y = read_finite_matrix(args.y) if args.y else None
@@ -261,6 +263,7 @@ def cmd_fit(args) -> int:
         mode=args.mode, grid_cfg=grid, solver_cfg=_solver_config(args),
         center=not args.no_center, test=test,
     )
+    out = _outdir(args)
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(result), fh, indent=2)
 
@@ -307,11 +310,11 @@ def _check_holdout(test, X: np.ndarray, Y: np.ndarray | None):
 
 
 def cmd_oracle(args) -> int:
-    out = _outdir(args)
     started = time.time()
     heur_bits = _read_compare(args.compare) if args.compare else None
     X, Y = _load_xy(args, need_y=args.model in ("pls1", "pls2"))
     result = exhaustive_path(X, Y, args.model, max_k=args.max_k)
+    out = _outdir(args)
     with open(out / "oracle.json", "w", encoding="utf-8") as fh:
         json.dump(oracle_to_dict(result), fh, indent=2)
     if heur_bits is not None:

@@ -72,14 +72,9 @@ def center_columns(X: np.ndarray) -> np.ndarray:
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # Entry of largest magnitude made positive (in each row of a stack),
-    # for stable serialization.
-    if v.ndim == 1:
-        j = int(np.argmax(np.abs(v)))
-        return -v if v[j] < 0 else v
-    j = np.argmax(np.abs(v), axis=1)
-    flip = v[np.arange(v.shape[0]), j] < 0
-    return np.where(flip[:, None], -v, v)
+    # Entry of largest magnitude made positive, for stable serialization.
+    j = int(np.argmax(np.abs(v)))
+    return -v if v[j] < 0 else v
 
 
 def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:

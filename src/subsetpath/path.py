@@ -14,18 +14,26 @@ bits. For pls1 only the prefixes whose visit-order sum of z^2 comes within
 _PLS1_BAND of the best are scored exactly (see there).
 
 The dynamic grid drives the solver over a data-dependent schedule of
-penalty values so that terminal subsets cover all sizes 1..K; the
-penalties of one bisection sweep (for p <= 100 with the midpoints of the
-next sweep), and the halvings of the first phase in chunks, are solved
-together in one batched solver call (solver.minimize_batch). Each row of
-a batch is bit for bit the run of its penalty alone, so runs solved ahead
-and recorded later, or never, leave the path as it would be. Its
-eigen-solves cannot fail (linalg.top_eigpair finishes the ones its power
-steps do not settle densely), so a batch is never redone.
+penalty values so that terminal subsets cover all sizes 1..K. The rules
+of that schedule live in one place, _schedule, which asks for the
+terminal size at each penalty it visits; the grid uses it both to decide
+what to solve and to record the runs. A pls1 run's terminal size is
+known in closed form before it is solved, so a pls1 grid plans its whole
+schedule, solves it in one batched solver call (solver.minimize_batch)
+and records it by replaying the schedule on the real runs (it re-plans,
+or goes on as pls2 does, where a run ends elsewhere than predicted). A
+pls2 or pca grid solves as the schedule asks: the halvings of the first
+phase in chunks, and the penalties of one bisection sweep (for p <= 100
+with the midpoints of the next sweep) in one batch. Each row of a batch
+is bit for bit the run of its penalty alone, so runs solved ahead and
+recorded later, or never, leave the path as it would be. Its eigen-solves
+cannot fail (linalg.top_eigpair finishes the ones its power steps do not
+settle densely), so a batch is never redone.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -33,7 +41,7 @@ import numpy as np
 
 from .errors import SolverAbort
 from .objective import ObjectiveContext, corner_values, lambda_max, make_context
-from .solver import SolverConfig, SolverRun, minimize_batch, unique_rows
+from .solver import SolverConfig, SolverRun, _initial_t, minimize_batch, unique_rows
 
 # Candidates per stacked eigen-solve in best_row; bounds the block stack to
 # _BATCH * K^2 floats.
@@ -118,7 +126,8 @@ class SizeBucket:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """L bounds the number of solver calls; rho thresholds terminal t."""
+    """L bounds the number of runs the grid records, aborted ones included;
+    rho thresholds terminal t."""
 
     K: int
     L: int = 50
@@ -205,8 +214,8 @@ def _cheap_rows(p: int) -> bool:
 
 
 def _chunk(p: int) -> int:
-    """Halvings solved per batch in step 1 of dynamic_grid; a run past the
-    one that reaches K is solved for nothing."""
+    """Halvings solved per batch in step 1 of a pls2 or pca grid; a run past
+    the one that reaches K is solved for nothing."""
     return 16 if _cheap_rows(p) else 8
 
 
@@ -218,6 +227,134 @@ def terminal_subset(t: np.ndarray, rho: float) -> Subset:
     return Subset(t.shape[0], tuple(np.flatnonzero(t > rho).tolist()))
 
 
+def _schedule(lam_top: float, grid_cfg: GridConfig, sizes) -> list[float]:
+    """The penalties the grid records, in record order, given
+    sizes(lams): the terminal size of the run at each penalty of lams, or
+    -1 for one that aborted.
+
+    Step 1 asks for lambda_max / 2^l, one l at a time from l = 0, until a
+    size reaches K or L penalties are recorded. Step 2 sweeps the penalties
+    of the successful runs in ascending order and asks, in one list, for
+    the midpoint (lo + hi) / 2 of every pair of neighbours whose sizes
+    differ by more than one, no more of them than the budget left; it
+    re-sweeps until the budget runs out or no such gap remains. A penalty
+    whose run aborts is recorded (it counts against L) but bounds no gap.
+    """
+    lams: list[float] = []
+    entries: list[tuple[float, int]] = []  # (lam, size) of successful runs
+
+    def record(batch: list[float]) -> list[int]:
+        ks = sizes(batch)
+        lams.extend(batch)
+        entries.extend((lam, k) for lam, k in zip(batch, ks) if k >= 0)
+        return ks
+
+    k = 0
+    while len(lams) < grid_cfg.L and k < grid_cfg.K:
+        [k] = record([lam_top / 2.0**len(lams)])
+
+    while len(lams) < grid_cfg.L:
+        budget = grid_cfg.L - len(lams)
+        bounds = sorted(entries)
+        mids = []
+        for (lam_lo, k_lo), (lam_hi, k_hi) in zip(bounds, bounds[1:]):
+            if k_lo > k_hi + 1:
+                mids.append((lam_lo + lam_hi) / 2.0)
+            if len(mids) == budget:
+                break
+        if not mids:
+            break
+        record(mids)
+    return lams
+
+
+def _terminal_size(run: SolverRun | SolverAbort, rho: float) -> int:
+    """Terminal size of a run, or -1 if it aborted."""
+    if isinstance(run, SolverAbort):
+        return -1
+    return terminal_subset(run.terminal_t, rho).size
+
+
+def _closed_form_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
+    """The terminal size the pls1 run at a penalty is expected to have.
+
+    The pls1 objective -sum(t_j^2 z_j^2) + lam sum(t_j) is separable and
+    concave in each t_j, so t_j moves away from its stationary point
+    lam / (2 z_j^2): up to 1 if it starts above it, down to 0 otherwise.
+    The run at lam therefore ends on {j : 2 t0_j z_j^2 > lam}, t0 the
+    solver's start point, if it runs long enough to pass rho."""
+    score = 2.0 * _initial_t(solver_cfg, ctx0.p) * (ctx0.z * ctx0.z)
+    return lambda lam: int(np.count_nonzero(score > lam))
+
+
+def _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
+    """pls1: the schedule planned from _closed_form_size and solved in one
+    call, then planned again from the real sizes of the runs solved so far
+    (the prediction only for the others), each round solving what its plan
+    misses in one call, until nothing is missing; the last plan reads only
+    real sizes, so it is the schedule. Once a successful run ends at a size
+    other than the predicted one (a run capped by max_iter, or plain
+    gradient descent, may not pass rho in time), the prediction is dropped
+    and the rest is solved on demand, as for pls2: a plan built on a wrong
+    prediction would solve runs that are never recorded, round after
+    round. An aborted run costs no trust, only the round that re-plans
+    around it."""
+    predicted = _closed_form_size(ctx0, solver_cfg)
+
+    def sizes(lams):
+        return [_terminal_size(runs[lam], grid_cfg.rho) if lam in runs
+                else predicted(lam) for lam in lams]
+
+    while all(_terminal_size(run, grid_cfg.rho) in (-1, predicted(lam))
+              for lam, run in runs.items()):
+        lams = _schedule(lam_top, grid_cfg, sizes)
+        missing = list(dict.fromkeys(lam for lam in lams if lam not in runs))
+        if not missing:
+            return lams
+        runs.update(zip(missing, minimize_batch(ctx0, missing, solver_cfg, grid_cfg.K)))
+    return _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs)
+
+
+def _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
+    """pls2 and pca, and pls1 once its prediction fails: the schedule,
+    solving each penalty not yet in runs (a dict from penalty to run) when
+    it is first asked for, together with runs it may ask for next. A
+    halving of lambda_max not yet solved comes with the next ones,
+    _chunk(p) in all and no more than the budget left. For cheap rows,
+    while budget remains after the sweep, the missing midpoints of a sweep
+    come with their two children (lo + mid) / 2 and (mid + hi) / 2, the
+    midpoints of the next sweep where both halves of the gap stay open."""
+    chunk = _chunk(ctx0.p)
+    speculate = _cheap_rows(ctx0.p)
+    asked = 0
+    bounds: list[float] = []  # sorted penalties of the successful runs
+
+    def sizes(lams):
+        nonlocal asked
+        missing = [lam for lam in lams if lam not in runs]
+        # Step 1 asks for lambda_max / 2^asked; every midpoint lies above
+        # the smallest successful halving.
+        if missing == [lam_top / 2.0**asked]:
+            missing += [lam_top / 2.0**(asked + i)
+                        for i in range(1, min(chunk, grid_cfg.L - asked))]
+        elif missing and speculate and asked + len(lams) < grid_cfg.L:
+            # A missing midpoint is no bound, so it lies strictly inside one.
+            for mid in list(missing):
+                i = bisect.bisect(bounds, mid)
+                missing += [(bounds[i - 1] + mid) / 2.0, (mid + bounds[i]) / 2.0]
+        if missing:
+            runs.update(zip(missing, minimize_batch(ctx0, missing, solver_cfg,
+                                                    grid_cfg.K)))
+        asked += len(lams)
+        ks = [_terminal_size(runs[lam], grid_cfg.rho) for lam in lams]
+        for lam, k in zip(lams, ks):
+            if k >= 0:
+                bisect.insort(bounds, lam)
+        return ks
+
+    return _schedule(lam_top, grid_cfg, sizes)
+
+
 def dynamic_grid(
     X: np.ndarray,
     Y: np.ndarray | None,
@@ -227,15 +364,20 @@ def dynamic_grid(
 ) -> SolutionPath:
     """Build the full solution path with a data-driven penalty schedule.
 
-    The schedule starts at lambda_max (where the terminal subset is empty)
-    and halves until the terminal subset reaches size K or the budget L is
-    spent; remaining budget bisects adjacent penalties whose terminal sizes
-    differ by more than one, sweeping left to right and re-sweeping until
-    the budget runs out or no gap remains. L counts recorded runs, the
-    lambda_max one included. lambda_max and its halvings are solved
-    _chunk(p) at a time, so step 1 may solve up to _chunk(p) - 1 runs past
-    the one that reaches K; those are discarded and appear in no output, so
-    the path is the one the penalties solved one at a time would give.
+    The schedule (_schedule) starts at lambda_max (where the terminal
+    subset is empty) and halves until the terminal subset reaches size K or
+    the budget L is spent; remaining budget bisects adjacent penalties
+    whose terminal sizes differ by more than one, sweeping left to right
+    and re-sweeping until the budget runs out or no gap remains. L counts
+    recorded runs, the lambda_max one included.
+
+    A pls1 grid plans the whole schedule from the closed-form terminal
+    sizes and solves it in one batch (_plan_and_solve); a pls2 or pca grid
+    solves penalties as the schedule asks for them, with runs it may ask
+    for next (_solve_on_demand). Either way the schedule is then recorded
+    from the real runs in order, and runs solved but not in it are
+    discarded, so the path is the one the penalties solved one at a time
+    would give.
 
     Every successful run feeds the top-K orderings it visited into the size
     buckets (score_buckets), so buckets are filled for all k = 1..K as soon
@@ -254,83 +396,28 @@ def dynamic_grid(
             raise SolverAbort(f"cannot start the grid: {exc}") from exc
         raise
 
-    orders: list[np.ndarray] = []  # the trace of every successful run
-    grid_entries: list[tuple[float, int]] = []
+    runs: dict[float, SolverRun | SolverAbort] = {}
+    solve_grid = _plan_and_solve if ctx0.model == "pls1" else _solve_on_demand
     diagnostics: list[LambdaDiagnostic] = []
-
-    def record(lam: float, run: SolverRun | SolverAbort) -> int:
-        # Terminal size of the run at lam, or -1 if it aborted.
+    traces: list[np.ndarray] = []  # of every successful recorded run
+    for lam in solve_grid(ctx0, lam_top, grid_cfg, solver_cfg, runs):
+        run = runs[lam]
         if isinstance(run, SolverAbort):
             diagnostics.append(
                 LambdaDiagnostic(lam, -1, run.iteration or 0, False, None, failed=True)
             )
-            return -1
-        k_lam = terminal_subset(run.terminal_t, grid_cfg.rho).size
-        grid_entries.append((lam, k_lam))
-        diagnostics.append(
-            LambdaDiagnostic(lam, k_lam, run.iterations, run.converged, run.objective)
-        )
-        orders.append(run.trace)
-        return k_lam
-
-    # Step 1: from lambda_max (whose terminal subset is empty), halve until
-    # the terminal size reaches K or the budget is spent. The next _chunk(p)
-    # penalties lambda_max / 2^l, from l = 0 and no more than the budget
-    # left, are solved as one batch and recorded in order; the runs after
-    # the first one that reaches K are discarded.
-    evals = 0
-    k_lam = 0
-    chunk = _chunk(ctx0.p)
-    while evals < grid_cfg.L and k_lam < grid_cfg.K:
-        size = min(chunk, grid_cfg.L - evals)
-        lams = [lam_top / 2.0**(evals + i) for i in range(size)]
-        for lam, run in zip(lams, minimize_batch(ctx0, lams, solver_cfg, grid_cfg.K)):
-            evals += 1
-            k_lam = record(lam, run)
-            if k_lam >= grid_cfg.K:
-                break
-    budget = grid_cfg.L - evals
-
-    # Step 2: bisect terminal-size gaps, left to right, re-sweeping; the
-    # midpoints of one sweep are recorded in order. The runs of a sweep's
-    # midpoints are looked up by lambda among those solved before; the
-    # missing ones are solved as one batch, and while budget remains after
-    # the sweep, for cheap rows, so are the two children (lam_lo + mid) / 2
-    # and (mid + lam_hi) / 2 of each: the midpoints of the next sweep when
-    # both halves of the gap stay open. A child never recorded is
-    # discarded.
-    runs: dict[float, SolverRun | SolverAbort] = {}
-    speculate = _cheap_rows(ctx0.p)
-    while budget > 0:
-        entries = sorted(grid_entries)
-        gaps = []
-        for (lam_lo, k_lo), (lam_hi, k_hi) in zip(entries, entries[1:]):
-            if k_lo > k_hi + 1:
-                gaps.append((lam_lo, (lam_lo + lam_hi) / 2.0, lam_hi))
-            if len(gaps) == budget:
-                break
-        if not gaps:
-            break
-        budget -= len(gaps)
-        todo = [gap for gap in gaps if gap[1] not in runs]
-        lams = [mid for _, mid, _ in todo]
-        if speculate and budget > 0:
-            lams += [lam for lo, mid, hi in todo
-                     for lam in ((lo + mid) / 2.0, (mid + hi) / 2.0)]
-        if lams:
-            runs.update(zip(lams, minimize_batch(ctx0, lams, solver_cfg, grid_cfg.K)))
-        # Recorded runs leave the cache: a run's terminal_t is a row view
-        # that keeps the (B, p) iterate array of its batch alive.
-        swept = {mid: runs.pop(mid) for mid in {mid for _, mid, _ in gaps}}
-        for _, mid, _ in gaps:
-            record(mid, swept[mid])
-
-    if not grid_entries:  # one entry per successful run
+            continue
+        diagnostics.append(LambdaDiagnostic(
+            lam, _terminal_size(run, grid_cfg.rho), run.iterations, run.converged,
+            run.objective,
+        ))
+        traces.append(run.trace)
+    if not traces:
         raise SolverAbort("no penalty value produced a successful run")
 
     # Every successful run visits at least one top-K ordering, so no bucket
     # is empty here.
-    buckets = score_buckets(ctx0, unique_rows(np.concatenate(orders)), grid_cfg.K)
+    buckets = score_buckets(ctx0, unique_rows(np.concatenate(traces)), grid_cfg.K)
 
     return SolutionPath(
         model=model,
@@ -339,7 +426,8 @@ def dynamic_grid(
         q=ctx0.q,
         K=grid_cfg.K,
         buckets=buckets,
-        lambda_grid=sorted(grid_entries, reverse=True),
+        lambda_grid=sorted(((d.lam, d.terminal_size) for d in diagnostics
+                            if not d.failed), reverse=True),
         diagnostics=diagnostics,
     )
 

@@ -186,7 +186,9 @@ def minimize_batch(
                         trace=unique_rows(np.array(traces[b])),
                         converged=bool(stall[i] >= cfg.patience),
                         iterations=it,
-                        terminal_t=T[i],
+                        # A copy: a view would keep this iterate array
+                        # alive as long as the run.
+                        terminal_t=T[i].copy(),
                         objective=float(ev.value[i]),
                     )
             live = ~done

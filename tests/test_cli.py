@@ -174,6 +174,45 @@ class TestPathCommand:
         assert all(b["bits"].count("1") == b["k"] for b in doc["buckets"])
 
 
+class TestNoOutputOnError:
+    """A command that exits with an error leaves no --out directory."""
+
+    @pytest.fixture
+    def sim(self, tmp_path):
+        sim = tmp_path / "sim"  # multiresponse defaults: p = 15
+        assert run_cli("simulate", "--scenario", "multiresponse", "--seed", "1",
+                       "--out", str(sim)) == 0
+        return sim
+
+    def check(self, capsys, out, code, want):
+        assert code == want
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_path(self, tmp_path, sim, capsys):
+        out = tmp_path / "out"
+        code = run_cli("path", "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--k-max", "99", "--out", str(out))
+        self.check(capsys, out, code, 3)
+
+    def test_oracle(self, tmp_path, sim, capsys):
+        out = tmp_path / "out"
+        compare = tmp_path / "bad.json"
+        compare.write_text("[1]")
+        code = run_cli("oracle", "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--compare", str(compare),
+                       "--out", str(out))
+        self.check(capsys, out, code, 2)
+
+    def test_fit(self, tmp_path, sim, capsys):
+        out = tmp_path / "out"
+        code = run_cli("fit", "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--k-max", "99",
+                       "--pick", "fixed-k=3", "--out", str(out))
+        self.check(capsys, out, code, 3)
+
+
 class TestFitCommand:
     def test_full_subsets_reach_unit_cpev(self, tmp_path):
         rng = np.random.default_rng(2)

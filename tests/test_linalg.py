@@ -331,30 +331,6 @@ class TestSquaredStep:
         np.testing.assert_array_equal(pair.vector, stacked.vector)
 
 
-def fix_sign_loop(v):
-    # The row-by-row form of linalg._fix_sign on a stack.
-    v = v.copy()
-    for b, j in enumerate(np.argmax(np.abs(v), axis=1).tolist()):
-        if v[b, j] < 0:
-            v[b] = -v[b]
-    return v
-
-
 class TestFixSign:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_stack_matches_row_loop_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((40, 6))
-        v[3] = np.nan                      # a NaN row
-        v[5, 2] = np.nan                   # a NaN entry
-        v[7] = [0.5, -0.5, 0.1, 0.0, -0.0, 0.2]    # |v| tied, first one positive
-        v[9] = [-0.5, 0.5, 0.1, 0.0, -0.0, 0.2]    # |v| tied, first one negative
-        v[11] = 0.0
-        v[13] = [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
-        got = linalg._fix_sign(v)
-        want = fix_sign_loop(v)
-        assert got.tobytes() == want.tobytes()
-        assert v[9, 0] == -0.5             # the input is not changed
-
     def test_single_vector(self):
         np.testing.assert_array_equal(linalg._fix_sign(np.array([0.1, -0.3])), [-0.1, 0.3])

@@ -11,6 +11,8 @@ from subsetpath.linalg import EIGH_CROSSOVER, center_columns
 from subsetpath.objective import ObjectiveContext, lambda_max, make_context
 from subsetpath.path import (
     GridConfig,
+    LambdaDiagnostic,
+    SolutionPath,
     Subset,
     best_row,
     dynamic_grid,
@@ -457,8 +459,8 @@ SPECULATION_CASES = [
 
 
 class TestSpeculativeStep1:
-    """Step 1 solves _chunk(p) halvings per batch and keeps only the runs that
-    solving them one at a time would record."""
+    """Step 1 of a pls2 or pca grid solves _chunk(p) halvings per batch and
+    keeps only the runs that solving them one at a time would record."""
 
     @pytest.mark.parametrize("model,branch,p,cfg", SPECULATION_CASES)
     def test_recorded_runs_equal_sequential_reference(self, model, branch, p, cfg,
@@ -514,16 +516,16 @@ class TestSpeculativeStep1:
         # L runs, step 1 spends the whole budget; the last chunk holds what
         # is left of it.
         monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
-        X, Y = grid_case("pls1", None)
+        X, Y = grid_case("pls2", "v")
         grid = GridConfig(K=10, L=L)
         calls = spy_step1(monkeypatch)
-        path = dynamic_grid(X, Y, "pls1", grid)
+        path = dynamic_grid(X, Y, "pls2", grid)
         assert [len(c) for c in calls] == sizes
         lam_top = path.lambda_grid[0][0]
         assert [lam for lam, _ in path.lambda_grid] == [
             lam_top / 2.0**ell for ell in range(L)]
         assert all(size < grid.K for _, size in path.lambda_grid)
-        want = sequential_step1(X, Y, "pls1", grid, SolverConfig())
+        want = sequential_step1(X, Y, "pls2", grid, SolverConfig())
         assert [diagnostic(d) for d in path.diagnostics] == want
 
     def test_row_aborting_mid_chunk(self, monkeypatch):
@@ -563,12 +565,12 @@ class TestSpeculativeStep1:
         # Chunks of 3 hold l = 0..2 and 3..5; K is the terminal size first
         # reached at l = 3.
         monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
-        X, Y = grid_case("pls1", None)
-        first = sequential_step1(X, Y, "pls1", GridConfig(K=10, L=4), SolverConfig())
+        X, Y = grid_case("pls2", "v")
+        first = sequential_step1(X, Y, "pls2", GridConfig(K=10, L=4), SolverConfig())
         K = first[3][1]
         assert K > first[2][1]
         calls = spy_step1(monkeypatch)
-        path = dynamic_grid(X, Y, "pls1", GridConfig(K=K, L=20))
+        path = dynamic_grid(X, Y, "pls2", GridConfig(K=K, L=20))
         assert [len(c) for c in calls] == [3, 3]
         assert [diagnostic(d) for d in path.diagnostics[:4]] == first
         assert calls[1][1] not in {d.lam for d in path.diagnostics}
@@ -602,16 +604,16 @@ def without_speculation(monkeypatch, *args, **kwargs):
 
 
 BISECTION_CASES = [
-    ("pls1", None, 12, GridConfig(K=12, L=30)),
+    ("pls2", "v", 16, GridConfig(K=16, L=30)),
     ("pls2", "v", 10, GridConfig(K=10, L=25)),
     ("pca", None, 15, GridConfig(K=15, L=30)),   # near-tied: dense finishes
 ]
 
 
 class TestSpeculativeBisection:
-    """For p <= 100, a step-2 sweep that calls the solver also solves the
-    children of its new midpoints; the next sweep records the ones it
-    needs and the rest are discarded."""
+    """For p <= 100, a step-2 sweep of a pls2 or pca grid that calls the
+    solver also solves the children of its new midpoints; the next sweep
+    records the ones it needs and the rest are discarded."""
 
     @pytest.mark.parametrize("model,branch,p,grid", BISECTION_CASES)
     def test_path_equals_the_grid_without_speculation(self, model, branch, p, grid,
@@ -635,9 +637,9 @@ class TestSpeculativeBisection:
             def __getattr__(self, name):
                 raise AssertionError(f"a discarded run's {name} was read")
 
-        X, Y = grid_case("pls1", None, p=12)
-        grid = GridConfig(K=12, L=30)
-        want = dynamic_grid(X, Y, "pls1", grid)
+        X, Y = grid_case("pls2", "v", p=16, seed=2)
+        grid = GridConfig(K=16, L=30)
+        want = dynamic_grid(X, Y, "pls2", grid)
         recorded = {d.lam for d in want.diagnostics}
         discarded = []
 
@@ -646,43 +648,219 @@ class TestSpeculativeBisection:
             return [run if lam in recorded else Discarded() for lam, run in zip(lams, runs)]
 
         spy_step2(monkeypatch, poison)
-        got = dynamic_grid(X, Y, "pls1", grid)
+        got = dynamic_grid(X, Y, "pls2", grid)
         assert discarded
         assert_same_path(got, want)
         assert not set(discarded) & {lam for lam, _ in got.lambda_grid}
 
     @pytest.mark.parametrize("L", [16, 18, 20])
     def test_budget_counts_recorded_runs_only(self, L, monkeypatch):
-        # Step 1 records 13 runs here; step 2 ends with the rest of the
+        # Step 1 records 11 runs here; step 2 ends with the rest of the
         # budget spent on recorded runs, however many it solved ahead.
-        X, Y = grid_case("pls1", None, p=12)
-        grid = GridConfig(K=12, L=L)
-        assert len(sequential_step1(X, Y, "pls1", grid, SolverConfig())) == 13
+        X, Y = grid_case("pls2", "v", p=16, seed=2)
+        grid = GridConfig(K=16, L=L)
+        assert len(sequential_step1(X, Y, "pls2", grid, SolverConfig())) == 11
         calls = spy_step2(monkeypatch)
-        path = dynamic_grid(X, Y, "pls1", grid)
+        path = dynamic_grid(X, Y, "pls2", grid)
         assert len(path.diagnostics) == L
-        assert sum(map(len, calls)) > L - 13
+        assert sum(map(len, calls)) > L - 11
 
     @pytest.mark.parametrize("L", [18, 20])
     def test_sweep_spending_the_budget_solves_no_children(self, L, monkeypatch):
         # Here the last step-2 call is made by the sweep that spends the
         # rest of the budget: it solves only midpoints it records.
-        X, Y = grid_case("pls1", None, p=12)
+        X, Y = grid_case("pls2", "v", p=16, seed=2)
         calls = spy_step2(monkeypatch)
-        path = dynamic_grid(X, Y, "pls1", GridConfig(K=12, L=L))
+        path = dynamic_grid(X, Y, "pls2", GridConfig(K=16, L=L))
         assert len(calls) > 1
         assert set(calls[-1]) <= {d.lam for d in path.diagnostics[-len(calls[-1]):]}
 
     def test_wide_grid_never_speculates(self, monkeypatch):
         # Above 100 columns each sweep solves exactly its midpoints, left to
         # right, in one call, and records them in that order.
-        X, Y = grid_case("pls1", None, p=120)
+        X, Y = grid_case("pls2", "v", p=120)
         calls = spy_step2(monkeypatch)
-        path = dynamic_grid(X, Y, "pls1", GridConfig(K=20, L=30))
+        path = dynamic_grid(X, Y, "pls2", GridConfig(K=20, L=30))
         swept = [lam for call in calls for lam in call]
         assert any(len(call) > 1 for call in calls)
         assert all(call == sorted(call) for call in calls)
         assert [d.lam for d in path.diagnostics[-len(swept):]] == swept
+
+
+def sequential_path(X, Y, model, grid, cfg=None):
+    # The path with every penalty of the schedule solved alone by minimize,
+    # in record order, the schedule written out here on its own: lambda_max
+    # and its halvings until a terminal size reaches K, then left-to-right
+    # sweeps that bisect every gap of more than one size, within L.
+    cfg = cfg or SolverConfig()
+    ctx0 = make_context(X, Y, model)
+    lam_top = lambda_max(ctx0)
+    diagnostics, traces = [], []
+
+    def solve(lam):
+        try:
+            run = minimize(ctx0.with_lambda(lam), cfg, grid.K)
+        except SolverAbort as err:
+            diagnostics.append(LambdaDiagnostic(lam, -1, err.iteration or 0, False, None,
+                                                failed=True))
+            return -1
+        size = terminal_subset(run.terminal_t, grid.rho).size
+        diagnostics.append(LambdaDiagnostic(lam, size, run.iterations, run.converged,
+                                            run.objective))
+        traces.append(run.trace)
+        return size
+
+    size = 0
+    while len(diagnostics) < grid.L and size < grid.K:
+        size = solve(lam_top / 2.0 ** len(diagnostics))
+    while len(diagnostics) < grid.L:
+        done = sorted((d.lam, d.terminal_size) for d in diagnostics if not d.failed)
+        mids = [(lo + hi) / 2.0 for (lo, k_lo), (hi, k_hi) in zip(done, done[1:])
+                if k_lo > k_hi + 1]
+        if not mids:
+            break
+        for mid in mids[:grid.L - len(diagnostics)]:
+            solve(mid)
+    return SolutionPath(
+        model, ctx0.n, ctx0.p, ctx0.q, grid.K,
+        score_buckets(ctx0, unique_rows(np.concatenate(traces)), grid.K),
+        sorted(((d.lam, d.terminal_size) for d in diagnostics if not d.failed),
+               reverse=True),
+        diagnostics,
+    )
+
+
+def spy_calls(monkeypatch):
+    # Records the penalties of every call to minimize_batch.
+    calls = []
+    solve = path_module.minimize_batch
+
+    def spy(ctx, lams, cfg, K):
+        calls.append(list(lams))
+        return solve(ctx, lams, cfg, K)
+
+    monkeypatch.setattr(path_module, "minimize_batch", spy)
+    return calls
+
+
+def t_init_array(p, seed=4):
+    return np.random.default_rng(seed).uniform(0.2, 0.8, p)
+
+
+def tied_pls1_case():
+    # z = y = (2, 1, 1, 1, 1): lambda_max = 8, and at the halvings 4 and 1
+    # the start point t0 = 0.5 is stationary in some coordinates
+    # (2 t0 z_j^2 = lambda exactly), which the run leaves out.
+    return 5.0 * np.eye(5), np.array([2.0, 1.0, 1.0, 1.0, 1.0])
+
+
+PLAN_CASES = [
+    # (p, K, L, solver config)
+    (10, 2, 20, SolverConfig()),        # K reached at the first halvings
+    (10, 10, 30, SolverConfig()),       # K reached late
+    (10, 10, 4, SolverConfig()),        # K never reached within L
+    (12, 12, 2, SolverConfig()),
+    (12, 12, 6, SolverConfig()),
+    (12, 12, 16, SolverConfig()),
+    (12, 12, 20, SolverConfig()),
+    (12, 12, 30, SolverConfig(method="gd")),
+    (12, 6, 20, SolverConfig(t_init=t_init_array(12))),
+    (120, 20, 30, SolverConfig()),
+    (120, 20, 16, SolverConfig(method="gd")),
+    (120, 20, 30, SolverConfig(t_init=t_init_array(120))),
+]
+
+
+class TestPls1Plan:
+    """A pls1 grid plans its schedule from the closed-form terminal sizes,
+    solves it in one batch, and re-plans from the real runs until nothing
+    is missing; the path is the one each penalty solved alone gives."""
+
+    @pytest.mark.parametrize("p,K,L,cfg", PLAN_CASES)
+    def test_path_equals_the_sequential_reference(self, p, K, L, cfg):
+        X, y = grid_case("pls1", p=p)
+        grid = GridConfig(K=K, L=L)
+        got = dynamic_grid(X, y, "pls1", grid, cfg)
+        assert len(got.diagnostics) <= L
+        assert_same_path(got, sequential_path(X, y, "pls1", grid, cfg))
+
+    @pytest.mark.parametrize("case", ["p10", "p120", "t_init", "tied"])
+    def test_prediction_that_holds_makes_one_call(self, case, monkeypatch):
+        cfg = SolverConfig()
+        if case == "tied":
+            (X, y), grid = tied_pls1_case(), GridConfig(K=5, L=10)
+        else:
+            p = 10 if case == "p10" else 120
+            X, y = grid_case("pls1", p=p)
+            grid = GridConfig(K=p if p == 10 else 20, L=30)
+            if case == "t_init":
+                cfg = SolverConfig(t_init=t_init_array(p))
+        calls = spy_calls(monkeypatch)
+        path = dynamic_grid(X, y, "pls1", grid, cfg)
+        assert calls == [[d.lam for d in path.diagnostics]]
+        if case == "tied":
+            assert [d.terminal_size for d in path.diagnostics[:5]] == [0, 0, 1, 1, 5]
+        assert_same_path(path, sequential_path(X, y, "pls1", grid, cfg))
+
+    @pytest.mark.parametrize("fault", ["off_by_one", "max_iter", "gd"])
+    def test_misprediction_solves_only_missing_penalties(self, fault, monkeypatch):
+        X, y = grid_case("pls1", p=12)
+        grid = GridConfig(K=12, L=20)
+        cfg = SolverConfig()
+        if fault == "off_by_one":
+            predict = path_module._closed_form_size
+            monkeypatch.setattr(
+                path_module, "_closed_form_size",
+                lambda ctx0, cfg: lambda lam: predict(ctx0, cfg)(lam) + 1)
+        elif fault == "max_iter":
+            cfg = SolverConfig(max_iter=12)  # no run passes rho in time
+        else:
+            cfg = SolverConfig(method="gd")  # nor here, within 1000 steps
+        calls = spy_calls(monkeypatch)
+        got = dynamic_grid(X, y, "pls1", grid, cfg)
+        assert_same_path(got, sequential_path(X, y, "pls1", grid, cfg))
+        # Each call after the first solves only penalties no earlier call
+        # solved, and a prediction proven wrong is not planned on again:
+        # no round after round of runs that are never recorded.
+        solved = [lam for call in calls for lam in call]
+        assert len(calls) > 1
+        assert len(solved) == len(set(solved))
+        assert len(solved) <= 2 * grid.L
+
+    def test_row_aborting_mid_plan(self, monkeypatch):
+        # The run at lambda_max / 4 turns NaN at its fifth iteration: it
+        # alone aborts, the rest of its batch goes on, and the path is the
+        # one the same fault gives with every penalty solved alone.
+        X, y = grid_case("pls1", p=12)
+        grid = GridConfig(K=12, L=30)
+        target = lambda_max(make_context(X, y, "pls1")) / 4.0
+        evaluate = solver.eval_batch
+
+        def poisoned_grid(run_grid):
+            seen = collections.Counter()
+
+            def poisoned(ctx, T, lam, **kwargs):
+                ev = evaluate(ctx, T, lam, **kwargs)
+                hit = lam == target
+                if hit.any():
+                    seen[target] += 1
+                    if seen[target] == 6:  # the evaluation at iteration 5
+                        ev.value[hit] = np.nan
+                return ev
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "eval_batch", poisoned)
+                return run_grid()
+
+        calls = spy_calls(monkeypatch)
+        got = poisoned_grid(lambda: dynamic_grid(X, y, "pls1", grid))
+        want = poisoned_grid(lambda: sequential_path(X, y, "pls1", grid))
+        aborted = got.diagnostics[2]
+        assert (aborted.lam, aborted.failed, aborted.iterations) == (target, True, 5)
+        assert not any(d.failed for d in got.diagnostics[3:])
+        assert target not in {lam for lam, _ in got.lambda_grid}
+        assert target in calls[0] and len(calls[0]) > 3
+        assert_same_path(got, want)
 
 
 class TestPcaBelowP:
