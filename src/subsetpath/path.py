@@ -20,11 +20,11 @@ terminal size at each penalty it visits; the grid uses it both to decide
 what to solve and to record the runs. A pls1 run's terminal size is
 known in closed form before it is solved, so a pls1 grid plans its whole
 schedule, solves it in one batched solver call (solver.minimize_batch)
-and records it by replaying the schedule on the real runs (it re-plans,
-or goes on as pls2 does, where a run ends elsewhere than predicted). A
-pls2 or pca grid solves as the schedule asks: the halvings of the first
-phase in chunks, and the penalties of one bisection sweep (for p <= 100
-with the midpoints of the next sweep) in one batch. Each row of a batch
+and records it by replaying the schedule on the real runs, solving there
+whatever a wrong prediction left out as pls2 does. A pls2 or pca grid
+solves as the schedule asks: the halvings of the first phase in chunks,
+and the penalties of one bisection sweep (for p <= 100 with the
+midpoints of the next sweep) in one batch. Each row of a batch
 is bit for bit the run of its penalty alone, so runs solved ahead and
 recorded later, or never, leave the path as it would be. Its eigen-solves
 cannot fail (linalg.top_eigpair finishes the ones its power steps do not
@@ -33,8 +33,8 @@ settle densely), so a batch is never redone.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,42 +229,53 @@ def terminal_subset(t: np.ndarray, rho: float) -> Subset:
 
 def _schedule(lam_top: float, grid_cfg: GridConfig, sizes) -> list[float]:
     """The penalties the grid records, in record order, given
-    sizes(lams): the terminal size of the run at each penalty of lams, or
-    -1 for one that aborted.
+    sizes(step, lams, ahead): the terminal size of the run at each penalty
+    of lams, or -1 for one that aborted. step is 1 or 2; ahead[i] iterates
+    over the penalties the schedule may ask for next after lams[i], for a
+    solver that solves ahead.
 
     Step 1 asks for lambda_max / 2^l, one l at a time from l = 0, until a
-    size reaches K or L penalties are recorded. Step 2 sweeps the penalties
-    of the successful runs in ascending order and asks, in one list, for
-    the midpoint (lo + hi) / 2 of every pair of neighbours whose sizes
-    differ by more than one, no more of them than the budget left; it
-    re-sweeps until the budget runs out or no such gap remains. A penalty
-    whose run aborts is recorded (it counts against L) but bounds no gap.
+    size reaches K or L penalties are recorded; ahead holds the halvings
+    after it that fit in the budget. Step 2 sweeps the penalties of the
+    successful runs in ascending order and asks, in one list, for the
+    midpoint (lo + hi) / 2 of every pair of neighbours whose sizes differ
+    by more than one, no more of them than the budget left; it re-sweeps
+    until the budget runs out or no such gap remains. While budget remains
+    after a sweep, ahead holds the two children of each midpoint,
+    (lo + mid) / 2 and (mid + hi) / 2: the midpoints of the next sweep
+    where both halves of its gap stay open. A penalty whose run aborts is
+    recorded (it counts against L) but bounds no gap.
     """
     lams: list[float] = []
     entries: list[tuple[float, int]] = []  # (lam, size) of successful runs
 
-    def record(batch: list[float]) -> list[int]:
-        ks = sizes(batch)
+    def record(step: int, batch: list[float], ahead: list) -> list[int]:
+        ks = sizes(step, batch, ahead)
         lams.extend(batch)
         entries.extend((lam, k) for lam, k in zip(batch, ks) if k >= 0)
         return ks
 
     k = 0
     while len(lams) < grid_cfg.L and k < grid_cfg.K:
-        [k] = record([lam_top / 2.0**len(lams)])
+        l = len(lams)
+        halvings = (lam_top / 2.0**i for i in range(l + 1, grid_cfg.L))
+        [k] = record(1, [lam_top / 2.0**l], [halvings])
 
     while len(lams) < grid_cfg.L:
         budget = grid_cfg.L - len(lams)
         bounds = sorted(entries)
-        mids = []
+        gaps = []
         for (lam_lo, k_lo), (lam_hi, k_hi) in zip(bounds, bounds[1:]):
             if k_lo > k_hi + 1:
-                mids.append((lam_lo + lam_hi) / 2.0)
-            if len(mids) == budget:
+                gaps.append((lam_lo, (lam_lo + lam_hi) / 2.0, lam_hi))
+            if len(gaps) == budget:
                 break
-        if not mids:
+        if not gaps:
             break
-        record(mids)
+        more = len(gaps) < budget
+        record(2, [mid for _, mid, _ in gaps],
+               [[(lo + mid) / 2.0, (mid + hi) / 2.0] if more else []
+                for lo, mid, hi in gaps])
     return lams
 
 
@@ -288,69 +299,40 @@ def _closed_form_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
 
 
 def _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
-    """pls1: the schedule planned from _closed_form_size and solved in one
-    call, then planned again from the real sizes of the runs solved so far
-    (the prediction only for the others), each round solving what its plan
-    misses in one call, until nothing is missing; the last plan reads only
-    real sizes, so it is the schedule. Once a successful run ends at a size
-    other than the predicted one (a run capped by max_iter, or plain
-    gradient descent, may not pass rho in time), the prediction is dropped
-    and the rest is solved on demand, as for pls2: a plan built on a wrong
-    prediction would solve runs that are never recorded, round after
-    round. An aborted run costs no trust, only the round that re-plans
-    around it."""
+    """pls1: the schedule planned from _closed_form_size, solved in one
+    call, then replayed on the real runs by _solve_on_demand, which solves
+    only what a wrong prediction left out (a run capped by max_iter, or
+    plain gradient descent, may not pass rho in time; a run may abort)."""
     predicted = _closed_form_size(ctx0, solver_cfg)
-
-    def sizes(lams):
-        return [_terminal_size(runs[lam], grid_cfg.rho) if lam in runs
-                else predicted(lam) for lam in lams]
-
-    while all(_terminal_size(run, grid_cfg.rho) in (-1, predicted(lam))
-              for lam, run in runs.items()):
-        lams = _schedule(lam_top, grid_cfg, sizes)
-        missing = list(dict.fromkeys(lam for lam in lams if lam not in runs))
-        if not missing:
-            return lams
-        runs.update(zip(missing, minimize_batch(ctx0, missing, solver_cfg, grid_cfg.K)))
+    plan = _schedule(lam_top, grid_cfg,
+                     lambda step, lams, ahead: [predicted(lam) for lam in lams])
+    plan = list(dict.fromkeys(plan))
+    runs.update(zip(plan, minimize_batch(ctx0, plan, solver_cfg, grid_cfg.K)))
     return _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs)
 
 
 def _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
-    """pls2 and pca, and pls1 once its prediction fails: the schedule,
-    solving each penalty not yet in runs (a dict from penalty to run) when
-    it is first asked for, together with runs it may ask for next. A
-    halving of lambda_max not yet solved comes with the next ones,
-    _chunk(p) in all and no more than the budget left. For cheap rows,
-    while budget remains after the sweep, the missing midpoints of a sweep
-    come with their two children (lo + mid) / 2 and (mid + hi) / 2, the
-    midpoints of the next sweep where both halves of the gap stay open."""
+    """The schedule, solving each penalty not yet in runs (a dict from
+    penalty to run) when it is first asked for, together with runs it may
+    ask for next. A halving of lambda_max not yet solved comes with the
+    next ones, _chunk(p) in all and no more than the budget left. For cheap
+    rows, the missing midpoints of a sweep come with their two children,
+    while budget remains after the sweep."""
     chunk = _chunk(ctx0.p)
     speculate = _cheap_rows(ctx0.p)
-    asked = 0
-    bounds: list[float] = []  # sorted penalties of the successful runs
 
-    def sizes(lams):
-        nonlocal asked
+    def sizes(step, lams, ahead):
         missing = [lam for lam in lams if lam not in runs]
-        # Step 1 asks for lambda_max / 2^asked; every midpoint lies above
-        # the smallest successful halving.
-        if missing == [lam_top / 2.0**asked]:
-            missing += [lam_top / 2.0**(asked + i)
-                        for i in range(1, min(chunk, grid_cfg.L - asked))]
-        elif missing and speculate and asked + len(lams) < grid_cfg.L:
-            # A missing midpoint is no bound, so it lies strictly inside one.
-            for mid in list(missing):
-                i = bisect.bisect(bounds, mid)
-                missing += [(bounds[i - 1] + mid) / 2.0, (mid + bounds[i]) / 2.0]
+        if missing and step == 1:
+            missing += itertools.islice(ahead[0], chunk - 1)
+        elif missing and speculate:
+            missing += [kid for lam, kids in zip(lams, ahead) if lam not in runs
+                        for kid in kids]
+        missing = [lam for lam in dict.fromkeys(missing) if lam not in runs]
         if missing:
             runs.update(zip(missing, minimize_batch(ctx0, missing, solver_cfg,
                                                     grid_cfg.K)))
-        asked += len(lams)
-        ks = [_terminal_size(runs[lam], grid_cfg.rho) for lam in lams]
-        for lam, k in zip(lams, ks):
-            if k >= 0:
-                bisect.insort(bounds, lam)
-        return ks
+        return [_terminal_size(runs[lam], grid_cfg.rho) for lam in lams]
 
     return _schedule(lam_top, grid_cfg, sizes)
 
@@ -371,13 +353,13 @@ def dynamic_grid(
     and re-sweeping until the budget runs out or no gap remains. L counts
     recorded runs, the lambda_max one included.
 
-    A pls1 grid plans the whole schedule from the closed-form terminal
-    sizes and solves it in one batch (_plan_and_solve); a pls2 or pca grid
-    solves penalties as the schedule asks for them, with runs it may ask
-    for next (_solve_on_demand). Either way the schedule is then recorded
-    from the real runs in order, and runs solved but not in it are
-    discarded, so the path is the one the penalties solved one at a time
-    would give.
+    A pls1 grid first plans the whole schedule from the closed-form
+    terminal sizes and solves it in one batch (_plan_and_solve). Then, for
+    every model, the schedule is replayed on the real runs, and a penalty
+    not yet solved is solved when it is asked for, with runs the schedule
+    may ask for next (_solve_on_demand). It is recorded in that order, and
+    runs solved but not in it are discarded, so the path is the one the
+    penalties solved one at a time would give.
 
     Every successful run feeds the top-K orderings it visited into the size
     buckets (score_buckets), so buckets are filled for all k = 1..K as soon

@@ -773,8 +773,8 @@ PLAN_CASES = [
 
 class TestPls1Plan:
     """A pls1 grid plans its schedule from the closed-form terminal sizes,
-    solves it in one batch, and re-plans from the real runs until nothing
-    is missing; the path is the one each penalty solved alone gives."""
+    solves it in one batch, and replays it on the real runs, solving what
+    the plan missed; the path is the one each penalty solved alone gives."""
 
     @pytest.mark.parametrize("p,K,L,cfg", PLAN_CASES)
     def test_path_equals_the_sequential_reference(self, p, K, L, cfg):
@@ -820,8 +820,7 @@ class TestPls1Plan:
         got = dynamic_grid(X, y, "pls1", grid, cfg)
         assert_same_path(got, sequential_path(X, y, "pls1", grid, cfg))
         # Each call after the first solves only penalties no earlier call
-        # solved, and a prediction proven wrong is not planned on again:
-        # no round after round of runs that are never recorded.
+        # solved, and a prediction proven wrong is not planned on again.
         solved = [lam for call in calls for lam in call]
         assert len(calls) > 1
         assert len(solved) == len(set(solved))
