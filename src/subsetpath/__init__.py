@@ -40,7 +40,6 @@ from .objective import (
     corner_objective,
     corner_values,
     eval_batch,
-    eval_objective,
     grad_r,
     lambda_max,
     make_context,
@@ -66,6 +65,6 @@ from .path import (
     terminal_subset,
 )
 from .simulate import MetricsReport, SimConfig, SimInstance, generate, metrics
-from .solver import SolverConfig, SolverRun, minimize, minimize_batch
+from .solver import SolverConfig, SolverRun, minimize_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

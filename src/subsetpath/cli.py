@@ -204,7 +204,7 @@ def cmd_simulate(args) -> int:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(method=args.solver, seed=args.seed)
+    return SolverConfig(method=args.solver)
 
 
 def cmd_path(args) -> int:
@@ -261,7 +261,7 @@ def cmd_fit(args) -> int:
     result = fit(
         X, Y, model=args.model, H=args.components, strategy=strategy,
         mode=args.mode, grid_cfg=grid, solver_cfg=_solver_config(args),
-        center=not args.no_center, test=test,
+        center=not args.no_center, test=test, seed=args.seed,
     )
     out = _outdir(args)
     with open(out / "model.json", "w", encoding="utf-8") as fh:
@@ -313,6 +313,9 @@ def cmd_oracle(args) -> int:
     started = time.time()
     heur_bits = _read_compare(args.compare) if args.compare else None
     X, Y = _load_xy(args, need_y=args.model in ("pls1", "pls2"))
+    p = X.shape[1]
+    if heur_bits and any(len(bits) != p for bits in heur_bits.values()):
+        raise DimensionError(f"{args.compare}: bucket bits need one bit per column of X, {p}")
     result = exhaustive_path(X, Y, args.model, max_k=args.max_k)
     out = _outdir(args)
     with open(out / "oracle.json", "w", encoding="utf-8") as fh:
@@ -348,7 +351,8 @@ def _is_int(x) -> bool:
 
 
 def _read_compare(path: str) -> dict[int, str]:
-    """The bucket bits of a path.json, by subset size."""
+    """The bucket bits of a path.json, by subset size: one bucket per k,
+    each a string of 0s and 1s with k ones."""
     doc = _read_json(path)
     buckets = doc.get("buckets") if isinstance(doc, dict) else None
     if not isinstance(buckets, list) or not all(
@@ -359,7 +363,15 @@ def _read_compare(path: str) -> dict[int, str]:
             f"{path}: expected an object whose buckets are objects with an "
             "integer k and a string bits"
         )
-    return {b["k"]: b["bits"] for b in buckets}
+    bits = {}
+    for b in buckets:
+        k = b["k"]
+        if k in bits:
+            raise ParseError(f"{path}: more than one bucket with k={k}")
+        if not set(b["bits"]) <= {"0", "1"} or b["bits"].count("1") != k:
+            raise ParseError(f"{path}: bucket k={k} bits must be 0s and 1s with {k} ones")
+        bits[k] = b["bits"]
+    return bits
 
 
 def _subset_in(p: int, indices, what: str) -> Subset:
@@ -478,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--model", required=True, choices=["pls1", "pls2", "pca"])
         p_.add_argument("--x", required=True)
         p_.add_argument("--y")
-        p_.add_argument("--seed", type=int, default=0)
         p_.add_argument("--no-center", action="store_true")
         p_.add_argument("--out", required=True)
 
@@ -503,6 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--rho", type=_open_unit, default=0.9)
     fit_p.add_argument("--solver", choices=["adam", "gd"], default="adam")
     fit_p.add_argument("--test", nargs=2, metavar=("X_TEST", "Y_TEST"))
+    fit_p.add_argument("--seed", type=int, default=0)
     fit_p.set_defaults(func=cmd_fit)
 
     orc = sub.add_parser("oracle", help="exhaustive best subsets (small p)")

@@ -532,13 +532,15 @@ def fit(
     solver_cfg: SolverConfig | None = None,
     center: bool = True,
     test: tuple[np.ndarray, np.ndarray] | None = None,
+    seed: int = 0,
 ) -> FittedModel:
     """Fit H components, each from a fresh solution path on the deflated
     data, picking one subset per component with ``strategy``.
 
     With center=True (default) the training column means are removed here
     and stored so predictions accept raw inputs. ``test`` supplies a raw
-    holdout pair for the min-msep strategy.
+    holdout pair for the min-msep strategy. ``seed`` seeds the v-fold split
+    of the min-msep and max-cor picks when they cross-validate.
     """
     if H < 1:
         raise ValueError("H must be at least 1")
@@ -584,7 +586,7 @@ def fit(
             path = dynamic_grid(Xh, Yh, model, grid_cfg, solver_cfg)
             k = _pick_subset_size(
                 strategy, path, comps, X0, Y0, Xh, Yh, model, mode,
-                h, solver_cfg.seed, test, x_means, y_means,
+                h, seed, test, x_means, y_means,
             )
             bucket = path.buckets[k]
             comp = _build_component(

@@ -12,17 +12,17 @@ The box constraint is removed through t_j = 1 - exp(-r_j^2), so downstream
 solvers work on unconstrained r; grad_r applies the chain rule. Spectral
 quantities at relaxed points come from linalg.top_eigpair, on the smaller
 of two eigenproblems with the same top eigenvalue (A^T A and A A^T): for
-pls2 with q < p and pca with n < p the q x q or n x n one. eval_batch
-evaluates a stack of points, each under its own penalty, in one pass, and
-eval_objective is its one-row case. Corner values (a binary t, the
-column-deleted data) come from corner_values, which scores a stack of
-subsets of one size with numpy's dense eigvalsh; corner_objective and
-lambda_max are its one-row case.
+pls2 with q < p and pca with n < p the q x q or n x n one. The data
+kernel is fixed per dataset (ObjectiveContext) and the penalty is not:
+eval_batch evaluates a stack of points, each under its own penalty, in one
+pass. Corner values (a binary t, the column-deleted data) come from
+corner_values, which scores a stack of subsets of one size with numpy's
+dense eigvalsh; corner_objective and lambda_max are its one-row case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,8 @@ def r_of_t(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObjectiveContext:
-    """Per-dataset quantities the objectives need; independent of t.
+    """Per-dataset quantities the objectives need; independent of t and
+    of the penalty.
 
     Exactly one kernel is active: ``z`` for pls1, ``M`` for pls2 with
     q < p (M = X^T Y / n) and for pca with n < p (M = X^T / sqrt(n)), ``G``
@@ -64,31 +65,25 @@ class ObjectiveContext:
     n: int
     p: int
     q: int
-    lam: float
     z: np.ndarray | None = None
     M: np.ndarray | None = None
     G: np.ndarray | None = None
 
-    def with_lambda(self, lam: float) -> "ObjectiveContext":
-        if lam < 0.0:
-            raise ValueError("lambda must be non-negative")
-        return replace(self, lam=float(lam))
-
 
 @dataclass
 class ObjectiveEval:
-    """Objective value, gradient in t, and the spectral quantity behind it.
+    """Objective values, gradients in t, and the spectral quantity behind
+    them, for a stack of B points: value and delta have shape (B,), grad_t
+    (B, p).
 
     ``delta`` is delta_t^2 for pls2, delta_t for pca, and
-    ||X_t^T y||^2 / n^2 for pls1. ``dominant`` is the eigenpair behind it
-    (None for pls1). From eval_batch every field is stacked:
-    value and delta have shape (B,), grad_t (B, p), dominant is a stacked
-    DominantPair.
+    ||X_t^T y||^2 / n^2 for pls1. ``dominant`` is the stacked eigenpair
+    behind it (None for pls1).
     """
 
-    value: float
+    value: np.ndarray
     grad_t: np.ndarray
-    delta: float
+    delta: np.ndarray
     dominant: DominantPair | None = None
 
 
@@ -96,7 +91,6 @@ def make_context(
     X: np.ndarray,
     Y: np.ndarray | None = None,
     model: str = "pls1",
-    lam: float = 0.0,
 ) -> ObjectiveContext:
     """Precompute the model kernel from (already centered) data.
 
@@ -110,8 +104,6 @@ def make_context(
     if X.ndim != 2:
         raise DimensionError(f"X must be 2-D, got ndim={X.ndim}")
     n, p = X.shape
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
 
@@ -120,10 +112,10 @@ def make_context(
             raise DimensionError("pca takes no response matrix")
         if n < p:
             M = np.ascontiguousarray(X.T) / np.sqrt(n)
-            return ObjectiveContext("pca", n, p, 0, float(lam), M=M)
+            return ObjectiveContext("pca", n, p, 0, M=M)
         with np.errstate(over="ignore", invalid="ignore"):
             G = (X.T @ X) / n
-        return ObjectiveContext("pca", n, p, 0, float(lam), G=G)
+        return ObjectiveContext("pca", n, p, 0, G=G)
 
     if Y is None:
         raise DimensionError(f"{model} requires a response")
@@ -141,14 +133,14 @@ def make_context(
             raise DimensionError(f"pls1 requires a single response column, got {q}")
         with np.errstate(over="ignore", invalid="ignore"):
             z = (X.T @ Y[:, 0]) / n
-        return ObjectiveContext("pls1", n, p, 1, float(lam), z=z)
+        return ObjectiveContext("pls1", n, p, 1, z=z)
 
     with np.errstate(over="ignore", invalid="ignore"):
         M = (X.T @ Y) / n
         G = None if q < p else M @ M.T
     if G is None:
-        return ObjectiveContext("pls2", n, p, q, float(lam), M=M)
-    return ObjectiveContext("pls2", n, p, q, float(lam), G=G)
+        return ObjectiveContext("pls2", n, p, q, M=M)
+    return ObjectiveContext("pls2", n, p, q, G=G)
 
 
 def eval_batch(
@@ -158,9 +150,9 @@ def eval_batch(
     v0: np.ndarray | None = None,
 ) -> ObjectiveEval:
     """Objectives and gradients in t at the rows of T (B, p), row b
-    penalized by lam[b] rather than ctx.lam; eigen-solves are warm-started
-    from the rows of v0 and run as one stacked top_eigpair call. Each row
-    is computed exactly as if it were evaluated alone.
+    penalized by lam[b]; eigen-solves are warm-started from the rows of v0
+    and run as one stacked top_eigpair call. Each row is computed exactly
+    as if it were evaluated alone.
 
     pls1 has the closed form delta = sum(t^2 z^2), grad = lam - 2 t z^2.
     With M stored (pls2 with q < p, pca with n < p): the dominant
@@ -189,24 +181,6 @@ def eval_batch(
         delta = pair.value
     value = -delta + lam * T.sum(axis=1)
     return ObjectiveEval(value=value, grad_t=grad, delta=delta, dominant=pair)
-
-
-def eval_objective(
-    ctx: ObjectiveContext,
-    t: np.ndarray,
-    v0: np.ndarray | None = None,
-) -> ObjectiveEval:
-    """Objective and gradient at one point t under ctx.lam, warm-started
-    from v0: the one-row case of eval_batch."""
-    t = np.asarray(t, dtype=float)
-    v0 = None if v0 is None else np.asarray(v0, dtype=float)[None]
-    ev = eval_batch(ctx, t[None], np.array([ctx.lam]), v0=v0)
-    return ObjectiveEval(
-        value=float(ev.value[0]),
-        grad_t=ev.grad_t[0],
-        delta=float(ev.delta[0]),
-        dominant=None if ev.dominant is None else ev.dominant.row(0),
-    )
 
 
 def grad_r(ev: ObjectiveEval, r: np.ndarray) -> np.ndarray:

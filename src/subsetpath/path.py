@@ -368,7 +368,7 @@ def dynamic_grid(
     """
     if solver_cfg is None:
         solver_cfg = SolverConfig()
-    ctx0 = make_context(X, Y, model=model, lam=0.0)
+    ctx0 = make_context(X, Y, model=model)
     if grid_cfg.K > ctx0.p:
         raise ValueError(f"K={grid_cfg.K} exceeds p={ctx0.p}")
     try:

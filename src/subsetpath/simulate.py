@@ -41,7 +41,6 @@ class SimConfig:
     snr: float = 3.0
     holdout: int = 0
     seed: int = 0
-    C: tuple | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -79,11 +78,9 @@ def default_c_vector(p: int, gamma: int) -> np.ndarray:
     return c
 
 
-def two_component_c_matrix(p: int = 30) -> np.ndarray:
+def two_component_c_matrix() -> np.ndarray:
     """The two fixed coefficient columns of the H = 2 design (p = 30)."""
-    if p != 30:
-        raise DimensionError("the two-component design is defined for p = 30")
-    C = np.zeros((p, 2))
+    C = np.zeros((30, 2))
     C[:10, 0] = [1, -1, 1, -1, 1, -1, 1, -1, 1, -1]
     C[10:20, 1] = [1, -1.5, 1, -1.5, 1, -1.5, 1, -1.5, 1, -1.5]
     return C
@@ -93,18 +90,12 @@ def gen_multiresponse(cfg: SimConfig) -> SimInstance:
     """Latent model with uniform U(-1,3) latent scores, U(0.5,10) response
     coefficients and N(0, sigma^2) noise on both blocks."""
     H = 2 if cfg.scenario == "two-component" else cfg.H
-    p = 30 if cfg.scenario == "two-component" and cfg.C is None else cfg.p
+    p = 30 if cfg.scenario == "two-component" else cfg.p
     rng = np.random.default_rng(cfg.seed)
     ntot = cfg.n + cfg.holdout
 
-    if cfg.C is not None:
-        C = np.asarray(cfg.C, dtype=float)
-        if C.ndim == 1:
-            C = C[:, None]
-        if C.shape != (p, H):
-            raise DimensionError(f"C has shape {C.shape}, expected ({p}, {H})")
-    elif cfg.scenario == "two-component":
-        C = two_component_c_matrix(p)
+    if cfg.scenario == "two-component":
+        C = two_component_c_matrix()
     else:
         C = default_c_vector(p, cfg.gamma)[:, None]
         if H != 1:

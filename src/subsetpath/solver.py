@@ -11,8 +11,7 @@ penalties at once, with r, t and the Adam moments held as (B, p) arrays,
 one row per penalty still running, and one stacked objective evaluation
 per iteration. Each row keeps its own stall counter and ends on its own
 (converged, capped or aborted); rows share no arithmetic, so every row
-gives bit for bit what a run of its penalty alone gives. minimize is the
-one-row case.
+gives bit for bit what a run of its penalty alone gives.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ class SolverConfig:
     tol: float = 1e-5
     patience: int = 10
     t_init: float | np.ndarray = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("adam", "gd"):
@@ -129,7 +127,7 @@ def minimize_batch(
     ctx: ObjectiveContext, lams, cfg: SolverConfig, K: int | None = None
 ) -> list[SolverRun | SolverAbort]:
     """Run Adam or plain gradient descent on g(r) = f(t(r)) for every
-    penalty in ``lams`` (ctx.lam is ignored), in one loop.
+    penalty in ``lams``, in one loop.
 
     Entry b is the run of penalty lams[b], or the SolverAbort that ended
     it when its objective or gradient went non-finite (naming the
@@ -212,13 +210,3 @@ def minimize_batch(
         stall = (stall + 1) * (np.abs(T_next - T).max(axis=1) < cfg.tol)
         T = T_next
 
-
-def minimize(
-    ctx: ObjectiveContext, cfg: SolverConfig, K: int | None = None
-) -> SolverRun:
-    """minimize_batch for the single penalty ctx.lam; raises its
-    SolverAbort."""
-    run = minimize_batch(ctx, [ctx.lam], cfg, K)[0]
-    if isinstance(run, SolverAbort):
-        raise run
-    return run

@@ -14,9 +14,9 @@ import numpy as np
 from subsetpath.objective import make_context
 
 
-def pls2_context(X, Y, branch, lam=0.0):
-    """make_context(X, Y, "pls2", lam) with kernel "v" (M) or "u" (G)."""
-    ctx = make_context(X, Y, "pls2", lam=lam)
+def pls2_context(X, Y, branch):
+    """make_context(X, Y, "pls2") with kernel "v" (M) or "u" (G)."""
+    ctx = make_context(X, Y, "pls2")
     if branch == "v":
         if ctx.M is not None:
             return ctx
@@ -28,10 +28,10 @@ def pls2_context(X, Y, branch, lam=0.0):
     raise ValueError(f"unknown pls2 branch {branch!r}")
 
 
-def pca_context(X, kernel, lam=0.0):
-    """make_context(X, model="pca", lam=lam) with kernel "M" (X^T / sqrt(n),
-    an n x n eigenproblem) or "G" (X^T X / n, p x p)."""
-    ctx = make_context(X, model="pca", lam=lam)
+def pca_context(X, kernel):
+    """make_context(X, model="pca") with kernel "M" (X^T / sqrt(n), an
+    n x n eigenproblem) or "G" (X^T X / n, p x p)."""
+    ctx = make_context(X, model="pca")
     n = X.shape[0]
     if kernel == "M":
         if ctx.M is not None:

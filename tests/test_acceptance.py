@@ -23,7 +23,7 @@ from subsetpath.components import (
 from subsetpath.linalg import center_columns
 from subsetpath.objective import (
     corner_objective,
-    eval_objective,
+    eval_batch,
     grad_r,
     make_context,
     r_of_t,
@@ -71,13 +71,13 @@ def _draw(variant, seed):
         lam = float(rng.uniform(0.0, 0.5))
         if variant == "pls1":
             y = rng.standard_normal(n)
-            ctx = make_context(X, y, "pls1", lam=lam)
+            ctx = make_context(X, y, "pls1")
             zsq = ctx.z * ctx.z
-            return ctx, t, lambda tt: -float(np.sum(tt * tt * zsq)) + lam * tt.sum()
+            return ctx, lam, t, lambda tt: -float(np.sum(tt * tt * zsq)) + lam * tt.sum()
         if variant in ("pls2-v", "pls2-u"):
             Y = center_columns(rng.standard_normal((n, q)))
             branch = variant[-1]
-            ctx = pls2_context(X, Y, branch, lam=lam)
+            ctx = pls2_context(X, Y, branch)
             M = X.T @ Y / n
             Mt = t[:, None] * M
             w = np.linalg.eigvalsh(Mt.T @ Mt)
@@ -86,8 +86,8 @@ def _draw(variant, seed):
             def f(tt, M=M, lam=lam):
                 Mtt = tt[:, None] * M
                 return -float(np.linalg.eigvalsh(Mtt.T @ Mtt)[-1]) + lam * tt.sum()
-            return ctx, t, f
-        ctx = make_context(X, model="pca", lam=lam)
+            return ctx, lam, t, f
+        ctx = make_context(X, model="pca")
         A = (t[:, None] * ctx.G) * t[None, :]
         w = np.linalg.eigvalsh(A)
         if (w[-1] - w[-2]) < 1e-3 * max(w[-1], 1e-12):
@@ -95,7 +95,7 @@ def _draw(variant, seed):
         def f(tt, G=ctx.G, lam=lam):
             A = (tt[:, None] * G) * tt[None, :]
             return -float(np.linalg.eigvalsh(A)[-1]) + lam * tt.sum()
-        return ctx, t, f
+        return ctx, lam, t, f
 
 
 def test_criterion_1_gradient_correctness():
@@ -103,13 +103,13 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for variant in ("pls1", "pls2-v", "pls2-u", "pca"):
         for i in range(100):
-            ctx, t, f = _draw(variant, seed=17 * i + 3)
-            ev = eval_objective(ctx, t)
+            ctx, lam, t, f = _draw(variant, seed=17 * i + 3)
+            ev = eval_batch(ctx, t[None], np.array([lam]))
             fd_t = central_diff(f, t, h=1e-6)
-            err_t = rel_err(ev.grad_t, fd_t)
+            err_t = rel_err(ev.grad_t[0], fd_t)
 
             r = r_of_t(np.minimum(t, 1.0 - 1e-12))
-            g_r = grad_r(ev, r)
+            g_r = grad_r(ev, r)[0]
             fd_r = central_diff(lambda rr: f(t_of_r(rr)), r, h=1e-6)
             err_r = rel_err(g_r, fd_r)
 

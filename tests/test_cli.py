@@ -11,6 +11,7 @@ import subsetpath
 from subsetpath import cli, components
 from subsetpath.cli import main, read_csv_matrix, write_csv_matrix
 from subsetpath.errors import DegenerateScoreError
+from subsetpath.path import GridConfig
 
 
 def run_cli(*argv):
@@ -156,7 +157,7 @@ class TestPathCommand:
         for out in (out1, out2):
             code = run_cli("path", "--model", "pls2", "--x", str(sim / "X.csv"),
                            "--y", str(sim / "Y.csv"), "--k-max", "8",
-                           "--budget", "10", "--seed", "5", "--out", str(out))
+                           "--budget", "10", "--out", str(out))
             assert code == 0
         assert (out1 / "path.json").read_bytes() == (out2 / "path.json").read_bytes()
 
@@ -261,6 +262,54 @@ class TestFitCommand:
         assert -1.0 <= q2_first <= 1.0
 
 
+class TestFitSeed:
+    """fit --seed seeds the v-fold split of the CV pick and of Q2, exactly as
+    the API's fit(seed=) and q2(seed=) do."""
+
+    @pytest.fixture(scope="class")
+    def sim(self, tmp_path_factory):
+        sim = tmp_path_factory.mktemp("seeded") / "sim"
+        assert run_cli("simulate", "--scenario", "multiresponse", "--p", "8",
+                       "--gamma", "3", "--sigma", "2", "--seed", "5",
+                       "--out", str(sim)) == 0
+        return sim
+
+    def fit_cli(self, sim, out, seed):
+        assert run_cli("fit", "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--components", "2",
+                       "--pick", "min-msep", "--budget", "12", "--seed", str(seed),
+                       "--out", str(out)) == 0
+        return out
+
+    def test_cli_matches_the_api(self, sim, tmp_path):
+        out = self.fit_cli(sim, tmp_path / "out", 7)
+        X = read_csv_matrix(str(sim / "X.csv"))
+        Y = read_csv_matrix(str(sim / "Y.csv"))
+        result = components.fit(X, Y, model="pls2", H=2,
+                                strategy=components.PickStrategy.min_msep(folds=5),
+                                grid_cfg=GridConfig(K=8, L=12), seed=7)
+        assert (out / "model.json").read_text() == json.dumps(
+            components.model_to_dict(result), indent=2)
+        report = components.q2(X, Y, model="pls2", H=2, folds=5, seed=7,
+                               supports=[c.subset for c in result.components])
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[4]) for r in rows] == [float(v) for v in report.total]
+
+    def test_seed_changes_the_report(self, sim, tmp_path):
+        one = self.fit_cli(sim, tmp_path / "one", 1)
+        two = self.fit_cli(sim, tmp_path / "two", 2)
+        assert (one / "report.csv").read_bytes() != (two / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["path", "oracle"])
+    def test_path_and_oracle_take_no_seed(self, sim, tmp_path, capsys, command):
+        extra = ["--k-max", "3"] if command == "path" else []
+        assert run_cli(command, "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), *extra, "--seed", "1",
+                       "--out", str(tmp_path / "out")) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestOracleCommand:
     def test_toy_closed_form(self, tmp_path):
         x, y = write_toy(tmp_path)
@@ -312,6 +361,9 @@ class TestOracleCommand:
             {"buckets": [{"k": True, "bits": "01"}]},
             {"buckets": [{"k": 1, "bits": 1}]},
             {},
+            {"buckets": [{"k": 1, "bits": "1x"}]},
+            {"buckets": [{"k": 1, "bits": "11"}]},
+            {"buckets": [{"k": 1, "bits": "01"}, {"k": 1, "bits": "10"}]},
         ]),
     ])
     def test_malformed_compare_exits_2_before_enumerating(self, tmp_path, capsys,
@@ -328,6 +380,23 @@ class TestOracleCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {compare}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_bits_of_other_data_exit_3_before_enumerating(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("enumeration started before --compare was checked")
+
+        monkeypatch.setattr(cli, "exhaustive_path", no_work)
+        x, y = write_toy(tmp_path)  # p = 2
+        compare = tmp_path / "path.json"
+        compare.write_text(json.dumps({"buckets": [{"k": 1, "bits": "100"}]}))
+        out = tmp_path / "o"
+        assert run_cli("oracle", "--model", "pls1", "--x", str(x), "--y", str(y),
+                       "--compare", str(compare), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {compare}: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_pls1_counts(self, tmp_path):
         x, y = write_toy(tmp_path)

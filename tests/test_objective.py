@@ -9,7 +9,6 @@ from subsetpath.objective import (
     corner_objective,
     corner_values,
     eval_batch,
-    eval_objective,
     grad_r,
     lambda_max,
     make_context,
@@ -35,6 +34,11 @@ def fd_grad(f, t, h):
         tm[j] -= h
         g[j] = (f(tp) - f(tm)) / (2.0 * h)
     return g
+
+
+def eval_at(ctx, t, lam):
+    """eval_batch at the one point t under penalty lam (a stack of one)."""
+    return eval_batch(ctx, np.asarray(t, dtype=float)[None], np.array([lam]))
 
 
 def pls1_value(z, lam):
@@ -117,25 +121,25 @@ class TestReparameterization:
         np.testing.assert_allclose(t_of_r(r_of_t(t)), t, atol=1e-12)
 
     def test_grad_r_vanishes_at_zero(self):
-        ctx = make_context(np.eye(2), np.ones(2), "pls1", 3.0)
-        ev = eval_objective(ctx, np.zeros(2))
-        np.testing.assert_allclose(grad_r(ev, np.zeros(2)), np.zeros(2))
+        ctx = make_context(np.eye(2), np.ones(2), "pls1")
+        ev = eval_at(ctx, np.zeros(2), 3.0)
+        np.testing.assert_allclose(grad_r(ev, np.zeros(2))[0], np.zeros(2))
 
     def test_grad_r_closed_form(self):
         # grad_t = 1 at r = sqrt(ln 2) gives grad_r = 2 sqrt(ln 2) * 0.5.
         r = np.array([np.sqrt(np.log(2.0))])
-        ctx = make_context(np.eye(2)[:, :1], np.zeros(2), "pls1", 1.0)
-        ev = eval_objective(ctx, t_of_r(r))
-        assert ev.grad_t[0] == pytest.approx(1.0)
-        assert grad_r(ev, r)[0] == pytest.approx(np.sqrt(np.log(2.0)))
+        ctx = make_context(np.eye(2)[:, :1], np.zeros(2), "pls1")
+        ev = eval_at(ctx, t_of_r(r), 1.0)
+        assert ev.grad_t[0, 0] == pytest.approx(1.0)
+        assert grad_r(ev, r)[0, 0] == pytest.approx(np.sqrt(np.log(2.0)))
 
     def test_grad_r_matches_finite_differences(self):
         X, Y, t = draw_pls2(seed=7)
-        ctx = make_context(X, Y, "pls2", lam=0.3)
+        ctx = make_context(X, Y, "pls2")
         f = pls2_value(ctx.M, 0.3)
         r = r_of_t(t)
-        ev = eval_objective(ctx, t)
-        got = grad_r(ev, r)
+        ev = eval_at(ctx, t, 0.3)
+        got = grad_r(ev, r)[0]
         want = fd_grad(lambda rr: f(t_of_r(rr)), r, h=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
@@ -190,45 +194,45 @@ class TestMakeContext:
 
 class TestEvalPls1:
     def test_identity_design_hand_values(self):
-        ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1", lam=0.0)
-        ev = eval_objective(ctx, np.array([1.0, 1.0]))
-        assert ev.value == pytest.approx(-1.25)
-        np.testing.assert_allclose(ev.grad_t, [-0.5, -2.0])
+        ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1")
+        ev = eval_at(ctx, np.array([1.0, 1.0]), 0.0)
+        assert ev.value[0] == pytest.approx(-1.25)
+        np.testing.assert_allclose(ev.grad_t[0], [-0.5, -2.0])
 
     def test_empty_point(self):
-        ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1", lam=0.7)
-        ev = eval_objective(ctx, np.zeros(2))
-        assert ev.value == 0.0
-        np.testing.assert_allclose(ev.grad_t, [0.7, 0.7])
+        ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1")
+        ev = eval_at(ctx, np.zeros(2), 0.7)
+        assert ev.value[0] == 0.0
+        np.testing.assert_allclose(ev.grad_t[0], [0.7, 0.7])
 
     def test_value_identity(self):
-        ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1", lam=0.7)
+        ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1")
         t = np.array([0.3, 0.9])
-        ev = eval_objective(ctx, t)
-        assert ev.value == pytest.approx(-ev.delta + 0.7 * t.sum())
+        ev = eval_at(ctx, t, 0.7)
+        assert ev.value[0] == pytest.approx(-ev.delta[0] + 0.7 * t.sum())
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         X = center_columns(rng.standard_normal((20, 6)))
         y = rng.standard_normal(20)
-        ctx = make_context(X, y, "pls1", lam=0.2)
+        ctx = make_context(X, y, "pls1")
         t = rng.uniform(0.1, 0.9, size=6)
-        ev = eval_objective(ctx, t)
+        ev = eval_at(ctx, t, 0.2)
         want = fd_grad(pls1_value(ctx.z, 0.2), t, h=1e-6)
-        np.testing.assert_allclose(ev.grad_t, want, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(ev.grad_t[0], want, rtol=1e-6, atol=1e-9)
 
     def test_concavity_on_random_pairs(self):
         rng = np.random.default_rng(8)
         X = center_columns(rng.standard_normal((15, 5)))
         y = rng.standard_normal(15)
-        ctx = make_context(X, y, "pls1", lam=0.4)
+        ctx = make_context(X, y, "pls1")
         for _ in range(50):
             t1 = rng.uniform(0, 1, size=5)
             t2 = rng.uniform(0, 1, size=5)
             a = rng.uniform()
-            mix = eval_objective(ctx, a * t1 + (1 - a) * t2).value
-            sep = (a * eval_objective(ctx, t1).value
-                   + (1 - a) * eval_objective(ctx, t2).value)
+            mix = eval_at(ctx, a * t1 + (1 - a) * t2, 0.4).value[0]
+            sep = (a * eval_at(ctx, t1, 0.4).value[0]
+                   + (1 - a) * eval_at(ctx, t2, 0.4).value[0])
             assert mix >= sep - 1e-12
 
 
@@ -237,47 +241,47 @@ class TestEvalPls2:
         # M = diag(3, 1): delta^2 = 9 at t = (1,1), gradient (-18, 0).
         X = np.sqrt(2.0) * np.eye(2)
         Y = np.sqrt(2.0) * np.diag([3.0, 1.0])
-        ctx = make_context(X, Y, "pls2", lam=0.0)
+        ctx = make_context(X, Y, "pls2")
         np.testing.assert_allclose(
             ctx.M if ctx.M is not None else ctx.G,
             np.diag([3.0, 1.0]) if ctx.M is not None else np.diag([9.0, 1.0]),
         )
-        ev = eval_objective(ctx, np.array([1.0, 1.0]))
-        assert ev.delta == pytest.approx(9.0, rel=1e-9)
-        assert ev.value == pytest.approx(-9.0, rel=1e-9)
-        np.testing.assert_allclose(ev.grad_t, [-18.0, 0.0], atol=1e-7)
+        ev = eval_at(ctx, np.array([1.0, 1.0]), 0.0)
+        assert ev.delta[0] == pytest.approx(9.0, rel=1e-9)
+        assert ev.value[0] == pytest.approx(-9.0, rel=1e-9)
+        np.testing.assert_allclose(ev.grad_t[0], [-18.0, 0.0], atol=1e-7)
 
     def test_diagonal_m_masked(self):
         X = np.sqrt(2.0) * np.eye(2)
         Y = np.sqrt(2.0) * np.diag([3.0, 1.0])
         ctx = make_context(X, Y, "pls2")
-        ev = eval_objective(ctx, np.array([0.0, 1.0]))
-        assert ev.delta == pytest.approx(1.0, rel=1e-9)
+        ev = eval_at(ctx, np.array([0.0, 1.0]), 0.0)
+        assert ev.delta[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_point(self):
         X, Y, _ = draw_pls2(seed=3)
-        ctx = make_context(X, Y, "pls2", lam=0.9)
-        ev = eval_objective(ctx, np.zeros(8))
-        assert ev.delta == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(ev.grad_t, np.full(8, 0.9))
+        ctx = make_context(X, Y, "pls2")
+        ev = eval_at(ctx, np.zeros(8), 0.9)
+        assert ev.delta[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(ev.grad_t[0], np.full(8, 0.9))
 
     @pytest.mark.parametrize("branch", ["v", "u"])
     def test_gradient_matches_finite_differences(self, branch):
         X, Y, t = draw_pls2(seed=21)
-        ctx = pls2_context(X, Y, branch, lam=0.1)
+        ctx = pls2_context(X, Y, branch)
         M = X.T @ Y / X.shape[0]
-        ev = eval_objective(ctx, t)
+        ev = eval_at(ctx, t, 0.1)
         want = fd_grad(pls2_value(M, 0.1), t, h=1e-6)
-        np.testing.assert_allclose(ev.grad_t, want, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(ev.grad_t[0], want, rtol=1e-5, atol=1e-7)
 
     def test_branches_agree(self):
         X, Y, t = draw_pls2(seed=33)
-        ctx_v = pls2_context(X, Y, "v", lam=0.2)
-        ctx_u = pls2_context(X, Y, "u", lam=0.2)
-        ev_v = eval_objective(ctx_v, t)
-        ev_u = eval_objective(ctx_u, t)
-        assert ev_v.value == pytest.approx(ev_u.value, rel=1e-8)
-        np.testing.assert_allclose(ev_v.grad_t, ev_u.grad_t, rtol=1e-6, atol=1e-8)
+        ctx_v = pls2_context(X, Y, "v")
+        ctx_u = pls2_context(X, Y, "u")
+        ev_v = eval_at(ctx_v, t, 0.2)
+        ev_u = eval_at(ctx_u, t, 0.2)
+        assert ev_v.value[0] == pytest.approx(ev_u.value[0], rel=1e-8)
+        np.testing.assert_allclose(ev_v.grad_t[0], ev_u.grad_t[0], rtol=1e-6, atol=1e-8)
 
     def test_tied_spectrum(self):
         # Two exactly tied top singular values: whichever top vector the
@@ -286,36 +290,36 @@ class TestEvalPls2:
         X = np.sqrt(2.0) * np.eye(2)
         Y = np.sqrt(2.0) * np.diag([2.0, 2.0])
         ctx = make_context(X, Y, "pls2")
-        ev = eval_objective(ctx, np.ones(2))
-        assert ev.value == pytest.approx(-4.0)
-        assert ev.grad_t.sum() == pytest.approx(-8.0)
-        ev2 = eval_objective(ctx, np.array([1.0, 0.5]))
-        assert ev2.value == pytest.approx(-4.0)
-        np.testing.assert_allclose(ev2.grad_t, [-8.0, 0.0], atol=1e-12)
+        ev = eval_at(ctx, np.ones(2), 0.0)
+        assert ev.value[0] == pytest.approx(-4.0)
+        assert ev.grad_t[0].sum() == pytest.approx(-8.0)
+        ev2 = eval_at(ctx, np.array([1.0, 0.5]), 0.0)
+        assert ev2.value[0] == pytest.approx(-4.0)
+        np.testing.assert_allclose(ev2.grad_t[0], [-8.0, 0.0], atol=1e-12)
 
 
 class TestEvalPca:
     def test_diagonal_covariance_hand_values(self):
         n = 2
         X = np.sqrt(n) * np.diag([2.0, 1.0])  # X^T X / n = diag(4, 1)
-        ctx = make_context(X, model="pca", lam=0.0)
-        ev = eval_objective(ctx, np.array([1.0, 1.0]))
-        assert ev.delta == pytest.approx(4.0, rel=1e-9)
-        np.testing.assert_allclose(ev.grad_t, [-8.0, 0.0], atol=1e-7)
+        ctx = make_context(X, model="pca")
+        ev = eval_at(ctx, np.array([1.0, 1.0]), 0.0)
+        assert ev.delta[0] == pytest.approx(4.0, rel=1e-9)
+        np.testing.assert_allclose(ev.grad_t[0], [-8.0, 0.0], atol=1e-7)
 
     def test_zero_point(self):
         X, _ = draw_pca(seed=2)
-        ctx = make_context(X, model="pca", lam=0.5)
-        ev = eval_objective(ctx, np.zeros(7))
-        assert ev.value == 0.0
-        assert ev.delta == pytest.approx(0.0, abs=1e-12)
+        ctx = make_context(X, model="pca")
+        ev = eval_at(ctx, np.zeros(7), 0.5)
+        assert ev.value[0] == 0.0
+        assert ev.delta[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         X, t = draw_pca(seed=17)
-        ctx = make_context(X, model="pca", lam=0.15)
-        ev = eval_objective(ctx, t)
+        ctx = make_context(X, model="pca")
+        ev = eval_at(ctx, t, 0.15)
         want = fd_grad(pca_value(ctx.G, 0.15), t, h=1e-6)
-        np.testing.assert_allclose(ev.grad_t, want, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(ev.grad_t[0], want, rtol=1e-5, atol=1e-7)
 
 
 class TestPcaKernels:
@@ -381,8 +385,8 @@ class TestCornerConsistency:
         for bits in itertools.product([0, 1], repeat=p):
             want = discrete_value(model, X, data_y, bits)
             # relaxed objective evaluated exactly at the corner
-            ev = eval_objective(ctx, np.array(bits, dtype=float))
-            assert -ev.delta == pytest.approx(want, rel=1e-10, abs=1e-12)
+            ev = eval_at(ctx, np.array(bits, dtype=float), 0.0)
+            assert -ev.delta[0] == pytest.approx(want, rel=1e-10, abs=1e-12)
             assert corner_objective(ctx, bits) == pytest.approx(
                 want, rel=1e-10, abs=1e-12
             )
@@ -404,8 +408,8 @@ class TestCornerConsistency:
             j = trial % 5
             bumped = t.copy()
             bumped[j] = min(1.0, t[j] + rng.uniform(0.01, 0.1))
-            before = eval_objective(ctx, t).value
-            assert eval_objective(ctx, bumped).value <= before + 1e-10
+            before = eval_at(ctx, t, 0.0).value[0]
+            assert eval_at(ctx, bumped, 0.0).value[0] <= before + 1e-10
 
     def test_scale_relation_same_argmin_over_corners(self):
         # Per size, minimizing -||X_s^T y|| and -||X_s^T y||^2 agree.
@@ -453,7 +457,7 @@ class TestLambdaMax:
         # with OpenBLAS); the scorer must not, or lambda_max would start a
         # grid on it.
         G = np.array([[np.nan, 1.0], [1.0, 2.0]])
-        ctx = ObjectiveContext("pca", 2, 2, 0, 0.0, G=G)
+        ctx = ObjectiveContext("pca", 2, 2, 0, G=G)
         assert np.isnan(corner_values(ctx, np.array([[0, 1], [0, 1]]))).all()
         assert corner_values(ctx, np.array([[1]]))[0] == -2.0
         with pytest.raises(ValueError, match="non-finite"):

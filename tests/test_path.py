@@ -21,7 +21,7 @@ from subsetpath.path import (
     score_buckets,
     terminal_subset,
 )
-from subsetpath.solver import SolverConfig, minimize, top_k_order, unique_rows
+from subsetpath.solver import SolverConfig, minimize_batch, top_k_order, unique_rows
 from subsetpath.simulate import SimConfig, gen_multiresponse, generate
 
 from contexts import pca_context, pls2_context
@@ -256,7 +256,7 @@ class TestSelectBest:
     def test_pls1_exact_ties_on_integer_data(self):
         # z^2 = (4, 1, 1, 4, 2, 2): many prefixes tie exactly.
         z = np.array([2.0, 1.0, 1.0, 2.0, np.sqrt(2.0), np.sqrt(2.0)])
-        ctx = ObjectiveContext("pls1", 1, 6, 1, 0.0, z=z)
+        ctx = ObjectiveContext("pls1", 1, 6, 1, z=z)
         orders = np.array([np.roll(np.arange(6), s) for s in range(6)]
                           + [np.arange(6)[::-1]])
         buckets = score_buckets(ctx, orders, 6)
@@ -271,7 +271,7 @@ class TestSelectBest:
         # come to 1.0: an exact tie that {0,3,4}, the smaller bits, wins.
         z = np.array([1.0, 0.9e-8, 0.9e-8, 1e-10, 1e-10])
         z2 = z * z
-        ctx = ObjectiveContext("pls1", 1, 5, 1, 0.0, z=z)
+        ctx = ObjectiveContext("pls1", 1, 5, 1, z=z)
         orders = rows([1, 2, 0], [0, 3, 4])
         visit = np.cumsum(z2[orders], axis=1)[:, 2]
         assert visit[0] > visit[1] == 1.0  # the visit order ranks {0,1,2} first
@@ -388,16 +388,15 @@ def diagnostic(d):
 
 
 def sequential_step1(X, Y, model, grid, cfg):
-    # Step 1 of the grid with every halving solved alone by minimize: the
-    # diagnostics the grid must record before any bisection.
+    # Step 1 of the grid with every halving solved alone (a batch of one):
+    # the diagnostics the grid must record before any bisection.
     ctx0 = make_context(X, Y, model)
     lam_top = lambda_max(ctx0)
 
     def solve(lam):
-        try:
-            run = minimize(ctx0.with_lambda(lam), cfg, grid.K)
-        except SolverAbort as err:
-            return (lam, -1, err.iteration or 0, False, None, True)
+        run = minimize_batch(ctx0, [lam], cfg, grid.K)[0]
+        if isinstance(run, SolverAbort):
+            return (lam, -1, run.iteration or 0, False, None, True)
         size = terminal_subset(run.terminal_t, grid.rho).size
         return (lam, size, run.iterations, run.converged, run.objective, False)
 
@@ -688,7 +687,7 @@ class TestSpeculativeBisection:
 
 
 def sequential_path(X, Y, model, grid, cfg=None):
-    # The path with every penalty of the schedule solved alone by minimize,
+    # The path with every penalty of the schedule solved alone (a batch of one),
     # in record order, the schedule written out here on its own: lambda_max
     # and its halvings until a terminal size reaches K, then left-to-right
     # sweeps that bisect every gap of more than one size, within L.
@@ -698,10 +697,9 @@ def sequential_path(X, Y, model, grid, cfg=None):
     diagnostics, traces = [], []
 
     def solve(lam):
-        try:
-            run = minimize(ctx0.with_lambda(lam), cfg, grid.K)
-        except SolverAbort as err:
-            diagnostics.append(LambdaDiagnostic(lam, -1, err.iteration or 0, False, None,
+        run = minimize_batch(ctx0, [lam], cfg, grid.K)[0]
+        if isinstance(run, SolverAbort):
+            diagnostics.append(LambdaDiagnostic(lam, -1, run.iteration or 0, False, None,
                                                 failed=True))
             return -1
         size = terminal_subset(run.terminal_t, grid.rho).size
@@ -871,7 +869,7 @@ class TestPcaBelowP:
         grid = GridConfig(K=8, L=20)
         got = dynamic_grid(X, None, "pca", grid)
         monkeypatch.setattr(path_module, "make_context",
-                            lambda X, Y, model, lam: pca_context(X, "G", lam))
+                            lambda X, Y, model: pca_context(X, "G"))
         want = dynamic_grid(X, None, "pca", grid)
         for k, bucket in want.buckets.items():
             assert got.buckets[k].best == bucket.best

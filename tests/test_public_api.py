@@ -19,8 +19,7 @@ PUBLIC_NAMES = sorted([
     "DominantPair", "center_columns", "top_eigpair",
     # objective
     "ObjectiveContext", "ObjectiveEval", "corner_objective", "corner_values",
-    "eval_batch", "eval_objective", "grad_r", "lambda_max", "make_context",
-    "r_of_t", "t_of_r",
+    "eval_batch", "grad_r", "lambda_max", "make_context", "r_of_t", "t_of_r",
     # oracle
     "CornerCheckReport", "OracleResult", "check_corner_optimality", "exhaustive_path",
     # path
@@ -29,7 +28,7 @@ PUBLIC_NAMES = sorted([
     # simulate
     "MetricsReport", "SimConfig", "SimInstance", "generate", "metrics",
     # solver
-    "SolverConfig", "SolverRun", "minimize", "minimize_batch",
+    "SolverConfig", "SolverRun", "minimize_batch",
 ])
 
 

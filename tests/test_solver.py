@@ -8,7 +8,7 @@ from subsetpath.errors import SolverAbort
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
 from subsetpath.objective import lambda_max, make_context
 from subsetpath.path import GridConfig, dynamic_grid
-from subsetpath.solver import SolverConfig, minimize, minimize_batch, top_k_order
+from subsetpath.solver import SolverConfig, minimize_batch, top_k_order
 
 from contexts import pls2_context
 
@@ -33,7 +33,7 @@ def iterates(monkeypatch):
     return seen
 
 
-def pls1_context(z_target, lam, n=2):
+def pls1_context(z_target, n=2):
     # Identity-like design so z = X^T y / n equals z_target exactly.
     p = len(z_target)
     X = np.zeros((max(n, p), p))
@@ -42,7 +42,7 @@ def pls1_context(z_target, lam, n=2):
     y = np.zeros(max(n, p))
     for j in range(p):
         y[j] = z_target[j] * max(n, p)
-    return make_context(X, y, "pls1", lam=lam)
+    return make_context(X, y, "pls1")
 
 
 class TestMinimize:
@@ -52,24 +52,24 @@ class TestMinimize:
         # descent from 0.5 must land on the empty corner.
         z = np.array([0.5, 1.0, 0.8])
         lam = 2.0 * np.max(z**2) * 1.1
-        ctx = pls1_context(z, lam)
+        ctx = pls1_context(z)
         grad_at_full = lam - 2.0 * z**2
         assert np.all(grad_at_full > 0.0)  # increasing through the cube
-        run = minimize(ctx, SolverConfig())
+        run = minimize_batch(ctx, [lam], SolverConfig())[0]
         assert np.all(run.terminal_t < 1e-3)
 
     def test_zero_penalty_drives_full_model(self):
-        ctx = pls1_context(np.array([0.5, 1.0, 0.8]), lam=0.0)
-        run = minimize(ctx, SolverConfig())
+        ctx = pls1_context(np.array([0.5, 1.0, 0.8]))
+        run = minimize_batch(ctx, [0.0], SolverConfig())[0]
         assert np.all(run.terminal_t > 1.0 - 1e-3)
 
     def test_three_penalties_reach_three_corners(self):
         # p = 2 with |z2| > |z1|: small, middling and large penalties
         # converge to subsets of sizes 2, 1 and 0 respectively.
-        ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
+        ctx = pls1_context(np.array([0.5, 1.0]))
         terminal = {}
         for lam in (0.1, 0.6, 3.0):
-            run = minimize(ctx.with_lambda(lam), SolverConfig())
+            run = minimize_batch(ctx, [lam], SolverConfig())[0]
             terminal[lam] = (run.terminal_t > 0.5).astype(int)
         assert terminal[0.1].tolist() == [1, 1]
         assert terminal[0.6].tolist() == [0, 1]
@@ -82,12 +82,12 @@ class TestMinimize:
         Y = center_columns(rng.standard_normal((20, 3)))
         y = rng.standard_normal(20)
         if model == "pls1":
-            ctx = make_context(X, y, model, lam=0.05)
+            ctx = make_context(X, y, model)
         elif model == "pls2":
-            ctx = make_context(X, Y, model, lam=0.05)
+            ctx = make_context(X, Y, model)
         else:
-            ctx = make_context(X, model="pca", lam=0.05)
-        run = minimize(ctx, SolverConfig(max_iter=200))
+            ctx = make_context(X, model="pca")
+        run = minimize_batch(ctx, [0.05], SolverConfig(max_iter=200))[0]
         assert len(iterates) == run.iterations + 1
         for t, _ in iterates:
             assert np.all(t >= 0.0) and np.all(t <= 1.0)
@@ -98,9 +98,9 @@ class TestMinimize:
         # Coordinatewise Lipschitz constant of the gradient is 2 z_j^2;
         # a step below 1/L makes descent monotone.
         z = np.array([0.5, 1.0, 0.8, 0.3])
-        ctx = pls1_context(z, lam=0.1)
+        ctx = pls1_context(z)
         lr = 0.4 / (2.0 * np.max(z**2))
-        run = minimize(ctx, SolverConfig(method="gd", learning_rate=lr))
+        run = minimize_batch(ctx, [0.1], SolverConfig(method="gd", learning_rate=lr))[0]
         objs = [value for _, value in iterates]
         assert len(objs) == run.iterations + 1
         diffs = np.diff(objs)
@@ -110,11 +110,11 @@ class TestMinimize:
         rng = np.random.default_rng(2)
         X = center_columns(rng.standard_normal((25, 6)))
         Y = center_columns(rng.standard_normal((25, 4)))
-        ctx = make_context(X, Y, "pls2", lam=0.1)
-        cfg = SolverConfig(seed=123)
-        run1 = minimize(ctx, cfg)
+        ctx = make_context(X, Y, "pls2")
+        cfg = SolverConfig()
+        run1 = minimize_batch(ctx, [0.1], cfg)[0]
         first = iterates[:]
-        run2 = minimize(ctx, cfg)
+        run2 = minimize_batch(ctx, [0.1], cfg)[0]
         second = iterates[len(first):]
         assert run1.iterations == run2.iterations
         assert run1.converged == run2.converged
@@ -128,33 +128,33 @@ class TestMinimize:
         X = np.array([[1e200], [-1e200]])
         y = np.array([1e200, -1e200])
         with np.errstate(over="ignore"):
-            ctx = make_context(X, y, "pls1", lam=0.0)  # z overflows to inf
-            with pytest.raises(SolverAbort) as exc:
-                minimize(ctx, SolverConfig())
-        assert "iteration 0" in str(exc.value)
+            ctx = make_context(X, y, "pls1")  # z overflows to inf
+            run = minimize_batch(ctx, [0.0], SolverConfig())[0]
+        assert isinstance(run, SolverAbort)
+        assert "iteration 0" in str(run)
 
     @pytest.mark.parametrize("branch", ["v", "u"])
     def test_pls2_overflow_aborts_at_iteration_0(self, branch):
         X = np.array([[1e200, 1.0], [-1e200, -1.0]])
         Y = np.array([[1e200, 1.0], [-1e200, 1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            ctx = pls2_context(X, Y, branch, lam=0.0)
-            with pytest.raises(SolverAbort) as exc:
-                minimize(ctx, SolverConfig())
-            assert "iteration 0" in str(exc.value)
+            ctx = pls2_context(X, Y, branch)
+            run = minimize_batch(ctx, [0.0], SolverConfig())[0]
+            assert isinstance(run, SolverAbort)
+            assert "iteration 0" in str(run)
             with pytest.raises(SolverAbort, match="cannot start the grid"):
                 dynamic_grid(X, Y, "pls2", GridConfig(K=1, L=2))
 
     def test_t_init_must_be_interior(self):
-        ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
+        ctx = pls1_context(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
-            minimize(ctx, SolverConfig(t_init=0.0))
+            minimize_batch(ctx, [0.0], SolverConfig(t_init=0.0))
         with pytest.raises(ValueError):
-            minimize(ctx, SolverConfig(t_init=np.array([0.5, 1.0])))
+            minimize_batch(ctx, [0.0], SolverConfig(t_init=np.array([0.5, 1.0])))
 
     def test_max_iter_cap_reported(self, iterates):
-        ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
-        run = minimize(ctx, SolverConfig(max_iter=5))
+        ctx = pls1_context(np.array([0.5, 1.0]))
+        run = minimize_batch(ctx, [0.0], SolverConfig(max_iter=5))[0]
         assert not run.converged
         assert run.iterations == 5
         assert len(iterates) == 6  # initial point plus five updates
@@ -187,11 +187,10 @@ class TestStreamedOrderings:
         rng = np.random.default_rng(4)
         X = center_columns(rng.standard_normal((30, 8)))
         if model == "pls1":
-            ctx = make_context(X, rng.standard_normal(30), model, lam=0.02)
+            ctx = make_context(X, rng.standard_normal(30), model)
         else:
-            ctx = make_context(X, center_columns(rng.standard_normal((30, 3))),
-                               model, lam=0.02)
-        run = minimize(ctx, SolverConfig(max_iter=300), K=5)
+            ctx = make_context(X, center_columns(rng.standard_normal((30, 3))), model)
+        run = minimize_batch(ctx, [0.02], SolverConfig(max_iter=300), K=5)[0]
         want = []
         for t, _ in iterates:
             order = tuple(int(j) for j in np.argsort(-t, kind="stable")[:5])
@@ -202,9 +201,9 @@ class TestStreamedOrderings:
         assert run.trace.tolist() == [list(w) for w in want]
 
     def test_k_out_of_range_rejected(self):
-        ctx = pls1_context(np.array([0.5, 1.0]), lam=0.0)
+        ctx = pls1_context(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
-            minimize(ctx, SolverConfig(), K=3)
+            minimize_batch(ctx, [0.0], SolverConfig(), K=3)
 
 
 def sweep_context(model, branch=None, p=8, n=30, seed=12):
@@ -255,7 +254,7 @@ class TestBatchedSweep:
         if (model, p) == ("pca", 15):
             assert sum(finished) > 0
         for lam, run in zip(lams, batch):
-            assert_same_run(run, minimize(ctx.with_lambda(lam), cfg, K=min(p, 6)))
+            assert_same_run(run, minimize_batch(ctx, [lam], cfg, K=min(p, 6))[0])
         if max_iter == 1000:
             # Rows stop at different iterations, so the batch shrinks mid-loop.
             assert len({run.iterations for run in batch}) > 1
@@ -280,12 +279,12 @@ class TestBatchedSweep:
         assert isinstance(batch[1], SolverAbort)
         assert batch[1].iteration == 5 and "iteration 5" in str(batch[1])
         for i in (0, 2):
-            assert_same_run(batch[i], minimize(ctx.with_lambda(lams[i]), cfg))
+            assert_same_run(batch[i], minimize_batch(ctx, [lams[i]], cfg)[0])
 
     def test_single_row_abort_is_returned(self):
         with np.errstate(over="ignore"):
             ctx = make_context(np.array([[1e200], [-1e200]]),
-                               np.array([1e200, -1e200]), "pls1", lam=0.0)
+                               np.array([1e200, -1e200]), "pls1")
             (run,) = minimize_batch(ctx, [0.0], SolverConfig())
         assert isinstance(run, SolverAbort) and run.iteration == 0
 
