@@ -263,10 +263,6 @@ def cmd_fit(args) -> int:
         mode=args.mode, grid_cfg=grid, solver_cfg=_solver_config(args),
         center=not args.no_center, test=test, seed=args.seed,
     )
-    out = _outdir(args)
-    with open(out / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(result), fh, indent=2)
-
     q2_values = [None] * result.H
     if result.model != "pca" and result.mode == "regression":
         report = q2(
@@ -281,11 +277,14 @@ def cmd_fit(args) -> int:
             float(result.pev[i]), float(result.cpev[i]),
             "" if q2_values[i] is None else q2_values[i],
         ])
+    preds = None if test is None else predict(result, test[0])
+
+    out = _outdir(args)
+    with open(out / "model.json", "w", encoding="utf-8") as fh:
+        json.dump(model_to_dict(result), fh, indent=2)
     write_csv_rows(out / "report.csv", rows,
                    header=["component", "k", "pev", "cpev", "q2"])
-
-    if test is not None:
-        preds = predict(result, test[0])
+    if preds is not None:
         write_csv_matrix(out / "predictions.csv", preds)
     write_manifest(out, "fit", args, started,
                    [p for p in (args.x, args.y, *(args.test or [])) if p])

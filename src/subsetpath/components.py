@@ -17,6 +17,7 @@ X w_h = X_{h-1} u_h.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,6 @@ class ComponentState:
     u: np.ndarray
     v: np.ndarray | None
     xi: np.ndarray
-    psi: np.ndarray | None
     c: np.ndarray
     d: np.ndarray | None
     e: np.ndarray | None
@@ -190,18 +190,17 @@ def _build_component(
     if ss == 0.0:
         raise DegenerateScoreError(f"component {h} has a zero score")
     c = X_h.T @ xi / ss
-    psi = d = e = None
+    d = e = None
     if model != "pca":
-        psi = Y_h @ v
         if mode == "regression":
             d = Y_h.T @ xi / ss
         else:
-            denom = float(psi @ xi)
+            denom = float((Y_h @ v) @ xi)
             if denom == 0.0:
                 raise DegenerateScoreError(f"component {h}: zero canonical denominator")
             e = Y_h.T @ xi / denom
     return ComponentState(
-        h=h, subset=subset, u=u, v=v, xi=xi, psi=psi, c=c, d=d, e=e,
+        h=h, subset=subset, u=u, v=v, xi=xi, c=c, d=d, e=e,
         delta=delta, objective=objective,
     )
 
@@ -213,17 +212,23 @@ def deflate(
     mode: str | None,
     model: str,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Remove the fitted rank-one contribution; X_h^T xi = 0 afterwards."""
+    """Remove ``comp``'s rank-one contribution from the rows given.
+
+    The scores come from those rows, xi = X_h u (and psi = Y_h v in
+    canonical mode), and the column-space operators c, d, e from ``comp``.
+    On the rows ``comp`` was built on this is its own deflation, with
+    X_h^T xi = 0 afterwards; held-out rows go through the same map, so
+    deflating stacked row blocks equals deflating each block alone.
+    """
     if float(comp.xi @ comp.xi) == 0.0:
         raise DegenerateScoreError("cannot deflate on a zero score")
-    X_next = X_h - np.outer(comp.xi, comp.c)
+    xi = X_h @ comp.u
+    X_next = X_h - np.outer(xi, comp.c)
     if model == "pca":
         return X_next, None
     if mode == "regression":
-        Y_next = Y_h - np.outer(comp.xi, comp.d)
-    else:
-        Y_next = Y_h - np.outer(comp.psi, comp.e)
-    return X_next, Y_next
+        return X_next, Y_h - np.outer(xi, comp.d)
+    return X_next, Y_h - np.outer(Y_h @ comp.v, comp.e)
 
 
 def adjusted_weights(X: np.ndarray, components: list[ComponentState]) -> np.ndarray:
@@ -325,6 +330,21 @@ def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarr
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
+# (centered training X, Y; centered held-out X; raw held-out Y; training Y means)
+Split = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _splits(X: np.ndarray, Y: np.ndarray, folds: int, seed: int) -> Iterator[Split]:
+    """The v-fold splits of raw (X, Y), one fold at a time: the training
+    rows centered by their own means, the held-out X rows centered by the
+    same means, the raw held-out Y rows and the training Y means."""
+    n = X.shape[0]
+    for val in _fold_indices(n, folds, np.random.default_rng(seed)):
+        tr = np.setdiff1d(np.arange(n), val)
+        xm, ym = X[tr].mean(axis=0), Y[tr].mean(axis=0)
+        yield X[tr] - xm, Y[tr] - ym, X[val] - xm, Y[val], ym
+
+
 def _refit_fixed(
     Xtr: np.ndarray,
     Ytr: np.ndarray,
@@ -354,7 +374,9 @@ def q2(
 
     ``supports`` fixes the per-component subsets (e.g. those a fitted
     sparse model chose); by default all components use the full variable
-    set. Folds with a constant response column are refused.
+    set. The folds are those of the v-fold picks in ``fit`` at the same
+    ``folds`` and ``seed``. A fold whose training rows hold a constant
+    response column (max == min) is refused.
     """
     if model not in ("pls1", "pls2"):
         raise ValueError("the PRESS/RSS criterion applies to regression-mode PLS")
@@ -362,14 +384,12 @@ def q2(
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    n, p = X.shape
+    p = X.shape[1]
     q_dim = Y.shape[1]
     if supports is None:
         supports = [Subset(p, tuple(range(p)))] * H
     if len(supports) != H:
         raise ValueError(f"need {H} supports, got {len(supports)}")
-    rng = np.random.default_rng(seed)
-    fold_idx = _fold_indices(n, folds, rng)
 
     # Full-data residual sums per component count, for the RSS denominators.
     Xc = X - X.mean(axis=0)
@@ -383,18 +403,13 @@ def q2(
         rss[h] = np.sum(resid * resid, axis=0)
 
     press = np.zeros((H, q_dim))
-    for val in fold_idx:
-        tr = np.setdiff1d(np.arange(n), val)
-        Xtr_raw, Ytr_raw = X[tr], Y[tr]
-        if np.any(Ytr_raw.std(axis=0) == 0.0):
+    for Xtr, Ytr, Xval, Yval, ym in _splits(X, Y, folds, seed):
+        if np.any(np.ptp(Ytr, axis=0) == 0.0):
             raise DegenerateLoadingError("a training fold has a constant response")
-        xm, ym = Xtr_raw.mean(axis=0), Ytr_raw.mean(axis=0)
-        Xtr, Ytr = Xtr_raw - xm, Ytr_raw - ym
         fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
-        Xval = X[val] - xm
         for h in range(1, H + 1):
             beta = regression_coefficients(fold_comps[:h])
-            err = Y[val] - (Xval @ beta + ym)
+            err = Yval - (Xval @ beta + ym)
             press[h - 1] += np.sum(err * err, axis=0)
 
     per_response = 1.0 - press / rss[:-1]
@@ -402,69 +417,49 @@ def q2(
     return Q2Report(total=total, per_response=per_response)
 
 
-def _msep(Y_hat: np.ndarray, Y_obs: np.ndarray) -> float:
-    diff = Y_hat - Y_obs
-    return float(np.mean(diff * diff))
-
-
 def _cv_scores(
-    strategy: PickStrategy,
+    kind: str,
     path: SolutionPath,
     comps: list[ComponentState],
-    X0: np.ndarray,
-    Y0: np.ndarray,
+    splits: Iterable[Split],
     model: str,
     mode: str,
-    seed: int,
-    x_means: np.ndarray,
-    y_means: np.ndarray,
 ) -> np.ndarray:
-    """v-fold score, for k = 1..K, of bucket k's best subset as the next
-    component (the protocols of Le Cao et al. 2008): the held-out mean
-    squared prediction error for min-msep, the mean absolute correlation
-    of the held-out X and Y scores for max-cor (folds where either score
-    is constant are skipped).
+    """Held-out score, for k = 1..K, of bucket k's best subset as the next
+    component (the protocols of Le Cao et al. 2008), over ``splits`` of the
+    form _splits yields (a holdout set is one split): the mean squared
+    prediction error for min-msep, the mean absolute correlation of the
+    held-out X and Y scores for max-cor (splits where either score is
+    constant are skipped).
 
-    Per fold, the training rows are centered and the earlier components
-    refitted and deflated once; each k then builds only its last component.
+    Per split, the earlier components are refitted on the training rows,
+    and each deflates the training and held-out rows in turn; each k then
+    builds only its last component.
     """
-    n, K, h = X0.shape[0], path.K, len(comps) + 1
-    folds = _fold_indices(n, strategy.folds, np.random.default_rng(seed))
-    Xraw, Yraw = X0 + x_means, Y0 + y_means
+    K, h = path.K, len(comps) + 1
     sse = [0.0] * K
     cors: list[list[float]] = [[] for _ in range(K)]
     count = 0
-    for val in folds:
-        tr = np.setdiff1d(np.arange(n), val)
-        xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
-        Xtr, Ytr = Xraw[tr] - xm, Yraw[tr] - ym
-        X_val = Xraw[val] - xm
-        Xv, Yv = X_val, Yraw[val] - ym
+    for Xtr, Ytr, X_val, Y_val, ym in splits:
+        Xv, Yv = X_val, Y_val - ym
         prev = []
         for j, earlier in enumerate(comps, start=1):
             comp = _build_component(Xtr, Ytr, model, earlier.subset, j, mode)
             Xtr, Ytr = deflate(Xtr, Ytr, comp, mode, model)
+            Xv, Yv = deflate(Xv, Yv, comp, mode, model)
             prev.append(comp)
-            if strategy.kind == "max-cor":
-                # Deflate held-out rows with the column-space operators.
-                xi_v = Xv @ comp.u
-                if mode == "regression":
-                    Yv = Yv - np.outer(xi_v, comp.d)
-                else:
-                    Yv = Yv - np.outer(Yv @ comp.v, comp.e)
-                Xv = Xv - np.outer(xi_v, comp.c)
-        count += Yv.size
+        count += Y_val.size
         for k in range(1, K + 1):
             last = _build_component(Xtr, Ytr, model, path.buckets[k].best, h, mode)
-            if strategy.kind == "min-msep":
+            if kind == "min-msep":
                 beta = regression_coefficients(prev + [last])
                 pred = X_val @ beta + ym
-                sse[k - 1] += float(np.sum((pred - Yraw[val]) ** 2))
+                sse[k - 1] += float(np.sum((pred - Y_val) ** 2))
             else:
                 xi_v, psi_v = Xv @ last.u, Yv @ last.v
                 if float(np.std(xi_v)) > 0.0 and float(np.std(psi_v)) > 0.0:
                     cors[k - 1].append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
-    if strategy.kind == "min-msep":
+    if kind == "min-msep":
         return np.array(sse) / count
     return np.array([np.mean(c) if c else -np.inf for c in cors])
 
@@ -474,18 +469,13 @@ def _pick_subset_size(
     path: SolutionPath,
     comps: list[ComponentState],
     X0: np.ndarray,
-    Y0: np.ndarray | None,
     Xh: np.ndarray,
     Yh: np.ndarray | None,
     model: str,
     mode: str | None,
-    h: int,
-    seed: int,
-    test: tuple[np.ndarray, np.ndarray] | None,
-    x_means: np.ndarray,
-    y_means: np.ndarray | None,
+    splits: Iterable[Split],
 ) -> int:
-    K = path.K
+    K, h = path.K, len(comps) + 1
     if strategy.kind == "fixed-k":
         return strategy.k
 
@@ -501,19 +491,8 @@ def _pick_subset_size(
                 return k
         return K
 
-    if strategy.kind == "min-msep" and test is not None:
-        X_test, Y_test = test
-        scores = np.full(K + 1, np.inf)
-        for k in range(1, K + 1):
-            trial = _build_component(Xh, Yh, model, path.buckets[k].best, h, mode)
-            beta = regression_coefficients(comps + [trial])
-            pred = (np.asarray(X_test, dtype=float) - x_means) @ beta + y_means
-            scores[k] = _msep(pred, np.asarray(Y_test, dtype=float))
-        return int(np.argmin(scores[1:])) + 1
     if strategy.kind in ("min-msep", "max-cor"):
-        scores = _cv_scores(
-            strategy, path, comps, X0, Y0, model, mode, seed, x_means, y_means,
-        )
+        scores = _cv_scores(strategy.kind, path, comps, splits, model, mode)
         if strategy.kind == "min-msep":
             return int(np.argmin(scores)) + 1
         return int(np.argmax(scores)) + 1
@@ -578,15 +557,22 @@ def fit(
         )
     if solver_cfg is None:
         solver_cfg = SolverConfig()
+    holdout = None
+    if test is not None and strategy.kind == "min-msep":
+        X_test = np.asarray(test[0], dtype=float)
+        Y_test = np.asarray(test[1], dtype=float)
+        if Y_test.ndim == 1:
+            Y_test = Y_test[:, None]
+        holdout = [(X0, Y0, X_test - x_means, Y_test, y_means)]
 
     comps: list[ComponentState] = []
     Xh, Yh = X0, Y0
     for h in range(1, H + 1):
         try:
             path = dynamic_grid(Xh, Yh, model, grid_cfg, solver_cfg)
+            splits = holdout or _splits(X, Y, strategy.folds, seed)
             k = _pick_subset_size(
-                strategy, path, comps, X0, Y0, Xh, Yh, model, mode,
-                h, seed, test, x_means, y_means,
+                strategy, path, comps, X0, Xh, Yh, model, mode, splits,
             )
             bucket = path.buckets[k]
             comp = _build_component(

@@ -543,6 +543,17 @@ class TestErrorExits:
         assert run_cli(*self.argv(command, model, sim, tmp_path / "out")) == 7
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("value", [2.0, 0.1])
+    def test_constant_response_column_exits_7(self, tmp_path, capsys, value):
+        # Q2 refuses the column; fit reports it before writing any output.
+        sim = self.sim(tmp_path)
+        Y = read_csv_matrix(str(sim / "Y.csv"))
+        Y[:, 0] = value
+        write_csv_matrix(sim / "Y.csv", Y)
+        assert run_cli(*self.argv("fit", "pls2", sim, tmp_path / "out")) == 7
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_score_exits_7(self, tmp_path, capsys, monkeypatch):
         def zero_score(*args, **kwargs):
             raise DegenerateScoreError("component 1 has a zero score")

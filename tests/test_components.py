@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from subsetpath import components
 from subsetpath.components import (
     PickStrategy,
     _build_component,
     _cv_scores,
     _fold_indices,
     _refit_fixed,
+    _splits,
     adjusted_weights,
     deflate,
     fit,
@@ -123,8 +125,28 @@ class TestDeflate:
         comp = _build_component(X, Y, "pls2", full_subset(5), 1, "canonical")
         assert comp.e is not None and comp.d is None
         _, Y1 = deflate(X, Y, comp, "canonical", "pls2")
-        want = Y - np.outer(comp.psi, comp.e)
+        want = Y - np.outer(Y @ comp.v, comp.e)
         np.testing.assert_allclose(Y1, want)
+
+    @pytest.mark.parametrize("model, mode", [("pca", None), ("pls2", "regression"),
+                                             ("pls2", "canonical")])
+    def test_held_out_rows_deflate_like_a_stack(self, model, mode):
+        rng = np.random.default_rng(5)
+        X, X_new = rng.standard_normal((25, 5)), rng.standard_normal((7, 5))
+        Y, Y_new = rng.standard_normal((25, 3)), rng.standard_normal((7, 3))
+        if model == "pca":
+            Y = Y_new = None
+        comp = _build_component(X, Y, model, full_subset(5), 1, mode)
+        X1, Y1 = deflate(X, Y, comp, mode, model)
+        X1_new, Y1_new = deflate(X_new, Y_new, comp, mode, model)
+        stacked = deflate(np.vstack([X, X_new]),
+                          None if Y is None else np.vstack([Y, Y_new]), comp, mode, model)
+        np.testing.assert_allclose(stacked[0], np.vstack([X1, X1_new]), rtol=0, atol=1e-12)
+        if model != "pca":
+            np.testing.assert_allclose(stacked[1], np.vstack([Y1, Y1_new]),
+                                       rtol=0, atol=1e-12)
+        # The training block is the component's own deflation.
+        assert np.max(np.abs(X1.T @ comp.xi)) <= 1e-10
 
 
 class TestAdjustedWeights:
@@ -303,9 +325,15 @@ class TestQ2:
         report = q2(X, Y, model="pls2", H=1, folds=5, seed=0)
         assert report.total[0] < 0.5  # loose sanity bound; stochastic
 
-    def test_constant_response_fold_rejected(self):
-        X = np.random.default_rng(18).standard_normal((10, 3))
-        Y = np.ones((10, 2))
+    @pytest.mark.parametrize("value, varying", [(1.0, 0), (0.1, 0), (0.1, 2)],
+                             ids=["all-1.0", "all-0.1", "one-0.1-among-varying"])
+    def test_constant_response_fold_rejected(self, value, varying):
+        # The mean of a constant 0.1 column is not exactly 0.1, so its
+        # standard deviation is not 0; max == min is exact.
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((10, 3))
+        Y = np.full((10, 2 + varying), value)
+        Y[:, 2:] = rng.standard_normal((10, varying))
         with pytest.raises(DegenerateLoadingError):
             q2(X, Y, model="pls2", H=1, folds=5, seed=0)
 
@@ -539,19 +567,76 @@ class TestCrossValidatedPick:
             inst.X, inst.Y, model="pls2", H=2, mode=mode, strategy=strategy,
             grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver(),
         )
-        X0 = inst.X - result.x_means
-        Y0 = inst.Y - result.y_means
-        Xraw, Yraw = X0 + result.x_means, Y0 + result.y_means
-        Xh, Yh = X0, Y0
+        Xh = inst.X - result.x_means
+        Yh = inst.Y - result.y_means
         for h in (1, 2):
             prev = result.components[:h - 1]
             if prev:
                 Xh, Yh = deflate(Xh, Yh, prev[-1], mode, "pls2")
             path = dynamic_grid(Xh, Yh, "pls2", GridConfig(K=15, L=10), quick_solver())
             want = reference_cv_scores(kind, path, [c.subset for c in prev],
-                                       Xraw, Yraw, mode, folds=4, seed=0)
-            got = _cv_scores(strategy, path, prev, X0, Y0, "pls2", mode,
-                             0, result.x_means, result.y_means)
+                                       inst.X, inst.Y, mode, folds=4, seed=0)
+            got = _cv_scores(kind, path, prev, _splits(inst.X, inst.Y, 4, 0), "pls2", mode)
             assert np.array_equal(got, want)
             k = int(np.argmin(want) if kind == "min-msep" else np.argmax(want)) + 1
             assert result.components[h - 1].subset == path.buckets[k].best
+
+
+def reference_holdout_scores(path, comps, Xh, Yh, X_test, Y_test, x_means, y_means):
+    """The holdout protocol as one loop over k on the fit's own deflated
+    data and components."""
+    scores = []
+    for k in range(1, path.K + 1):
+        last = _build_component(Xh, Yh, "pls2", path.buckets[k].best, len(comps) + 1,
+                                "regression")
+        pred = (X_test - x_means) @ regression_coefficients(comps + [last]) + y_means
+        scores.append(float(np.mean((pred - Y_test) ** 2)))
+    return np.array(scores)
+
+
+class TestHoldoutPick:
+    def test_two_components_match_the_holdout_loop(self, monkeypatch):
+        calls = []
+
+        def recording(kind, path, comps, splits, model, mode):
+            scores = _cv_scores(kind, path, comps, splits, model, mode)
+            calls.append((path, scores))
+            return scores
+
+        monkeypatch.setattr(components, "_cv_scores", recording)
+        inst = gen_multiresponse(
+            SimConfig(scenario="two-component", sigma=1.5, seed=14, holdout=50)
+        )
+        result = fit(
+            inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.min_msep(),
+            grid_cfg=GridConfig(K=20, L=16), solver_cfg=quick_solver(),
+            test=(inst.X_test, inst.Y_test),
+        )
+        assert len(calls) == 2
+        Xh = inst.X - result.x_means
+        Yh = inst.Y - result.y_means
+        for h, (path, got) in enumerate(calls, start=1):
+            prev = result.components[:h - 1]
+            if prev:
+                Xh, Yh = deflate(Xh, Yh, prev[-1], "regression", "pls2")
+            want = reference_holdout_scores(path, prev, Xh, Yh, inst.X_test, inst.Y_test,
+                                            result.x_means, result.y_means)
+            assert np.array_equal(got, want)
+            k = int(np.argmin(want)) + 1
+            assert result.components[h - 1].subset == path.buckets[k].best
+
+    def test_one_dimensional_test_response_is_a_column(self):
+        # A 1-d holdout response is one column: broadcast against the
+        # (m, 1) prediction it would score every pair of rows.
+        inst = gen_multiresponse(
+            SimConfig(scenario="multiresponse", sigma=3.0, seed=50, holdout=30)
+        )
+        ks = []
+        for y_test in (inst.Y_test[:, 0], inst.Y_test[:, :1]):
+            result = fit(
+                inst.X, inst.Y[:, 0], model="pls1", H=1, strategy=PickStrategy.min_msep(),
+                grid_cfg=GridConfig(K=15, L=12), solver_cfg=quick_solver(),
+                test=(inst.X_test, y_test),
+            )
+            ks.append(result.components[0].subset.size)
+        assert ks[0] == ks[1] == 13
