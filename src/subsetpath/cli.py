@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,14 +165,10 @@ def _outdir(args) -> Path:
     return out
 
 
-def _load_xy(args, need_y: bool):
+def _load_xy(args):
     X = read_finite_matrix(args.x)
     Y = read_finite_matrix(args.y) if args.y else None
-    if need_y and Y is None:
-        raise DimensionError(f"model {args.model} requires --y")
-    if args.model == "pca" and Y is not None:
-        raise DimensionError("pca takes no --y")
-    if not getattr(args, "no_center", False):
+    if not args.no_center:
         X = center_columns(X)
         if Y is not None:
             Y = Y - Y.mean(axis=0)
@@ -183,7 +180,7 @@ def cmd_simulate(args) -> int:
     try:
         inst = generate(SimConfig(
             scenario=args.scenario, n=args.n, p=args.p, q=args.q,
-            H=args.components, sigma=args.sigma, gamma=args.gamma,
+            sigma=args.sigma, gamma=args.gamma,
             snr=args.snr, holdout=args.holdout, seed=args.seed,
         ))
     except (ValueError, DimensionError) as exc:
@@ -209,9 +206,7 @@ def _solver_config(args) -> SolverConfig:
 
 def cmd_path(args) -> int:
     started = time.time()
-    X, Y = _load_xy(args, need_y=args.model in ("pls1", "pls2"))
-    if args.k_max > X.shape[1]:
-        raise DimensionError(f"--k-max {args.k_max} exceeds p={X.shape[1]}")
+    X, Y = _load_xy(args)
     grid = GridConfig(K=args.k_max, L=args.budget, rho=args.rho)
     path = dynamic_grid(X, Y, args.model, grid, _solver_config(args))
     out = _outdir(args)
@@ -231,40 +226,20 @@ def cmd_fit(args) -> int:
     started = time.time()
     X = read_finite_matrix(args.x)
     Y = read_finite_matrix(args.y) if args.y else None
-    if args.model in ("pls1", "pls2") and Y is None:
-        raise DimensionError(f"model {args.model} requires --y")
-    if args.model == "pca" and Y is not None:
-        raise DimensionError("pca takes no --y")
-    strategy = args.pick
-    if strategy.kind in ("min-msep", "max-cor"):
-        if args.model == "pca":
-            raise ParseError(f"--pick {strategy.kind} needs a pls model")
-        strategy = PickStrategy(kind=strategy.kind, folds=args.folds)
-    if strategy.kind == "min-msep" and args.mode != "regression":
-        raise ParseError("--pick min-msep needs --mode regression")
-    if args.test and (args.model == "pca" or args.mode != "regression"):
-        raise ParseError("--test needs a pls model in --mode regression")
-    n, p = X.shape
-    if args.folds > n:
-        raise ParseError(f"--folds {args.folds} exceeds the {n} rows of X")
-    if args.k_max is not None and args.k_max > p:
-        raise DimensionError(f"--k-max {args.k_max} exceeds p={p}")
-    grid = GridConfig(K=args.k_max or p, L=args.budget, rho=args.rho)
-    if strategy.kind == "fixed-k" and strategy.k > grid.K:
-        raise ParseError(
-            f"--pick fixed-k={strategy.k} exceeds the largest subset size K={grid.K}"
-        )
-    test = None
-    if args.test:
-        test = tuple(read_finite_matrix(f) for f in args.test)
-        _check_holdout(test, X, Y)
+    # Q2 runs for regression-mode pls only; fit checks a v-fold pick's folds.
+    runs_q2 = args.model != "pca" and args.mode == "regression"
+    if runs_q2 and args.folds > X.shape[0]:
+        raise ParseError(f"--folds {args.folds} exceeds the {X.shape[0]} rows of X")
+    test = tuple(read_finite_matrix(f) for f in args.test) if args.test else None
+    grid = GridConfig(K=args.k_max or X.shape[1], L=args.budget, rho=args.rho)
     result = fit(
-        X, Y, model=args.model, H=args.components, strategy=strategy,
+        X, Y, model=args.model, H=args.components,
+        strategy=replace(args.pick, folds=args.folds),
         mode=args.mode, grid_cfg=grid, solver_cfg=_solver_config(args),
         center=not args.no_center, test=test, seed=args.seed,
     )
     q2_values = [None] * result.H
-    if result.model != "pca" and result.mode == "regression":
+    if runs_q2:
         report = q2(
             X, Y, model=result.model, H=result.H, folds=args.folds,
             seed=args.seed, supports=[c.subset for c in result.components],
@@ -291,27 +266,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _check_holdout(test, X: np.ndarray, Y: np.ndarray | None):
-    """The --test pair must have equal row counts and the training columns."""
-    X_test, Y_test = test
-    if X_test.shape[0] != Y_test.shape[0]:
-        raise DimensionError(
-            f"--test X has {X_test.shape[0]} rows but Y has {Y_test.shape[0]}"
-        )
-    if X_test.shape[1] != X.shape[1]:
-        raise DimensionError(
-            f"--test X has {X_test.shape[1]} columns, X has {X.shape[1]}"
-        )
-    if Y is not None and Y_test.shape[1] != Y.shape[1]:
-        raise DimensionError(
-            f"--test Y has {Y_test.shape[1]} columns, Y has {Y.shape[1]}"
-        )
-
-
 def cmd_oracle(args) -> int:
     started = time.time()
     heur_bits = _read_compare(args.compare) if args.compare else None
-    X, Y = _load_xy(args, need_y=args.model in ("pls1", "pls2"))
+    X, Y = _load_xy(args)
     p = X.shape[1]
     if heur_bits and any(len(bits) != p for bits in heur_bits.values()):
         raise DimensionError(f"{args.compare}: bucket bits need one bit per column of X, {p}")
@@ -476,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=_int_from(2), default=100)
     sim.add_argument("--p", type=_int_from(1), default=15)
     sim.add_argument("--q", type=_int_from(1), default=10)
-    sim.add_argument("--components", type=int, default=1)
     sim.add_argument("--sigma", type=float, default=3.0)
     sim.add_argument("--gamma", type=int, default=5)
     sim.add_argument("--snr", type=float, default=3.0)

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
     DimensionError,
+    ParseError,
     SingularMatrixError,
 )
 from .linalg import top_eigpair
@@ -520,6 +521,12 @@ def fit(
     and stored so predictions accept raw inputs. ``test`` supplies a raw
     holdout pair for the min-msep strategy. ``seed`` seeds the v-fold split
     of the min-msep and max-cor picks when they cross-validate.
+
+    Arguments are checked before any path is solved: options that cannot
+    be combined (min-msep outside regression mode, max-cor on pca, fixed-k
+    above K, ``test`` for a model that cannot predict, v-fold folds outside
+    2..n) raise ParseError; shapes that do not fit (K above p, a missing or
+    extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError.
     """
     if H < 1:
         raise ValueError("H must be at least 1")
@@ -530,15 +537,29 @@ def fit(
     elif mode not in ("regression", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
     if strategy.kind == "min-msep" and mode != "regression":
-        raise ValueError("min-msep requires a regression-mode pls model")
+        raise ParseError("min-msep needs a pls model in regression mode")
     if strategy.kind == "max-cor" and model == "pca":
-        raise ValueError("max-cor needs a response; pca has none")
+        raise ParseError("max-cor needs a response; pca has none")
+    if test is not None and mode != "regression":
+        raise ParseError("a test pair needs a pls model in regression mode")
     X = np.asarray(X, dtype=float)
     n, p = X.shape
+    if grid_cfg is None:
+        grid_cfg = GridConfig(K=p)
+    if grid_cfg.K > p:
+        raise DimensionError(f"K={grid_cfg.K} exceeds p={p}")
+    if strategy.kind == "fixed-k" and strategy.k > grid_cfg.K:
+        raise ParseError(
+            f"fixed-k={strategy.k} exceeds the largest subset size K={grid_cfg.K}"
+        )
+    v_fold = strategy.kind == "max-cor" or (strategy.kind == "min-msep" and test is None)
+    if v_fold and not 2 <= strategy.folds <= n:
+        raise ParseError(f"folds={strategy.folds} out of range 2..{n}")
     x_means = X.mean(axis=0) if center else np.zeros(p)
     X0 = X - x_means
-    y_means = None
-    Y0 = None
+    y_means = Y0 = None
+    if model == "pca" and Y is not None:
+        raise DimensionError("pca takes no response")
     if model != "pca":
         if Y is None:
             raise DimensionError(f"{model} requires a response")
@@ -549,21 +570,21 @@ def fit(
             raise DimensionError(f"X has {n} rows but Y has {Y.shape[0]}")
         y_means = Y.mean(axis=0) if center else np.zeros(Y.shape[1])
         Y0 = Y - y_means
-    if grid_cfg is None:
-        grid_cfg = GridConfig(K=p)
-    if strategy.kind == "fixed-k" and strategy.k > grid_cfg.K:
-        raise ValueError(
-            f"fixed-k={strategy.k} exceeds the largest subset size K={grid_cfg.K}"
-        )
-    if solver_cfg is None:
-        solver_cfg = SolverConfig()
     holdout = None
-    if test is not None and strategy.kind == "min-msep":
-        X_test = np.asarray(test[0], dtype=float)
+    if test is not None:
+        X_test = np.atleast_2d(np.asarray(test[0], dtype=float))
         Y_test = np.asarray(test[1], dtype=float)
         if Y_test.ndim == 1:
             Y_test = Y_test[:, None]
-        holdout = [(X0, Y0, X_test - x_means, Y_test, y_means)]
+        if X_test.shape[0] != Y_test.shape[0]:
+            raise DimensionError(f"test X has {len(X_test)} rows, test Y {len(Y_test)}")
+        if X_test.shape[1] != p or Y_test.shape[1] != Y.shape[1]:
+            raise DimensionError(f"test X, Y have {X_test.shape[1]}, {Y_test.shape[1]} "
+                                 f"columns; X, Y have {p}, {Y.shape[1]}")
+        if strategy.kind == "min-msep":
+            holdout = [(X0, Y0, X_test - x_means, Y_test, y_means)]
+    if solver_cfg is None:
+        solver_cfg = SolverConfig()
 
     comps: list[ComponentState] = []
     Xh, Yh = X0, Y0

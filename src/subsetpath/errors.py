@@ -9,7 +9,8 @@ steps do not settle with a dense one.
 
 
 class ParseError(ValueError):
-    """Malformed input file (CSV/JSON); message names the offending location."""
+    """Malformed input file (CSV/JSON), or options that cannot be combined;
+    the message names the offending location or options."""
 
 
 class DimensionError(ValueError):

@@ -56,8 +56,10 @@ def exhaustive_path(
     model: str,
     max_k: int | None = None,
 ) -> OracleResult:
-    """Return the per-size argmin of the corner objective. Refuses p above
-    25 for every model (enumeration cost grows as 2^p).
+    """Return the per-size argmin of the corner objective. Raises
+    SizeGuardError for p above 25, for every model (enumeration cost grows
+    as 2^p), and DimensionError for a max_k outside 1..p or a response
+    that does not fit the model (pls without one, pca with one).
 
     pls1 takes its closed form: the best k-subset holds the k largest
     z_j^2, ties to the higher index. pls2/pca enumerate combinations per
@@ -78,6 +80,8 @@ def exhaustive_path(
         max_k = p
     if not (1 <= max_k <= p):
         raise DimensionError(f"max_k={max_k} out of range 1..{p}")
+    if model in ("pls1", "pls2") and Y is None:
+        raise DimensionError(f"{model} requires a response")
 
     per_size: dict[int, tuple[Subset, float]] = {}
 
@@ -171,8 +175,7 @@ def exhaustive_path(
                 best_val, best = low, tied
         per_size[k] = (best, float(best_val))
         prev = best.idx
-    total_count = count if max_k < p else (1 << p) - 1
-    return OracleResult(model, p, per_size, enumerated_count=total_count,
+    return OracleResult(model, p, per_size, enumerated_count=count,
                         scored_count=scored)
 
 

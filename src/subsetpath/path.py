@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverAbort
+from .errors import DimensionError, SolverAbort
 from .objective import ObjectiveContext, corner_values, lambda_max, make_context
 from .solver import SolverConfig, SolverRun, _initial_t, minimize_batch, unique_rows
 
@@ -364,13 +364,14 @@ def dynamic_grid(
     Every successful run feeds the top-K orderings it visited into the size
     buckets (score_buckets), so buckets are filled for all k = 1..K as soon
     as one run succeeds. A penalty whose run aborts contributes nothing but
-    the grid continues; if every run aborts, SolverAbort is raised.
+    the grid continues; if every run aborts, SolverAbort is raised. A K
+    above p, or a Y unfit for the model, raises DimensionError first.
     """
     if solver_cfg is None:
         solver_cfg = SolverConfig()
     ctx0 = make_context(X, Y, model=model)
     if grid_cfg.K > ctx0.p:
-        raise ValueError(f"K={grid_cfg.K} exceeds p={ctx0.p}")
+        raise DimensionError(f"K={grid_cfg.K} exceeds p={ctx0.p}")
     try:
         lam_top = lambda_max(ctx0)
     except ValueError as exc:

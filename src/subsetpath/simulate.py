@@ -35,7 +35,6 @@ class SimConfig:
     n: int = 100
     p: int = 15
     q: int = 10
-    H: int = 1
     sigma: float = 3.0
     gamma: int = 5
     snr: float = 3.0
@@ -89,7 +88,6 @@ def two_component_c_matrix() -> np.ndarray:
 def gen_multiresponse(cfg: SimConfig) -> SimInstance:
     """Latent model with uniform U(-1,3) latent scores, U(0.5,10) response
     coefficients and N(0, sigma^2) noise on both blocks."""
-    H = 2 if cfg.scenario == "two-component" else cfg.H
     p = 30 if cfg.scenario == "two-component" else cfg.p
     rng = np.random.default_rng(cfg.seed)
     ntot = cfg.n + cfg.holdout
@@ -98,8 +96,7 @@ def gen_multiresponse(cfg: SimConfig) -> SimInstance:
         C = two_component_c_matrix()
     else:
         C = default_c_vector(p, cfg.gamma)[:, None]
-        if H != 1:
-            raise DimensionError("multiresponse default C is defined for H = 1")
+    H = C.shape[1]
 
     T = rng.uniform(-1.0, 3.0, size=(ntot, H))
     W = rng.uniform(0.5, 10.0, size=(H, cfg.q))

@@ -213,6 +213,17 @@ class TestNoOutputOnError:
                        "--pick", "fixed-k=3", "--out", str(out))
         self.check(capsys, out, code, 3)
 
+    @pytest.mark.parametrize("command", ["path", "fit", "oracle"])
+    @pytest.mark.parametrize("model, y", [("pls2", None), ("pca", "Y.csv")])
+    def test_response_unfit_for_the_model(self, tmp_path, sim, capsys, command, model, y):
+        out = tmp_path / "out"
+        argv = [command, "--model", model, "--x", str(sim / "X.csv"), "--out", str(out)]
+        if y:
+            argv += ["--y", str(sim / y)]
+        argv += {"path": ["--k-max", "3"], "fit": ["--pick", "fixed-k=3"],
+                 "oracle": ["--max-k", "2"]}[command]
+        self.check(capsys, out, run_cli(*argv), 3)
+
 
 class TestFitCommand:
     def test_full_subsets_reach_unit_cpev(self, tmp_path):
@@ -227,6 +238,14 @@ class TestFitCommand:
         assert rows[0] == "component,k,pev,cpev,q2"
         last = rows[-1].split(",")
         assert float(last[3]) == pytest.approx(1.0, abs=1e-10)
+
+    def test_pca_on_fewer_rows_than_folds(self, tmp_path):
+        # A pca fit runs no Q2 and no v-fold pick, so --folds (5) is not read.
+        rng = np.random.default_rng(3)
+        write_csv_matrix(tmp_path / "X.csv", rng.standard_normal((3, 4)))
+        code = run_cli("fit", "--model", "pca", "--x", str(tmp_path / "X.csv"),
+                       "--pick", "fixed-k=2", "--budget", "6", "--out", str(tmp_path / "out"))
+        assert code == 0
 
     def test_predictions_on_training_data_reproduce_fit(self, tmp_path):
         sim, out = tmp_path / "sim", tmp_path / "out"
@@ -630,6 +649,7 @@ class TestErrorExits:
         ("fit", "pca", ["--pick", "max-cor"]),
         ("fit", "pls2", ["--pick", "fixed-k=9"]),  # above p = 6
         ("fit", "pls2", ["--k-max", "3", "--pick", "fixed-k=4"]),
+        ("fit", "pls2", ["--mode", "canonical", "--pick", "max-cor", "--folds", "1000"]),
     ])
     def test_bad_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                               command, model, bad):
@@ -637,7 +657,7 @@ class TestErrorExits:
             raise AssertionError("work started before the flags were checked")
 
         monkeypatch.setattr(cli, "dynamic_grid", no_work)
-        monkeypatch.setattr(cli, "fit", no_work)
+        monkeypatch.setattr(components, "dynamic_grid", no_work)
         sim = self.sim(tmp_path)
         argv = self.argv(command, model, sim, tmp_path / "out") + bad
         if model == "pca":
@@ -673,7 +693,7 @@ class TestErrorExits:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the holdout was checked")
 
-        monkeypatch.setattr(cli, "fit", no_work)
+        monkeypatch.setattr(components, "dynamic_grid", no_work)
         sim = self.sim(tmp_path)
         write_csv_matrix(tmp_path / "X_test.csv", X_test(read_csv_matrix(str(sim / "X.csv"))))
         write_csv_matrix(tmp_path / "Y_test.csv", Y_test(read_csv_matrix(str(sim / "Y.csv"))))
@@ -713,7 +733,7 @@ class TestErrorExits:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the flags were checked")
 
-        monkeypatch.setattr(cli, "fit", no_work)
+        monkeypatch.setattr(components, "dynamic_grid", no_work)
         sim = self.sim(tmp_path)
         argv = self.argv("fit", model, sim, tmp_path / "out") + extra
         if model == "pca":
@@ -722,5 +742,5 @@ class TestErrorExits:
         argv += ["--test", str(sim / "X.csv"), str(y_test)]
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: --test needs a pls model in --mode regression\n"
+        assert err == "error: a test pair needs a pls model in regression mode\n"
         assert not (tmp_path / "out" / "predictions.csv").exists()

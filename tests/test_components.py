@@ -22,6 +22,7 @@ from subsetpath.components import (
 from subsetpath.errors import (
     DegenerateLoadingError,
     DimensionError,
+    ParseError,
     SingularMatrixError,
 )
 from subsetpath.linalg import center_columns
@@ -640,3 +641,77 @@ class TestHoldoutPick:
             )
             ks.append(result.components[0].subset.size)
         assert ks[0] == ks[1] == 13
+
+
+class TestFitArguments:
+    """fit checks its arguments with typed errors before any path is solved."""
+
+    @pytest.fixture
+    def data(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a path was solved before the arguments were checked")
+
+        monkeypatch.setattr(components, "dynamic_grid", no_work)
+        return gen_multiresponse(
+            SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
+        )
+
+    def fit_min_msep(self, inst, **kwargs):
+        return fit(inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.min_msep(),
+                   grid_cfg=GridConfig(K=15, L=20), solver_cfg=quick_solver(), **kwargs)
+
+    def test_right_test_pair_picks_the_full_set(self):
+        inst = gen_multiresponse(
+            SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
+        )
+        result = self.fit_min_msep(inst, test=(inst.X_test, inst.Y_test))
+        assert result.components[0].subset.size == 15
+
+    def test_one_response_column_against_ten_rejected(self, data):
+        # Broadcast against the (m, 10) prediction, it used to pick k = 2.
+        with pytest.raises(DimensionError, match="columns"):
+            self.fit_min_msep(data, test=(data.X_test, data.Y_test[:, :1]))
+
+    def test_one_test_x_column_rejected(self, data):
+        with pytest.raises(DimensionError, match="columns"):
+            self.fit_min_msep(data, test=(data.X_test[:, :1], data.Y_test))
+
+    def test_test_row_counts_must_agree(self, data):
+        with pytest.raises(DimensionError, match="rows"):
+            self.fit_min_msep(data, test=(data.X_test[:5], data.Y_test))
+
+    def test_pca_given_a_response_rejected(self, data):
+        with pytest.raises(DimensionError, match="pca takes no response"):
+            fit(data.X, data.Y, model="pca", strategy=PickStrategy.fixed_k(3))
+
+    def test_k_above_p_rejected(self, data):
+        with pytest.raises(DimensionError, match="K=16 exceeds p=15"):
+            fit(data.X, data.Y, strategy=PickStrategy.fixed_k(3),
+                grid_cfg=GridConfig(K=16))
+
+    @pytest.mark.parametrize("model, mode, strategy, test", [
+        ("pls2", "canonical", PickStrategy.min_msep(), False),
+        ("pca", "regression", PickStrategy.min_msep(), False),
+        ("pca", "regression", PickStrategy.max_cor(), False),
+        ("pls2", "regression", PickStrategy.fixed_k(16), False),  # above K = p = 15
+        ("pca", "regression", PickStrategy.fixed_k(3), True),
+        ("pls2", "canonical", PickStrategy.fixed_k(3), True),
+        ("pls2", "regression", PickStrategy.min_msep(folds=1), False),
+        ("pls2", "canonical", PickStrategy.max_cor(folds=101), False),  # n = 100
+    ], ids=["min-msep-canonical", "min-msep-pca", "max-cor-pca", "fixed-k-above-K",
+            "test-pca", "test-canonical", "folds-1", "folds-above-n"])
+    def test_option_conflicts_raise_parse_error(self, data, model, mode, strategy, test):
+        Y = None if model == "pca" else data.Y
+        pair = (data.X_test, data.Y_test) if test else None
+        with pytest.raises(ParseError):
+            fit(data.X, Y, model=model, mode=mode, strategy=strategy, test=pair)
+
+    def test_folds_of_a_test_pick_are_not_read(self):
+        # min-msep with a test pair scores no fold, so its folds are free.
+        inst = gen_multiresponse(
+            SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
+        )
+        result = fit(inst.X, inst.Y, model="pls2", strategy=PickStrategy.min_msep(folds=500),
+                     grid_cfg=GridConfig(K=15, L=8), solver_cfg=quick_solver(),
+                     test=(inst.X_test, inst.Y_test))
+        assert result.H == 1

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from subsetpath.errors import SizeGuardError
+from subsetpath.errors import DimensionError, SizeGuardError
 from subsetpath.linalg import center_columns
 from subsetpath.oracle import (
     check_corner_optimality,
@@ -95,6 +96,19 @@ class TestExhaustivePath:
         X = np.zeros((2, 26))
         with pytest.raises(SizeGuardError):
             exhaustive_path(X, np.zeros(2), "pls1")
+
+    @pytest.mark.parametrize("model", ["pls1", "pls2"])
+    def test_response_required(self, model):
+        with pytest.raises(DimensionError, match=f"{model} requires a response"):
+            exhaustive_path(np.eye(3), None, model)
+
+    @pytest.mark.parametrize("max_k", [3, 12])
+    def test_enumerated_count_is_every_combination_visited(self, max_k):
+        rng = np.random.default_rng(4)
+        X = center_columns(rng.standard_normal((30, 12)))
+        result = exhaustive_path(X, None, "pca", max_k=max_k)
+        want = sum(math.comb(12, k) for k in range(1, max_k + 1))
+        assert result.enumerated_count == want
 
     def test_json_carries_oracle_flag(self):
         result = exhaustive_path(np.eye(2), np.array([1.0, 2.0]), "pls1")

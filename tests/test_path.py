@@ -6,7 +6,7 @@ import pytest
 
 from subsetpath import path as path_module
 from subsetpath import linalg, solver
-from subsetpath.errors import SolverAbort
+from subsetpath.errors import DimensionError, SolverAbort
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
 from subsetpath.objective import ObjectiveContext, lambda_max, make_context
 from subsetpath.path import (
@@ -338,7 +338,7 @@ class TestDynamicGrid:
             assert path.buckets[k].best.size == k
 
     def test_k_exceeding_p_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError, match="K=4 exceeds p=3"):
             dynamic_grid(np.eye(3), np.arange(3.0), "pls1", GridConfig(K=4, L=5))
 
     def test_deterministic(self):
