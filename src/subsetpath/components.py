@@ -30,6 +30,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import top_eigpair
+from .objective import MODELS
 from .path import GridConfig, SolutionPath, Subset, dynamic_grid
 from .solver import SolverConfig
 
@@ -325,8 +326,6 @@ class Q2Report:
 
 
 def _fold_indices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    if folds < 2 or folds > n:
-        raise ValueError(f"folds={folds} out of range 2..{n}")
     perm = rng.permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
@@ -376,15 +375,18 @@ def q2(
     ``supports`` fixes the per-component subsets (e.g. those a fitted
     sparse model chose); by default all components use the full variable
     set. The folds are those of the v-fold picks in ``fit`` at the same
-    ``folds`` and ``seed``. A fold whose training rows hold a constant
-    response column (max == min) is refused.
+    ``folds`` and ``seed``. A model other than pls1 or pls2, or folds
+    outside 2..n, raise ParseError; a fold whose training rows hold a
+    constant response column (max == min) is refused.
     """
     if model not in ("pls1", "pls2"):
-        raise ValueError("the PRESS/RSS criterion applies to regression-mode PLS")
+        raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    if not 2 <= folds <= X.shape[0]:
+        raise ParseError(f"folds={folds} out of range 2..{X.shape[0]}")
     p = X.shape[1]
     q_dim = Y.shape[1]
     if supports is None:
@@ -522,20 +524,23 @@ def fit(
     holdout pair for the min-msep strategy. ``seed`` seeds the v-fold split
     of the min-msep and max-cor picks when they cross-validate.
 
-    Arguments are checked before any path is solved: options that cannot
-    be combined (min-msep outside regression mode, max-cor on pca, fixed-k
+    Arguments are checked before any path is solved: an unknown model or
+    mode, H below 1, a missing strategy, and options that cannot be
+    combined (min-msep outside regression mode, max-cor on pca, fixed-k
     above K, ``test`` for a model that cannot predict, v-fold folds outside
     2..n) raise ParseError; shapes that do not fit (K above p, a missing or
     extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError.
     """
     if H < 1:
-        raise ValueError("H must be at least 1")
+        raise ParseError(f"H={H}: at least one component is needed")
     if strategy is None:
-        raise ValueError("a pick strategy is required")
+        raise ParseError("a pick strategy is required")
+    if model not in MODELS:
+        raise ParseError(f"unknown model {model!r}, expected one of {MODELS}")
     if model == "pca":
         mode = None
     elif mode not in ("regression", "canonical"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParseError(f"unknown mode {mode!r}")
     if strategy.kind == "min-msep" and mode != "regression":
         raise ParseError("min-msep needs a pls model in regression mode")
     if strategy.kind == "max-cor" and model == "pca":

@@ -209,8 +209,13 @@ def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
             blocks = Ms @ Mt if k <= q else Mt @ Ms
     else:
         blocks = ctx.G[I[:, :, None], I[:, None, :]]
+    # A non-finite block is solved as the zero block (eigvalsh may raise on
+    # it), then given NaN.
+    bad = ~np.isfinite(blocks).all(axis=(1, 2))
+    if bad.any():
+        blocks = np.where(bad[:, None, None], 0.0, blocks)
     values = -np.linalg.eigvalsh(blocks)[:, -1]
-    values[~np.isfinite(blocks).all(axis=(1, 2))] = np.nan
+    values[bad] = np.nan
     return values
 
 

@@ -17,11 +17,12 @@ The dynamic grid drives the solver over a data-dependent schedule of
 penalty values so that terminal subsets cover all sizes 1..K. The rules
 of that schedule live in one place, _schedule, which asks for the
 terminal size at each penalty it visits; the grid uses it both to decide
-what to solve and to record the runs. A pls1 run's terminal size is
-known in closed form before it is solved, so a pls1 grid plans its whole
-schedule, solves it in one batched solver call (solver.minimize_batch)
-and records it by replaying the schedule on the real runs, solving there
-whatever a wrong prediction left out as pls2 does. A pls2 or pca grid
+what to solve and to record the runs. A pls1 grid, and a pls2 grid with
+p <= 100, predicts each run's terminal size from the gradient at the
+solver's start point (_first_step_size), plans its whole schedule, solves
+it in one batched solver call (solver.minimize_batch) and records it by
+replaying the schedule on the real runs, solving there whatever a wrong
+prediction left out. A pca grid, or a pls2 grid above 100 columns,
 solves as the schedule asks: the halvings of the first phase in chunks,
 and the penalties of one bisection sweep (for p <= 100 with the
 midpoints of the next sweep) in one batch. Each row of a batch
@@ -40,7 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, SolverAbort
-from .objective import ObjectiveContext, corner_values, lambda_max, make_context
+from .objective import (
+    ObjectiveContext,
+    corner_values,
+    eval_batch,
+    lambda_max,
+    make_context,
+)
 from .solver import SolverConfig, SolverRun, _initial_t, minimize_batch, unique_rows
 
 # Candidates per stacked eigen-solve in best_row; bounds the block stack to
@@ -286,28 +293,46 @@ def _terminal_size(run: SolverRun | SolverAbort, rho: float) -> int:
     return terminal_subset(run.terminal_t, rho).size
 
 
-def _closed_form_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
-    """The terminal size the pls1 run at a penalty is expected to have.
+def _first_step_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
+    """The terminal size the run at a penalty is expected to have: the
+    number of coordinates its first gradient step moves up.
 
-    The pls1 objective -sum(t_j^2 z_j^2) + lam sum(t_j) is separable and
-    concave in each t_j, so t_j moves away from its stationary point
-    lam / (2 z_j^2): up to 1 if it starts above it, down to 0 otherwise.
-    The run at lam therefore ends on {j : 2 t0_j z_j^2 > lam}, t0 the
-    solver's start point, if it runs long enough to pass rho."""
-    score = 2.0 * _initial_t(solver_cfg, ctx0.p) * (ctx0.z * ctx0.z)
+    At the solver's start point t0 the gradient in t is lam - g, with
+    g_j = 2 t0_j z_j^2 for pls1 and 2 t0_j (M_j v)^2 for pls2 (v the top
+    eigenvector there). The pls1 objective is separable and concave in each
+    t_j, so t_j moves away from its stationary point lam / (2 z_j^2), and
+    the run at lam ends on {j : g_j > lam} if it runs long enough to pass
+    rho. For pls2, v turns as t moves; the runs measured still ended on
+    that set at 90-100% of the penalties (CHANGES.md)."""
+    t0 = _initial_t(solver_cfg, ctx0.p)
+    score = -eval_batch(ctx0, t0[None], np.zeros(1)).grad_t[0]
     return lambda lam: int(np.count_nonzero(score > lam))
 
 
+def _predictor(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
+    """_first_step_size where a grid plans its schedule (pls1, and pls2 with
+    cheap rows), else None. pca solves on demand: planned from these sizes,
+    its grids measured no fewer solver calls. pls2 above 100 columns keeps
+    its on-demand calls too, though a plan measured faster there (CHANGES.md
+    and ROADMAP.md have the numbers)."""
+    if ctx0.model == "pls1" or (ctx0.model == "pls2" and _cheap_rows(ctx0.p)):
+        return _first_step_size(ctx0, solver_cfg)
+    return None
+
+
 def _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
-    """pls1: the schedule planned from _closed_form_size, solved in one
-    call, then replayed on the real runs by _solve_on_demand, which solves
-    only what a wrong prediction left out (a run capped by max_iter, or
-    plain gradient descent, may not pass rho in time; a run may abort)."""
-    predicted = _closed_form_size(ctx0, solver_cfg)
-    plan = _schedule(lam_top, grid_cfg,
-                     lambda step, lams, ahead: [predicted(lam) for lam in lams])
-    plan = list(dict.fromkeys(plan))
-    runs.update(zip(plan, minimize_batch(ctx0, plan, solver_cfg, grid_cfg.K)))
+    """Where _predictor gives one, the schedule planned from the predicted
+    terminal sizes, solved in one call; then, for every grid, the schedule
+    replayed on the real runs by _solve_on_demand, which solves only what
+    no plan or a wrong prediction left out (a run capped by max_iter, or
+    plain gradient descent, may not pass rho in time; a run may abort; a
+    pls2 run may end off the predicted set)."""
+    predicted = _predictor(ctx0, solver_cfg)
+    if predicted is not None:
+        plan = _schedule(lam_top, grid_cfg,
+                         lambda step, lams, ahead: [predicted(lam) for lam in lams])
+        plan = list(dict.fromkeys(plan))
+        runs.update(zip(plan, minimize_batch(ctx0, plan, solver_cfg, grid_cfg.K)))
     return _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs)
 
 
@@ -353,13 +378,14 @@ def dynamic_grid(
     and re-sweeping until the budget runs out or no gap remains. L counts
     recorded runs, the lambda_max one included.
 
-    A pls1 grid first plans the whole schedule from the closed-form
-    terminal sizes and solves it in one batch (_plan_and_solve). Then, for
-    every model, the schedule is replayed on the real runs, and a penalty
-    not yet solved is solved when it is asked for, with runs the schedule
-    may ask for next (_solve_on_demand). It is recorded in that order, and
-    runs solved but not in it are discarded, so the path is the one the
-    penalties solved one at a time would give.
+    A pls1 grid, and a pls2 grid with at most 100 columns, first plans the
+    whole schedule from the terminal sizes _first_step_size predicts and
+    solves it in one batch (_plan_and_solve). Then, for every model, the
+    schedule is replayed on the real runs, and a penalty not yet solved is
+    solved when it is asked for, with runs the schedule may ask for next
+    (_solve_on_demand). It is recorded in that order, and runs solved but
+    not in it are discarded, so the path is the one the penalties solved
+    one at a time would give.
 
     Every successful run feeds the top-K orderings it visited into the size
     buckets (score_buckets), so buckets are filled for all k = 1..K as soon
@@ -380,10 +406,9 @@ def dynamic_grid(
         raise
 
     runs: dict[float, SolverRun | SolverAbort] = {}
-    solve_grid = _plan_and_solve if ctx0.model == "pls1" else _solve_on_demand
     diagnostics: list[LambdaDiagnostic] = []
     traces: list[np.ndarray] = []  # of every successful recorded run
-    for lam in solve_grid(ctx0, lam_top, grid_cfg, solver_cfg, runs):
+    for lam in _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs):
         run = runs[lam]
         if isinstance(run, SolverAbort):
             diagnostics.append(

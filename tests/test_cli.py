@@ -601,6 +601,27 @@ class TestErrorExits:
         assert run_cli(*argv) == 4
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("case", ["pca", "pca-wide", "pls2-q-ge-p", "fit-pca"])
+    def test_all_cross_products_overflowing_exit_4(self, tmp_path, capsys, case):
+        # Every entry near 1e160, so every cross-product is inf and every
+        # corner block lambda_max scores is non-finite: X^T X / n for pca,
+        # the n x n block for pca with n < p, G = M M^T for pls2 with q >= p.
+        signs = np.where(np.arange(18).reshape(6, 3) % 4 < 2, 1.0, -1.0)
+        X = signs * (1.0 + np.arange(18).reshape(6, 3) / 17.0) * 1e160
+        write_csv_matrix(tmp_path / "X.csv", X.T if case == "pca-wide" else X)
+        write_csv_matrix(tmp_path / "Y.csv", X[:, ::-1])
+        model = "pls2" if case == "pls2-q-ge-p" else "pca"
+        argv = ["fit" if case == "fit-pca" else "path", "--model", model,
+                "--x", str(tmp_path / "X.csv"), "--k-max", "2",
+                "--out", str(tmp_path / "out")]
+        if model == "pls2":
+            argv += ["--y", str(tmp_path / "Y.csv")]
+        if case == "fit-pca":
+            argv += ["--pick", "fixed-k=1"]
+        assert run_cli(*argv) == 4
+        self.assert_one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["path", "fit"])
     @pytest.mark.parametrize("model", ["pls1", "pls2", "pca"])
     def test_overflowing_data_prints_only_the_error_line(self, tmp_path, command, model):

@@ -292,6 +292,12 @@ class TestPevCpev:
 
 
 class TestQ2:
+    def test_folds_above_n_raise_parse_error(self):
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
+        with pytest.raises(ParseError, match="folds=11 out of range 2..10"):
+            q2(X, Y, folds=11)
+
     def test_noise_free_single_component(self):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=0.0, seed=3))
         report = q2(inst.X, inst.Y, model="pls2", H=1, folds=5, seed=0)
@@ -705,6 +711,14 @@ class TestFitArguments:
         pair = (data.X_test, data.Y_test) if test else None
         with pytest.raises(ParseError):
             fit(data.X, Y, model=model, mode=mode, strategy=strategy, test=pair)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"H": 0}, {"mode": "bogus"}, {"model": "bogus"},
+    ], ids=["H-0", "mode-bogus", "model-bogus"])
+    def test_bad_option_values_raise_parse_error(self, data, kwargs):
+        args = {"model": "pls2", "strategy": PickStrategy.fixed_k(3), **kwargs}
+        with pytest.raises(ParseError):
+            fit(data.X, data.Y, **args)
 
     def test_folds_of_a_test_pick_are_not_read(self):
         # min-msep with a test pair scores no fold, so its folds are free.

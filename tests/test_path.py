@@ -6,6 +6,7 @@ import pytest
 
 from subsetpath import path as path_module
 from subsetpath import linalg, solver
+from subsetpath.components import PickStrategy, fit
 from subsetpath.errors import DimensionError, SolverAbort
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
 from subsetpath.objective import ObjectiveContext, lambda_max, make_context
@@ -424,6 +425,13 @@ def one_at_a_time(monkeypatch, *args, **kwargs):
         return dynamic_grid(*args, **kwargs)
 
 
+def on_demand(monkeypatch):
+    # pls2 grids at p <= 100 plan their schedule from a predicted size and
+    # solve it in one call; without a predictor they solve it on demand,
+    # the route the tests that pin its call shape drive.
+    monkeypatch.setattr(path_module, "_predictor", lambda ctx0, cfg: None)
+
+
 def spy_step1(monkeypatch, edit=None):
     # Records the penalties of every step-1 call to minimize_batch (the
     # calls that solve lambda_max and its halvings) and lets ``edit`` change
@@ -475,6 +483,7 @@ class TestSpeculativeStep1:
 
     def test_lambda_max_is_the_first_row_of_the_first_chunk(self, monkeypatch):
         # No lone solve of lambda_max: step 1's first batch starts with it.
+        on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         calls = spy_step1(monkeypatch)
         path = dynamic_grid(X, Y, "pls2", GridConfig(K=4, L=20))
@@ -499,6 +508,7 @@ class TestSpeculativeStep1:
             discarded.extend(lams[first + 1:])
             return runs[:first + 1] + [Discarded()] * len(runs[first + 1:])
 
+        on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         grid = GridConfig(K=4, L=20)
         want = dynamic_grid(X, Y, "pls2", grid)
@@ -515,6 +525,7 @@ class TestSpeculativeStep1:
         # L runs, step 1 spends the whole budget; the last chunk holds what
         # is left of it.
         monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
+        on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         grid = GridConfig(K=10, L=L)
         calls = spy_step1(monkeypatch)
@@ -564,6 +575,7 @@ class TestSpeculativeStep1:
         # Chunks of 3 hold l = 0..2 and 3..5; K is the terminal size first
         # reached at l = 3.
         monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
+        on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         first = sequential_step1(X, Y, "pls2", GridConfig(K=10, L=4), SolverConfig())
         K = first[3][1]
@@ -617,6 +629,7 @@ class TestSpeculativeBisection:
     @pytest.mark.parametrize("model,branch,p,grid", BISECTION_CASES)
     def test_path_equals_the_grid_without_speculation(self, model, branch, p, grid,
                                                       monkeypatch):
+        on_demand(monkeypatch)
         X, Y = grid_case(model, branch, p=p)
         calls = spy_step2(monkeypatch)
         want = without_speculation(monkeypatch, X, Y, model, grid)
@@ -668,6 +681,7 @@ class TestSpeculativeBisection:
     def test_sweep_spending_the_budget_solves_no_children(self, L, monkeypatch):
         # Here the last step-2 call is made by the sweep that spends the
         # rest of the budget: it solves only midpoints it records.
+        on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v", p=16, seed=2)
         calls = spy_step2(monkeypatch)
         path = dynamic_grid(X, Y, "pls2", GridConfig(K=16, L=L))
@@ -806,9 +820,9 @@ class TestPls1Plan:
         grid = GridConfig(K=12, L=20)
         cfg = SolverConfig()
         if fault == "off_by_one":
-            predict = path_module._closed_form_size
+            predict = path_module._first_step_size
             monkeypatch.setattr(
-                path_module, "_closed_form_size",
+                path_module, "_first_step_size",
                 lambda ctx0, cfg: lambda lam: predict(ctx0, cfg)(lam) + 1)
         elif fault == "max_iter":
             cfg = SolverConfig(max_iter=12)  # no run passes rho in time
@@ -857,6 +871,101 @@ class TestPls1Plan:
         assert not any(d.failed for d in got.diagnostics[3:])
         assert target not in {lam for lam, _ in got.lambda_grid}
         assert target in calls[0] and len(calls[0]) > 3
+        assert_same_path(got, want)
+
+
+def cert_case(seed):
+    # The criterion-2 design (n=100, p=15, q=10, gamma=5, sigma=3), centered
+    # as the CLI centers it.
+    inst = generate(SimConfig(scenario="multiresponse", seed=seed))
+    return center_columns(inst.X), center_columns(inst.Y)
+
+
+CERT_GRID = GridConfig(K=15, L=50)
+
+PLS2_PLAN_CASES = [
+    (*grid_case(model, branch, p=p), grid)
+    for model, branch, p, grid in BISECTION_CASES if model == "pls2"
+] + [
+    (*grid_case("pls2", "u", p=10), GridConfig(K=10, L=25)),
+    (*cert_case(50), CERT_GRID),
+    (*cert_case(51), CERT_GRID),
+    (*cert_case(52), CERT_GRID),
+]
+PLS2_PLAN_IDS = ["bisection-v16", "bisection-v10", "u10", "cert50", "cert51", "cert52"]
+
+
+class TestPls2Plan:
+    """A pls2 grid at p <= 100 plans its schedule from the sizes
+    _first_step_size predicts, solves it in one batch, and replays it on the
+    real runs, solving what the plan missed; the path is the one each
+    penalty solved alone gives. pca grids and wider pls2 grids solve on
+    demand."""
+
+    @pytest.mark.parametrize("X,Y,grid", PLS2_PLAN_CASES, ids=PLS2_PLAN_IDS)
+    def test_path_equals_the_sequential_reference(self, X, Y, grid):
+        got = dynamic_grid(X, Y, "pls2", grid)
+        assert_same_path(got, sequential_path(X, Y, "pls2", grid))
+
+    def test_start_point_enters_the_prediction(self):
+        # A t_init array moves the predicted sizes and the runs alike.
+        X, Y = cert_case(50)
+        cfg = SolverConfig(t_init=t_init_array(15))
+        got = dynamic_grid(X, Y, "pls2", CERT_GRID, cfg)
+        predicted = path_module._predictor(make_context(X, Y, "pls2"), cfg)
+        assert [predicted(d.lam) for d in got.diagnostics] == [
+            d.terminal_size for d in got.diagnostics]
+        assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID, cfg))
+
+    @pytest.mark.parametrize("seed", [50, 51, 52])
+    def test_prediction_that_holds_makes_one_call(self, seed, monkeypatch):
+        X, Y = cert_case(seed)
+        predicted = path_module._predictor(make_context(X, Y, "pls2"), SolverConfig())
+        calls = spy_calls(monkeypatch)
+        path = dynamic_grid(X, Y, "pls2", CERT_GRID)
+        assert [predicted(d.lam) for d in path.diagnostics] == [
+            d.terminal_size for d in path.diagnostics]
+        assert calls == [[d.lam for d in path.diagnostics]]
+
+    @pytest.mark.parametrize("seed", [50, 51, 52])
+    def test_each_component_grid_of_a_fit_is_one_call(self, seed, monkeypatch):
+        # The second grid runs on data deflated by the first component.
+        X, Y = cert_case(seed)
+        calls = spy_calls(monkeypatch)
+        fit(X, Y, "pls2", H=2, strategy=PickStrategy.fixed_k(5), grid_cfg=CERT_GRID)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("stuck", ["zero", "K"])
+    def test_misprediction_still_gives_the_reference_path(self, stuck, monkeypatch):
+        X, Y = cert_case(51)
+        size = 0 if stuck == "zero" else CERT_GRID.K
+        monkeypatch.setattr(path_module, "_first_step_size",
+                            lambda ctx0, cfg: lambda lam: size)
+        calls = spy_calls(monkeypatch)
+        got = dynamic_grid(X, Y, "pls2", CERT_GRID)
+        assert len(calls) > 1
+        solved = [lam for call in calls for lam in call]
+        assert len(solved) == len(set(solved))
+        assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID))
+
+    @pytest.mark.parametrize("model,branch,p,grid,cfg", [
+        ("pca", None, 10, GridConfig(K=4, L=20), SolverConfig()),
+        ("pca", None, 15, GridConfig(K=15, L=30), SolverConfig()),
+        ("pca", None, 110, GridConfig(K=4, L=20), SolverConfig(max_iter=40)),
+        ("pls2", "v", 120, GridConfig(K=20, L=30), SolverConfig()),
+        ("pls2", "u", 120, GridConfig(K=20, L=30), SolverConfig(max_iter=40)),
+    ])
+    def test_unplanned_grids_keep_the_on_demand_calls(self, model, branch, p, grid,
+                                                      cfg, monkeypatch):
+        X, Y = grid_case(model, branch, p=p, n=150 if branch == "u" else 40)
+        assert path_module._predictor(make_context(X, Y, model), cfg) is None
+        calls = spy_calls(monkeypatch)
+        got = dynamic_grid(X, Y, model, grid, cfg)
+        planned = list(calls)
+        calls.clear()
+        on_demand(monkeypatch)
+        want = dynamic_grid(X, Y, model, grid, cfg)
+        assert planned == calls
         assert_same_path(got, want)
 
 
