@@ -105,13 +105,21 @@ def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
     return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0)
 
 
+def zero_nonfinite(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A (B, d, d) stack with each matrix that holds a non-finite entry
+    replaced by the zero matrix, which any eigen-solver accepts, and the
+    mask of those matrices (None if there are none), whose results the
+    caller marks NaN."""
+    if np.isfinite(A).all():
+        return A, None
+    bad = ~np.isfinite(A).all(axis=(1, 2))
+    return np.where(bad[:, None, None], 0.0, A), bad
+
+
 def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
     # top_eigpair on a (B, d, d) stack. A matrix with a non-finite entry is
     # solved as the zero matrix, then given a NaN value and vector.
-    bad = None
-    if not np.isfinite(A).all():
-        bad = ~np.isfinite(A).all(axis=(1, 2))
-        A = np.where(bad[:, None, None], 0.0, A)
+    A, bad = zero_nonfinite(A)
     B, n = A.shape[:2]
     if v0 is None:
         pair = DominantPair(np.empty(B), np.empty((B, n)), np.zeros(B, dtype=int))

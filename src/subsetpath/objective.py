@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLoadingError, DimensionError
-from .linalg import DominantPair, top_eigpair
+from .linalg import DominantPair, top_eigpair, zero_nonfinite
 
 MODELS = ("pls1", "pls2", "pca")
 
@@ -209,13 +209,10 @@ def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
             blocks = Ms @ Mt if k <= q else Mt @ Ms
     else:
         blocks = ctx.G[I[:, :, None], I[:, None, :]]
-    # A non-finite block is solved as the zero block (eigvalsh may raise on
-    # it), then given NaN.
-    bad = ~np.isfinite(blocks).all(axis=(1, 2))
-    if bad.any():
-        blocks = np.where(bad[:, None, None], 0.0, blocks)
+    blocks, bad = zero_nonfinite(blocks)  # eigvalsh may raise on inf
     values = -np.linalg.eigvalsh(blocks)[:, -1]
-    values[bad] = np.nan
+    if bad is not None:
+        values[bad] = np.nan
     return values
 
 

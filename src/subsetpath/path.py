@@ -17,19 +17,19 @@ The dynamic grid drives the solver over a data-dependent schedule of
 penalty values so that terminal subsets cover all sizes 1..K. The rules
 of that schedule live in one place, _schedule, which asks for the
 terminal size at each penalty it visits; the grid uses it both to decide
-what to solve and to record the runs. A pls1 grid, and a pls2 grid with
-p <= 100, predicts each run's terminal size from the gradient at the
-solver's start point (_first_step_size), plans its whole schedule, solves
-it in one batched solver call (solver.minimize_batch) and records it by
-replaying the schedule on the real runs, solving there whatever a wrong
-prediction left out. A pca grid, or a pls2 grid above 100 columns,
-solves as the schedule asks: the halvings of the first phase in chunks,
-and the penalties of one bisection sweep (for p <= 100 with the
-midpoints of the next sweep) in one batch. Each row of a batch
-is bit for bit the run of its penalty alone, so runs solved ahead and
-recorded later, or never, leave the path as it would be. Its eigen-solves
-cannot fail (linalg.top_eigpair finishes the ones its power steps do not
-settle densely), so a batch is never redone.
+what to solve and to record the runs. A pls1 or pls2 grid predicts each
+run's terminal size from the gradient at the solver's start point
+(_first_step_size), plans its whole schedule, solves it in one batched
+solver call (solver.minimize_batch) and records it by replaying the
+schedule on the real runs, solving there whatever a wrong prediction
+left out. A pca grid, and the replay where a run is missing, solve as
+the schedule asks: the halvings of the first phase in chunks, and the
+penalties of one bisection sweep (for p <= 100 with the midpoints of the
+next sweep) in one batch. Each row of a batch is bit for bit the run of
+its penalty alone, so runs solved ahead and recorded later, or never,
+leave the path as it would be. Its eigen-solves cannot fail
+(linalg.top_eigpair finishes the ones its power steps do not settle
+densely), so a batch is never redone.
 """
 
 from __future__ import annotations
@@ -310,14 +310,12 @@ def _first_step_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
 
 
 def _predictor(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
-    """_first_step_size where a grid plans its schedule (pls1, and pls2 with
-    cheap rows), else None. pca solves on demand: planned from these sizes,
-    its grids measured no fewer solver calls. pls2 above 100 columns keeps
-    its on-demand calls too, though a plan measured faster there (CHANGES.md
-    and ROADMAP.md have the numbers)."""
-    if ctx0.model == "pls1" or (ctx0.model == "pls2" and _cheap_rows(ctx0.p)):
-        return _first_step_size(ctx0, solver_cfg)
-    return None
+    """_first_step_size where a grid plans its schedule (pls1 and pls2),
+    else None. pca solves on demand: planned from these sizes, its grids
+    measured no fewer solver calls (CHANGES.md)."""
+    if ctx0.model == "pca":
+        return None
+    return _first_step_size(ctx0, solver_cfg)
 
 
 def _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
@@ -378,14 +376,13 @@ def dynamic_grid(
     and re-sweeping until the budget runs out or no gap remains. L counts
     recorded runs, the lambda_max one included.
 
-    A pls1 grid, and a pls2 grid with at most 100 columns, first plans the
-    whole schedule from the terminal sizes _first_step_size predicts and
-    solves it in one batch (_plan_and_solve). Then, for every model, the
-    schedule is replayed on the real runs, and a penalty not yet solved is
-    solved when it is asked for, with runs the schedule may ask for next
-    (_solve_on_demand). It is recorded in that order, and runs solved but
-    not in it are discarded, so the path is the one the penalties solved
-    one at a time would give.
+    A pls1 or pls2 grid first plans the whole schedule from the terminal
+    sizes _first_step_size predicts and solves it in one batch
+    (_plan_and_solve). Then, for every model, the schedule is replayed on
+    the real runs, and a penalty not yet solved is solved when it is asked
+    for, with runs the schedule may ask for next (_solve_on_demand). It is
+    recorded in that order, and runs solved but not in it are discarded, so
+    the path is the one the penalties solved one at a time would give.
 
     Every successful run feeds the top-K orderings it visited into the size
     buckets (score_buckets), so buckets are filled for all k = 1..K as soon

@@ -426,9 +426,9 @@ def one_at_a_time(monkeypatch, *args, **kwargs):
 
 
 def on_demand(monkeypatch):
-    # pls2 grids at p <= 100 plan their schedule from a predicted size and
-    # solve it in one call; without a predictor they solve it on demand,
-    # the route the tests that pin its call shape drive.
+    # pls2 grids plan their schedule from a predicted size and solve it in
+    # one call; without a predictor they solve it on demand, the route the
+    # tests that pin its call shape drive.
     monkeypatch.setattr(path_module, "_predictor", lambda ctx0, cfg: None)
 
 
@@ -689,8 +689,10 @@ class TestSpeculativeBisection:
         assert set(calls[-1]) <= {d.lam for d in path.diagnostics[-len(calls[-1]):]}
 
     def test_wide_grid_never_speculates(self, monkeypatch):
-        # Above 100 columns each sweep solves exactly its midpoints, left to
-        # right, in one call, and records them in that order.
+        # Solving on demand above 100 columns, each sweep solves exactly its
+        # midpoints, left to right, in one call, and records them in that
+        # order.
+        on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v", p=120)
         calls = spy_step2(monkeypatch)
         path = dynamic_grid(X, Y, "pls2", GridConfig(K=20, L=30))
@@ -891,16 +893,17 @@ PLS2_PLAN_CASES = [
     (*cert_case(50), CERT_GRID),
     (*cert_case(51), CERT_GRID),
     (*cert_case(52), CERT_GRID),
+    (*grid_case("pls2", "v", p=120), GridConfig(K=20, L=30)),
 ]
-PLS2_PLAN_IDS = ["bisection-v16", "bisection-v10", "u10", "cert50", "cert51", "cert52"]
+PLS2_PLAN_IDS = ["bisection-v16", "bisection-v10", "u10", "cert50", "cert51", "cert52",
+                 "v120"]
 
 
 class TestPls2Plan:
-    """A pls2 grid at p <= 100 plans its schedule from the sizes
-    _first_step_size predicts, solves it in one batch, and replays it on the
-    real runs, solving what the plan missed; the path is the one each
-    penalty solved alone gives. pca grids and wider pls2 grids solve on
-    demand."""
+    """A pls2 grid plans its schedule from the sizes _first_step_size
+    predicts, solves it in one batch, and replays it on the real runs,
+    solving what the plan missed; the path is the one each penalty solved
+    alone gives. pca grids solve on demand."""
 
     @pytest.mark.parametrize("X,Y,grid", PLS2_PLAN_CASES, ids=PLS2_PLAN_IDS)
     def test_path_equals_the_sequential_reference(self, X, Y, grid):
@@ -948,25 +951,20 @@ class TestPls2Plan:
         assert len(solved) == len(set(solved))
         assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID))
 
-    @pytest.mark.parametrize("model,branch,p,grid,cfg", [
-        ("pca", None, 10, GridConfig(K=4, L=20), SolverConfig()),
-        ("pca", None, 15, GridConfig(K=15, L=30), SolverConfig()),
-        ("pca", None, 110, GridConfig(K=4, L=20), SolverConfig(max_iter=40)),
-        ("pls2", "v", 120, GridConfig(K=20, L=30), SolverConfig()),
-        ("pls2", "u", 120, GridConfig(K=20, L=30), SolverConfig(max_iter=40)),
+    @pytest.mark.parametrize("p,grid,cfg,shape", [
+        (10, GridConfig(K=4, L=20), SolverConfig(), [16, 3]),
+        (15, GridConfig(K=15, L=30), SolverConfig(), [16, 15, 9, 3, 3]),
+        (110, GridConfig(K=4, L=20), SolverConfig(max_iter=40), [8, 2, 2, 1, 1]),
     ])
-    def test_unplanned_grids_keep_the_on_demand_calls(self, model, branch, p, grid,
-                                                      cfg, monkeypatch):
-        X, Y = grid_case(model, branch, p=p, n=150 if branch == "u" else 40)
-        assert path_module._predictor(make_context(X, Y, model), cfg) is None
+    def test_pca_grids_are_not_planned(self, p, grid, cfg, shape, monkeypatch):
+        # pca solves on demand: the rows per solver call are those the
+        # grid made before pls2 was planned.
+        X, _ = grid_case("pca", p=p)
+        assert path_module._predictor(make_context(X, None, "pca"), cfg) is None
         calls = spy_calls(monkeypatch)
-        got = dynamic_grid(X, Y, model, grid, cfg)
-        planned = list(calls)
-        calls.clear()
-        on_demand(monkeypatch)
-        want = dynamic_grid(X, Y, model, grid, cfg)
-        assert planned == calls
-        assert_same_path(got, want)
+        got = dynamic_grid(X, None, "pca", grid, cfg)
+        assert [len(call) for call in calls] == shape
+        assert_same_path(got, sequential_path(X, None, "pca", grid, cfg))
 
 
 class TestPcaBelowP:
