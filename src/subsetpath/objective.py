@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLoadingError, DimensionError
+from .errors import DegenerateLoadingError, DimensionError, NonFiniteInputError
 from .linalg import DominantPair, top_eigpair, zero_nonfinite
 
 MODELS = ("pls1", "pls2", "pca")
@@ -232,7 +232,7 @@ def lambda_max(ctx: ObjectiveContext) -> float:
     """
     value = -corner_objective(ctx, np.ones(ctx.p, dtype=int))
     if not np.isfinite(value):
-        raise ValueError("data overflow: lambda_max is non-finite")
+        raise NonFiniteInputError("data overflow: lambda_max is non-finite")
     if value <= 0.0:
         raise DegenerateLoadingError("data carries no signal: lambda_max is zero")
     return value

@@ -17,19 +17,21 @@ The dynamic grid drives the solver over a data-dependent schedule of
 penalty values so that terminal subsets cover all sizes 1..K. The rules
 of that schedule live in one place, _schedule, which asks for the
 terminal size at each penalty it visits; the grid uses it both to decide
-what to solve and to record the runs. A pls1 or pls2 grid predicts each
-run's terminal size from the gradient at the solver's start point
+what to solve and to record the runs. One rule on the kernel,
+_cheap_rows, decides how far ahead a grid solves. Where rows are cheap
+(every kernel but the p x p G one above 100 columns) the grid predicts
+each run's terminal size from the gradient at the solver's start point
 (_first_step_size), plans its whole schedule, solves it in one batched
 solver call (solver.minimize_batch) and records it by replaying the
 schedule on the real runs, solving there whatever a wrong prediction
-left out. A pca grid, and the replay where a run is missing, solve as
-the schedule asks: the halvings of the first phase in chunks, and the
-penalties of one bisection sweep (for p <= 100 with the midpoints of the
-next sweep) in one batch. Each row of a batch is bit for bit the run of
-its penalty alone, so runs solved ahead and recorded later, or never,
-leave the path as it would be. Its eigen-solves cannot fail
-(linalg.top_eigpair finishes the ones its power steps do not settle
-densely), so a batch is never redone.
+left out. Where they are not, and in the replay where a run is missing,
+the grid solves as the schedule asks: the halvings of the first phase in
+chunks, and the penalties of one bisection sweep (for cheap rows with
+the midpoints of the next sweep) in one batch. Each row of a batch is
+bit for bit the run of its penalty alone, so runs solved ahead and
+recorded later, or never, leave the path as it would be. Its eigen-solves
+cannot fail (linalg.top_eigpair finishes the ones its power steps do not
+settle densely), so a batch is never redone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, SolverAbort
+from .errors import DimensionError, NonFiniteInputError, SolverAbort
 from .objective import (
     ObjectiveContext,
     corner_values,
@@ -212,18 +214,19 @@ def score_buckets(
     return buckets
 
 
-def _cheap_rows(p: int) -> bool:
-    """Whether a solver row at p columns costs little beside the loop's own
-    overhead, so that solving runs the grid may not record pays: up to 100
-    columns; above that each row pays its own eigen-solve or wide-vector
-    work (sweep over p in CHANGES.md)."""
-    return p <= 100
+def _cheap_rows(ctx0: ObjectiveContext) -> bool:
+    """Whether a solver row costs little beside the loop's own overhead, so
+    that solving runs the grid may not record pays. Only a row on the p x p
+    G kernel (pls2 with q >= p, pca with n >= p) above 100 columns does not:
+    it pays a p x p eigen-solve, and a batch's stacks grow with B p^2
+    (sweeps in CHANGES.md)."""
+    return ctx0.G is None or ctx0.p <= 100
 
 
-def _chunk(p: int) -> int:
-    """Halvings solved per batch in step 1 of a pls2 or pca grid; a run past
-    the one that reaches K is solved for nothing."""
-    return 16 if _cheap_rows(p) else 8
+def _chunk(ctx0: ObjectiveContext) -> int:
+    """Halvings solved per batch in step 1 of a grid solved on demand; a run
+    past the one that reaches K is solved for nothing."""
+    return 16 if _cheap_rows(ctx0) else 8
 
 
 def terminal_subset(t: np.ndarray, rho: float) -> Subset:
@@ -298,35 +301,30 @@ def _first_step_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
     number of coordinates its first gradient step moves up.
 
     At the solver's start point t0 the gradient in t is lam - g, with
-    g_j = 2 t0_j z_j^2 for pls1 and 2 t0_j (M_j v)^2 for pls2 (v the top
-    eigenvector there). The pls1 objective is separable and concave in each
-    t_j, so t_j moves away from its stationary point lam / (2 z_j^2), and
-    the run at lam ends on {j : g_j > lam} if it runs long enough to pass
-    rho. For pls2, v turns as t moves; the runs measured still ended on
-    that set at 90-100% of the penalties (CHANGES.md)."""
+    g_j = 2 t0_j z_j^2 for pls1; on an M kernel (pls2 with M = X^T Y / n,
+    pca with M = X^T / sqrt(n)) g_j = 2 t0_j (M_j v)^2, v the top
+    eigenvector there; on a G kernel g_j = 2 u_j (G (t0 * u))_j, u the top
+    eigenvector of the t0-scaled G. The pls1 objective is separable and
+    concave in each t_j, so t_j moves away from its stationary point
+    lam / (2 z_j^2), and the run at lam ends on {j : g_j > lam} if it runs
+    long enough to pass rho. For pls2 and pca the eigenvector turns as t
+    moves; the runs measured still ended on that set at 65-100% of the
+    penalties, and at half of them on a near-tied pca spectrum with
+    p = 500 (BENCH_23.json)."""
     t0 = _initial_t(solver_cfg, ctx0.p)
     score = -eval_batch(ctx0, t0[None], np.zeros(1)).grad_t[0]
     return lambda lam: int(np.count_nonzero(score > lam))
 
 
-def _predictor(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
-    """_first_step_size where a grid plans its schedule (pls1 and pls2),
-    else None. pca solves on demand: planned from these sizes, its grids
-    measured no fewer solver calls (CHANGES.md)."""
-    if ctx0.model == "pca":
-        return None
-    return _first_step_size(ctx0, solver_cfg)
-
-
 def _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
-    """Where _predictor gives one, the schedule planned from the predicted
-    terminal sizes, solved in one call; then, for every grid, the schedule
+    """For cheap rows, the schedule planned from the terminal sizes
+    _first_step_size predicts, solved in one call; then the schedule
     replayed on the real runs by _solve_on_demand, which solves only what
     no plan or a wrong prediction left out (a run capped by max_iter, or
     plain gradient descent, may not pass rho in time; a run may abort; a
-    pls2 run may end off the predicted set)."""
-    predicted = _predictor(ctx0, solver_cfg)
-    if predicted is not None:
+    pls2 or pca run may end off the predicted set)."""
+    if _cheap_rows(ctx0):
+        predicted = _first_step_size(ctx0, solver_cfg)
         plan = _schedule(lam_top, grid_cfg,
                          lambda step, lams, ahead: [predicted(lam) for lam in lams])
         plan = list(dict.fromkeys(plan))
@@ -338,11 +336,11 @@ def _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
     """The schedule, solving each penalty not yet in runs (a dict from
     penalty to run) when it is first asked for, together with runs it may
     ask for next. A halving of lambda_max not yet solved comes with the
-    next ones, _chunk(p) in all and no more than the budget left. For cheap
-    rows, the missing midpoints of a sweep come with their two children,
-    while budget remains after the sweep."""
-    chunk = _chunk(ctx0.p)
-    speculate = _cheap_rows(ctx0.p)
+    next ones, _chunk(ctx0) in all and no more than the budget left. For
+    cheap rows, the missing midpoints of a sweep come with their two
+    children, while budget remains after the sweep."""
+    chunk = _chunk(ctx0)
+    speculate = _cheap_rows(ctx0)
 
     def sizes(step, lams, ahead):
         missing = [lam for lam in lams if lam not in runs]
@@ -376,9 +374,10 @@ def dynamic_grid(
     and re-sweeping until the budget runs out or no gap remains. L counts
     recorded runs, the lambda_max one included.
 
-    A pls1 or pls2 grid first plans the whole schedule from the terminal
-    sizes _first_step_size predicts and solves it in one batch
-    (_plan_and_solve). Then, for every model, the schedule is replayed on
+    Where rows are cheap (_cheap_rows: any kernel but the p x p G one
+    above 100 columns) the grid first plans the whole schedule from the
+    terminal sizes _first_step_size predicts and solves it in one batch
+    (_plan_and_solve). Then, for every grid, the schedule is replayed on
     the real runs, and a penalty not yet solved is solved when it is asked
     for, with runs the schedule may ask for next (_solve_on_demand). It is
     recorded in that order, and runs solved but not in it are discarded, so
@@ -397,10 +396,8 @@ def dynamic_grid(
         raise DimensionError(f"K={grid_cfg.K} exceeds p={ctx0.p}")
     try:
         lam_top = lambda_max(ctx0)
-    except ValueError as exc:
-        if "non-finite" in str(exc):
-            raise SolverAbort(f"cannot start the grid: {exc}") from exc
-        raise
+    except NonFiniteInputError as exc:
+        raise SolverAbort(f"cannot start the grid: {exc}") from exc
 
     runs: dict[float, SolverRun | SolverAbort] = {}
     diagnostics: list[LambdaDiagnostic] = []

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -765,3 +766,74 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err == "error: a test pair needs a pls model in regression mode\n"
         assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+# (n, p, q): pls2 with q >= p and pca with n >= p on the p x p kernel, and
+# both on the smaller M kernel at (3, 5, 2).
+DEGENERATE_SHAPES = [(2, 1, 1), (3, 2, 2), (3, 5, 2)]
+DEGENERATE_KINDS = ["constant", "zero-column", "duplicated-column", "huge", "tiny"]
+
+
+def degenerate_matrix(kind, n, p, seed):
+    A = np.random.default_rng(seed).standard_normal((n, p))
+    if kind == "constant":
+        return np.full((n, p), 2.5)
+    if kind == "zero-column":
+        A[:, 0] = 0.0
+    elif kind == "duplicated-column":
+        A[:, -1] = A[:, 0]
+    elif kind == "huge":
+        A *= 1e200
+    elif kind == "tiny":
+        A *= 1e-200
+    return A
+
+
+class TestDegenerateInputMatrix:
+    """A seeded slice of the degenerate-input matrix: every run of path,
+    oracle and fit, for every model, on constant, zero-column,
+    duplicated-column, ~1e200 and ~1e-200 data, ends with a documented exit
+    code; an error prints exactly one line and leaves no --out directory."""
+
+    COMMANDS = [
+        ["path", "--k-max", "2"],
+        ["oracle", "--max-k", "2"],
+        ["fit", "--pick", "fixed-k=1", "--components", "2", "--folds", "2"],
+        ["fit", "--pick", "cpev-drop=0.5", "--no-center", "--folds", "2"],
+    ]
+
+    def runs(self, tmp_path, kind, n, p, q, seed):
+        write_csv_matrix(tmp_path / "X.csv", degenerate_matrix(kind, n, p, seed))
+        Y = degenerate_matrix(kind, n, q, seed + 1)
+        write_csv_matrix(tmp_path / "Y.csv", Y)
+        write_csv_matrix(tmp_path / "y.csv", Y[:, :1])
+        for model in ("pls1", "pls2", "pca"):
+            y = [] if model == "pca" else [
+                "--y", str(tmp_path / ("y.csv" if model == "pls1" else "Y.csv"))]
+            commands = self.COMMANDS
+            if model == "pls2":
+                commands = commands + [["fit", "--mode", "canonical", "--pick", "max-cor",
+                                        "--folds", "2"]]
+            for command in commands:
+                yield [command[0], "--model", model, "--x", str(tmp_path / "X.csv"), *y,
+                       *command[1:], "--out", str(tmp_path / "out")]
+
+    def check(self, argv, code, err, out):
+        if code == 0:
+            assert out.is_dir(), argv
+            return
+        assert code in (2, 3, 4, 5, 6, 7), (argv, code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert not out.exists(), argv
+
+    @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+    @pytest.mark.parametrize("n, p, q", DEGENERATE_SHAPES)
+    def test_every_run_ends_with_a_documented_exit(self, tmp_path, capsys, kind, n, p, q):
+        codes = set()
+        for argv in self.runs(tmp_path, kind, n, p, q, seed=n * 100 + p):
+            code = run_cli(*argv)
+            self.check(argv, code, capsys.readouterr().err, tmp_path / "out")
+            codes.add(code)
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        if kind == "huge":
+            assert 0 not in codes  # every cross-product overflows

@@ -421,15 +421,15 @@ def assert_same_path(got, want):
 def one_at_a_time(monkeypatch, *args, **kwargs):
     # The grid with step 1 solving one halving per call.
     with monkeypatch.context() as m:
-        m.setattr(path_module, "_chunk", lambda p: 1)
+        m.setattr(path_module, "_chunk", lambda ctx0: 1)
         return dynamic_grid(*args, **kwargs)
 
 
 def on_demand(monkeypatch):
-    # pls2 grids plan their schedule from a predicted size and solve it in
-    # one call; without a predictor they solve it on demand, the route the
-    # tests that pin its call shape drive.
-    monkeypatch.setattr(path_module, "_predictor", lambda ctx0, cfg: None)
+    # Grids on cheap rows plan their schedule from a predicted size and
+    # solve it in one call; without the plan they solve it on demand, the
+    # route the tests that pin its call shape drive.
+    monkeypatch.setattr(path_module, "_plan_and_solve", path_module._solve_on_demand)
 
 
 def spy_step1(monkeypatch, edit=None):
@@ -466,8 +466,9 @@ SPECULATION_CASES = [
 
 
 class TestSpeculativeStep1:
-    """Step 1 of a pls2 or pca grid solves _chunk(p) halvings per batch and
-    keeps only the runs that solving them one at a time would record."""
+    """Step 1 of a grid solved on demand solves _chunk(ctx0) halvings per
+    batch and keeps only the runs that solving them one at a time would
+    record."""
 
     @pytest.mark.parametrize("model,branch,p,cfg", SPECULATION_CASES)
     def test_recorded_runs_equal_sequential_reference(self, model, branch, p, cfg,
@@ -478,7 +479,8 @@ class TestSpeculativeStep1:
         want = sequential_step1(X, Y, model, grid, cfg)
         assert [diagnostic(d) for d in path.diagnostics[:len(want)]] == want
         # The run that reaches K is not the last of its chunk (l = 0, 1, ...).
-        assert want[-1][1] >= grid.K and len(want) % path_module._chunk(p)
+        chunk = path_module._chunk(make_context(X, Y, model))
+        assert want[-1][1] >= grid.K and len(want) % chunk
         assert_same_path(path, one_at_a_time(monkeypatch, X, Y, model, grid, cfg))
 
     def test_lambda_max_is_the_first_row_of_the_first_chunk(self, monkeypatch):
@@ -524,7 +526,7 @@ class TestSpeculativeStep1:
         # With chunks of 3 from lambda_max on and K = p out of reach within
         # L runs, step 1 spends the whole budget; the last chunk holds what
         # is left of it.
-        monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
+        monkeypatch.setattr(path_module, "_chunk", lambda ctx0: 3)
         on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         grid = GridConfig(K=10, L=L)
@@ -574,7 +576,7 @@ class TestSpeculativeStep1:
     def test_k_reached_by_the_first_row_of_a_chunk(self, monkeypatch):
         # Chunks of 3 hold l = 0..2 and 3..5; K is the terminal size first
         # reached at l = 3.
-        monkeypatch.setattr(path_module, "_chunk", lambda p: 3)
+        monkeypatch.setattr(path_module, "_chunk", lambda ctx0: 3)
         on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         first = sequential_step1(X, Y, "pls2", GridConfig(K=10, L=4), SolverConfig())
@@ -610,7 +612,7 @@ def spy_step2(monkeypatch, edit=None):
 def without_speculation(monkeypatch, *args, **kwargs):
     # The grid with no run solved ahead in step 2.
     with monkeypatch.context() as m:
-        m.setattr(path_module, "_cheap_rows", lambda p: False)
+        m.setattr(path_module, "_cheap_rows", lambda ctx0: False)
         return dynamic_grid(*args, **kwargs)
 
 
@@ -622,9 +624,9 @@ BISECTION_CASES = [
 
 
 class TestSpeculativeBisection:
-    """For p <= 100, a step-2 sweep of a pls2 or pca grid that calls the
-    solver also solves the children of its new midpoints; the next sweep
-    records the ones it needs and the rest are discarded."""
+    """On cheap rows, a step-2 sweep of a grid solved on demand that calls
+    the solver also solves the children of its new midpoints; the next
+    sweep records the ones it needs and the rest are discarded."""
 
     @pytest.mark.parametrize("model,branch,p,grid", BISECTION_CASES)
     def test_path_equals_the_grid_without_speculation(self, model, branch, p, grid,
@@ -689,11 +691,11 @@ class TestSpeculativeBisection:
         assert set(calls[-1]) <= {d.lam for d in path.diagnostics[-len(calls[-1]):]}
 
     def test_wide_grid_never_speculates(self, monkeypatch):
-        # Solving on demand above 100 columns, each sweep solves exactly its
-        # midpoints, left to right, in one call, and records them in that
-        # order.
-        on_demand(monkeypatch)
-        X, Y = grid_case("pls2", "v", p=120)
+        # On the p x p G kernel above 100 columns the grid solves on demand,
+        # and each sweep solves exactly its midpoints, left to right, in one
+        # call, and records them in that order.
+        X, Y = grid_case("pls2", "u", p=120)
+        assert not path_module._cheap_rows(make_context(X, Y, "pls2"))
         calls = spy_step2(monkeypatch)
         path = dynamic_grid(X, Y, "pls2", GridConfig(K=20, L=30))
         swept = [lam for call in calls for lam in call]
@@ -903,7 +905,7 @@ class TestPls2Plan:
     """A pls2 grid plans its schedule from the sizes _first_step_size
     predicts, solves it in one batch, and replays it on the real runs,
     solving what the plan missed; the path is the one each penalty solved
-    alone gives. pca grids solve on demand."""
+    alone gives."""
 
     @pytest.mark.parametrize("X,Y,grid", PLS2_PLAN_CASES, ids=PLS2_PLAN_IDS)
     def test_path_equals_the_sequential_reference(self, X, Y, grid):
@@ -915,7 +917,7 @@ class TestPls2Plan:
         X, Y = cert_case(50)
         cfg = SolverConfig(t_init=t_init_array(15))
         got = dynamic_grid(X, Y, "pls2", CERT_GRID, cfg)
-        predicted = path_module._predictor(make_context(X, Y, "pls2"), cfg)
+        predicted = path_module._first_step_size(make_context(X, Y, "pls2"), cfg)
         assert [predicted(d.lam) for d in got.diagnostics] == [
             d.terminal_size for d in got.diagnostics]
         assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID, cfg))
@@ -923,7 +925,8 @@ class TestPls2Plan:
     @pytest.mark.parametrize("seed", [50, 51, 52])
     def test_prediction_that_holds_makes_one_call(self, seed, monkeypatch):
         X, Y = cert_case(seed)
-        predicted = path_module._predictor(make_context(X, Y, "pls2"), SolverConfig())
+        predicted = path_module._first_step_size(make_context(X, Y, "pls2"),
+                                                 SolverConfig())
         calls = spy_calls(monkeypatch)
         path = dynamic_grid(X, Y, "pls2", CERT_GRID)
         assert [predicted(d.lam) for d in path.diagnostics] == [
@@ -951,20 +954,56 @@ class TestPls2Plan:
         assert len(solved) == len(set(solved))
         assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID))
 
-    @pytest.mark.parametrize("p,grid,cfg,shape", [
-        (10, GridConfig(K=4, L=20), SolverConfig(), [16, 3]),
-        (15, GridConfig(K=15, L=30), SolverConfig(), [16, 15, 9, 3, 3]),
-        (110, GridConfig(K=4, L=20), SolverConfig(max_iter=40), [8, 2, 2, 1, 1]),
-    ])
-    def test_pca_grids_are_not_planned(self, p, grid, cfg, shape, monkeypatch):
-        # pca solves on demand: the rows per solver call are those the
-        # grid made before pls2 was planned.
+
+class TestPcaPlan:
+    """A pca grid plans its schedule like pls1 and pls2 wherever its rows are
+    cheap: on the n x n M kernel, and on the p x p G kernel up to 100
+    columns."""
+
+    @pytest.mark.parametrize("p,grid,cfg", [
+        (10, GridConfig(K=4, L=20), SolverConfig()),
+        (15, GridConfig(K=15, L=30), SolverConfig()),
+        (110, GridConfig(K=4, L=20), SolverConfig(max_iter=40)),  # n = 40 < p
+    ], ids=["G10", "G15", "M110"])
+    def test_path_equals_the_sequential_reference(self, p, grid, cfg):
         X, _ = grid_case("pca", p=p)
-        assert path_module._predictor(make_context(X, None, "pca"), cfg) is None
-        calls = spy_calls(monkeypatch)
         got = dynamic_grid(X, None, "pca", grid, cfg)
-        assert [len(call) for call in calls] == shape
         assert_same_path(got, sequential_path(X, None, "pca", grid, cfg))
+
+    def test_prediction_that_holds_makes_one_call(self, monkeypatch):
+        # A near-tied multiresponse spectrum on the G kernel: every run ends
+        # on the set its first gradient step moves up.
+        inst = generate(SimConfig(scenario="multiresponse", n=30, p=20, sigma=5.0,
+                                  seed=51))
+        X = center_columns(inst.X)
+        grid = GridConfig(K=20, L=50)
+        predicted = path_module._first_step_size(make_context(X, None, "pca"),
+                                                 SolverConfig())
+        calls = spy_calls(monkeypatch)
+        path = dynamic_grid(X, None, "pca", grid)
+        assert len(path.diagnostics) == 35
+        assert [predicted(d.lam) for d in path.diagnostics] == [
+            d.terminal_size for d in path.diagnostics]
+        assert calls == [[d.lam for d in path.diagnostics]]
+
+
+class TestCheapRows:
+    """Rows are expensive only on the p x p G kernel above 100 columns."""
+
+    @pytest.mark.parametrize("model,branch,p,n,cheap", [
+        ("pls1", None, 120, 40, True),
+        ("pls2", "v", 120, 40, True),    # M kernel, q x q blocks
+        ("pls2", "u", 100, 40, True),    # G kernel at 100 columns
+        ("pls2", "u", 101, 40, False),
+        ("pca", None, 110, 40, True),    # M kernel, n x n blocks
+        ("pca", None, 100, 120, True),   # G kernel at 100 columns
+        ("pca", None, 101, 120, False),
+    ])
+    def test_rule_is_keyed_on_the_kernel(self, model, branch, p, n, cheap):
+        X, Y = grid_case(model, branch, p=p, n=n)
+        ctx0 = make_context(X, Y, model)
+        assert path_module._cheap_rows(ctx0) is cheap
+        assert path_module._chunk(ctx0) == (16 if cheap else 8)
 
 
 class TestPcaBelowP:
