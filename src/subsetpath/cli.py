@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .components import PickStrategy, fit, model_to_dict, predict, q2
+from .components import (PickStrategy, _check_training_folds, _fit_arguments,
+                         _refuse_before_grid, fit, model_to_dict, predict, q2)
 from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
@@ -200,15 +201,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(method=args.solver)
-
-
 def cmd_path(args) -> int:
     started = time.time()
     X, Y = _load_xy(args)
     grid = GridConfig(K=args.k_max, L=args.budget, rho=args.rho)
-    path = dynamic_grid(X, Y, args.model, grid, _solver_config(args))
+    path = dynamic_grid(X, Y, args.model, grid, SolverConfig(args.solver))
     out = _outdir(args)
     with open(out / "path.json", "w", encoding="utf-8") as fh:
         json.dump(path_to_dict(path), fh, indent=2)
@@ -232,10 +229,17 @@ def cmd_fit(args) -> int:
         raise ParseError(f"--folds {args.folds} exceeds the {X.shape[0]} rows of X")
     test = tuple(read_finite_matrix(f) for f in args.test) if args.test else None
     grid = GridConfig(K=args.k_max or X.shape[1], L=args.budget, rho=args.rho)
+    strategy = replace(args.pick, folds=args.folds)
+    if runs_q2:  # Q2's folds are refused before any grid, after what fit refuses first
+        _fit_arguments(X, Y, args.model, args.components, strategy, args.mode, grid, test)
+        try:
+            _check_training_folds(X, Y, args.folds, args.seed)
+        except DegenerateLoadingError as exc:
+            Xc, Yc = (X, Y) if args.no_center else (X - X.mean(axis=0), Y - Y.mean(axis=0))
+            _refuse_before_grid(Xc, Yc, args.model, exc)
     result = fit(
-        X, Y, model=args.model, H=args.components,
-        strategy=replace(args.pick, folds=args.folds),
-        mode=args.mode, grid_cfg=grid, solver_cfg=_solver_config(args),
+        X, Y, model=args.model, H=args.components, strategy=strategy,
+        mode=args.mode, grid_cfg=grid, solver_cfg=SolverConfig(args.solver),
         center=not args.no_center, test=test, seed=args.seed,
     )
     q2_values = [None] * result.H

@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import top_eigpair
-from .objective import MODELS
+from .objective import MODELS, lambda_max, make_context, response_matrix
 from .path import GridConfig, SolutionPath, Subset, dynamic_grid
 from .solver import SolverConfig
 
@@ -345,6 +345,19 @@ def _splits(X: np.ndarray, Y: np.ndarray, folds: int, seed: int) -> Iterator[Spl
         yield X[tr] - xm, Y[tr] - ym, X[val] - xm, Y[val], ym
 
 
+def _check_training_folds(X: np.ndarray, Y: np.ndarray, folds: int, seed: int):
+    """Refuse q2's folds if a training fold holds a constant response column."""
+    if any(np.any(np.ptp(Ytr, axis=0) == 0.0) for _, Ytr, *_ in _splits(X, Y, folds, seed)):
+        raise DegenerateLoadingError("a training fold has a constant response")
+
+
+def _refuse_before_grid(X0, Y0, model: str, refusal: Exception):
+    """Raise ``refusal``, unless the first grid on (X0, Y0) refuses the data
+    first, as it does before it solves (a non-finite or zero lambda_max)."""
+    lambda_max(make_context(X0, Y0, model))
+    raise refusal
+
+
 def _refit_fixed(
     Xtr: np.ndarray,
     Ytr: np.ndarray,
@@ -405,10 +418,9 @@ def q2(
         resid = Yc - Xc @ beta
         rss[h] = np.sum(resid * resid, axis=0)
 
+    _check_training_folds(X, Y, folds, seed)
     press = np.zeros((H, q_dim))
     for Xtr, Ytr, Xval, Yval, ym in _splits(X, Y, folds, seed):
-        if np.any(np.ptp(Ytr, axis=0) == 0.0):
-            raise DegenerateLoadingError("a training fold has a constant response")
         fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
         for h in range(1, H + 1):
             beta = regression_coefficients(fold_comps[:h])
@@ -503,34 +515,8 @@ def _pick_subset_size(
     raise ValueError(f"unknown pick strategy {strategy.kind!r}")
 
 
-def fit(
-    X: np.ndarray,
-    Y: np.ndarray | None = None,
-    model: str = "pls2",
-    H: int = 1,
-    strategy: PickStrategy | None = None,
-    mode: str = "regression",
-    grid_cfg: GridConfig | None = None,
-    solver_cfg: SolverConfig | None = None,
-    center: bool = True,
-    test: tuple[np.ndarray, np.ndarray] | None = None,
-    seed: int = 0,
-) -> FittedModel:
-    """Fit H components, each from a fresh solution path on the deflated
-    data, picking one subset per component with ``strategy``.
-
-    With center=True (default) the training column means are removed here
-    and stored so predictions accept raw inputs. ``test`` supplies a raw
-    holdout pair for the min-msep strategy. ``seed`` seeds the v-fold split
-    of the min-msep and max-cor picks when they cross-validate.
-
-    Arguments are checked before any path is solved: an unknown model or
-    mode, H below 1, a missing strategy, and options that cannot be
-    combined (min-msep outside regression mode, max-cor on pca, fixed-k
-    above K, ``test`` for a model that cannot predict, v-fold folds outside
-    2..n) raise ParseError; shapes that do not fit (K above p, a missing or
-    extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError.
-    """
+def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test):
+    """fit's argument checks, in order; returns X, Y, mode, grid_cfg, test as fit uses them."""
     if H < 1:
         raise ParseError(f"H={H}: at least one component is needed")
     if strategy is None:
@@ -560,22 +546,7 @@ def fit(
     v_fold = strategy.kind == "max-cor" or (strategy.kind == "min-msep" and test is None)
     if v_fold and not 2 <= strategy.folds <= n:
         raise ParseError(f"folds={strategy.folds} out of range 2..{n}")
-    x_means = X.mean(axis=0) if center else np.zeros(p)
-    X0 = X - x_means
-    y_means = Y0 = None
-    if model == "pca" and Y is not None:
-        raise DimensionError("pca takes no response")
-    if model != "pca":
-        if Y is None:
-            raise DimensionError(f"{model} requires a response")
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if Y.shape[0] != n:
-            raise DimensionError(f"X has {n} rows but Y has {Y.shape[0]}")
-        y_means = Y.mean(axis=0) if center else np.zeros(Y.shape[1])
-        Y0 = Y - y_means
-    holdout = None
+    Y = response_matrix(Y, model, n)
     if test is not None:
         X_test = np.atleast_2d(np.asarray(test[0], dtype=float))
         Y_test = np.asarray(test[1], dtype=float)
@@ -586,10 +557,55 @@ def fit(
         if X_test.shape[1] != p or Y_test.shape[1] != Y.shape[1]:
             raise DimensionError(f"test X, Y have {X_test.shape[1]}, {Y_test.shape[1]} "
                                  f"columns; X, Y have {p}, {Y.shape[1]}")
-        if strategy.kind == "min-msep":
-            holdout = [(X0, Y0, X_test - x_means, Y_test, y_means)]
-    if solver_cfg is None:
-        solver_cfg = SolverConfig()
+        test = (X_test, Y_test)
+    return X, Y, mode, grid_cfg, test
+
+
+def fit(
+    X: np.ndarray,
+    Y: np.ndarray | None = None,
+    model: str = "pls2",
+    H: int = 1,
+    strategy: PickStrategy | None = None,
+    mode: str = "regression",
+    grid_cfg: GridConfig | None = None,
+    solver_cfg: SolverConfig | None = None,
+    center: bool = True,
+    test: tuple[np.ndarray, np.ndarray] | None = None,
+    seed: int = 0,
+) -> FittedModel:
+    """Fit H components, each from a fresh solution path on the deflated
+    data, picking one subset per component with ``strategy``.
+
+    With center=True (default) the training column means are removed here
+    and stored so predictions accept raw inputs. ``test`` supplies a raw
+    holdout pair for the min-msep strategy. ``seed`` seeds the v-fold split
+    of the min-msep and max-cor picks when they cross-validate.
+
+    Arguments are checked before any path is solved: an unknown model or
+    mode, H below 1, a missing strategy, and options that cannot be
+    combined (min-msep outside regression mode, max-cor on pca, fixed-k
+    above K, ``test`` for a model that cannot predict, v-fold folds outside
+    2..n) raise ParseError; shapes that do not fit (K above p, a missing or
+    extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError;
+    v-fold folds leaving a training fold of one row DegenerateLoadingError.
+    """
+    X, Y, mode, grid_cfg, test = _fit_arguments(X, Y, model, H, strategy, mode,
+                                                grid_cfg, test)
+    x_means = X.mean(axis=0) if center else np.zeros(X.shape[1])
+    X0 = X - x_means
+    y_means = Y0 = None
+    if Y is not None:
+        y_means = Y.mean(axis=0) if center else np.zeros(Y.shape[1])
+        Y0 = Y - y_means
+    holdout = None
+    if test is not None and strategy.kind == "min-msep":
+        holdout = [(X0, Y0, test[0] - x_means, test[1], y_means)]
+    n, folds = X.shape[0], strategy.folds
+    # Centered, a training fold of n - ceil(n / folds) = 1 row is all zeros.
+    if strategy.kind in ("min-msep", "max-cor") and not holdout and n - -(-n // folds) < 2:
+        _refuse_before_grid(X0, Y0, model, DegenerateLoadingError(
+            f"folds={folds} on {n} rows leaves a training fold of one row"))
 
     comps: list[ComponentState] = []
     Xh, Yh = X0, Y0

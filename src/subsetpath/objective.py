@@ -31,9 +31,6 @@ from .linalg import DominantPair, top_eigpair, zero_nonfinite
 
 MODELS = ("pls1", "pls2", "pca")
 
-# t = 1 is reached only asymptotically under the map; callers clamp to this.
-T_MAX = 1.0 - 1e-12
-
 
 def t_of_r(r: np.ndarray) -> np.ndarray:
     """Map unconstrained r to the hypercube: t_j = 1 - exp(-r_j^2)."""
@@ -87,6 +84,27 @@ class ObjectiveEval:
     dominant: DominantPair | None = None
 
 
+def response_matrix(Y, model: str, n: int) -> np.ndarray | None:
+    """Y as a 2-D float array of n rows fit for the model; None for pca."""
+    if model == "pca":
+        if Y is not None:
+            raise DimensionError("pca takes no response matrix")
+        return None
+    if Y is None:
+        raise DimensionError(f"{model} requires a response")
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if Y.shape[0] != n:
+        raise DimensionError(f"X has {n} rows but Y has {Y.shape[0]}")
+    q = Y.shape[1]
+    if q == 0:
+        raise DimensionError("response matrix has no columns")
+    if model == "pls1" and q != 1:
+        raise DimensionError(f"pls1 requires a single response column, got {q}")
+    return Y
+
+
 def make_context(
     X: np.ndarray,
     Y: np.ndarray | None = None,
@@ -107,9 +125,8 @@ def make_context(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
 
+    Y = response_matrix(Y, model, n)
     if model == "pca":
-        if Y is not None:
-            raise DimensionError("pca takes no response matrix")
         if n < p:
             M = np.ascontiguousarray(X.T) / np.sqrt(n)
             return ObjectiveContext("pca", n, p, 0, M=M)
@@ -117,20 +134,8 @@ def make_context(
             G = (X.T @ X) / n
         return ObjectiveContext("pca", n, p, 0, G=G)
 
-    if Y is None:
-        raise DimensionError(f"{model} requires a response")
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.shape[0] != n:
-        raise DimensionError(f"X has {n} rows but Y has {Y.shape[0]}")
     q = Y.shape[1]
-    if q == 0:
-        raise DimensionError("response matrix has no columns")
-
     if model == "pls1":
-        if q != 1:
-            raise DimensionError(f"pls1 requires a single response column, got {q}")
         with np.errstate(over="ignore", invalid="ignore"):
             z = (X.T @ Y[:, 0]) / n
         return ObjectiveContext("pls1", n, p, 1, z=z)

@@ -18,6 +18,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import DimensionError, NonFiniteInputError, SizeGuardError
+from .objective import MODELS, response_matrix
 from .path import Subset
 
 EXHAUSTIVE_P_LIMIT = 25
@@ -59,7 +60,7 @@ def exhaustive_path(
     """Return the per-size argmin of the corner objective. Raises
     SizeGuardError for p above 25, for every model (enumeration cost grows
     as 2^p), and DimensionError for a max_k outside 1..p or a response
-    that does not fit the model (pls without one, pca with one).
+    that does not fit the model (objective.response_matrix).
 
     pls1 takes its closed form: the best k-subset holds the k largest
     z_j^2, ties to the higher index. pls2/pca enumerate combinations per
@@ -80,20 +81,14 @@ def exhaustive_path(
         max_k = p
     if not (1 <= max_k <= p):
         raise DimensionError(f"max_k={max_k} out of range 1..{p}")
-    if model in ("pls1", "pls2") and Y is None:
-        raise DimensionError(f"{model} requires a response")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    Y = response_matrix(Y, model, n)
 
     per_size: dict[int, tuple[Subset, float]] = {}
 
     if model == "pls1":
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim == 2 and Y.shape[1] != 1:
-            raise DimensionError(
-                f"pls1 requires a single response column, got {Y.shape[1]}"
-            )
-        y = Y.reshape(-1)
-        if y.shape[0] != n:
-            raise DimensionError(f"X has {n} rows but y has {y.shape[0]}")
+        y = Y[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
             z2 = _finite(((X.T @ y) / n) ** 2)
         # The best k-subset holds the k largest z_j^2; ranking by (-z^2, -j)
@@ -106,23 +101,14 @@ def exhaustive_path(
                             scored_count=max_k)
 
     if model == "pls2":
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if Y.shape[0] != n:
-            raise DimensionError(f"X has {n} rows but Y has {Y.shape[0]}")
         with np.errstate(over="ignore", invalid="ignore"):
             M = (X.T @ Y) / n
             G = _finite(M @ M.T)
         q = M.shape[1]
-    elif model == "pca":
-        if Y is not None:
-            raise DimensionError("pca takes no response matrix")
+    else:
         with np.errstate(over="ignore", invalid="ignore"):
             G = _finite((X.T @ X) / n)
         q = None
-    else:
-        raise ValueError(f"unknown model {model!r}")
 
     def blocks_of(rows: np.ndarray) -> np.ndarray:
         # The smaller Gram block of each (sorted) index row.

@@ -296,7 +296,7 @@ def _terminal_size(run: SolverRun | SolverAbort, rho: float) -> int:
     return terminal_subset(run.terminal_t, rho).size
 
 
-def _first_step_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
+def _first_step_size(ctx0: ObjectiveContext):
     """The terminal size the run at a penalty is expected to have: the
     number of coordinates its first gradient step moves up.
 
@@ -311,7 +311,7 @@ def _first_step_size(ctx0: ObjectiveContext, solver_cfg: SolverConfig):
     moves; the runs measured still ended on that set at 65-100% of the
     penalties, and at half of them on a near-tied pca spectrum with
     p = 500 (BENCH_23.json)."""
-    t0 = _initial_t(solver_cfg, ctx0.p)
+    t0 = _initial_t(ctx0.p)
     score = -eval_batch(ctx0, t0[None], np.zeros(1)).grad_t[0]
     return lambda lam: int(np.count_nonzero(score > lam))
 
@@ -320,11 +320,11 @@ def _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
     """For cheap rows, the schedule planned from the terminal sizes
     _first_step_size predicts, solved in one call; then the schedule
     replayed on the real runs by _solve_on_demand, which solves only what
-    no plan or a wrong prediction left out (a run capped by max_iter, or
-    plain gradient descent, may not pass rho in time; a run may abort; a
+    no plan or a wrong prediction left out (a plain gradient descent run
+    may reach solver.MAX_ITER before it passes rho; a run may abort; a
     pls2 or pca run may end off the predicted set)."""
     if _cheap_rows(ctx0):
-        predicted = _first_step_size(ctx0, solver_cfg)
+        predicted = _first_step_size(ctx0)
         plan = _schedule(lam_top, grid_cfg,
                          lambda step, lams, ahead: [predicted(lam) for lam in lams])
         plan = list(dict.fromkeys(plan))

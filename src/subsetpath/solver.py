@@ -12,6 +12,10 @@ one row per penalty still running, and one stacked objective evaluation
 per iteration. Each row keeps its own stall counter and ends on its own
 (converged, capped or aborted); rows share no arithmetic, so every row
 gives bit for bit what a run of its penalty alone gives.
+
+A caller chooses only the method (SolverConfig: Adam or plain gradient
+descent); the step, the moments, the stop test and the start point are
+module constants.
 """
 
 from __future__ import annotations
@@ -27,36 +31,31 @@ from .objective import (
     grad_r,
     r_of_t,
     t_of_r,
-    T_MAX,
 )
+
+
+# Fixed settings, read when minimize_batch runs. Step and moments follow
+# common Adam practice (Kingma & Ba, 2015); the stop test (see there) watches
+# t, not r, because r drifts unboundedly while t saturates.
+LEARNING_RATE = 0.05
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+MAX_ITER = 1000
+TOL = 1e-5
+PATIENCE = 10
+T_INIT = 0.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Defaults follow common Adam practice; the termination test watches t,
-    not r, because r drifts unboundedly while t saturates."""
+    """Adam (the default) or plain gradient descent with the same step."""
 
     method: str = "adam"
-    learning_rate: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_iter: int = 1000
-    tol: float = 1e-5
-    patience: int = 10
-    t_init: float | np.ndarray = 0.5
 
     def __post_init__(self):
         if self.method not in ("adam", "gd"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
 
 
 @dataclass
@@ -72,22 +71,17 @@ class SolverRun:
     objective: float | None = None
 
 
-# top_k_order selects before sorting from this many coordinates on, when
-# K <= p / 4; below that a full sort is cheaper (CHANGES.md has the sweep).
-_SELECT_MIN_P = 500
-
-
 def top_k_order(t: np.ndarray, K: int) -> np.ndarray:
     """Indices of the K largest entries of t (or of each row of a 2-D t),
     largest first; among equal entries the lower index comes first, as in
     np.argsort(-t, axis=-1, kind="stable")[..., :K].
 
-    For large p and small K, the K-th largest value is found by partial
+    Where K <= p / 4, the K-th largest value is found by partial
     selection, the places of entries tied with it go to the lowest tied
     indices, and only the K winners are sorted."""
     t = np.asarray(t)
     p = t.shape[-1]
-    if p < _SELECT_MIN_P or 4 * K > p:
+    if 4 * K > p:
         return np.argsort(-t, axis=-1, kind="stable")[..., :K]
     T = t.reshape(-1, p)
     B = T.shape[0]
@@ -98,21 +92,14 @@ def top_k_order(t: np.ndarray, K: int) -> np.ndarray:
         tied = keep & ~above
         room = K - np.count_nonzero(above, axis=1)
         keep = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    top = np.nonzero(keep)[1].reshape(B, K)
+    top = (np.flatnonzero(keep) % p).reshape(B, K)
     row = np.arange(B)[:, None]
     rank = np.argsort(-T[row, top], axis=1, kind="stable")
     return top[row, rank].reshape(t.shape[:-1] + (K,))
 
 
-def _initial_t(cfg: SolverConfig, p: int) -> np.ndarray:
-    t0 = np.asarray(cfg.t_init, dtype=float)
-    if t0.ndim == 0:
-        t0 = np.full(p, float(t0))
-    if t0.shape != (p,):
-        raise ValueError(f"t_init has shape {t0.shape}, expected ({p},)")
-    if np.any(t0 <= 0.0) or np.any(t0 >= 1.0):
-        raise ValueError("t_init must lie strictly inside (0, 1)")
-    return np.minimum(t0, T_MAX)
+def _initial_t(p: int) -> np.ndarray:
+    return np.full(p, T_INIT)
 
 
 def unique_rows(A: np.ndarray) -> np.ndarray:
@@ -136,9 +123,8 @@ def minimize_batch(
     (see top_k_order) to the run's ``trace`` unless an earlier point of
     that run had the same one. K defaults to p.
 
-    A row terminates once max_j |t_j - t_j_prev| < cfg.tol for
-    cfg.patience consecutive updates (converged) or after cfg.max_iter
-    updates.
+    A row terminates once max_j |t_j - t_j_prev| < TOL for PATIENCE
+    consecutive updates (converged) or after MAX_ITER updates.
     """
     if K is None:
         K = ctx.p
@@ -146,7 +132,7 @@ def minimize_batch(
         raise ValueError(f"K={K} out of range 1..{ctx.p}")
     lams = np.asarray(lams, dtype=float)
     B = lams.shape[0]
-    T = np.tile(_initial_t(cfg, ctx.p), (B, 1))
+    T = np.tile(_initial_t(ctx.p), (B, 1))
     R = r_of_t(T)
     out: list[SolverRun | SolverAbort | None] = [None] * B
     traces: list[list[np.ndarray]] = [[] for _ in range(B)]
@@ -168,8 +154,8 @@ def minimize_batch(
             warm = ev.dominant.vector
 
         ok = np.isfinite(G).all(axis=1) & np.isfinite(ev.value)
-        done = ~ok | (stall >= cfg.patience)
-        if it >= cfg.max_iter:
+        done = ~ok | (stall >= PATIENCE)
+        if it >= MAX_ITER:
             done[:] = True
         if done.any():
             for i in np.flatnonzero(done):
@@ -182,7 +168,7 @@ def minimize_batch(
                 else:
                     out[b] = SolverRun(
                         trace=unique_rows(np.array(traces[b])),
-                        converged=bool(stall[i] >= cfg.patience),
+                        converged=bool(stall[i] >= PATIENCE),
                         iterations=it,
                         # A copy: a view would keep this iterate array
                         # alive as long as the run.
@@ -199,14 +185,14 @@ def minimize_batch(
 
         it += 1
         if cfg.method == "adam":
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * G
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * G * G
-            m_hat = m / (1.0 - cfg.beta1**it)
-            v_hat = v / (1.0 - cfg.beta2**it)
-            R = R - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m = BETA1 * m + (1.0 - BETA1) * G
+            v = BETA2 * v + (1.0 - BETA2) * G * G
+            m_hat = m / (1.0 - BETA1**it)
+            v_hat = v / (1.0 - BETA2**it)
+            R = R - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS)
         else:
-            R = R - cfg.learning_rate * G
+            R = R - LEARNING_RATE * G
         T_next = t_of_r(R)
-        stall = (stall + 1) * (np.abs(T_next - T).max(axis=1) < cfg.tol)
+        stall = (stall + 1) * (np.abs(T_next - T).max(axis=1) < TOL)
         T = T_next
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: pls2 and pca objective contexts with a chosen kernel.
+"""Shared test helpers: pls2 and pca objective contexts with a chosen
+kernel, and a solver run with other fixed settings.
 
 make_context picks the kernel itself: for pls2, M when q < p ("v", a q x q
 eigenproblem per evaluation) and G = M M^T otherwise ("u", p x p); for
@@ -11,7 +12,17 @@ import dataclasses
 
 import numpy as np
 
+from subsetpath import solver
 from subsetpath.objective import make_context
+from subsetpath.solver import SolverConfig
+
+
+def solver_config(monkeypatch, method="adam", **constants):
+    """SolverConfig(method), with solver module constants substituted for
+    the rest of the test, e.g. MAX_ITER=40 or T_INIT=<a start vector>."""
+    for name, value in constants.items():
+        monkeypatch.setattr(solver, name, value)
+    return SolverConfig(method)
 
 
 def pls2_context(X, Y, branch):

@@ -768,6 +768,69 @@ class TestErrorExits:
         assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
+class TestFoldsRefusedBeforeAnyGrid:
+    """A fit whose Q2 report, or whose v-fold pick, cannot use its folds
+    exits 7 before any grid is solved, but after every refusal that comes
+    first at any later point: argument and shape errors (exit 2 or 3) and
+    data whose cross-products overflow (exit 4)."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        calls = []
+        solve = components.dynamic_grid
+        monkeypatch.setattr(components, "dynamic_grid",
+                            lambda *args: calls.append(args[2]) or solve(*args))
+        return calls
+
+    def argv(self, tmp_path, X, Y):
+        write_csv_matrix(tmp_path / "X.csv", X)
+        write_csv_matrix(tmp_path / "Y.csv", Y)
+        return ["fit", "--model", "pls2", "--x", str(tmp_path / "X.csv"),
+                "--y", str(tmp_path / "Y.csv"), "--folds", "2", "--out", str(tmp_path / "out")]
+
+    def wide(self, tmp_path):
+        # 3 rows, p = 101, q = 102: the p x p kernel above 100 columns, where
+        # a grid takes seconds. Two folds leave a training fold of one row.
+        rng = np.random.default_rng(7)
+        return self.argv(tmp_path, rng.standard_normal((3, 101)),
+                         rng.standard_normal((3, 102)))
+
+    @pytest.mark.parametrize("extra", [
+        ["--pick", "fixed-k=1"],                        # Q2's folds
+        ["--pick", "max-cor", "--mode", "canonical"],   # the pick's folds, no Q2
+        ["--pick", "min-msep", "--no-center"],
+    ], ids=["q2", "max-cor", "min-msep"])
+    def test_exits_7_before_any_grid(self, tmp_path, capsys, grids, extra):
+        assert run_cli(*self.wide(tmp_path), *extra) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert grids == []
+
+    @pytest.mark.parametrize("extra, code", [
+        (["--pick", "fixed-k=1", "--k-max", "102"], 3),
+        (["--pick", "fixed-k=5", "--k-max", "3"], 2),
+        (["--pick", "fixed-k=1", "--model", "pls1"], 3),  # 102 response columns
+        (["--pick", "fixed-k=1", "--test", "X.csv", "X.csv"], 3),
+        (["--pick", "max-cor", "--mode", "canonical", "--k-max", "102"], 3),
+    ], ids=["k-max-above-p", "fixed-k-above-k-max", "pls1-wide-y", "test-columns",
+            "max-cor-k-max-above-p"])
+    def test_earlier_refusals_keep_their_exit(self, tmp_path, capsys, grids, extra, code):
+        argv = self.wide(tmp_path)
+        extra = [str(tmp_path / a) if a == "X.csv" else a for a in extra]
+        assert run_cli(*argv, *extra) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert grids == []
+
+    def test_overflow_still_exits_4(self, tmp_path, capsys):
+        # A v-fold pick with no Q2 (TestErrorExits covers the Q2 case).
+        X = np.array([[1.0, 2.0, 1e200], [2.0, 1.0, -1e200], [0.5, 3.0, 1e200]])
+        Y = np.array([[1e200, 1.0], [-1e200, 2.0], [1e200, 3.0]])
+        argv = self.argv(tmp_path, X, Y) + ["--pick", "max-cor", "--mode", "canonical"]
+        assert run_cli(*argv) == 4
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 # (n, p, q): pls2 with q >= p and pca with n >= p on the p x p kernel, and
 # both on the smaller M kernel at (3, 5, 2).
 DEGENERATE_SHAPES = [(2, 1, 1), (3, 2, 2), (3, 5, 2)]

@@ -28,7 +28,8 @@ from subsetpath.errors import (
 from subsetpath.linalg import center_columns
 from subsetpath.path import GridConfig, Subset, dynamic_grid
 from subsetpath.simulate import SimConfig, gen_multiresponse
-from subsetpath.solver import SolverConfig
+
+from contexts import solver_config
 
 
 def full_subset(p):
@@ -357,83 +358,84 @@ def quick_grid(p):
     return GridConfig(K=p, L=12)
 
 
-def quick_solver():
-    return SolverConfig(max_iter=400)
+@pytest.fixture
+def quick_solver(monkeypatch):
+    return solver_config(monkeypatch, MAX_ITER=400)
 
 
 class TestFit:
-    def test_fixed_k_full_reproduces_plain_pca(self):
+    def test_fixed_k_full_reproduces_plain_pca(self, quick_solver):
         rng = np.random.default_rng(20)
         X = rng.standard_normal((40, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2])
         result = fit(
             X, model="pca", H=2, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(5), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(5), solver_cfg=quick_solver,
         )
         Xc = X - X.mean(axis=0)
         w, V = np.linalg.eigh(Xc.T @ Xc / 40)
         assert abs(result.components[0].u @ V[:, -1]) == pytest.approx(1.0, abs=1e-6)
         assert result.components[0].delta == pytest.approx(w[-1], rel=1e-8)
 
-    def test_full_component_count_reaches_unit_cpev(self):
+    def test_full_component_count_reaches_unit_cpev(self, quick_solver):
         rng = np.random.default_rng(21)
         X = rng.standard_normal((25, 4))
         result = fit(
             X, model="pca", H=4, strategy=PickStrategy.fixed_k(4),
-            grid_cfg=quick_grid(4), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(4), solver_cfg=quick_solver,
         )
         assert result.cpev[-1] == pytest.approx(1.0, abs=1e-10)
 
-    def test_predict_on_training_data(self):
+    def test_predict_on_training_data(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=9))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(15),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
         )
         Xc = inst.X - inst.X.mean(axis=0)
         want = Xc @ result.beta + inst.Y.mean(axis=0)
         np.testing.assert_allclose(predict(result, inst.X), want, atol=1e-10)
 
-    def test_predict_at_column_means_returns_response_means(self):
+    def test_predict_at_column_means_returns_response_means(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=10))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
         )
         pred = predict(result, result.x_means[None, :])
         np.testing.assert_allclose(pred[0], result.y_means, atol=1e-10)
 
-    def test_predict_zero_on_centered_fit(self):
+    def test_predict_zero_on_centered_fit(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=11))
         Xc = center_columns(inst.X)
         Yc = inst.Y - inst.Y.mean(axis=0)
         result = fit(
             Xc, Yc, model="pls2", H=1, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver(), center=False,
+            grid_cfg=quick_grid(15), solver_cfg=quick_solver, center=False,
         )
         np.testing.assert_allclose(
             predict(result, np.zeros((1, 15))), np.zeros((1, 10)), atol=1e-12
         )
 
-    def test_predict_column_mismatch(self):
+    def test_predict_column_mismatch(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=12))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
         )
         with pytest.raises(DimensionError):
             predict(result, np.zeros((2, 7)))
 
-    def test_fixed_k_above_grid_k_rejected(self):
+    def test_fixed_k_above_grid_k_rejected(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=12))
         with pytest.raises(ValueError, match="exceeds the largest subset size K=12"):
             fit(inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(13),
-                grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver())
+                grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver)
 
-    def test_deflation_orthogonality_across_fit(self):
+    def test_deflation_orthogonality_across_fit(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="two-component", sigma=1.5, seed=13))
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.fixed_k(10),
-            grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver(),
+            grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver,
         )
         # the product-formula weights equal the closed form U (C^T U)^-1
         U = np.column_stack([c.u for c in result.components])
@@ -445,18 +447,18 @@ class TestFit:
         off = TtT - np.diag(np.diag(TtT))
         assert np.max(np.abs(off)) <= 1e-6 * np.max(np.abs(TtT))
 
-    def test_cpev_drop_strategy_respects_floor(self):
+    def test_cpev_drop_strategy_respects_floor(self, quick_solver):
         rng = np.random.default_rng(22)
         X = rng.standard_normal((60, 8)) @ np.diag([4, 3, 2, 1, 0.5, 0.4, 0.3, 0.2])
         result = fit(
             X, model="pca", H=1, strategy=PickStrategy.cpev_drop(0.10),
-            grid_cfg=quick_grid(8), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(8), solver_cfg=quick_solver,
         )
         k_chosen = result.components[0].subset.size
         # rebuild the path and the candidate CPEV curve the strategy saw
         from subsetpath.components import _build_component as bc
         Xc = X - X.mean(axis=0)
-        path = dynamic_grid(Xc, None, "pca", quick_grid(8), quick_solver())
+        path = dynamic_grid(Xc, None, "pca", quick_grid(8), quick_solver)
         cpevs = {}
         for k in range(1, 9):
             trial = bc(Xc, None, "pca", path.buckets[k].best, 1, None)
@@ -466,7 +468,7 @@ class TestFit:
         assert cpevs[k_chosen] >= floor
         assert all(cpevs[k] < floor for k in range(1, k_chosen))
 
-    def test_min_msep_with_test_set_two_components(self):
+    def test_min_msep_with_test_set_two_components(self, quick_solver):
         inst = gen_multiresponse(
             SimConfig(scenario="two-component", sigma=1.5, seed=14, holdout=50)
         )
@@ -474,47 +476,47 @@ class TestFit:
         for H in (1, 2):
             result = fit(
                 inst.X, inst.Y, model="pls2", H=H, strategy=PickStrategy.min_msep(),
-                grid_cfg=GridConfig(K=20, L=16), solver_cfg=quick_solver(),
+                grid_cfg=GridConfig(K=20, L=16), solver_cfg=quick_solver,
                 test=(inst.X_test, inst.Y_test),
             )
             pred = predict(result, inst.X_test)
             msep[H] = float(np.mean((pred - inst.Y_test) ** 2))
         assert msep[2] < msep[1]
 
-    def test_min_msep_cv_without_test_set(self):
+    def test_min_msep_cv_without_test_set(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=15))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1,
             strategy=PickStrategy.min_msep(folds=4),
-            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver(),
+            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver,
         )
         assert 1 <= result.components[0].subset.size <= 15
 
-    def test_max_cor_canonical(self):
+    def test_max_cor_canonical(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=16))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, mode="canonical",
             strategy=PickStrategy.max_cor(folds=4),
-            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver(),
+            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver,
         )
         assert result.beta is None
         assert result.components[0].e is not None
 
-    def test_scores_equal_x_times_weights(self):
+    def test_scores_equal_x_times_weights(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=18))
         result = fit(
             inst.X, inst.Y, model="pls2", H=3, strategy=PickStrategy.fixed_k(7),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
         )
         Xc = inst.X - inst.X.mean(axis=0)
         assert result.W.shape == (15, 3) and result.T.shape == (100, 3)
         np.testing.assert_allclose(result.T, Xc @ result.W, atol=1e-8)
 
-    def test_model_json_schema(self):
+    def test_model_json_schema(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=17))
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.fixed_k(6),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver(),
+            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
         )
         doc = model_to_dict(result)
         assert set(doc) == {
@@ -566,13 +568,13 @@ def reference_cv_scores(kind, path, supports_prev, Xraw, Yraw, mode, folds, seed
 class TestCrossValidatedPick:
     @pytest.mark.parametrize("kind, mode", [("min-msep", "regression"),
                                             ("max-cor", "canonical")])
-    def test_two_components_match_per_fold_refits(self, kind, mode):
+    def test_two_components_match_per_fold_refits(self, kind, mode, quick_solver):
         # Picks fall inside 1..K here: (11, 6) for min-msep, (11, 2) for max-cor.
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=23))
         strategy = PickStrategy(kind=kind, folds=4)
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, mode=mode, strategy=strategy,
-            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver(),
+            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver,
         )
         Xh = inst.X - result.x_means
         Yh = inst.Y - result.y_means
@@ -580,7 +582,7 @@ class TestCrossValidatedPick:
             prev = result.components[:h - 1]
             if prev:
                 Xh, Yh = deflate(Xh, Yh, prev[-1], mode, "pls2")
-            path = dynamic_grid(Xh, Yh, "pls2", GridConfig(K=15, L=10), quick_solver())
+            path = dynamic_grid(Xh, Yh, "pls2", GridConfig(K=15, L=10), quick_solver)
             want = reference_cv_scores(kind, path, [c.subset for c in prev],
                                        inst.X, inst.Y, mode, folds=4, seed=0)
             got = _cv_scores(kind, path, prev, _splits(inst.X, inst.Y, 4, 0), "pls2", mode)
@@ -602,7 +604,7 @@ def reference_holdout_scores(path, comps, Xh, Yh, X_test, Y_test, x_means, y_mea
 
 
 class TestHoldoutPick:
-    def test_two_components_match_the_holdout_loop(self, monkeypatch):
+    def test_two_components_match_the_holdout_loop(self, monkeypatch, quick_solver):
         calls = []
 
         def recording(kind, path, comps, splits, model, mode):
@@ -616,7 +618,7 @@ class TestHoldoutPick:
         )
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.min_msep(),
-            grid_cfg=GridConfig(K=20, L=16), solver_cfg=quick_solver(),
+            grid_cfg=GridConfig(K=20, L=16), solver_cfg=quick_solver,
             test=(inst.X_test, inst.Y_test),
         )
         assert len(calls) == 2
@@ -632,7 +634,7 @@ class TestHoldoutPick:
             k = int(np.argmin(want)) + 1
             assert result.components[h - 1].subset == path.buckets[k].best
 
-    def test_one_dimensional_test_response_is_a_column(self):
+    def test_one_dimensional_test_response_is_a_column(self, quick_solver):
         # A 1-d holdout response is one column: broadcast against the
         # (m, 1) prediction it would score every pair of rows.
         inst = gen_multiresponse(
@@ -642,7 +644,7 @@ class TestHoldoutPick:
         for y_test in (inst.Y_test[:, 0], inst.Y_test[:, :1]):
             result = fit(
                 inst.X, inst.Y[:, 0], model="pls1", H=1, strategy=PickStrategy.min_msep(),
-                grid_cfg=GridConfig(K=15, L=12), solver_cfg=quick_solver(),
+                grid_cfg=GridConfig(K=15, L=12), solver_cfg=quick_solver,
                 test=(inst.X_test, y_test),
             )
             ks.append(result.components[0].subset.size)
@@ -662,15 +664,15 @@ class TestFitArguments:
             SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
         )
 
-    def fit_min_msep(self, inst, **kwargs):
+    def fit_min_msep(self, inst, solver_cfg=None, **kwargs):
         return fit(inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.min_msep(),
-                   grid_cfg=GridConfig(K=15, L=20), solver_cfg=quick_solver(), **kwargs)
+                   grid_cfg=GridConfig(K=15, L=20), solver_cfg=solver_cfg, **kwargs)
 
-    def test_right_test_pair_picks_the_full_set(self):
+    def test_right_test_pair_picks_the_full_set(self, quick_solver):
         inst = gen_multiresponse(
             SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
         )
-        result = self.fit_min_msep(inst, test=(inst.X_test, inst.Y_test))
+        result = self.fit_min_msep(inst, quick_solver, test=(inst.X_test, inst.Y_test))
         assert result.components[0].subset.size == 15
 
     def test_one_response_column_against_ten_rejected(self, data):
@@ -720,12 +722,23 @@ class TestFitArguments:
         with pytest.raises(ParseError):
             fit(data.X, data.Y, **args)
 
-    def test_folds_of_a_test_pick_are_not_read(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("strategy,mode", [
+        (PickStrategy.min_msep(folds=2), "regression"),
+        (PickStrategy.max_cor(folds=2), "canonical"),
+    ], ids=["min-msep", "max-cor"])
+    def test_one_row_training_fold_refused(self, data, n, strategy, mode):
+        # Two folds of n = 2 or 3 rows leave a training fold of one row, all
+        # zeros once centered; fit refuses it before the first grid.
+        with pytest.raises(DegenerateLoadingError, match="training fold of one row"):
+            fit(data.X[:n], data.Y[:n], model="pls2", mode=mode, strategy=strategy)
+
+    def test_folds_of_a_test_pick_are_not_read(self, quick_solver):
         # min-msep with a test pair scores no fold, so its folds are free.
         inst = gen_multiresponse(
             SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
         )
         result = fit(inst.X, inst.Y, model="pls2", strategy=PickStrategy.min_msep(folds=500),
-                     grid_cfg=GridConfig(K=15, L=8), solver_cfg=quick_solver(),
+                     grid_cfg=GridConfig(K=15, L=8), solver_cfg=quick_solver,
                      test=(inst.X_test, inst.Y_test))
         assert result.H == 1

@@ -102,6 +102,11 @@ class TestExhaustivePath:
         with pytest.raises(DimensionError, match=f"{model} requires a response"):
             exhaustive_path(np.eye(3), None, model)
 
+    def test_response_without_columns_rejected(self):
+        # The check make_context makes; the oracle used to fail on an index.
+        with pytest.raises(DimensionError, match="no columns"):
+            exhaustive_path(np.eye(3), np.zeros((3, 0)), "pls2")
+
     @pytest.mark.parametrize("max_k", [3, 12])
     def test_enumerated_count_is_every_combination_visited(self, max_k):
         rng = np.random.default_rng(4)

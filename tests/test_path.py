@@ -25,7 +25,7 @@ from subsetpath.path import (
 from subsetpath.solver import SolverConfig, minimize_batch, top_k_order, unique_rows
 from subsetpath.simulate import SimConfig, gen_multiresponse, generate
 
-from contexts import pca_context, pls2_context
+from contexts import pca_context, pls2_context, solver_config
 
 
 def orders_from_points(points):
@@ -453,15 +453,16 @@ def spy_step1(monkeypatch, edit=None):
 
 
 SPECULATION_CASES = [
-    ("pls1", None, 10, SolverConfig()),
-    ("pls2", "v", 10, SolverConfig()),
-    ("pls2", "u", 10, SolverConfig()),
-    ("pca", None, 10, SolverConfig()),
+    # (model, branch, p, solver constants to substitute)
+    ("pls1", None, 10, {}),
+    ("pls2", "v", 10, {}),
+    ("pls2", "u", 10, {}),
+    ("pca", None, 10, {}),
     # warm power steps on the n x n (M) and the p x p (G) eigenproblem
-    ("pca", None, 110, SolverConfig(max_iter=40)),
-    ("pca", None, EIGH_CROSSOVER + 6, SolverConfig(max_iter=40)),
+    ("pca", None, 110, dict(MAX_ITER=40)),
+    ("pca", None, EIGH_CROSSOVER + 6, dict(MAX_ITER=40)),
     # the squared step on near-tied p x p blocks, some finished densely
-    ("pca", None, 15, SolverConfig()),
+    ("pca", None, 15, {}),
 ]
 
 
@@ -473,6 +474,7 @@ class TestSpeculativeStep1:
     @pytest.mark.parametrize("model,branch,p,cfg", SPECULATION_CASES)
     def test_recorded_runs_equal_sequential_reference(self, model, branch, p, cfg,
                                                       monkeypatch):
+        cfg = solver_config(monkeypatch, **cfg)
         X, Y = grid_case(model, branch, p=p)
         grid = GridConfig(K=4, L=20)
         path = dynamic_grid(X, Y, model, grid, cfg)
@@ -771,19 +773,19 @@ def tied_pls1_case():
 
 
 PLAN_CASES = [
-    # (p, K, L, solver config)
-    (10, 2, 20, SolverConfig()),        # K reached at the first halvings
-    (10, 10, 30, SolverConfig()),       # K reached late
-    (10, 10, 4, SolverConfig()),        # K never reached within L
-    (12, 12, 2, SolverConfig()),
-    (12, 12, 6, SolverConfig()),
-    (12, 12, 16, SolverConfig()),
-    (12, 12, 20, SolverConfig()),
-    (12, 12, 30, SolverConfig(method="gd")),
-    (12, 6, 20, SolverConfig(t_init=t_init_array(12))),
-    (120, 20, 30, SolverConfig()),
-    (120, 20, 16, SolverConfig(method="gd")),
-    (120, 20, 30, SolverConfig(t_init=t_init_array(120))),
+    # (p, K, L, solver_config arguments)
+    (10, 2, 20, {}),        # K reached at the first halvings
+    (10, 10, 30, {}),       # K reached late
+    (10, 10, 4, {}),        # K never reached within L
+    (12, 12, 2, {}),
+    (12, 12, 6, {}),
+    (12, 12, 16, {}),
+    (12, 12, 20, {}),
+    (12, 12, 30, dict(method="gd")),
+    (12, 6, 20, dict(T_INIT=t_init_array(12))),
+    (120, 20, 30, {}),
+    (120, 20, 16, dict(method="gd")),
+    (120, 20, 30, dict(T_INIT=t_init_array(120))),
 ]
 
 
@@ -793,7 +795,8 @@ class TestPls1Plan:
     the plan missed; the path is the one each penalty solved alone gives."""
 
     @pytest.mark.parametrize("p,K,L,cfg", PLAN_CASES)
-    def test_path_equals_the_sequential_reference(self, p, K, L, cfg):
+    def test_path_equals_the_sequential_reference(self, p, K, L, cfg, monkeypatch):
+        cfg = solver_config(monkeypatch, **cfg)
         X, y = grid_case("pls1", p=p)
         grid = GridConfig(K=K, L=L)
         got = dynamic_grid(X, y, "pls1", grid, cfg)
@@ -810,7 +813,7 @@ class TestPls1Plan:
             X, y = grid_case("pls1", p=p)
             grid = GridConfig(K=p if p == 10 else 20, L=30)
             if case == "t_init":
-                cfg = SolverConfig(t_init=t_init_array(p))
+                cfg = solver_config(monkeypatch, T_INIT=t_init_array(p))
         calls = spy_calls(monkeypatch)
         path = dynamic_grid(X, y, "pls1", grid, cfg)
         assert calls == [[d.lam for d in path.diagnostics]]
@@ -827,9 +830,9 @@ class TestPls1Plan:
             predict = path_module._first_step_size
             monkeypatch.setattr(
                 path_module, "_first_step_size",
-                lambda ctx0, cfg: lambda lam: predict(ctx0, cfg)(lam) + 1)
+                lambda ctx0: lambda lam: predict(ctx0)(lam) + 1)
         elif fault == "max_iter":
-            cfg = SolverConfig(max_iter=12)  # no run passes rho in time
+            cfg = solver_config(monkeypatch, MAX_ITER=12)  # no run passes rho in time
         else:
             cfg = SolverConfig(method="gd")  # nor here, within 1000 steps
         calls = spy_calls(monkeypatch)
@@ -912,12 +915,12 @@ class TestPls2Plan:
         got = dynamic_grid(X, Y, "pls2", grid)
         assert_same_path(got, sequential_path(X, Y, "pls2", grid))
 
-    def test_start_point_enters_the_prediction(self):
-        # A t_init array moves the predicted sizes and the runs alike.
+    def test_start_point_enters_the_prediction(self, monkeypatch):
+        # A start vector moves the predicted sizes and the runs alike.
         X, Y = cert_case(50)
-        cfg = SolverConfig(t_init=t_init_array(15))
+        cfg = solver_config(monkeypatch, T_INIT=t_init_array(15))
         got = dynamic_grid(X, Y, "pls2", CERT_GRID, cfg)
-        predicted = path_module._first_step_size(make_context(X, Y, "pls2"), cfg)
+        predicted = path_module._first_step_size(make_context(X, Y, "pls2"))
         assert [predicted(d.lam) for d in got.diagnostics] == [
             d.terminal_size for d in got.diagnostics]
         assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID, cfg))
@@ -925,8 +928,7 @@ class TestPls2Plan:
     @pytest.mark.parametrize("seed", [50, 51, 52])
     def test_prediction_that_holds_makes_one_call(self, seed, monkeypatch):
         X, Y = cert_case(seed)
-        predicted = path_module._first_step_size(make_context(X, Y, "pls2"),
-                                                 SolverConfig())
+        predicted = path_module._first_step_size(make_context(X, Y, "pls2"))
         calls = spy_calls(monkeypatch)
         path = dynamic_grid(X, Y, "pls2", CERT_GRID)
         assert [predicted(d.lam) for d in path.diagnostics] == [
@@ -946,7 +948,7 @@ class TestPls2Plan:
         X, Y = cert_case(51)
         size = 0 if stuck == "zero" else CERT_GRID.K
         monkeypatch.setattr(path_module, "_first_step_size",
-                            lambda ctx0, cfg: lambda lam: size)
+                            lambda ctx0: lambda lam: size)
         calls = spy_calls(monkeypatch)
         got = dynamic_grid(X, Y, "pls2", CERT_GRID)
         assert len(calls) > 1
@@ -960,12 +962,13 @@ class TestPcaPlan:
     cheap: on the n x n M kernel, and on the p x p G kernel up to 100
     columns."""
 
-    @pytest.mark.parametrize("p,grid,cfg", [
-        (10, GridConfig(K=4, L=20), SolverConfig()),
-        (15, GridConfig(K=15, L=30), SolverConfig()),
-        (110, GridConfig(K=4, L=20), SolverConfig(max_iter=40)),  # n = 40 < p
+    @pytest.mark.parametrize("p,grid,constants", [
+        (10, GridConfig(K=4, L=20), {}),
+        (15, GridConfig(K=15, L=30), {}),
+        (110, GridConfig(K=4, L=20), dict(MAX_ITER=40)),  # n = 40 < p
     ], ids=["G10", "G15", "M110"])
-    def test_path_equals_the_sequential_reference(self, p, grid, cfg):
+    def test_path_equals_the_sequential_reference(self, p, grid, constants, monkeypatch):
+        cfg = solver_config(monkeypatch, **constants)
         X, _ = grid_case("pca", p=p)
         got = dynamic_grid(X, None, "pca", grid, cfg)
         assert_same_path(got, sequential_path(X, None, "pca", grid, cfg))
@@ -977,8 +980,7 @@ class TestPcaPlan:
                                   seed=51))
         X = center_columns(inst.X)
         grid = GridConfig(K=20, L=50)
-        predicted = path_module._first_step_size(make_context(X, None, "pca"),
-                                                 SolverConfig())
+        predicted = path_module._first_step_size(make_context(X, None, "pca"))
         calls = spy_calls(monkeypatch)
         path = dynamic_grid(X, None, "pca", grid)
         assert len(path.diagnostics) == 35

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ from subsetpath.objective import lambda_max, make_context
 from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.solver import SolverConfig, minimize_batch, top_k_order
 
-from contexts import pls2_context
+from contexts import pls2_context, solver_config
 
 
 @pytest.fixture()
@@ -76,7 +77,7 @@ class TestMinimize:
         assert terminal[3.0].tolist() == [0, 0]
 
     @pytest.mark.parametrize("model", ["pls1", "pls2", "pca"])
-    def test_trace_stays_in_cube(self, model, iterates):
+    def test_trace_stays_in_cube(self, model, iterates, monkeypatch):
         rng = np.random.default_rng(10)
         X = center_columns(rng.standard_normal((20, 5)))
         Y = center_columns(rng.standard_normal((20, 3)))
@@ -87,20 +88,21 @@ class TestMinimize:
             ctx = make_context(X, Y, model)
         else:
             ctx = make_context(X, model="pca")
-        run = minimize_batch(ctx, [0.05], SolverConfig(max_iter=200))[0]
+        run = minimize_batch(ctx, [0.05], solver_config(monkeypatch, MAX_ITER=200))[0]
         assert len(iterates) == run.iterations + 1
         for t, _ in iterates:
             assert np.all(t >= 0.0) and np.all(t <= 1.0)
         np.testing.assert_array_equal(run.terminal_t, iterates[-1][0])
         assert run.objective == iterates[-1][1]
 
-    def test_plain_gd_objective_non_increasing(self, iterates):
+    def test_plain_gd_objective_non_increasing(self, iterates, monkeypatch):
         # Coordinatewise Lipschitz constant of the gradient is 2 z_j^2;
         # a step below 1/L makes descent monotone.
         z = np.array([0.5, 1.0, 0.8, 0.3])
         ctx = pls1_context(z)
         lr = 0.4 / (2.0 * np.max(z**2))
-        run = minimize_batch(ctx, [0.1], SolverConfig(method="gd", learning_rate=lr))[0]
+        cfg = solver_config(monkeypatch, method="gd", LEARNING_RATE=lr)
+        run = minimize_batch(ctx, [0.1], cfg)[0]
         objs = [value for _, value in iterates]
         assert len(objs) == run.iterations + 1
         diffs = np.diff(objs)
@@ -145,16 +147,17 @@ class TestMinimize:
             with pytest.raises(SolverAbort, match="cannot start the grid"):
                 dynamic_grid(X, Y, "pls2", GridConfig(K=1, L=2))
 
-    def test_t_init_must_be_interior(self):
+    def test_t_init_must_be_interior(self, iterates):
+        # Every run starts at the constant vector T_INIT, inside (0, 1).
+        assert 0.0 < solver.T_INIT < 1.0
         ctx = pls1_context(np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            minimize_batch(ctx, [0.0], SolverConfig(t_init=0.0))
-        with pytest.raises(ValueError):
-            minimize_batch(ctx, [0.0], SolverConfig(t_init=np.array([0.5, 1.0])))
+        minimize_batch(ctx, [0.0, 0.3], SolverConfig())
+        np.testing.assert_array_equal(iterates[0][0], [solver.T_INIT] * 2)
+        np.testing.assert_array_equal(iterates[1][0], [solver.T_INIT] * 2)
 
-    def test_max_iter_cap_reported(self, iterates):
+    def test_max_iter_cap_reported(self, iterates, monkeypatch):
         ctx = pls1_context(np.array([0.5, 1.0]))
-        run = minimize_batch(ctx, [0.0], SolverConfig(max_iter=5))[0]
+        run = minimize_batch(ctx, [0.0], solver_config(monkeypatch, MAX_ITER=5))[0]
         assert not run.converged
         assert run.iterations == 5
         assert len(iterates) == 6  # initial point plus five updates
@@ -167,9 +170,10 @@ class TestStreamedOrderings:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_stable_argsort_under_ties(self, seed):
-        # Sizes on both sides of the partial-selection threshold.
+        # Sizes on both sides of the partial-selection threshold 4 K = p,
+        # below, at and above 100 columns.
         rng = np.random.default_rng(seed)
-        p = int(rng.integers(1, 60)) if seed % 2 else int(rng.integers(500, 800))
+        p = [int(rng.integers(1, 60)), int(rng.integers(500, 800)), 100, 120][seed % 4]
         # Few distinct levels, so most entries tie with others.
         levels = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 5)))
         Ks = {1, 2, p // 4, p // 4 + 1, p, *rng.integers(1, p + 1, size=10).tolist()}
@@ -183,14 +187,15 @@ class TestStreamedOrderings:
             np.testing.assert_array_equal(top_k_order(stack, K), want)
 
     @pytest.mark.parametrize("model", ["pls1", "pls2"])
-    def test_trace_is_distinct_orderings_of_every_iterate(self, model, iterates):
+    def test_trace_is_distinct_orderings_of_every_iterate(self, model, iterates,
+                                                          monkeypatch):
         rng = np.random.default_rng(4)
         X = center_columns(rng.standard_normal((30, 8)))
         if model == "pls1":
             ctx = make_context(X, rng.standard_normal(30), model)
         else:
             ctx = make_context(X, center_columns(rng.standard_normal((30, 3))), model)
-        run = minimize_batch(ctx, [0.02], SolverConfig(max_iter=300), K=5)[0]
+        run = minimize_batch(ctx, [0.02], solver_config(monkeypatch, MAX_ITER=300), K=5)[0]
         want = []
         for t, _ in iterates:
             order = tuple(int(j) for j in np.argsort(-t, kind="stable")[:5])
@@ -241,7 +246,7 @@ class TestBatchedSweep:
         n = 40 if p > 10 else 30
         ctx = sweep_context(model, branch, p=p, n=n)
         lams = lambda_max(ctx) * np.array([0.9, 0.45, 0.2, 0.07])
-        cfg = SolverConfig(max_iter=max_iter)
+        cfg = solver_config(monkeypatch, MAX_ITER=max_iter)
         power_steps, finished = [], []
         steps, finish = linalg._power_steps, linalg._dense_finish
         monkeypatch.setattr(linalg, "_power_steps",
@@ -294,10 +299,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(method="newton")
 
-    def test_rejects_bad_betas(self):
-        with pytest.raises(ValueError):
-            SolverConfig(beta1=1.5)
-
-    def test_rejects_bad_patience(self):
-        with pytest.raises(ValueError):
-            SolverConfig(patience=0)
+    def test_method_is_the_only_setting(self):
+        assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == ("method",)
+        with pytest.raises(TypeError):
+            SolverConfig(max_iter=40)
+        assert (solver.LEARNING_RATE, solver.BETA1, solver.BETA2, solver.EPS) == (
+            0.05, 0.9, 0.999, 1e-8)
+        assert (solver.MAX_ITER, solver.TOL, solver.PATIENCE, solver.T_INIT) == (
+            1000, 1e-5, 10, 0.5)
