@@ -31,6 +31,7 @@ COMMANDS = [
     ["fit", "--pick", "fixed-k=1", "--components", "2", "--folds", "2", "--budget", "12"],
     ["fit", "--pick", "cpev-drop=0.5", "--folds", "2", "--budget", "12"],
     ["fit", "--pick", "min-msep", "--folds", "2", "--budget", "12"],
+    ["fit", "--pick", "min-msep", "--components", "2", "--folds", "2", "--budget", "12"],
     ["fit", "--pick", "max-cor", "--mode", "canonical", "--folds", "2", "--budget", "12"],
 ]
 DOCUMENTED_ERRORS = (2, 3, 4, 5, 6, 7)

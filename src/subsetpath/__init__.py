@@ -3,8 +3,8 @@
 Computes, for each subset size k, the best k-variable subset for building
 PCA and PLS components, by gradient descent on a penalized continuous
 relaxation of the discrete selection problem. Includes multi-component
-fitting via deflation, prediction, an exhaustive oracle for certification
-at small p, and simulation-study tooling.
+fitting via deflation, prediction, an exhaustive oracle at small p, and
+simulation-study tooling.
 """
 
 __version__ = "0.1.0"
@@ -46,12 +46,7 @@ from .objective import (
     r_of_t,
     t_of_r,
 )
-from .oracle import (
-    CornerCheckReport,
-    OracleResult,
-    check_corner_optimality,
-    exhaustive_path,
-)
+from .oracle import OracleResult, exhaustive_path
 from .path import (
     GridConfig,
     SizeBucket,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .components import (PickStrategy, _check_training_folds, _fit_arguments,
-                         _refuse_before_grid, fit, model_to_dict, predict, q2)
+                         _grid_refusals_first, fit, model_to_dict, predict, q2)
 from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
@@ -232,11 +232,9 @@ def cmd_fit(args) -> int:
     strategy = replace(args.pick, folds=args.folds)
     if runs_q2:  # Q2's folds are refused before any grid, after what fit refuses first
         _fit_arguments(X, Y, args.model, args.components, strategy, args.mode, grid, test)
-        try:
-            _check_training_folds(X, Y, args.folds, args.seed)
-        except DegenerateLoadingError as exc:
-            Xc, Yc = (X, Y) if args.no_center else (X - X.mean(axis=0), Y - Y.mean(axis=0))
-            _refuse_before_grid(Xc, Yc, args.model, exc)
+        Xc, Yc = (X, Y) if args.no_center else (X - X.mean(axis=0), Y - Y.mean(axis=0))
+        with _grid_refusals_first(Xc, Yc, args.model):
+            _check_training_folds(X, Y, args.folds, args.seed, args.components)
     result = fit(
         X, Y, model=args.model, H=args.components, strategy=strategy,
         mode=args.mode, grid_cfg=grid, solver_cfg=SolverConfig(args.solver),

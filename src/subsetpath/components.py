@@ -18,6 +18,7 @@ X w_h = X_{h-1} u_h.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +98,15 @@ class PickStrategy:
     @classmethod
     def parse(cls, text: str) -> "PickStrategy":
         """Parse CLI forms: fixed-k=K, cpev-drop=F, min-msep, max-cor."""
-        name, _, arg = text.partition("=")
+        name, eq, arg = text.partition("=")
         if name == "fixed-k":
             return cls.fixed_k(int(arg))
         if name == "cpev-drop":
             return cls.cpev_drop(float(arg))
-        if name == "min-msep":
-            return cls.min_msep()
-        if name == "max-cor":
-            return cls.max_cor()
+        if name in ("min-msep", "max-cor"):
+            if eq:
+                raise ValueError(f"{name} takes no argument")
+            return cls(kind=name)
         raise ValueError(f"unknown pick strategy {text!r}")
 
     def __str__(self) -> str:
@@ -345,17 +346,34 @@ def _splits(X: np.ndarray, Y: np.ndarray, folds: int, seed: int) -> Iterator[Spl
         yield X[tr] - xm, Y[tr] - ym, X[val] - xm, Y[val], ym
 
 
-def _check_training_folds(X: np.ndarray, Y: np.ndarray, folds: int, seed: int):
-    """Refuse q2's folds if a training fold holds a constant response column."""
+def _check_fold_rows(n: int, folds: int, H: int):
+    """Refuse folds whose smallest training fold, n - ceil(n / folds) rows,
+    holds no more rows than components: centered, r rows have rank r - 1,
+    so they carry at most r - 1 components."""
+    rows = n - -(-n // folds)
+    if rows <= H:
+        raise DegenerateLoadingError(f"folds={folds} on {n} rows leaves a training fold "
+                                     f"of {rows} row(s), too few for {H} component(s)")
+
+
+def _check_training_folds(X: np.ndarray, Y: np.ndarray, folds: int, seed: int, H: int):
+    """Refuse q2's folds if a training fold holds a constant response column,
+    or too few rows for H components (_check_fold_rows)."""
     if any(np.any(np.ptp(Ytr, axis=0) == 0.0) for _, Ytr, *_ in _splits(X, Y, folds, seed)):
         raise DegenerateLoadingError("a training fold has a constant response")
+    _check_fold_rows(X.shape[0], folds, H)
 
 
-def _refuse_before_grid(X0, Y0, model: str, refusal: Exception):
-    """Raise ``refusal``, unless the first grid on (X0, Y0) refuses the data
-    first, as it does before it solves (a non-finite or zero lambda_max)."""
-    lambda_max(make_context(X0, Y0, model))
-    raise refusal
+@contextmanager
+def _grid_refusals_first(X0, Y0, model: str):
+    """Let a fold refusal (DegenerateLoadingError) raised inside through
+    only if the first grid on (X0, Y0) does not refuse the data first, as
+    it does before it solves (a non-finite or zero lambda_max)."""
+    try:
+        yield
+    except DegenerateLoadingError:
+        lambda_max(make_context(X0, Y0, model))
+        raise
 
 
 def _refit_fixed(
@@ -390,7 +408,8 @@ def q2(
     set. The folds are those of the v-fold picks in ``fit`` at the same
     ``folds`` and ``seed``. A model other than pls1 or pls2, or folds
     outside 2..n, raise ParseError; a fold whose training rows hold a
-    constant response column (max == min) is refused.
+    constant response column (max == min), or no more rows than the H
+    components, raises DegenerateLoadingError.
     """
     if model not in ("pls1", "pls2"):
         raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
@@ -418,7 +437,7 @@ def q2(
         resid = Yc - Xc @ beta
         rss[h] = np.sum(resid * resid, axis=0)
 
-    _check_training_folds(X, Y, folds, seed)
+    _check_training_folds(X, Y, folds, seed, H)
     press = np.zeros((H, q_dim))
     for Xtr, Ytr, Xval, Yval, ym in _splits(X, Y, folds, seed):
         fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
@@ -588,7 +607,8 @@ def fit(
     above K, ``test`` for a model that cannot predict, v-fold folds outside
     2..n) raise ParseError; shapes that do not fit (K above p, a missing or
     extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError;
-    v-fold folds leaving a training fold of one row DegenerateLoadingError.
+    v-fold folds whose smallest training fold holds no more rows than the H
+    components DegenerateLoadingError.
     """
     X, Y, mode, grid_cfg, test = _fit_arguments(X, Y, model, H, strategy, mode,
                                                 grid_cfg, test)
@@ -601,11 +621,9 @@ def fit(
     holdout = None
     if test is not None and strategy.kind == "min-msep":
         holdout = [(X0, Y0, test[0] - x_means, test[1], y_means)]
-    n, folds = X.shape[0], strategy.folds
-    # Centered, a training fold of n - ceil(n / folds) = 1 row is all zeros.
-    if strategy.kind in ("min-msep", "max-cor") and not holdout and n - -(-n // folds) < 2:
-        _refuse_before_grid(X0, Y0, model, DegenerateLoadingError(
-            f"folds={folds} on {n} rows leaves a training fold of one row"))
+    if strategy.kind in ("min-msep", "max-cor") and not holdout:
+        with _grid_refusals_first(X0, Y0, model):
+            _check_fold_rows(X.shape[0], strategy.folds, H)
 
     comps: list[ComponentState] = []
     Xh, Yh = X0, Y0

@@ -29,12 +29,13 @@ from subsetpath.objective import (
     r_of_t,
     t_of_r,
 )
-from subsetpath.oracle import check_corner_optimality, exhaustive_path
+from subsetpath.oracle import exhaustive_path
 from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.simulate import SimConfig, gen_multiresponse, gen_pca_cov
 from subsetpath.solver import SolverConfig
 
 from contexts import pls2_context
+from corner_checks import check_corner_optimality
 
 
 def central_diff(f, x, h):

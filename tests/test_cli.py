@@ -672,6 +672,9 @@ class TestErrorExits:
         ("fit", "pls2", ["--pick", "fixed-k=9"]),  # above p = 6
         ("fit", "pls2", ["--k-max", "3", "--pick", "fixed-k=4"]),
         ("fit", "pls2", ["--mode", "canonical", "--pick", "max-cor", "--folds", "1000"]),
+        ("fit", "pls2", ["--pick", "min-msep=3"]),
+        ("fit", "pls2", ["--pick", "max-cor=abc"]),
+        ("fit", "pls2", ["--pick", "min-msep="]),
     ])
     def test_bad_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                               command, model, bad):
@@ -687,7 +690,8 @@ class TestErrorExits:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
-        if bad[0] == "--pick" and bad[1] in ("bogus", "fixed-k=x", "fixed-k=0"):
+        if bad[0] == "--pick" and bad[1] in ("bogus", "fixed-k=x", "fixed-k=0", "min-msep=3",
+                                             "max-cor=abc", "min-msep="):
             for form in ("fixed-k=K", "cpev-drop=F", "min-msep", "max-cor"):
                 assert form in err
         if bad[-1] in ("fixed-k=9", "fixed-k=4"):
@@ -770,9 +774,10 @@ class TestErrorExits:
 
 class TestFoldsRefusedBeforeAnyGrid:
     """A fit whose Q2 report, or whose v-fold pick, cannot use its folds
-    exits 7 before any grid is solved, but after every refusal that comes
-    first at any later point: argument and shape errors (exit 2 or 3) and
-    data whose cross-products overflow (exit 4)."""
+    (a training fold of no more rows than components) exits 7 before any
+    grid is solved, but after every refusal that comes first at any later
+    point: argument and shape errors (exit 2 or 3) and data whose
+    cross-products overflow (exit 4)."""
 
     @pytest.fixture
     def grids(self, monkeypatch):
@@ -788,24 +793,40 @@ class TestFoldsRefusedBeforeAnyGrid:
         return ["fit", "--model", "pls2", "--x", str(tmp_path / "X.csv"),
                 "--y", str(tmp_path / "Y.csv"), "--folds", "2", "--out", str(tmp_path / "out")]
 
+    def random(self, tmp_path, n, p, q):
+        rng = np.random.default_rng(7)
+        return self.argv(tmp_path, rng.standard_normal((n, p)), rng.standard_normal((n, q)))
+
     def wide(self, tmp_path):
         # 3 rows, p = 101, q = 102: the p x p kernel above 100 columns, where
         # a grid takes seconds. Two folds leave a training fold of one row.
-        rng = np.random.default_rng(7)
-        return self.argv(tmp_path, rng.standard_normal((3, 101)),
-                         rng.standard_normal((3, 102)))
+        return self.random(tmp_path, 3, 101, 102)
 
-    @pytest.mark.parametrize("extra", [
-        ["--pick", "fixed-k=1"],                        # Q2's folds
-        ["--pick", "max-cor", "--mode", "canonical"],   # the pick's folds, no Q2
-        ["--pick", "min-msep", "--no-center"],
-    ], ids=["q2", "max-cor", "min-msep"])
-    def test_exits_7_before_any_grid(self, tmp_path, capsys, grids, extra):
-        assert run_cli(*self.wide(tmp_path), *extra) == 7
+    @pytest.mark.parametrize("shape, extra", [
+        ((3, 101, 102), ["--pick", "fixed-k=1"]),                       # Q2's folds
+        ((3, 101, 102), ["--pick", "max-cor", "--mode", "canonical"]),  # the pick's, no Q2
+        ((3, 101, 102), ["--pick", "min-msep", "--no-center"]),
+        # Training folds of 2 rows for 2 components, and of 3 rows for 3.
+        ((4, 120, 3), ["--pick", "fixed-k=1", "--components", "2"]),
+        ((4, 120, 3), ["--pick", "min-msep", "--components", "2"]),
+        ((4, 120, 3), ["--pick", "max-cor", "--mode", "canonical", "--components", "2"]),
+        ((6, 12, 3), ["--pick", "min-msep", "--components", "3"]),
+    ], ids=["q2", "max-cor", "min-msep", "q2-2-rows-H-2", "min-msep-2-rows-H-2",
+            "max-cor-2-rows-H-2", "min-msep-3-rows-H-3"])
+    def test_exits_7_before_any_grid(self, tmp_path, capsys, grids, shape, extra):
+        assert run_cli(*self.random(tmp_path, *shape), *extra) == 7
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
         assert grids == []
+
+    def test_one_row_more_than_components_solves(self, tmp_path, grids):
+        # 6 rows in two folds leave training folds of 3 rows, one more than
+        # the 2 components: both grids are solved and the fit succeeds.
+        argv = self.random(tmp_path, 6, 12, 3)
+        assert run_cli(*argv, "--pick", "min-msep", "--components", "2") == 0
+        assert len(grids) == 2
+        assert (tmp_path / "out" / "report.csv").exists()
 
     @pytest.mark.parametrize("extra, code", [
         (["--pick", "fixed-k=1", "--k-max", "102"], 3),

@@ -345,6 +345,15 @@ class TestQ2:
         with pytest.raises(DegenerateLoadingError):
             q2(X, Y, model="pls2", H=1, folds=5, seed=0)
 
+    def test_training_fold_of_at_most_H_rows_rejected(self):
+        # Two folds of 4 rows leave training folds of 2 rows, too few to
+        # refit 2 components; 3 rows carry them.
+        rng = np.random.default_rng(20)
+        X, Y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+        with pytest.raises(DegenerateLoadingError, match="too few for 2 component"):
+            q2(X[:4], Y[:4], model="pls2", H=2, folds=2, seed=0)
+        assert q2(X, Y, model="pls2", H=2, folds=2, seed=0).total.shape == (2,)
+
     def test_per_response_shape(self):
         rng = np.random.default_rng(19)
         X = rng.standard_normal((30, 5))
@@ -730,7 +739,7 @@ class TestFitArguments:
     def test_one_row_training_fold_refused(self, data, n, strategy, mode):
         # Two folds of n = 2 or 3 rows leave a training fold of one row, all
         # zeros once centered; fit refuses it before the first grid.
-        with pytest.raises(DegenerateLoadingError, match="training fold of one row"):
+        with pytest.raises(DegenerateLoadingError, match="training fold of 1 row"):
             fit(data.X[:n], data.Y[:n], model="pls2", mode=mode, strategy=strategy)
 
     def test_folds_of_a_test_pick_are_not_read(self, quick_solver):

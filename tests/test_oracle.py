@@ -6,13 +6,11 @@ import pytest
 
 from subsetpath.errors import DimensionError, SizeGuardError
 from subsetpath.linalg import center_columns
-from subsetpath.oracle import (
-    check_corner_optimality,
-    exhaustive_path,
-    oracle_to_dict,
-)
+from subsetpath.oracle import exhaustive_path, oracle_to_dict
 from subsetpath.path import GridConfig, Subset, dynamic_grid
 from subsetpath.simulate import SimConfig, generate
+
+from corner_checks import check_corner_optimality
 
 
 class TestExhaustivePath:

@@ -21,7 +21,7 @@ PUBLIC_NAMES = sorted([
     "ObjectiveContext", "ObjectiveEval", "corner_objective", "corner_values",
     "eval_batch", "grad_r", "lambda_max", "make_context", "r_of_t", "t_of_r",
     # oracle
-    "CornerCheckReport", "OracleResult", "check_corner_optimality", "exhaustive_path",
+    "OracleResult", "exhaustive_path",
     # path
     "GridConfig", "SizeBucket", "SolutionPath", "Subset", "best_row", "dynamic_grid",
     "path_to_dict", "prefix_rows", "score_buckets", "terminal_subset",
