@@ -357,11 +357,11 @@ def _check_fold_rows(n: int, folds: int, H: int):
 
 
 def _check_training_folds(X: np.ndarray, Y: np.ndarray, folds: int, seed: int, H: int):
-    """Refuse q2's folds if a training fold holds a constant response column,
-    or too few rows for H components (_check_fold_rows)."""
+    """Refuse q2's folds if a training fold holds too few rows for H
+    components (_check_fold_rows), or a constant response column."""
+    _check_fold_rows(X.shape[0], folds, H)
     if any(np.any(np.ptp(Ytr, axis=0) == 0.0) for _, Ytr, *_ in _splits(X, Y, folds, seed)):
         raise DegenerateLoadingError("a training fold has a constant response")
-    _check_fold_rows(X.shape[0], folds, H)
 
 
 @contextmanager

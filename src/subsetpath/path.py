@@ -10,8 +10,8 @@ the resulting (m_k, k) array of index rows, ``SizeBucket.candidates``, is
 scored in stacks by objective.corner_values (the closed form for pls1, one
 stacked dense eigen-solve over the k x k or q x q blocks otherwise). The
 lowest unpenalized corner objective wins; exact ties go to the smallest
-bits. For pls1 only the prefixes whose visit-order sum of z^2 comes within
-_PLS1_BAND of the best are scored exactly (see there).
+bits. Only the rows whose k-prefix trace can reach the best are scored
+(score_buckets).
 
 The dynamic grid drives the solver over a data-dependent schedule of
 penalty values so that terminal subsets cover all sizes 1..K. The rules
@@ -56,12 +56,11 @@ from .solver import SolverConfig, SolverRun, _initial_t, minimize_batch, unique_
 # _BATCH * K^2 floats.
 _BATCH = 256
 
-# pls1 scores a k-prefix exactly only if its visit-order sum of z^2 is at
-# least (1 - _PLS1_BAND) times the largest one. That sum and the exact score
-# add the same k non-negative terms in different orders, so they differ by
-# at most about 2k eps relative (2e-14 at k = 50); any band far above that,
-# as this one is for k below 10^6, holds every exact minimizer and tie.
-_PLS1_BAND = 1e-9
+# Relative slack of score_buckets' trace bound. A trace summed in visit
+# order is off from the exact one by about 2k eps relative, and eigvalsh's
+# backward error is about k eps lambda (2e-14 and 1e-14 at k = 50); a slack
+# far above both, as this one is for k below 10^6, keeps every exact tie.
+_TRACE_SLACK = 1e-9
 
 
 @functools.total_ordering
@@ -125,7 +124,7 @@ class Subset:
 @dataclass
 class SizeBucket:
     """``candidates`` is the (m, k) int array of the distinct sorted index
-    rows that were scored exactly; ``best`` is the winner among them."""
+    rows that passed score_buckets' trace bound; ``best`` wins among them."""
 
     k: int
     candidates: np.ndarray
@@ -198,17 +197,18 @@ def score_buckets(
     ctx0: ObjectiveContext, orders: np.ndarray, K: int
 ) -> dict[int, SizeBucket]:
     """Buckets k = 1..K from an (M, K) array of top-K orderings: each k
-    scores the distinct k-prefixes of the rows (for pls1 only those within
-    _PLS1_BAND of the best visit-order sum) with best_row."""
-    if ctx0.model == "pls1":
-        sums = np.cumsum((ctx0.z * ctx0.z)[orders], axis=1)
+    scores with best_row the distinct k-prefixes of the rows whose trace
+    (the sum of its single-column scores z_j^2, ||M_j||^2 or G_jj) reaches
+    the value of the largest-trace row's k-prefix, less _TRACE_SLACK. A
+    block's top eigenvalue is at most its trace, equal for pls1 (Moghaddam,
+    Weiss & Avidan 2006), so no row skipped can win; a NaN skips nothing."""
+    d = -corner_values(ctx0, np.arange(ctx0.p)[:, None])
+    traces = np.cumsum(d[orders], axis=1)
     buckets = {}
     for k in range(1, K + 1):
-        rows = orders
-        if ctx0.model == "pls1":
-            s = sums[:, k - 1]
-            rows = orders[s >= s.max() * (1.0 - _PLS1_BAND)]
-        I = prefix_rows(rows, k)
+        s = traces[:, k - 1]
+        top = -corner_values(ctx0, np.sort(orders[np.argmax(s), :k])[None])[0]
+        I = prefix_rows(orders[~(s < top * (1.0 - _TRACE_SLACK))], k)
         best, value = best_row(ctx0, I)
         buckets[k] = SizeBucket(k, I, best, value)
     return buckets

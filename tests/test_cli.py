@@ -811,12 +811,16 @@ class TestFoldsRefusedBeforeAnyGrid:
         ((4, 120, 3), ["--pick", "min-msep", "--components", "2"]),
         ((4, 120, 3), ["--pick", "max-cor", "--mode", "canonical", "--components", "2"]),
         ((6, 12, 3), ["--pick", "min-msep", "--components", "3"]),
+        # A one-row training fold's response is constant too; the rows
+        # refusal names the cause.
+        ((3, 20, 2), ["--pick", "fixed-k=1"]),
     ], ids=["q2", "max-cor", "min-msep", "q2-2-rows-H-2", "min-msep-2-rows-H-2",
-            "max-cor-2-rows-H-2", "min-msep-3-rows-H-3"])
+            "max-cor-2-rows-H-2", "min-msep-3-rows-H-3", "q2-1-row-narrow"])
     def test_exits_7_before_any_grid(self, tmp_path, capsys, grids, shape, extra):
         assert run_cli(*self.random(tmp_path, *shape), *extra) == 7
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too few for" in err
         assert not (tmp_path / "out").exists()
         assert grids == []
 

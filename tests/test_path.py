@@ -233,7 +233,11 @@ class TestSelectBest:
         assert bucket.best == Subset(5, (2, 3))
 
     @pytest.mark.parametrize("model,branch", [
-        ("pls1", None), ("pls2", "v"), ("pls2", "u"), ("pca", None)])
+        ("pls1", None), ("pls2", "v"), ("pls2", "u"), ("pca", None),
+        # X = a c^T on the model's own kernel: every block is rank one, so
+        # its top eigenvalue equals its trace, and columns of equal scale
+        # give exact ties.
+        ("pls2", "rank-one"), ("pca", "rank-one")])
     @pytest.mark.parametrize("seed", range(3))
     def test_score_buckets_matches_brute_force(self, model, branch, seed):
         rng = np.random.default_rng(40 + seed)
@@ -241,10 +245,17 @@ class TestSelectBest:
         X = center_columns(rng.standard_normal((30, p)))
         Y = None if model == "pca" else center_columns(
             rng.standard_normal((30, 1 if model == "pls1" else q)))
+        if branch == "rank-one":
+            a = rng.integers(-3, 4, 15).astype(float)
+            X = np.outer(np.concatenate([a, -a]), rng.choice([0.5, 1, 1, 2, 3], p))
+            branch = None
         ctx = context(X, Y, model, branch)
         orders = unique_rows(np.array([rng.permutation(p)[:K] for _ in range(60)]))
         buckets = score_buckets(ctx, orders, K)
         for k in range(1, K + 1):
+            # The bound skips no row the unpruned scoring could pick.
+            unpruned = best_row(ctx, prefix_rows(orders, k))
+            assert (buckets[k].best, buckets[k].best_value) == unpruned
             want, low = brute_force_bucket(ctx, orders, k)
             assert buckets[k].best == want
             if model == "pls1":
@@ -281,8 +292,14 @@ class TestSelectBest:
         assert (best, value) == brute_force_bucket(ctx, orders, 3)
         assert best == Subset(5, (0, 3, 4)) and value == -1.0
 
-    def test_pls1_band_skips_far_prefixes(self):
-        ctx = make_context(np.eye(4), np.array([4.0, 3.0, 2.0, 1.0]), "pls1")
+    @pytest.mark.parametrize("model,Y", [
+        ("pls1", [4.0, 3.0, 2.0, 1.0]),
+        # Orthogonal rows of M: {0, 1} scores 16/16, below its trace 25/16
+        # and above the trace 5/16 of either other prefix.
+        ("pls2", [[4.0, 0.0], [0.0, 3.0], [2.0, 0.0], [1.0, 0.0]]),
+    ], ids=["pls1", "pls2"])
+    def test_trace_bound_skips_far_prefixes(self, model, Y):
+        ctx = make_context(np.eye(4), np.array(Y), model)
         buckets = score_buckets(ctx, rows([0, 1], [3, 2], [2, 3]), 2)
         assert buckets[1].candidates.tolist() == [[0]]
         assert buckets[2].candidates.tolist() == [[0, 1]]
