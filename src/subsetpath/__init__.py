@@ -60,6 +60,6 @@ from .path import (
     terminal_subset,
 )
 from .simulate import MetricsReport, SimConfig, SimInstance, generate, metrics
-from .solver import SolverConfig, SolverRun, minimize_batch
+from .solver import SolverRun, minimize_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

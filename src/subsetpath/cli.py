@@ -40,7 +40,6 @@ from .linalg import center_columns
 from .oracle import exhaustive_path, oracle_to_dict
 from .path import GridConfig, Subset, dynamic_grid, path_to_dict
 from .simulate import SimConfig, generate, metrics
-from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -205,7 +204,7 @@ def cmd_path(args) -> int:
     started = time.time()
     X, Y = _load_xy(args)
     grid = GridConfig(K=args.k_max, L=args.budget, rho=args.rho)
-    path = dynamic_grid(X, Y, args.model, grid, SolverConfig(args.solver))
+    path = dynamic_grid(X, Y, args.model, grid)
     out = _outdir(args)
     with open(out / "path.json", "w", encoding="utf-8") as fh:
         json.dump(path_to_dict(path), fh, indent=2)
@@ -231,14 +230,15 @@ def cmd_fit(args) -> int:
     grid = GridConfig(K=args.k_max or X.shape[1], L=args.budget, rho=args.rho)
     strategy = replace(args.pick, folds=args.folds)
     if runs_q2:  # Q2's folds are refused before any grid, after what fit refuses first
-        _fit_arguments(X, Y, args.model, args.components, strategy, args.mode, grid, test)
+        _fit_arguments(X, Y, args.model, args.components, strategy, args.mode, grid, test,
+                       args.seed)
         Xc, Yc = (X, Y) if args.no_center else (X - X.mean(axis=0), Y - Y.mean(axis=0))
         with _grid_refusals_first(Xc, Yc, args.model):
             _check_training_folds(X, Y, args.folds, args.seed, args.components)
     result = fit(
         X, Y, model=args.model, H=args.components, strategy=strategy,
-        mode=args.mode, grid_cfg=grid, solver_cfg=SolverConfig(args.solver),
-        center=not args.no_center, test=test, seed=args.seed,
+        mode=args.mode, grid_cfg=grid, center=not args.no_center, test=test,
+        seed=args.seed,
     )
     q2_values = [None] * result.H
     if runs_q2:
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--gamma", type=int, default=5)
     sim.add_argument("--snr", type=float, default=3.0)
     sim.add_argument("--holdout", type=_int_from(0), default=0)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_int_from(0), default=0)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     pth.add_argument("--k-max", type=_int_from(1), required=True)
     pth.add_argument("--budget", type=_int_from(2), default=50)
     pth.add_argument("--rho", type=_open_unit, default=0.9)
-    pth.add_argument("--solver", choices=["adam", "gd"], default="adam")
     pth.set_defaults(func=cmd_path)
 
     fit_p = sub.add_parser("fit", help="fit a multi-component sparse model")
@@ -470,9 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--k-max", type=_int_from(1), default=None)
     fit_p.add_argument("--budget", type=_int_from(2), default=50)
     fit_p.add_argument("--rho", type=_open_unit, default=0.9)
-    fit_p.add_argument("--solver", choices=["adam", "gd"], default="adam")
     fit_p.add_argument("--test", nargs=2, metavar=("X_TEST", "Y_TEST"))
-    fit_p.add_argument("--seed", type=int, default=0)
+    fit_p.add_argument("--seed", type=_int_from(0), default=0)
     fit_p.set_defaults(func=cmd_fit)
 
     orc = sub.add_parser("oracle", help="exhaustive best subsets (small p)")

@@ -33,7 +33,6 @@ from .errors import (
 from .linalg import top_eigpair
 from .objective import MODELS, lambda_max, make_context, response_matrix
 from .path import GridConfig, SolutionPath, Subset, dynamic_grid
-from .solver import SolverConfig
 
 
 @dataclass
@@ -406,10 +405,10 @@ def q2(
     ``supports`` fixes the per-component subsets (e.g. those a fitted
     sparse model chose); by default all components use the full variable
     set. The folds are those of the v-fold picks in ``fit`` at the same
-    ``folds`` and ``seed``. A model other than pls1 or pls2, or folds
-    outside 2..n, raise ParseError; a fold whose training rows hold a
-    constant response column (max == min), or no more rows than the H
-    components, raises DegenerateLoadingError.
+    ``folds`` and ``seed``. A model other than pls1 or pls2, folds outside
+    2..n, or a negative seed raise ParseError; a fold whose training rows
+    hold a constant response column (max == min), or no more rows than the
+    H components, raises DegenerateLoadingError.
     """
     if model not in ("pls1", "pls2"):
         raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
@@ -419,6 +418,8 @@ def q2(
         Y = Y[:, None]
     if not 2 <= folds <= X.shape[0]:
         raise ParseError(f"folds={folds} out of range 2..{X.shape[0]}")
+    if seed < 0:
+        raise ParseError(f"seed={seed} is negative")
     p = X.shape[1]
     q_dim = Y.shape[1]
     if supports is None:
@@ -534,7 +535,7 @@ def _pick_subset_size(
     raise ValueError(f"unknown pick strategy {strategy.kind!r}")
 
 
-def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test):
+def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test, seed):
     """fit's argument checks, in order; returns X, Y, mode, grid_cfg, test as fit uses them."""
     if H < 1:
         raise ParseError(f"H={H}: at least one component is needed")
@@ -552,6 +553,8 @@ def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test):
         raise ParseError("max-cor needs a response; pca has none")
     if test is not None and mode != "regression":
         raise ParseError("a test pair needs a pls model in regression mode")
+    if seed < 0:
+        raise ParseError(f"seed={seed} is negative")
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     if grid_cfg is None:
@@ -588,7 +591,6 @@ def fit(
     strategy: PickStrategy | None = None,
     mode: str = "regression",
     grid_cfg: GridConfig | None = None,
-    solver_cfg: SolverConfig | None = None,
     center: bool = True,
     test: tuple[np.ndarray, np.ndarray] | None = None,
     seed: int = 0,
@@ -605,13 +607,13 @@ def fit(
     mode, H below 1, a missing strategy, and options that cannot be
     combined (min-msep outside regression mode, max-cor on pca, fixed-k
     above K, ``test`` for a model that cannot predict, v-fold folds outside
-    2..n) raise ParseError; shapes that do not fit (K above p, a missing or
-    extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError;
-    v-fold folds whose smallest training fold holds no more rows than the H
-    components DegenerateLoadingError.
+    2..n), and a negative seed raise ParseError; shapes that do not fit (K
+    above p, a missing or extra Y, rows or columns of ``test`` or Y unlike
+    X's) DimensionError; v-fold folds whose smallest training fold holds no
+    more rows than the H components DegenerateLoadingError.
     """
     X, Y, mode, grid_cfg, test = _fit_arguments(X, Y, model, H, strategy, mode,
-                                                grid_cfg, test)
+                                                grid_cfg, test, seed)
     x_means = X.mean(axis=0) if center else np.zeros(X.shape[1])
     X0 = X - x_means
     y_means = Y0 = None
@@ -629,7 +631,7 @@ def fit(
     Xh, Yh = X0, Y0
     for h in range(1, H + 1):
         try:
-            path = dynamic_grid(Xh, Yh, model, grid_cfg, solver_cfg)
+            path = dynamic_grid(Xh, Yh, model, grid_cfg)
             splits = holdout or _splits(X, Y, strategy.folds, seed)
             k = _pick_subset_size(
                 strategy, path, comps, X0, Xh, Yh, model, mode, splits,

@@ -50,7 +50,7 @@ from .objective import (
     lambda_max,
     make_context,
 )
-from .solver import SolverConfig, SolverRun, _initial_t, minimize_batch, unique_rows
+from .solver import SolverRun, _initial_t, minimize_batch, unique_rows
 
 # Candidates per stacked eigen-solve in best_row; bounds the block stack to
 # _BATCH * K^2 floats.
@@ -316,23 +316,23 @@ def _first_step_size(ctx0: ObjectiveContext):
     return lambda lam: int(np.count_nonzero(score > lam))
 
 
-def _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
+def _plan_and_solve(ctx0, lam_top, grid_cfg, runs) -> list[float]:
     """For cheap rows, the schedule planned from the terminal sizes
     _first_step_size predicts, solved in one call; then the schedule
     replayed on the real runs by _solve_on_demand, which solves only what
-    no plan or a wrong prediction left out (a plain gradient descent run
-    may reach solver.MAX_ITER before it passes rho; a run may abort; a
-    pls2 or pca run may end off the predicted set)."""
+    no plan or a wrong prediction left out (a run may reach
+    solver.MAX_ITER before it passes rho; a run may abort; a pls2 or pca
+    run may end off the predicted set)."""
     if _cheap_rows(ctx0):
         predicted = _first_step_size(ctx0)
         plan = _schedule(lam_top, grid_cfg,
                          lambda step, lams, ahead: [predicted(lam) for lam in lams])
         plan = list(dict.fromkeys(plan))
-        runs.update(zip(plan, minimize_batch(ctx0, plan, solver_cfg, grid_cfg.K)))
-    return _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs)
+        runs.update(zip(plan, minimize_batch(ctx0, plan, grid_cfg.K)))
+    return _solve_on_demand(ctx0, lam_top, grid_cfg, runs)
 
 
-def _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
+def _solve_on_demand(ctx0, lam_top, grid_cfg, runs) -> list[float]:
     """The schedule, solving each penalty not yet in runs (a dict from
     penalty to run) when it is first asked for, together with runs it may
     ask for next. A halving of lambda_max not yet solved comes with the
@@ -351,8 +351,7 @@ def _solve_on_demand(ctx0, lam_top, grid_cfg, solver_cfg, runs) -> list[float]:
                         for kid in kids]
         missing = [lam for lam in dict.fromkeys(missing) if lam not in runs]
         if missing:
-            runs.update(zip(missing, minimize_batch(ctx0, missing, solver_cfg,
-                                                    grid_cfg.K)))
+            runs.update(zip(missing, minimize_batch(ctx0, missing, grid_cfg.K)))
         return [_terminal_size(runs[lam], grid_cfg.rho) for lam in lams]
 
     return _schedule(lam_top, grid_cfg, sizes)
@@ -363,7 +362,6 @@ def dynamic_grid(
     Y: np.ndarray | None,
     model: str,
     grid_cfg: GridConfig,
-    solver_cfg: SolverConfig | None = None,
 ) -> SolutionPath:
     """Build the full solution path with a data-driven penalty schedule.
 
@@ -389,8 +387,6 @@ def dynamic_grid(
     the grid continues; if every run aborts, SolverAbort is raised. A K
     above p, or a Y unfit for the model, raises DimensionError first.
     """
-    if solver_cfg is None:
-        solver_cfg = SolverConfig()
     ctx0 = make_context(X, Y, model=model)
     if grid_cfg.K > ctx0.p:
         raise DimensionError(f"K={grid_cfg.K} exceeds p={ctx0.p}")
@@ -402,7 +398,7 @@ def dynamic_grid(
     runs: dict[float, SolverRun | SolverAbort] = {}
     diagnostics: list[LambdaDiagnostic] = []
     traces: list[np.ndarray] = []  # of every successful recorded run
-    for lam in _plan_and_solve(ctx0, lam_top, grid_cfg, solver_cfg, runs):
+    for lam in _plan_and_solve(ctx0, lam_top, grid_cfg, runs):
         run = runs[lam]
         if isinstance(run, SolverAbort):
             diagnostics.append(

@@ -9,13 +9,12 @@ of t.
 One loop serves every caller: minimize_batch runs a whole sweep of
 penalties at once, with r, t and the Adam moments held as (B, p) arrays,
 one row per penalty still running, and one stacked objective evaluation
-per iteration. Each row keeps its own stall counter and ends on its own
-(converged, capped or aborted); rows share no arithmetic, so every row
-gives bit for bit what a run of its penalty alone gives.
+per iteration. Each row ends on its own (converged, capped or aborted);
+rows share no arithmetic, so every row gives bit for bit what a run of
+its penalty alone gives.
 
-A caller chooses only the method (SolverConfig: Adam or plain gradient
-descent); the step, the moments, the stop test and the start point are
-module constants.
+The solver has no settings: the method (Adam), the step, the moments, the
+stop test and the start point are module constants.
 """
 
 from __future__ import annotations
@@ -43,19 +42,7 @@ BETA2 = 0.999
 EPS = 1e-8
 MAX_ITER = 1000
 TOL = 1e-5
-PATIENCE = 10
 T_INIT = 0.5
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Adam (the default) or plain gradient descent with the same step."""
-
-    method: str = "adam"
-
-    def __post_init__(self):
-        if self.method not in ("adam", "gd"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -111,10 +98,10 @@ def unique_rows(A: np.ndarray) -> np.ndarray:
 
 
 def minimize_batch(
-    ctx: ObjectiveContext, lams, cfg: SolverConfig, K: int | None = None
+    ctx: ObjectiveContext, lams, K: int | None = None
 ) -> list[SolverRun | SolverAbort]:
-    """Run Adam or plain gradient descent on g(r) = f(t(r)) for every
-    penalty in ``lams``, in one loop.
+    """Run Adam on g(r) = f(t(r)) for every penalty in ``lams``, in one
+    loop.
 
     Entry b is the run of penalty lams[b], or the SolverAbort that ended
     it when its objective or gradient went non-finite (naming the
@@ -123,8 +110,8 @@ def minimize_batch(
     (see top_k_order) to the run's ``trace`` unless an earlier point of
     that run had the same one. K defaults to p.
 
-    A row terminates once max_j |t_j - t_j_prev| < TOL for PATIENCE
-    consecutive updates (converged) or after MAX_ITER updates.
+    A row terminates at its first update that moves no t_j by TOL or more
+    (converged), or after MAX_ITER updates.
     """
     if K is None:
         K = ctx.p
@@ -140,7 +127,7 @@ def minimize_batch(
     rows = list(range(B))  # penalty index of each row still running
     m = np.zeros_like(T)
     v = np.zeros_like(T)
-    stall = np.zeros(B, dtype=int)
+    quiet = np.zeros(B, dtype=bool)
     warm = None
     it = 0
 
@@ -154,7 +141,7 @@ def minimize_batch(
             warm = ev.dominant.vector
 
         ok = np.isfinite(G).all(axis=1) & np.isfinite(ev.value)
-        done = ~ok | (stall >= PATIENCE)
+        done = ~ok | quiet
         if it >= MAX_ITER:
             done[:] = True
         if done.any():
@@ -168,7 +155,7 @@ def minimize_batch(
                 else:
                     out[b] = SolverRun(
                         trace=unique_rows(np.array(traces[b])),
-                        converged=bool(stall[i] >= PATIENCE),
+                        converged=bool(quiet[i]),
                         iterations=it,
                         # A copy: a view would keep this iterate array
                         # alive as long as the run.
@@ -179,20 +166,17 @@ def minimize_batch(
             if not live.any():
                 return out
             rows = [b for b, keep in zip(rows, live) if keep]
-            lams, T, R, G, m, v, stall = (a[live] for a in (lams, T, R, G, m, v, stall))
+            lams, T, R, G, m, v = (a[live] for a in (lams, T, R, G, m, v))
             if warm is not None:
                 warm = warm[live]
 
         it += 1
-        if cfg.method == "adam":
-            m = BETA1 * m + (1.0 - BETA1) * G
-            v = BETA2 * v + (1.0 - BETA2) * G * G
-            m_hat = m / (1.0 - BETA1**it)
-            v_hat = v / (1.0 - BETA2**it)
-            R = R - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS)
-        else:
-            R = R - LEARNING_RATE * G
+        m = BETA1 * m + (1.0 - BETA1) * G
+        v = BETA2 * v + (1.0 - BETA2) * G * G
+        m_hat = m / (1.0 - BETA1**it)
+        v_hat = v / (1.0 - BETA2**it)
+        R = R - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS)
         T_next = t_of_r(R)
-        stall = (stall + 1) * (np.abs(T_next - T).max(axis=1) < TOL)
+        quiet = np.abs(T_next - T).max(axis=1) < TOL
         T = T_next
 

@@ -32,7 +32,6 @@ from subsetpath.objective import (
 from subsetpath.oracle import exhaustive_path
 from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.simulate import SimConfig, gen_multiresponse, gen_pca_cov
-from subsetpath.solver import SolverConfig
 
 from contexts import pls2_context
 from corner_checks import check_corner_optimality
@@ -139,7 +138,7 @@ def design_replicates():
         )
         xm, ym = inst.X.mean(axis=0), inst.Y.mean(axis=0)
         Xc, Yc = inst.X - xm, inst.Y - ym
-        path = dynamic_grid(Xc, Yc, "pls2", GridConfig(K=15, L=50), SolverConfig())
+        path = dynamic_grid(Xc, Yc, "pls2", GridConfig(K=15, L=50))
         reps.append((inst, Xc, Yc, xm, ym, path))
     return reps
 
@@ -207,7 +206,7 @@ def test_criterion_4_pca_recovery():
         inst = gen_pca_cov(SimConfig(scenario="pca-cov", n=300, p=10, gamma=0,
                                      seed=2000 + rep))
         res = fit(inst.X, model="pca", H=2, strategy=PickStrategy.fixed_k(6),
-                  grid_cfg=GridConfig(K=10, L=50), solver_cfg=SolverConfig())
+                  grid_cfg=GridConfig(K=10, L=50))
         for h in range(2):
             est_zero = set(range(10)) - set(res.components[h].subset.indices.tolist())
             correct[rep, h] = len(est_zero & true_zero[h]) / 4.0
@@ -267,7 +266,7 @@ def test_criterion_6_two_component_improvement():
         for H in (1, 2):
             res = fit(inst.X, inst.Y, model="pls2", H=H,
                       strategy=PickStrategy.min_msep(),
-                      grid_cfg=GridConfig(K=30, L=50), solver_cfg=SolverConfig(),
+                      grid_cfg=GridConfig(K=30, L=50),
                       test=(inst.X_test, inst.Y_test))
             pred = predict(res, inst.X_test)
             msep[H].append(float(np.mean((pred - inst.Y_test) ** 2)))
@@ -361,7 +360,7 @@ def test_criterion_7_structural_invariants():
     assert np.all(np.diff(cpev) >= -1e-12) and np.all(cpev <= 1.0 + 1e-12)
 
     # (f) the dynamic grid's top penalty yields the empty terminal subset
-    path = dynamic_grid(Xc, Yc, "pls2", GridConfig(K=10, L=10), SolverConfig())
+    path = dynamic_grid(Xc, Yc, "pls2", GridConfig(K=10, L=10))
     lam_top, size_top = path.lambda_grid[0]
     assert lam_top == max(l for l, _ in path.lambda_grid)
     assert size_top == 0, "terminal subset at lambda_max is not empty"
@@ -386,7 +385,7 @@ def test_criterion_8_performance_envelope():
     Xc = center_columns(inst.X)
     Yc = inst.Y - inst.Y.mean(axis=0)
     started = time.time()
-    path = dynamic_grid(Xc, Yc, "pls2", GridConfig(K=15, L=50), SolverConfig())
+    path = dynamic_grid(Xc, Yc, "pls2", GridConfig(K=15, L=50))
     elapsed = time.time() - started
     assert elapsed <= 60.0, f"p=500 path took {elapsed:.1f}s"
     assert all(path.buckets[k].best.size == k for k in range(1, 16))

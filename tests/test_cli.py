@@ -106,6 +106,7 @@ class TestSimulateCommand:
         ["--p", "0", "--gamma", "0"],
         ["--q", "0"],
         ["--holdout", "-3"],
+        ["--seed", "-1"],
     ])
     def test_unusable_size_exits_2_before_writing(self, tmp_path, capsys, bad):
         out = tmp_path / "sim"
@@ -319,6 +320,26 @@ class TestFitSeed:
         one = self.fit_cli(sim, tmp_path / "one", 1)
         two = self.fit_cli(sim, tmp_path / "two", 2)
         assert (one / "report.csv").read_bytes() != (two / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("pick", [
+        ["--pick", "min-msep"],
+        ["--pick", "fixed-k=2"],
+        ["--mode", "canonical", "--pick", "max-cor"],
+    ], ids=["min-msep", "fixed-k", "max-cor"])
+    def test_negative_seed_exits_2_before_any_grid(self, sim, tmp_path, capsys,
+                                                   monkeypatch, pick):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a grid was solved before the seed was checked")
+
+        monkeypatch.setattr(components, "dynamic_grid", no_work)
+        out = tmp_path / "out"
+        assert run_cli("fit", "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--components", "2", *pick,
+                       "--seed", "-1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "--seed" in err and "must be at least 0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["path", "oracle"])
     def test_path_and_oracle_take_no_seed(self, sim, tmp_path, capsys, command):
@@ -675,6 +696,8 @@ class TestErrorExits:
         ("fit", "pls2", ["--pick", "min-msep=3"]),
         ("fit", "pls2", ["--pick", "max-cor=abc"]),
         ("fit", "pls2", ["--pick", "min-msep="]),
+        ("path", "pls2", ["--solver", "adam"]),  # the solver has no settings
+        ("fit", "pls2", ["--solver", "adam"]),
     ])
     def test_bad_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                               command, model, bad):

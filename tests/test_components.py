@@ -299,6 +299,12 @@ class TestQ2:
         with pytest.raises(ParseError, match="folds=11 out of range 2..10"):
             q2(X, Y, folds=11)
 
+    def test_negative_seed_raises_parse_error(self):
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
+        with pytest.raises(ParseError, match="seed=-1 is negative"):
+            q2(X, Y, seed=-1)
+
     def test_noise_free_single_component(self):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=0.0, seed=3))
         report = q2(inst.X, inst.Y, model="pls2", H=1, folds=5, seed=0)
@@ -369,7 +375,7 @@ def quick_grid(p):
 
 @pytest.fixture
 def quick_solver(monkeypatch):
-    return solver_config(monkeypatch, MAX_ITER=400)
+    solver_config(monkeypatch, MAX_ITER=400)
 
 
 class TestFit:
@@ -378,7 +384,7 @@ class TestFit:
         X = rng.standard_normal((40, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2])
         result = fit(
             X, model="pca", H=2, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(5), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(5),
         )
         Xc = X - X.mean(axis=0)
         w, V = np.linalg.eigh(Xc.T @ Xc / 40)
@@ -390,7 +396,7 @@ class TestFit:
         X = rng.standard_normal((25, 4))
         result = fit(
             X, model="pca", H=4, strategy=PickStrategy.fixed_k(4),
-            grid_cfg=quick_grid(4), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(4),
         )
         assert result.cpev[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -398,7 +404,7 @@ class TestFit:
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=9))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(15),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(15),
         )
         Xc = inst.X - inst.X.mean(axis=0)
         want = Xc @ result.beta + inst.Y.mean(axis=0)
@@ -408,7 +414,7 @@ class TestFit:
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=10))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(15),
         )
         pred = predict(result, result.x_means[None, :])
         np.testing.assert_allclose(pred[0], result.y_means, atol=1e-10)
@@ -419,7 +425,7 @@ class TestFit:
         Yc = inst.Y - inst.Y.mean(axis=0)
         result = fit(
             Xc, Yc, model="pls2", H=1, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver, center=False,
+            grid_cfg=quick_grid(15), center=False,
         )
         np.testing.assert_allclose(
             predict(result, np.zeros((1, 15))), np.zeros((1, 10)), atol=1e-12
@@ -429,7 +435,7 @@ class TestFit:
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=12))
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(5),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(15),
         )
         with pytest.raises(DimensionError):
             predict(result, np.zeros((2, 7)))
@@ -438,13 +444,13 @@ class TestFit:
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=12))
         with pytest.raises(ValueError, match="exceeds the largest subset size K=12"):
             fit(inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(13),
-                grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver)
+                grid_cfg=GridConfig(K=12, L=10))
 
     def test_deflation_orthogonality_across_fit(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="two-component", sigma=1.5, seed=13))
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.fixed_k(10),
-            grid_cfg=GridConfig(K=12, L=10), solver_cfg=quick_solver,
+            grid_cfg=GridConfig(K=12, L=10),
         )
         # the product-formula weights equal the closed form U (C^T U)^-1
         U = np.column_stack([c.u for c in result.components])
@@ -461,13 +467,13 @@ class TestFit:
         X = rng.standard_normal((60, 8)) @ np.diag([4, 3, 2, 1, 0.5, 0.4, 0.3, 0.2])
         result = fit(
             X, model="pca", H=1, strategy=PickStrategy.cpev_drop(0.10),
-            grid_cfg=quick_grid(8), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(8),
         )
         k_chosen = result.components[0].subset.size
         # rebuild the path and the candidate CPEV curve the strategy saw
         from subsetpath.components import _build_component as bc
         Xc = X - X.mean(axis=0)
-        path = dynamic_grid(Xc, None, "pca", quick_grid(8), quick_solver)
+        path = dynamic_grid(Xc, None, "pca", quick_grid(8))
         cpevs = {}
         for k in range(1, 9):
             trial = bc(Xc, None, "pca", path.buckets[k].best, 1, None)
@@ -485,7 +491,7 @@ class TestFit:
         for H in (1, 2):
             result = fit(
                 inst.X, inst.Y, model="pls2", H=H, strategy=PickStrategy.min_msep(),
-                grid_cfg=GridConfig(K=20, L=16), solver_cfg=quick_solver,
+                grid_cfg=GridConfig(K=20, L=16),
                 test=(inst.X_test, inst.Y_test),
             )
             pred = predict(result, inst.X_test)
@@ -497,7 +503,7 @@ class TestFit:
         result = fit(
             inst.X, inst.Y, model="pls2", H=1,
             strategy=PickStrategy.min_msep(folds=4),
-            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver,
+            grid_cfg=GridConfig(K=15, L=10),
         )
         assert 1 <= result.components[0].subset.size <= 15
 
@@ -506,7 +512,7 @@ class TestFit:
         result = fit(
             inst.X, inst.Y, model="pls2", H=1, mode="canonical",
             strategy=PickStrategy.max_cor(folds=4),
-            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver,
+            grid_cfg=GridConfig(K=15, L=10),
         )
         assert result.beta is None
         assert result.components[0].e is not None
@@ -515,7 +521,7 @@ class TestFit:
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=18))
         result = fit(
             inst.X, inst.Y, model="pls2", H=3, strategy=PickStrategy.fixed_k(7),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(15),
         )
         Xc = inst.X - inst.X.mean(axis=0)
         assert result.W.shape == (15, 3) and result.T.shape == (100, 3)
@@ -525,7 +531,7 @@ class TestFit:
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=17))
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.fixed_k(6),
-            grid_cfg=quick_grid(15), solver_cfg=quick_solver,
+            grid_cfg=quick_grid(15),
         )
         doc = model_to_dict(result)
         assert set(doc) == {
@@ -583,7 +589,7 @@ class TestCrossValidatedPick:
         strategy = PickStrategy(kind=kind, folds=4)
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, mode=mode, strategy=strategy,
-            grid_cfg=GridConfig(K=15, L=10), solver_cfg=quick_solver,
+            grid_cfg=GridConfig(K=15, L=10),
         )
         Xh = inst.X - result.x_means
         Yh = inst.Y - result.y_means
@@ -591,7 +597,7 @@ class TestCrossValidatedPick:
             prev = result.components[:h - 1]
             if prev:
                 Xh, Yh = deflate(Xh, Yh, prev[-1], mode, "pls2")
-            path = dynamic_grid(Xh, Yh, "pls2", GridConfig(K=15, L=10), quick_solver)
+            path = dynamic_grid(Xh, Yh, "pls2", GridConfig(K=15, L=10))
             want = reference_cv_scores(kind, path, [c.subset for c in prev],
                                        inst.X, inst.Y, mode, folds=4, seed=0)
             got = _cv_scores(kind, path, prev, _splits(inst.X, inst.Y, 4, 0), "pls2", mode)
@@ -627,7 +633,7 @@ class TestHoldoutPick:
         )
         result = fit(
             inst.X, inst.Y, model="pls2", H=2, strategy=PickStrategy.min_msep(),
-            grid_cfg=GridConfig(K=20, L=16), solver_cfg=quick_solver,
+            grid_cfg=GridConfig(K=20, L=16),
             test=(inst.X_test, inst.Y_test),
         )
         assert len(calls) == 2
@@ -653,7 +659,7 @@ class TestHoldoutPick:
         for y_test in (inst.Y_test[:, 0], inst.Y_test[:, :1]):
             result = fit(
                 inst.X, inst.Y[:, 0], model="pls1", H=1, strategy=PickStrategy.min_msep(),
-                grid_cfg=GridConfig(K=15, L=12), solver_cfg=quick_solver,
+                grid_cfg=GridConfig(K=15, L=12),
                 test=(inst.X_test, y_test),
             )
             ks.append(result.components[0].subset.size)
@@ -673,15 +679,15 @@ class TestFitArguments:
             SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
         )
 
-    def fit_min_msep(self, inst, solver_cfg=None, **kwargs):
+    def fit_min_msep(self, inst, **kwargs):
         return fit(inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.min_msep(),
-                   grid_cfg=GridConfig(K=15, L=20), solver_cfg=solver_cfg, **kwargs)
+                   grid_cfg=GridConfig(K=15, L=20), **kwargs)
 
     def test_right_test_pair_picks_the_full_set(self, quick_solver):
         inst = gen_multiresponse(
             SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
         )
-        result = self.fit_min_msep(inst, quick_solver, test=(inst.X_test, inst.Y_test))
+        result = self.fit_min_msep(inst, test=(inst.X_test, inst.Y_test))
         assert result.components[0].subset.size == 15
 
     def test_one_response_column_against_ten_rejected(self, data):
@@ -724,8 +730,8 @@ class TestFitArguments:
             fit(data.X, Y, model=model, mode=mode, strategy=strategy, test=pair)
 
     @pytest.mark.parametrize("kwargs", [
-        {"H": 0}, {"mode": "bogus"}, {"model": "bogus"},
-    ], ids=["H-0", "mode-bogus", "model-bogus"])
+        {"H": 0}, {"mode": "bogus"}, {"model": "bogus"}, {"seed": -1},
+    ], ids=["H-0", "mode-bogus", "model-bogus", "seed-negative"])
     def test_bad_option_values_raise_parse_error(self, data, kwargs):
         args = {"model": "pls2", "strategy": PickStrategy.fixed_k(3), **kwargs}
         with pytest.raises(ParseError):
@@ -748,6 +754,6 @@ class TestFitArguments:
             SimConfig(scenario="multiresponse", sigma=1.0, seed=12, holdout=20)
         )
         result = fit(inst.X, inst.Y, model="pls2", strategy=PickStrategy.min_msep(folds=500),
-                     grid_cfg=GridConfig(K=15, L=8), solver_cfg=quick_solver,
+                     grid_cfg=GridConfig(K=15, L=8),
                      test=(inst.X_test, inst.Y_test))
         assert result.H == 1

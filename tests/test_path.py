@@ -22,7 +22,7 @@ from subsetpath.path import (
     score_buckets,
     terminal_subset,
 )
-from subsetpath.solver import SolverConfig, minimize_batch, top_k_order, unique_rows
+from subsetpath.solver import minimize_batch, top_k_order, unique_rows
 from subsetpath.simulate import SimConfig, gen_multiresponse, generate
 
 from contexts import pca_context, pls2_context, solver_config
@@ -405,14 +405,14 @@ def diagnostic(d):
     return (d.lam, d.terminal_size, d.iterations, d.converged, d.objective, d.failed)
 
 
-def sequential_step1(X, Y, model, grid, cfg):
+def sequential_step1(X, Y, model, grid):
     # Step 1 of the grid with every halving solved alone (a batch of one):
     # the diagnostics the grid must record before any bisection.
     ctx0 = make_context(X, Y, model)
     lam_top = lambda_max(ctx0)
 
     def solve(lam):
-        run = minimize_batch(ctx0, [lam], cfg, grid.K)[0]
+        run = minimize_batch(ctx0, [lam], grid.K)[0]
         if isinstance(run, SolverAbort):
             return (lam, -1, run.iteration or 0, False, None, True)
         size = terminal_subset(run.terminal_t, grid.rho).size
@@ -456,8 +456,8 @@ def spy_step1(monkeypatch, edit=None):
     calls = []
     solve = path_module.minimize_batch
 
-    def spy(ctx, lams, cfg, K):
-        runs = solve(ctx, lams, cfg, K)
+    def spy(ctx, lams, K):
+        runs = solve(ctx, lams, K)
         lam_top = lambda_max(ctx)
         if set(lams) <= {lam_top / 2.0**ell for ell in range(64)}:
             calls.append(list(lams))
@@ -491,16 +491,16 @@ class TestSpeculativeStep1:
     @pytest.mark.parametrize("model,branch,p,cfg", SPECULATION_CASES)
     def test_recorded_runs_equal_sequential_reference(self, model, branch, p, cfg,
                                                       monkeypatch):
-        cfg = solver_config(monkeypatch, **cfg)
+        solver_config(monkeypatch, **cfg)
         X, Y = grid_case(model, branch, p=p)
         grid = GridConfig(K=4, L=20)
-        path = dynamic_grid(X, Y, model, grid, cfg)
-        want = sequential_step1(X, Y, model, grid, cfg)
+        path = dynamic_grid(X, Y, model, grid)
+        want = sequential_step1(X, Y, model, grid)
         assert [diagnostic(d) for d in path.diagnostics[:len(want)]] == want
         # The run that reaches K is not the last of its chunk (l = 0, 1, ...).
         chunk = path_module._chunk(make_context(X, Y, model))
         assert want[-1][1] >= grid.K and len(want) % chunk
-        assert_same_path(path, one_at_a_time(monkeypatch, X, Y, model, grid, cfg))
+        assert_same_path(path, one_at_a_time(monkeypatch, X, Y, model, grid))
 
     def test_lambda_max_is_the_first_row_of_the_first_chunk(self, monkeypatch):
         # No lone solve of lambda_max: step 1's first batch starts with it.
@@ -556,7 +556,7 @@ class TestSpeculativeStep1:
         assert [lam for lam, _ in path.lambda_grid] == [
             lam_top / 2.0**ell for ell in range(L)]
         assert all(size < grid.K for _, size in path.lambda_grid)
-        want = sequential_step1(X, Y, "pls2", grid, SolverConfig())
+        want = sequential_step1(X, Y, "pls2", grid)
         assert [diagnostic(d) for d in path.diagnostics] == want
 
     def test_row_aborting_mid_chunk(self, monkeypatch):
@@ -598,7 +598,7 @@ class TestSpeculativeStep1:
         monkeypatch.setattr(path_module, "_chunk", lambda ctx0: 3)
         on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
-        first = sequential_step1(X, Y, "pls2", GridConfig(K=10, L=4), SolverConfig())
+        first = sequential_step1(X, Y, "pls2", GridConfig(K=10, L=4))
         K = first[3][1]
         assert K > first[2][1]
         calls = spy_step1(monkeypatch)
@@ -615,8 +615,8 @@ def spy_step2(monkeypatch, edit=None):
     calls = []
     solve = path_module.minimize_batch
 
-    def spy(ctx, lams, cfg, K):
-        runs = solve(ctx, lams, cfg, K)
+    def spy(ctx, lams, K):
+        runs = solve(ctx, lams, K)
         lam_top = lambda_max(ctx)
         if not set(lams) <= {lam_top / 2.0**ell for ell in range(64)}:
             calls.append(list(lams))
@@ -692,7 +692,7 @@ class TestSpeculativeBisection:
         # budget spent on recorded runs, however many it solved ahead.
         X, Y = grid_case("pls2", "v", p=16, seed=2)
         grid = GridConfig(K=16, L=L)
-        assert len(sequential_step1(X, Y, "pls2", grid, SolverConfig())) == 11
+        assert len(sequential_step1(X, Y, "pls2", grid)) == 11
         calls = spy_step2(monkeypatch)
         path = dynamic_grid(X, Y, "pls2", grid)
         assert len(path.diagnostics) == L
@@ -723,18 +723,17 @@ class TestSpeculativeBisection:
         assert [d.lam for d in path.diagnostics[-len(swept):]] == swept
 
 
-def sequential_path(X, Y, model, grid, cfg=None):
+def sequential_path(X, Y, model, grid):
     # The path with every penalty of the schedule solved alone (a batch of one),
     # in record order, the schedule written out here on its own: lambda_max
     # and its halvings until a terminal size reaches K, then left-to-right
     # sweeps that bisect every gap of more than one size, within L.
-    cfg = cfg or SolverConfig()
     ctx0 = make_context(X, Y, model)
     lam_top = lambda_max(ctx0)
     diagnostics, traces = [], []
 
     def solve(lam):
-        run = minimize_batch(ctx0, [lam], cfg, grid.K)[0]
+        run = minimize_batch(ctx0, [lam], grid.K)[0]
         if isinstance(run, SolverAbort):
             diagnostics.append(LambdaDiagnostic(lam, -1, run.iteration or 0, False, None,
                                                 failed=True))
@@ -770,9 +769,9 @@ def spy_calls(monkeypatch):
     calls = []
     solve = path_module.minimize_batch
 
-    def spy(ctx, lams, cfg, K):
+    def spy(ctx, lams, K):
         calls.append(list(lams))
-        return solve(ctx, lams, cfg, K)
+        return solve(ctx, lams, K)
 
     monkeypatch.setattr(path_module, "minimize_batch", spy)
     return calls
@@ -798,10 +797,10 @@ PLAN_CASES = [
     (12, 12, 6, {}),
     (12, 12, 16, {}),
     (12, 12, 20, {}),
-    (12, 12, 30, dict(method="gd")),
+    (12, 12, 30, dict(MAX_ITER=13)),  # no run passes rho in time: mispredicted
     (12, 6, 20, dict(T_INIT=t_init_array(12))),
     (120, 20, 30, {}),
-    (120, 20, 16, dict(method="gd")),
+    (120, 20, 16, dict(MAX_ITER=13)),
     (120, 20, 30, dict(T_INIT=t_init_array(120))),
 ]
 
@@ -813,16 +812,18 @@ class TestPls1Plan:
 
     @pytest.mark.parametrize("p,K,L,cfg", PLAN_CASES)
     def test_path_equals_the_sequential_reference(self, p, K, L, cfg, monkeypatch):
-        cfg = solver_config(monkeypatch, **cfg)
+        solver_config(monkeypatch, **cfg)
         X, y = grid_case("pls1", p=p)
         grid = GridConfig(K=K, L=L)
-        got = dynamic_grid(X, y, "pls1", grid, cfg)
+        calls = spy_calls(monkeypatch)
+        got = dynamic_grid(X, y, "pls1", grid)
         assert len(got.diagnostics) <= L
-        assert_same_path(got, sequential_path(X, y, "pls1", grid, cfg))
+        if "MAX_ITER" in cfg:  # the cap ends runs short of rho: the plan mispredicts
+            assert len(calls) > 1
+        assert_same_path(got, sequential_path(X, y, "pls1", grid))
 
     @pytest.mark.parametrize("case", ["p10", "p120", "t_init", "tied"])
     def test_prediction_that_holds_makes_one_call(self, case, monkeypatch):
-        cfg = SolverConfig()
         if case == "tied":
             (X, y), grid = tied_pls1_case(), GridConfig(K=5, L=10)
         else:
@@ -830,31 +831,28 @@ class TestPls1Plan:
             X, y = grid_case("pls1", p=p)
             grid = GridConfig(K=p if p == 10 else 20, L=30)
             if case == "t_init":
-                cfg = solver_config(monkeypatch, T_INIT=t_init_array(p))
+                solver_config(monkeypatch, T_INIT=t_init_array(p))
         calls = spy_calls(monkeypatch)
-        path = dynamic_grid(X, y, "pls1", grid, cfg)
+        path = dynamic_grid(X, y, "pls1", grid)
         assert calls == [[d.lam for d in path.diagnostics]]
         if case == "tied":
             assert [d.terminal_size for d in path.diagnostics[:5]] == [0, 0, 1, 1, 5]
-        assert_same_path(path, sequential_path(X, y, "pls1", grid, cfg))
+        assert_same_path(path, sequential_path(X, y, "pls1", grid))
 
-    @pytest.mark.parametrize("fault", ["off_by_one", "max_iter", "gd"])
+    @pytest.mark.parametrize("fault", ["off_by_one", "max_iter"])
     def test_misprediction_solves_only_missing_penalties(self, fault, monkeypatch):
         X, y = grid_case("pls1", p=12)
         grid = GridConfig(K=12, L=20)
-        cfg = SolverConfig()
         if fault == "off_by_one":
             predict = path_module._first_step_size
             monkeypatch.setattr(
                 path_module, "_first_step_size",
                 lambda ctx0: lambda lam: predict(ctx0)(lam) + 1)
-        elif fault == "max_iter":
-            cfg = solver_config(monkeypatch, MAX_ITER=12)  # no run passes rho in time
         else:
-            cfg = SolverConfig(method="gd")  # nor here, within 1000 steps
+            solver_config(monkeypatch, MAX_ITER=12)  # no run passes rho in time
         calls = spy_calls(monkeypatch)
-        got = dynamic_grid(X, y, "pls1", grid, cfg)
-        assert_same_path(got, sequential_path(X, y, "pls1", grid, cfg))
+        got = dynamic_grid(X, y, "pls1", grid)
+        assert_same_path(got, sequential_path(X, y, "pls1", grid))
         # Each call after the first solves only penalties no earlier call
         # solved, and a prediction proven wrong is not planned on again.
         solved = [lam for call in calls for lam in call]
@@ -935,12 +933,12 @@ class TestPls2Plan:
     def test_start_point_enters_the_prediction(self, monkeypatch):
         # A start vector moves the predicted sizes and the runs alike.
         X, Y = cert_case(50)
-        cfg = solver_config(monkeypatch, T_INIT=t_init_array(15))
-        got = dynamic_grid(X, Y, "pls2", CERT_GRID, cfg)
+        solver_config(monkeypatch, T_INIT=t_init_array(15))
+        got = dynamic_grid(X, Y, "pls2", CERT_GRID)
         predicted = path_module._first_step_size(make_context(X, Y, "pls2"))
         assert [predicted(d.lam) for d in got.diagnostics] == [
             d.terminal_size for d in got.diagnostics]
-        assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID, cfg))
+        assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID))
 
     @pytest.mark.parametrize("seed", [50, 51, 52])
     def test_prediction_that_holds_makes_one_call(self, seed, monkeypatch):
@@ -985,10 +983,10 @@ class TestPcaPlan:
         (110, GridConfig(K=4, L=20), dict(MAX_ITER=40)),  # n = 40 < p
     ], ids=["G10", "G15", "M110"])
     def test_path_equals_the_sequential_reference(self, p, grid, constants, monkeypatch):
-        cfg = solver_config(monkeypatch, **constants)
+        solver_config(monkeypatch, **constants)
         X, _ = grid_case("pca", p=p)
-        got = dynamic_grid(X, None, "pca", grid, cfg)
-        assert_same_path(got, sequential_path(X, None, "pca", grid, cfg))
+        got = dynamic_grid(X, None, "pca", grid)
+        assert_same_path(got, sequential_path(X, None, "pca", grid))
 
     def test_prediction_that_holds_makes_one_call(self, monkeypatch):
         # A near-tied multiresponse spectrum on the G kernel: every run ends

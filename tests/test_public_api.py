@@ -28,7 +28,7 @@ PUBLIC_NAMES = sorted([
     # simulate
     "MetricsReport", "SimConfig", "SimInstance", "generate", "metrics",
     # solver
-    "SolverConfig", "SolverRun", "minimize_batch",
+    "SolverRun", "minimize_batch",
 ])
 
 

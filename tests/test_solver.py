@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -9,7 +9,7 @@ from subsetpath.errors import SolverAbort
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
 from subsetpath.objective import lambda_max, make_context
 from subsetpath.path import GridConfig, dynamic_grid
-from subsetpath.solver import SolverConfig, minimize_batch, top_k_order
+from subsetpath.solver import minimize_batch, top_k_order
 
 from contexts import pls2_context, solver_config
 
@@ -56,12 +56,12 @@ class TestMinimize:
         ctx = pls1_context(z)
         grad_at_full = lam - 2.0 * z**2
         assert np.all(grad_at_full > 0.0)  # increasing through the cube
-        run = minimize_batch(ctx, [lam], SolverConfig())[0]
+        run = minimize_batch(ctx, [lam])[0]
         assert np.all(run.terminal_t < 1e-3)
 
     def test_zero_penalty_drives_full_model(self):
         ctx = pls1_context(np.array([0.5, 1.0, 0.8]))
-        run = minimize_batch(ctx, [0.0], SolverConfig())[0]
+        run = minimize_batch(ctx, [0.0])[0]
         assert np.all(run.terminal_t > 1.0 - 1e-3)
 
     def test_three_penalties_reach_three_corners(self):
@@ -70,7 +70,7 @@ class TestMinimize:
         ctx = pls1_context(np.array([0.5, 1.0]))
         terminal = {}
         for lam in (0.1, 0.6, 3.0):
-            run = minimize_batch(ctx, [lam], SolverConfig())[0]
+            run = minimize_batch(ctx, [lam])[0]
             terminal[lam] = (run.terminal_t > 0.5).astype(int)
         assert terminal[0.1].tolist() == [1, 1]
         assert terminal[0.6].tolist() == [0, 1]
@@ -88,35 +88,37 @@ class TestMinimize:
             ctx = make_context(X, Y, model)
         else:
             ctx = make_context(X, model="pca")
-        run = minimize_batch(ctx, [0.05], solver_config(monkeypatch, MAX_ITER=200))[0]
+        solver_config(monkeypatch, MAX_ITER=200)
+        run = minimize_batch(ctx, [0.05])[0]
         assert len(iterates) == run.iterations + 1
         for t, _ in iterates:
             assert np.all(t >= 0.0) and np.all(t <= 1.0)
         np.testing.assert_array_equal(run.terminal_t, iterates[-1][0])
         assert run.objective == iterates[-1][1]
 
-    def test_plain_gd_objective_non_increasing(self, iterates, monkeypatch):
-        # Coordinatewise Lipschitz constant of the gradient is 2 z_j^2;
-        # a step below 1/L makes descent monotone.
-        z = np.array([0.5, 1.0, 0.8, 0.3])
-        ctx = pls1_context(z)
-        lr = 0.4 / (2.0 * np.max(z**2))
-        cfg = solver_config(monkeypatch, method="gd", LEARNING_RATE=lr)
-        run = minimize_batch(ctx, [0.1], cfg)[0]
-        objs = [value for _, value in iterates]
-        assert len(objs) == run.iterations + 1
-        diffs = np.diff(objs)
-        assert np.all(diffs <= 1e-12)
+    @pytest.mark.parametrize("model", ["pls1", "pls2", "pca"])
+    def test_converged_row_stops_at_its_first_quiet_update(self, model, iterates):
+        # The last update moves every t_j by less than TOL; each earlier one
+        # moves some t_j by TOL or more.
+        rng = np.random.default_rng(10)
+        X = center_columns(rng.standard_normal((20, 5)))
+        Y = None if model == "pca" else center_columns(rng.standard_normal((20, 3)))
+        ctx = make_context(X, Y[:, 0] if model == "pls1" else Y, model)
+        run = minimize_batch(ctx, [0.05])[0]
+        assert run.converged and run.iterations < solver.MAX_ITER
+        assert len(iterates) == run.iterations + 1
+        moves = [np.abs(b - a).max() for (a, _), (b, _) in zip(iterates, iterates[1:])]
+        assert moves[-1] < solver.TOL
+        assert min(moves[:-1]) >= solver.TOL
 
     def test_determinism(self, iterates):
         rng = np.random.default_rng(2)
         X = center_columns(rng.standard_normal((25, 6)))
         Y = center_columns(rng.standard_normal((25, 4)))
         ctx = make_context(X, Y, "pls2")
-        cfg = SolverConfig()
-        run1 = minimize_batch(ctx, [0.1], cfg)[0]
+        run1 = minimize_batch(ctx, [0.1])[0]
         first = iterates[:]
-        run2 = minimize_batch(ctx, [0.1], cfg)[0]
+        run2 = minimize_batch(ctx, [0.1])[0]
         second = iterates[len(first):]
         assert run1.iterations == run2.iterations
         assert run1.converged == run2.converged
@@ -131,7 +133,7 @@ class TestMinimize:
         y = np.array([1e200, -1e200])
         with np.errstate(over="ignore"):
             ctx = make_context(X, y, "pls1")  # z overflows to inf
-            run = minimize_batch(ctx, [0.0], SolverConfig())[0]
+            run = minimize_batch(ctx, [0.0])[0]
         assert isinstance(run, SolverAbort)
         assert "iteration 0" in str(run)
 
@@ -141,7 +143,7 @@ class TestMinimize:
         Y = np.array([[1e200, 1.0], [-1e200, 1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
             ctx = pls2_context(X, Y, branch)
-            run = minimize_batch(ctx, [0.0], SolverConfig())[0]
+            run = minimize_batch(ctx, [0.0])[0]
             assert isinstance(run, SolverAbort)
             assert "iteration 0" in str(run)
             with pytest.raises(SolverAbort, match="cannot start the grid"):
@@ -151,13 +153,14 @@ class TestMinimize:
         # Every run starts at the constant vector T_INIT, inside (0, 1).
         assert 0.0 < solver.T_INIT < 1.0
         ctx = pls1_context(np.array([0.5, 1.0]))
-        minimize_batch(ctx, [0.0, 0.3], SolverConfig())
+        minimize_batch(ctx, [0.0, 0.3])
         np.testing.assert_array_equal(iterates[0][0], [solver.T_INIT] * 2)
         np.testing.assert_array_equal(iterates[1][0], [solver.T_INIT] * 2)
 
     def test_max_iter_cap_reported(self, iterates, monkeypatch):
         ctx = pls1_context(np.array([0.5, 1.0]))
-        run = minimize_batch(ctx, [0.0], solver_config(monkeypatch, MAX_ITER=5))[0]
+        solver_config(monkeypatch, MAX_ITER=5)
+        run = minimize_batch(ctx, [0.0])[0]
         assert not run.converged
         assert run.iterations == 5
         assert len(iterates) == 6  # initial point plus five updates
@@ -195,7 +198,8 @@ class TestStreamedOrderings:
             ctx = make_context(X, rng.standard_normal(30), model)
         else:
             ctx = make_context(X, center_columns(rng.standard_normal((30, 3))), model)
-        run = minimize_batch(ctx, [0.02], solver_config(monkeypatch, MAX_ITER=300), K=5)[0]
+        solver_config(monkeypatch, MAX_ITER=300)
+        run = minimize_batch(ctx, [0.02], K=5)[0]
         want = []
         for t, _ in iterates:
             order = tuple(int(j) for j in np.argsort(-t, kind="stable")[:5])
@@ -208,7 +212,7 @@ class TestStreamedOrderings:
     def test_k_out_of_range_rejected(self):
         ctx = pls1_context(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
-            minimize_batch(ctx, [0.0], SolverConfig(), K=3)
+            minimize_batch(ctx, [0.0], K=3)
 
 
 def sweep_context(model, branch=None, p=8, n=30, seed=12):
@@ -246,20 +250,20 @@ class TestBatchedSweep:
         n = 40 if p > 10 else 30
         ctx = sweep_context(model, branch, p=p, n=n)
         lams = lambda_max(ctx) * np.array([0.9, 0.45, 0.2, 0.07])
-        cfg = solver_config(monkeypatch, MAX_ITER=max_iter)
+        solver_config(monkeypatch, MAX_ITER=max_iter)
         power_steps, finished = [], []
         steps, finish = linalg._power_steps, linalg._dense_finish
         monkeypatch.setattr(linalg, "_power_steps",
                             lambda *a: power_steps.append(1) or steps(*a))
         monkeypatch.setattr(linalg, "_dense_finish",
                             lambda A, rest, *a: finished.append(rest.sum()) or finish(A, rest, *a))
-        batch = minimize_batch(ctx, lams, cfg, K=min(p, 6))
+        batch = minimize_batch(ctx, lams, K=min(p, 6))
         dim = {"pls1": 0, "pls2": 3 if branch == "v" else p, "pca": min(n, p)}[model]
         assert bool(power_steps) == (dim > EIGH_CROSSOVER)
         if (model, p) == ("pca", 15):
             assert sum(finished) > 0
         for lam, run in zip(lams, batch):
-            assert_same_run(run, minimize_batch(ctx, [lam], cfg, K=min(p, 6))[0])
+            assert_same_run(run, minimize_batch(ctx, [lam], K=min(p, 6))[0])
         if max_iter == 1000:
             # Rows stop at different iterations, so the batch shrinks mid-loop.
             assert len({run.iterations for run in batch}) > 1
@@ -268,7 +272,6 @@ class TestBatchedSweep:
     def test_non_finite_row_aborts_alone(self, field, monkeypatch):
         ctx = sweep_context("pls2", "v")
         lams = lambda_max(ctx) * np.array([0.6, 0.3, 0.1])
-        cfg = SolverConfig()
         calls = itertools.count()
         evaluate = solver.eval_batch
 
@@ -279,31 +282,24 @@ class TestBatchedSweep:
             return ev
 
         monkeypatch.setattr(solver, "eval_batch", poisoned)
-        batch = minimize_batch(ctx, lams, cfg)
+        batch = minimize_batch(ctx, lams)
         monkeypatch.undo()
         assert isinstance(batch[1], SolverAbort)
         assert batch[1].iteration == 5 and "iteration 5" in str(batch[1])
         for i in (0, 2):
-            assert_same_run(batch[i], minimize_batch(ctx, [lams[i]], cfg)[0])
+            assert_same_run(batch[i], minimize_batch(ctx, [lams[i]])[0])
 
     def test_single_row_abort_is_returned(self):
         with np.errstate(over="ignore"):
             ctx = make_context(np.array([[1e200], [-1e200]]),
                                np.array([1e200, -1e200]), "pls1")
-            (run,) = minimize_batch(ctx, [0.0], SolverConfig())
+            (run,) = minimize_batch(ctx, [0.0])
         assert isinstance(run, SolverAbort) and run.iteration == 0
 
 
-class TestSolverConfig:
-    def test_rejects_bad_method(self):
-        with pytest.raises(ValueError):
-            SolverConfig(method="newton")
-
-    def test_method_is_the_only_setting(self):
-        assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == ("method",)
-        with pytest.raises(TypeError):
-            SolverConfig(max_iter=40)
+class TestSolverConstants:
+    def test_no_setting_is_left(self):
+        assert list(inspect.signature(minimize_batch).parameters) == ["ctx", "lams", "K"]
         assert (solver.LEARNING_RATE, solver.BETA1, solver.BETA2, solver.EPS) == (
             0.05, 0.9, 0.999, 1e-8)
-        assert (solver.MAX_ITER, solver.TOL, solver.PATIENCE, solver.T_INIT) == (
-            1000, 1e-5, 10, 0.5)
+        assert (solver.MAX_ITER, solver.TOL, solver.T_INIT) == (1000, 1e-5, 0.5)
