@@ -57,10 +57,11 @@ EXIT_CODES = {
 
 
 def read_csv_matrix(path: str) -> np.ndarray:
-    """Read a numeric CSV, skipping a single non-numeric header row."""
+    """Read a numeric UTF-8 CSV. A leading BOM is ignored; a first row with
+    no numeric field is a header and is skipped."""
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for i, row in enumerate(reader):
                 if not row:
@@ -68,17 +69,16 @@ def read_csv_matrix(path: str) -> np.ndarray:
                 try:
                     rows.append([float(x) for x in row])
                 except ValueError as exc:
-                    if i == 0 and not rows:
+                    bad = [j for j, x in enumerate(row) if not _is_float(x)]
+                    if i == 0 and len(bad) == len(row):
                         continue  # header row
-                    bad = next(
-                        (j for j, x in enumerate(row) if not _is_float(x)), None
-                    )
                     raise ParseError(
-                        f"{path}: non-numeric value at row {i + 1}, column "
-                        f"{(bad or 0) + 1}"
+                        f"{path}: non-numeric value at row {i + 1}, column {bad[0] + 1}"
                     ) from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
     width = len(rows[0])
@@ -203,7 +203,7 @@ def cmd_simulate(args) -> int:
 def cmd_path(args) -> int:
     started = time.time()
     X, Y = _load_xy(args)
-    grid = GridConfig(K=args.k_max, L=args.budget, rho=args.rho)
+    grid = GridConfig(K=args.k_max, L=args.budget)
     path = dynamic_grid(X, Y, args.model, grid)
     out = _outdir(args)
     with open(out / "path.json", "w", encoding="utf-8") as fh:
@@ -227,7 +227,7 @@ def cmd_fit(args) -> int:
     if runs_q2 and args.folds > X.shape[0]:
         raise ParseError(f"--folds {args.folds} exceeds the {X.shape[0]} rows of X")
     test = tuple(read_finite_matrix(f) for f in args.test) if args.test else None
-    grid = GridConfig(K=args.k_max or X.shape[1], L=args.budget, rho=args.rho)
+    grid = GridConfig(K=args.k_max or X.shape[1], L=args.budget)
     strategy = replace(args.pick, folds=args.folds)
     if runs_q2:  # Q2's folds are refused before any grid, after what fit refuses first
         _fit_arguments(X, Y, args.model, args.components, strategy, args.mode, grid, test,
@@ -398,17 +398,6 @@ def _int_from(low: int):
     return parse
 
 
-def _open_unit(text: str) -> float:
-    """argparse type: a float strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
-    return value
-
-
 PICK_FORMS = "fixed-k=K, cpev-drop=F, min-msep, max-cor"
 
 
@@ -455,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     common_model_flags(pth)
     pth.add_argument("--k-max", type=_int_from(1), required=True)
     pth.add_argument("--budget", type=_int_from(2), default=50)
-    pth.add_argument("--rho", type=_open_unit, default=0.9)
     pth.set_defaults(func=cmd_path)
 
     fit_p = sub.add_parser("fit", help="fit a multi-component sparse model")
@@ -468,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--folds", type=_int_from(2), default=5)
     fit_p.add_argument("--k-max", type=_int_from(1), default=None)
     fit_p.add_argument("--budget", type=_int_from(2), default=50)
-    fit_p.add_argument("--rho", type=_open_unit, default=0.9)
     fit_p.add_argument("--test", nargs=2, metavar=("X_TEST", "Y_TEST"))
     fit_p.add_argument("--seed", type=_int_from(0), default=0)
     fit_p.set_defaults(func=cmd_fit)

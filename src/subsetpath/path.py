@@ -56,6 +56,11 @@ from .solver import SolverRun, _initial_t, minimize_batch, unique_rows
 # _BATCH * K^2 floats.
 _BATCH = 256
 
+# Terminal threshold: a run selects the coordinates with t_j > RHO. Terminal
+# t saturates, ending above 0.99 or at most 0.1 on every workload measured,
+# so the subset does not depend on the value.
+RHO = 0.9
+
 # Relative slack of score_buckets' trace bound. A trace summed in visit
 # order is off from the exact one by about 2k eps relative, and eigvalsh's
 # backward error is about k eps lambda (2e-14 and 1e-14 at k = 50); a slack
@@ -134,20 +139,16 @@ class SizeBucket:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """L bounds the number of runs the grid records, aborted ones included;
-    rho thresholds terminal t."""
+    """L bounds the number of runs the grid records, aborted ones included."""
 
     K: int
     L: int = 50
-    rho: float = 0.9
 
     def __post_init__(self):
         if self.L < 2:
             raise ValueError("grid budget L must be at least 2")
         if self.K < 1:
             raise ValueError("largest subset size K must be at least 1")
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must lie in (0, 1)")
 
 
 @dataclass
@@ -229,12 +230,10 @@ def _chunk(ctx0: ObjectiveContext) -> int:
     return 16 if _cheap_rows(ctx0) else 8
 
 
-def terminal_subset(t: np.ndarray, rho: float) -> Subset:
-    """Threshold the terminal point: bit j is set iff t_j > rho (strict)."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must lie in (0, 1)")
+def terminal_subset(t: np.ndarray) -> Subset:
+    """Threshold the terminal point: bit j is set iff t_j > RHO (strict)."""
     t = np.asarray(t)
-    return Subset(t.shape[0], tuple(np.flatnonzero(t > rho).tolist()))
+    return Subset(t.shape[0], tuple(np.flatnonzero(t > RHO).tolist()))
 
 
 def _schedule(lam_top: float, grid_cfg: GridConfig, sizes) -> list[float]:
@@ -289,11 +288,11 @@ def _schedule(lam_top: float, grid_cfg: GridConfig, sizes) -> list[float]:
     return lams
 
 
-def _terminal_size(run: SolverRun | SolverAbort, rho: float) -> int:
+def _terminal_size(run: SolverRun | SolverAbort) -> int:
     """Terminal size of a run, or -1 if it aborted."""
     if isinstance(run, SolverAbort):
         return -1
-    return terminal_subset(run.terminal_t, rho).size
+    return terminal_subset(run.terminal_t).size
 
 
 def _first_step_size(ctx0: ObjectiveContext):
@@ -307,7 +306,7 @@ def _first_step_size(ctx0: ObjectiveContext):
     eigenvector of the t0-scaled G. The pls1 objective is separable and
     concave in each t_j, so t_j moves away from its stationary point
     lam / (2 z_j^2), and the run at lam ends on {j : g_j > lam} if it runs
-    long enough to pass rho. For pls2 and pca the eigenvector turns as t
+    long enough to pass RHO. For pls2 and pca the eigenvector turns as t
     moves; the runs measured still ended on that set at 65-100% of the
     penalties, and at half of them on a near-tied pca spectrum with
     p = 500 (BENCH_23.json)."""
@@ -321,7 +320,7 @@ def _plan_and_solve(ctx0, lam_top, grid_cfg, runs) -> list[float]:
     _first_step_size predicts, solved in one call; then the schedule
     replayed on the real runs by _solve_on_demand, which solves only what
     no plan or a wrong prediction left out (a run may reach
-    solver.MAX_ITER before it passes rho; a run may abort; a pls2 or pca
+    solver.MAX_ITER before it passes RHO; a run may abort; a pls2 or pca
     run may end off the predicted set)."""
     if _cheap_rows(ctx0):
         predicted = _first_step_size(ctx0)
@@ -352,7 +351,7 @@ def _solve_on_demand(ctx0, lam_top, grid_cfg, runs) -> list[float]:
         missing = [lam for lam in dict.fromkeys(missing) if lam not in runs]
         if missing:
             runs.update(zip(missing, minimize_batch(ctx0, missing, grid_cfg.K)))
-        return [_terminal_size(runs[lam], grid_cfg.rho) for lam in lams]
+        return [_terminal_size(runs[lam]) for lam in lams]
 
     return _schedule(lam_top, grid_cfg, sizes)
 
@@ -406,7 +405,7 @@ def dynamic_grid(
             )
             continue
         diagnostics.append(LambdaDiagnostic(
-            lam, _terminal_size(run, grid_cfg.rho), run.iterations, run.converged,
+            lam, _terminal_size(run), run.iterations, run.converged,
             run.objective,
         ))
         traces.append(run.trace)

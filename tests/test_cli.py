@@ -39,6 +39,51 @@ class TestCsvIo:
         A = read_csv_matrix(str(tmp_path / "h.csv"))
         np.testing.assert_array_equal(A, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("first, column", [
+        ("1.0,1O.5,3.0", 2),   # a letter O for a zero
+        ("1.0,2.0,", 3),       # a trailing comma
+        ("x,2.0,y", 1),        # a header row with a numeric field
+    ])
+    def test_first_row_with_a_number_is_data(self, tmp_path, capsys, first, column):
+        # Row 1 is a header only when none of its fields is a number; a
+        # malformed first data row is refused, not dropped.
+        path = tmp_path / "x.csv"
+        path.write_text(f"{first}\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
+        code = run_cli("path", "--model", "pls1", "--x", str(path), "--y", str(path),
+                       "--k-max", "1", "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: non-numeric value at row 1, column {column}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("header", ["", "a,b,c\r\n"], ids=["plain", "header"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, header):
+        A = np.arange(18.0).reshape(6, 3) / 7.0
+        write_csv_matrix(tmp_path / "plain.csv", A)
+        body = header.encode() + (tmp_path / "plain.csv").read_bytes()
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + body)
+        np.testing.assert_array_equal(read_csv_matrix(str(tmp_path / "bom.csv")), A)
+
+    @pytest.mark.parametrize("command", ["path", "fit", "oracle", "metrics"])
+    def test_not_utf8_exits_2(self, tmp_path, capsys, command):
+        write_csv_matrix(tmp_path / "y.csv", np.arange(6.0)[:, None])
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"\xff\xfe" + "1.0,2.0,3.0\n".encode("utf-16-le"))
+        out = tmp_path / "out"
+        if command == "metrics":
+            (tmp_path / "truth.json").write_text('{"p": 3, "support": [0]}')
+            argv = ["metrics", "--truth", str(tmp_path / "truth.json"), "--subset", "0",
+                    "--pred", str(bad), "--test", str(tmp_path / "y.csv")]
+        else:
+            argv = [command, "--model", "pls1", "--x", str(bad),
+                    "--y", str(tmp_path / "y.csv")]
+            argv += {"path": ["--k-max", "1"], "fit": ["--pick", "fixed-k=1"],
+                     "oracle": []}[command]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_malformed_cell_names_location(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("1.0,2.0\n3.0,oops\n")
         code = run_cli(
@@ -678,7 +723,7 @@ class TestErrorExits:
     @pytest.mark.parametrize("command, model, bad", [
         ("path", "pls2", ["--budget", "1"]),
         ("path", "pls2", ["--budget", "0"]),
-        ("path", "pls2", ["--rho", "1.5"]),
+        ("path", "pls2", ["--rho", "0.9"]),  # the terminal threshold is a constant
         ("path", "pls2", ["--k-max", "0"]),
         ("fit", "pls2", ["--folds", "1"]),
         ("fit", "pls2", ["--folds", "1000"]),
@@ -698,6 +743,7 @@ class TestErrorExits:
         ("fit", "pls2", ["--pick", "min-msep="]),
         ("path", "pls2", ["--solver", "adam"]),  # the solver has no settings
         ("fit", "pls2", ["--solver", "adam"]),
+        ("fit", "pls2", ["--rho", "0.9"]),
     ])
     def test_bad_flag_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                               command, model, bad):

@@ -306,14 +306,20 @@ class TestSelectBest:
 
 
 class TestTerminalSubset:
+    def test_threshold_is_a_constant(self):
+        assert path_module.RHO == 0.9
+        with pytest.raises(TypeError):
+            GridConfig(K=3, rho=0.9)
+
     def test_threshold(self):
-        assert terminal_subset(np.array([0.99, 0.01]), 0.9).bits == (1, 0)
+        assert terminal_subset(np.array([0.99, 0.01])).bits == (1, 0)
 
     def test_boundary_is_strict(self):
-        assert terminal_subset(np.array([0.9, 0.9]), 0.9).bits == (0, 0)
+        rho = path_module.RHO
+        assert terminal_subset(np.array([rho, rho])).bits == (0, 0)
 
     def test_full_vector(self):
-        assert terminal_subset(np.ones(3), 0.5).bits == (1, 1, 1)
+        assert terminal_subset(np.ones(3)).bits == (1, 1, 1)
 
 
 class TestDynamicGrid:
@@ -415,7 +421,7 @@ def sequential_step1(X, Y, model, grid):
         run = minimize_batch(ctx0, [lam], grid.K)[0]
         if isinstance(run, SolverAbort):
             return (lam, -1, run.iteration or 0, False, None, True)
-        size = terminal_subset(run.terminal_t, grid.rho).size
+        size = terminal_subset(run.terminal_t).size
         return (lam, size, run.iterations, run.converged, run.objective, False)
 
     runs = [solve(lam_top)]
@@ -524,7 +530,7 @@ class TestSpeculativeStep1:
 
         def poison(lams, runs, K):
             sizes = [-1 if isinstance(r, SolverAbort)
-                     else terminal_subset(r.terminal_t, 0.9).size for r in runs]
+                     else terminal_subset(r.terminal_t).size for r in runs]
             first = next((i for i, k in enumerate(sizes) if k >= K), len(runs))
             discarded.extend(lams[first + 1:])
             return runs[:first + 1] + [Discarded()] * len(runs[first + 1:])
@@ -738,7 +744,7 @@ def sequential_path(X, Y, model, grid):
             diagnostics.append(LambdaDiagnostic(lam, -1, run.iteration or 0, False, None,
                                                 failed=True))
             return -1
-        size = terminal_subset(run.terminal_t, grid.rho).size
+        size = terminal_subset(run.terminal_t).size
         diagnostics.append(LambdaDiagnostic(lam, size, run.iterations, run.converged,
                                             run.objective))
         traces.append(run.trace)
@@ -797,7 +803,7 @@ PLAN_CASES = [
     (12, 12, 6, {}),
     (12, 12, 16, {}),
     (12, 12, 20, {}),
-    (12, 12, 30, dict(MAX_ITER=13)),  # no run passes rho in time: mispredicted
+    (12, 12, 30, dict(MAX_ITER=13)),  # no run passes RHO in time: mispredicted
     (12, 6, 20, dict(T_INIT=t_init_array(12))),
     (120, 20, 30, {}),
     (120, 20, 16, dict(MAX_ITER=13)),
@@ -818,7 +824,7 @@ class TestPls1Plan:
         calls = spy_calls(monkeypatch)
         got = dynamic_grid(X, y, "pls1", grid)
         assert len(got.diagnostics) <= L
-        if "MAX_ITER" in cfg:  # the cap ends runs short of rho: the plan mispredicts
+        if "MAX_ITER" in cfg:  # the cap ends runs short of RHO: the plan mispredicts
             assert len(calls) > 1
         assert_same_path(got, sequential_path(X, y, "pls1", grid))
 
@@ -849,7 +855,7 @@ class TestPls1Plan:
                 path_module, "_first_step_size",
                 lambda ctx0: lambda lam: predict(ctx0)(lam) + 1)
         else:
-            solver_config(monkeypatch, MAX_ITER=12)  # no run passes rho in time
+            solver_config(monkeypatch, MAX_ITER=12)  # no run passes RHO in time
         calls = spy_calls(monkeypatch)
         got = dynamic_grid(X, y, "pls1", grid)
         assert_same_path(got, sequential_path(X, y, "pls1", grid))
