@@ -1,8 +1,10 @@
 """The degenerate-input matrix beyond tier-1's slice (tests/test_cli.py).
 
 Every run of path, oracle and fit, for every model, centered and with
---no-center, on random, constant, zero-column, duplicated-column, ~1e200
-and ~1e-200 data, must end with a documented exit code: 0 with its --out
+--no-center, on random, constant, zero-column, duplicated-column, ~1e200,
+~1e76 (cross-products finite, but a Gram trace above the solver's bound
+of 2^500), ~1e-200 and saturated data (column 1 at 1.7e308, whose mean
+overflows), must end with a documented exit code: 0 with its --out
 directory, or an error code with exactly one `error:` line on stderr and
 no --out directory. A traceback (an exception escaping cli.main) or a
 RuntimeWarning fails the run. The shapes include both routes of
@@ -22,7 +24,8 @@ from subsetpath.cli import main, write_csv_matrix
 
 SHAPES = [(2, 3, 1), (3, 1, 4), (3, 20, 2), (4, 3, 5), (5, 8, 8), (2, 110, 2),
           (3, 101, 102), (4, 120, 3)]
-KINDS = ["random", "constant", "zero-column", "duplicated-column", "huge", "tiny"]
+KINDS = ["random", "constant", "zero-column", "duplicated-column", "huge", "large", "tiny",
+         "saturated"]
 # Fits run every grid to K = p; a budget of 12 runs per grid keeps the
 # shapes above 100 columns within a few seconds each.
 COMMANDS = [
@@ -47,8 +50,12 @@ def matrix(kind, n, p, seed):
         A[:, -1] = A[:, 0]
     elif kind == "huge":
         A *= 1e200
+    elif kind == "large":
+        A *= 1e76
     elif kind == "tiny":
         A *= 1e-200
+    elif kind == "saturated":
+        A[:, 0] = 1.7e308
     return A
 
 

@@ -31,7 +31,6 @@ from .errors import (
     ParseError,
     SingularMatrixError,
     SizeGuardError,
-    SolverAbort,
 )
 from .linalg import DominantPair, center_columns, top_eigpair
 from .objective import (

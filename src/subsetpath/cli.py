@@ -1,8 +1,9 @@
 """Command-line surface: simulate, path, fit, oracle, metrics.
 
 Exit codes are stable API (see EXIT_CODES): 0 success, 2 parse error,
-3 dimension error, 4 solver abort or non-finite input (a NaN or infinite
-value in a model input, or cross-products of one that overflow),
+3 dimension error, 4 non-finite or oversized input (a NaN or infinite
+value in a model input, a column mean of one that overflows, or
+cross-products of one that overflow or exceed objective.TRACE_LIMIT),
 5 singular system, 6 size guard, 7 degenerate data (a zero loading or
 score, as from a response without signal). CSV files are RFC-4180 with an
 optional auto-detected header row; floats are serialized at full
@@ -34,9 +35,8 @@ from .errors import (
     ParseError,
     SingularMatrixError,
     SizeGuardError,
-    SolverAbort,
 )
-from .linalg import center_columns
+from .linalg import center_columns, column_means
 from .oracle import exhaustive_path, oracle_to_dict
 from .path import GridConfig, Subset, dynamic_grid, path_to_dict
 from .simulate import SimConfig, generate, metrics
@@ -47,7 +47,6 @@ EXIT_PARSE = 2
 EXIT_CODES = {
     ParseError: EXIT_PARSE,
     DimensionError: 3,
-    SolverAbort: 4,
     NonFiniteInputError: 4,
     SingularMatrixError: 5,
     SizeGuardError: 6,
@@ -57,21 +56,23 @@ EXIT_CODES = {
 
 
 def read_csv_matrix(path: str) -> np.ndarray:
-    """Read a numeric UTF-8 CSV. A leading BOM is ignored; a first row with
-    no numeric field is a header and is skipped."""
+    """Read a numeric UTF-8 CSV, ignoring a leading BOM and blank lines; a
+    first non-blank row with no numeric field is a header and is skipped."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
+            first = True
             for i, row in enumerate(reader):
                 if not row:
                     continue
+                header, first = first, False
                 try:
                     rows.append([float(x) for x in row])
                 except ValueError as exc:
                     bad = [j for j, x in enumerate(row) if not _is_float(x)]
-                    if i == 0 and len(bad) == len(row):
-                        continue  # header row
+                    if header and len(bad) == len(row):
+                        continue
                     raise ParseError(
                         f"{path}: non-numeric value at row {i + 1}, column {bad[0] + 1}"
                     ) from exc
@@ -171,7 +172,7 @@ def _load_xy(args):
     if not args.no_center:
         X = center_columns(X)
         if Y is not None:
-            Y = Y - Y.mean(axis=0)
+            Y = Y - column_means(Y, "Y")
     return X, Y
 
 
@@ -232,7 +233,8 @@ def cmd_fit(args) -> int:
     if runs_q2:  # Q2's folds are refused before any grid, after what fit refuses first
         _fit_arguments(X, Y, args.model, args.components, strategy, args.mode, grid, test,
                        args.seed)
-        Xc, Yc = (X, Y) if args.no_center else (X - X.mean(axis=0), Y - Y.mean(axis=0))
+        Xc, Yc = (X, Y) if args.no_center else (X - column_means(X, "X"),
+                                                Y - column_means(Y, "Y"))
         with _grid_refusals_first(Xc, Yc, args.model):
             _check_training_folds(X, Y, args.folds, args.seed, args.components)
     result = fit(

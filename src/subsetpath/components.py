@@ -27,10 +27,11 @@ from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
     DimensionError,
+    NonFiniteInputError,
     ParseError,
     SingularMatrixError,
 )
-from .linalg import top_eigpair
+from .linalg import column_means, top_eigpair
 from .objective import MODELS, lambda_max, make_context, response_matrix
 from .path import GridConfig, SolutionPath, Subset, dynamic_grid
 
@@ -341,7 +342,7 @@ def _splits(X: np.ndarray, Y: np.ndarray, folds: int, seed: int) -> Iterator[Spl
     n = X.shape[0]
     for val in _fold_indices(n, folds, np.random.default_rng(seed)):
         tr = np.setdiff1d(np.arange(n), val)
-        xm, ym = X[tr].mean(axis=0), Y[tr].mean(axis=0)
+        xm, ym = column_means(X[tr], "X"), column_means(Y[tr], "Y")
         yield X[tr] - xm, Y[tr] - ym, X[val] - xm, Y[val], ym
 
 
@@ -428,8 +429,8 @@ def q2(
         raise ValueError(f"need {H} supports, got {len(supports)}")
 
     # Full-data residual sums per component count, for the RSS denominators.
-    Xc = X - X.mean(axis=0)
-    Yc = Y - Y.mean(axis=0)
+    Xc = X - column_means(X, "X")
+    Yc = Y - column_means(Y, "Y")
     rss = np.zeros((H + 1, q_dim))
     rss[0] = np.sum(Yc * Yc, axis=0)
     comps = _refit_fixed(Xc, Yc, model, supports, "regression")
@@ -463,9 +464,9 @@ def _cv_scores(
     """Held-out score, for k = 1..K, of bucket k's best subset as the next
     component (the protocols of Le Cao et al. 2008), over ``splits`` of the
     form _splits yields (a holdout set is one split): the mean squared
-    prediction error for min-msep, the mean absolute correlation of the
-    held-out X and Y scores for max-cor (splits where either score is
-    constant are skipped).
+    prediction error for min-msep (NonFiniteInputError if one is not
+    finite), the mean absolute correlation of the held-out X and Y scores
+    for max-cor (splits where either score is constant are skipped).
 
     Per split, the earlier components are refitted on the training rows,
     and each deflates the training and held-out rows in turn; each k then
@@ -488,14 +489,18 @@ def _cv_scores(
             last = _build_component(Xtr, Ytr, model, path.buckets[k].best, h, mode)
             if kind == "min-msep":
                 beta = regression_coefficients(prev + [last])
-                pred = X_val @ beta + ym
-                sse[k - 1] += float(np.sum((pred - Y_val) ** 2))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pred = X_val @ beta + ym
+                    sse[k - 1] += float(np.sum((pred - Y_val) ** 2))
             else:
                 xi_v, psi_v = Xv @ last.u, Yv @ last.v
                 if float(np.std(xi_v)) > 0.0 and float(np.std(psi_v)) > 0.0:
                     cors[k - 1].append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
     if kind == "min-msep":
-        return np.array(sse) / count
+        msep = np.array(sse) / count
+        if not np.isfinite(msep).all():
+            raise NonFiniteInputError("min-msep: the held-out prediction error overflows")
+        return msep
     return np.array([np.mean(c) if c else -np.inf for c in cors])
 
 
@@ -614,11 +619,11 @@ def fit(
     """
     X, Y, mode, grid_cfg, test = _fit_arguments(X, Y, model, H, strategy, mode,
                                                 grid_cfg, test, seed)
-    x_means = X.mean(axis=0) if center else np.zeros(X.shape[1])
+    x_means = column_means(X, "X") if center else np.zeros(X.shape[1])
     X0 = X - x_means
     y_means = Y0 = None
     if Y is not None:
-        y_means = Y.mean(axis=0) if center else np.zeros(Y.shape[1])
+        y_means = column_means(Y, "Y") if center else np.zeros(Y.shape[1])
         Y0 = Y - y_means
     holdout = None
     if test is not None and strategy.kind == "min-msep":

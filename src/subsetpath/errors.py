@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes (see cli.py): parse errors -> 2,
-dimension errors -> 3, solver aborts and non-finite input -> 4, singular
+dimension errors -> 3, non-finite or oversized input -> 4, singular
 systems -> 5, size guards -> 6, degenerate loadings or scores -> 7. No
 eigen-solve raises: linalg.top_eigpair finishes every solve its power
 steps do not settle with a dense one.
@@ -18,17 +18,9 @@ class DimensionError(ValueError):
 
 
 class NonFiniteInputError(ValueError):
-    """An input matrix holds a NaN or an infinite value, or (in the oracle)
-    its cross-products overflow."""
-
-
-class SolverAbort(RuntimeError):
-    """Gradient descent produced a non-finite value, or no penalty value
-    in a grid produced a usable run."""
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
+    """An input matrix holds a NaN or an infinite value, a column mean of
+    one overflows, or its cross-products overflow or exceed the bound the
+    solver needs (objective.TRACE_LIMIT)."""
 
 
 class SingularMatrixError(RuntimeError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteInputError
 
 # Relative tolerance of the power steps' stopping test.
 TOL = 1e-10
@@ -61,14 +61,26 @@ class DominantPair:
         )
 
 
+def column_means(A: np.ndarray, name: str) -> np.ndarray:
+    """Column means of a 2-D matrix; NonFiniteInputError, naming the matrix
+    ``name`` and the column, for a mean that is not finite, as when a
+    column's sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = A.mean(axis=0)
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        raise NonFiniteInputError(f"{name}: the mean of column {bad[0] + 1} is not finite")
+    return means
+
+
 def center_columns(X: np.ndarray) -> np.ndarray:
-    """Subtract each column mean; requires at least two rows."""
+    """Subtract each column mean (column_means); requires at least two rows."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={X.ndim}")
     if X.shape[0] < 2:
         raise DimensionError(f"need at least 2 rows to center, got {X.shape[0]}")
-    return X - X.mean(axis=0)
+    return X - column_means(X, "X")
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -88,14 +100,13 @@ def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
     _squared_step up to EIGH_CROSSOVER rows and _power_steps above it; a
     single warm matrix is the one-row stack. Warm vectors are not
     sign-normalized: they keep the sign their start gives them. Checks only
-    finiteness: a single matrix with a non-finite entry raises ValueError, a
-    stacked one gets a NaN value and vector so that the others are still
-    solved."""
+    finiteness: a matrix or stack with a non-finite entry raises
+    ValueError."""
     A = np.asarray(A, dtype=float)
-    if A.ndim == 3:
-        return _top_eigpairs(A, v0)
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
+    if A.ndim == 3:
+        return _top_eigpairs(A, v0)
     if v0 is not None:
         return _top_eigpairs(A[None], np.asarray(v0, dtype=float)[None]).row(0)
     w, V = np.linalg.eigh(A)
@@ -105,32 +116,15 @@ def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
     return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0)
 
 
-def zero_nonfinite(A: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A (B, d, d) stack with each matrix that holds a non-finite entry
-    replaced by the zero matrix, which any eigen-solver accepts, and the
-    mask of those matrices (None if there are none), whose results the
-    caller marks NaN."""
-    if np.isfinite(A).all():
-        return A, None
-    bad = ~np.isfinite(A).all(axis=(1, 2))
-    return np.where(bad[:, None, None], 0.0, A), bad
-
-
 def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
-    # top_eigpair on a (B, d, d) stack. A matrix with a non-finite entry is
-    # solved as the zero matrix, then given a NaN value and vector.
-    A, bad = zero_nonfinite(A)
+    # top_eigpair on a finite (B, d, d) stack.
     B, n = A.shape[:2]
     if v0 is None:
         pair = DominantPair(np.empty(B), np.empty((B, n)), np.zeros(B, dtype=int))
         _dense_finish(A, np.ones(B, dtype=bool), pair.value, pair.vector)
-    else:
-        warm = _squared_step if n <= EIGH_CROSSOVER else _power_steps
-        pair = warm(A, np.asarray(v0, dtype=float))
-    if bad is not None:
-        pair.value[bad] = np.nan
-        pair.vector[bad] = np.nan
-    return pair
+        return pair
+    warm = _squared_step if n <= EIGH_CROSSOVER else _power_steps
+    return warm(A, np.asarray(v0, dtype=float))
 
 
 def _squared_step(A: np.ndarray, v0: np.ndarray) -> DominantPair:

@@ -27,9 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLoadingError, DimensionError, NonFiniteInputError
-from .linalg import DominantPair, top_eigpair, zero_nonfinite
+from .linalg import DominantPair, top_eigpair
 
 MODELS = ("pls1", "pls2", "pca")
+
+# Largest Gram trace an ObjectiveContext accepts (see its __post_init__).
+TRACE_LIMIT = 2.0**500
 
 
 def t_of_r(r: np.ndarray) -> np.ndarray:
@@ -55,7 +58,9 @@ class ObjectiveContext:
     q < p (M = X^T Y / n) and for pca with n < p (M = X^T / sqrt(n)), ``G``
     for pls2 with q >= p (G = M M^T) and for pca with n >= p
     (G = X^T X / n). Either way G = M M^T, so the M kernels solve the
-    smaller of the two eigenproblems.
+    smaller of the two eigenproblems. Construction raises
+    NonFiniteInputError when the trace of G is not finite or exceeds
+    TRACE_LIMIT.
     """
 
     model: str
@@ -65,6 +70,32 @@ class ObjectiveContext:
     z: np.ndarray | None = None
     M: np.ndarray | None = None
     G: np.ndarray | None = None
+
+    def __post_init__(self):
+        # The trace tau of the Gram matrix G = M M^T the kernel stands for
+        # (sum z_j^2, ||M||_F^2 or tr G) bounds every number computed from
+        # it. Every entry of the PSD G is at most tau, as |G_jk| <=
+        # sqrt(G_jj G_kk), and so is every eigenvalue of a block of G or of
+        # M_t^T M_t. minimize_batch takes penalties up to TRACE_LIMIT in
+        # magnitude, so the gradient in t (lam - 2 t_j z_j^2,
+        # lam - 2 t_j (M_j v)^2 or lam - 2 u_j (G (t u))_j) is at most
+        # 3 TRACE_LIMIT; the chain rule's factor 2 r exp(-r^2) is at most
+        # sqrt(2 / e) < 0.86, so the gradient in r is at most 2.6 TRACE_LIMIT
+        # and Adam's bias-corrected second moment at most its square, below
+        # 1e302. The penalized value is at most (1 + p) TRACE_LIMIT. Refusing
+        # a larger or non-finite tau here leaves no overflow downstream.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.z is not None:
+                trace = float(np.sum(self.z * self.z))
+            elif self.M is not None:
+                trace = float(np.sum(self.M * self.M))
+            else:
+                trace = float(np.trace(self.G))
+        if not trace <= TRACE_LIMIT:
+            raise NonFiniteInputError(
+                f"data too large: the cross-products' Gram trace {trace:.3e} exceeds 2^500; "
+                "rescale the data" if np.isfinite(trace)
+                else "data overflow: the cross-products are non-finite")
 
 
 @dataclass
@@ -115,8 +146,8 @@ def make_context(
     pls2 stores M (a q x q eigenproblem per evaluation) when q < p, and
     G = M M^T (p x p) otherwise; pca likewise stores M = X^T / sqrt(n)
     (n x n) when n < p, and G = X^T X / n otherwise. Finite data whose
-    cross-products overflow gives a non-finite kernel without a warning;
-    lambda_max reports it.
+    cross-products overflow, or exceed TRACE_LIMIT, raises
+    NonFiniteInputError without a warning.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -199,26 +230,18 @@ def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
     as an (m, k) array of sorted column indices: -sum(z^2) over the subset
     for pls1, otherwise minus the top eigenvalue of the column-deleted
     Gram block (k x k, or the q x q or n x n one from M when that is
-    smaller), each solved by numpy's dense eigvalsh. A block with a
-    non-finite entry gets NaN rather than an error (eigvalsh itself may
-    return a finite value for it)."""
+    smaller), each solved by numpy's dense eigvalsh."""
     if ctx.model == "pls1":
         zs = ctx.z[I]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return -np.sum(zs * zs, axis=1)
+        return -np.sum(zs * zs, axis=1)
     if ctx.M is not None:
         Ms = ctx.M[I]
         k, q = Ms.shape[1:]
         Mt = np.swapaxes(Ms, 1, 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks = Ms @ Mt if k <= q else Mt @ Ms
+        blocks = Ms @ Mt if k <= q else Mt @ Ms
     else:
         blocks = ctx.G[I[:, :, None], I[:, None, :]]
-    blocks, bad = zero_nonfinite(blocks)  # eigvalsh may raise on inf
-    values = -np.linalg.eigvalsh(blocks)[:, -1]
-    if bad is not None:
-        values[bad] = np.nan
-    return values
+    return -np.linalg.eigvalsh(blocks)[:, -1]
 
 
 def corner_objective(ctx: ObjectiveContext, bits) -> float:
@@ -236,8 +259,6 @@ def lambda_max(ctx: ObjectiveContext) -> float:
     subset for every model; the terminal subset at this penalty is empty.
     """
     value = -corner_objective(ctx, np.ones(ctx.p, dtype=int))
-    if not np.isfinite(value):
-        raise NonFiniteInputError("data overflow: lambda_max is non-finite")
     if value <= 0.0:
         raise DegenerateLoadingError("data carries no signal: lambda_max is zero")
     return value

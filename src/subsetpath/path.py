@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteInputError, SolverAbort
+from .errors import DimensionError
 from .objective import (
     ObjectiveContext,
     corner_values,
@@ -139,7 +139,7 @@ class SizeBucket:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """L bounds the number of runs the grid records, aborted ones included."""
+    """L bounds the number of runs the grid records."""
 
     K: int
     L: int = 50
@@ -157,8 +157,7 @@ class LambdaDiagnostic:
     terminal_size: int
     iterations: int
     converged: bool
-    objective: float | None
-    failed: bool = False
+    objective: float
 
 
 @dataclass
@@ -239,39 +238,36 @@ def terminal_subset(t: np.ndarray) -> Subset:
 def _schedule(lam_top: float, grid_cfg: GridConfig, sizes) -> list[float]:
     """The penalties the grid records, in record order, given
     sizes(step, lams, ahead): the terminal size of the run at each penalty
-    of lams, or -1 for one that aborted. step is 1 or 2; ahead[i] iterates
-    over the penalties the schedule may ask for next after lams[i], for a
-    solver that solves ahead.
+    of lams. step is 1 or 2; ahead[i] iterates over the penalties the
+    schedule may ask for next after lams[i], for a solver that solves
+    ahead.
 
     Step 1 asks for lambda_max / 2^l, one l at a time from l = 0, until a
     size reaches K or L penalties are recorded; ahead holds the halvings
-    after it that fit in the budget. Step 2 sweeps the penalties of the
-    successful runs in ascending order and asks, in one list, for the
-    midpoint (lo + hi) / 2 of every pair of neighbours whose sizes differ
-    by more than one, no more of them than the budget left; it re-sweeps
-    until the budget runs out or no such gap remains. While budget remains
-    after a sweep, ahead holds the two children of each midpoint,
-    (lo + mid) / 2 and (mid + hi) / 2: the midpoints of the next sweep
-    where both halves of its gap stay open. A penalty whose run aborts is
-    recorded (it counts against L) but bounds no gap.
+    after it that fit in the budget. Step 2 sweeps the recorded penalties
+    in ascending order and asks, in one list, for the midpoint
+    (lo + hi) / 2 of every pair of neighbours whose sizes differ by more
+    than one, no more of them than the budget left; it re-sweeps until the
+    budget runs out or no such gap remains. While budget remains after a
+    sweep, ahead holds the two children of each midpoint, (lo + mid) / 2
+    and (mid + hi) / 2: the midpoints of the next sweep where both halves
+    of its gap stay open.
     """
-    lams: list[float] = []
-    entries: list[tuple[float, int]] = []  # (lam, size) of successful runs
+    entries: list[tuple[float, int]] = []  # (lam, size) in record order
 
     def record(step: int, batch: list[float], ahead: list) -> list[int]:
         ks = sizes(step, batch, ahead)
-        lams.extend(batch)
-        entries.extend((lam, k) for lam, k in zip(batch, ks) if k >= 0)
+        entries.extend(zip(batch, ks))
         return ks
 
     k = 0
-    while len(lams) < grid_cfg.L and k < grid_cfg.K:
-        l = len(lams)
+    while len(entries) < grid_cfg.L and k < grid_cfg.K:
+        l = len(entries)
         halvings = (lam_top / 2.0**i for i in range(l + 1, grid_cfg.L))
         [k] = record(1, [lam_top / 2.0**l], [halvings])
 
-    while len(lams) < grid_cfg.L:
-        budget = grid_cfg.L - len(lams)
+    while len(entries) < grid_cfg.L:
+        budget = grid_cfg.L - len(entries)
         bounds = sorted(entries)
         gaps = []
         for (lam_lo, k_lo), (lam_hi, k_hi) in zip(bounds, bounds[1:]):
@@ -285,14 +281,7 @@ def _schedule(lam_top: float, grid_cfg: GridConfig, sizes) -> list[float]:
         record(2, [mid for _, mid, _ in gaps],
                [[(lo + mid) / 2.0, (mid + hi) / 2.0] if more else []
                 for lo, mid, hi in gaps])
-    return lams
-
-
-def _terminal_size(run: SolverRun | SolverAbort) -> int:
-    """Terminal size of a run, or -1 if it aborted."""
-    if isinstance(run, SolverAbort):
-        return -1
-    return terminal_subset(run.terminal_t).size
+    return [lam for lam, _ in entries]
 
 
 def _first_step_size(ctx0: ObjectiveContext):
@@ -320,8 +309,8 @@ def _plan_and_solve(ctx0, lam_top, grid_cfg, runs) -> list[float]:
     _first_step_size predicts, solved in one call; then the schedule
     replayed on the real runs by _solve_on_demand, which solves only what
     no plan or a wrong prediction left out (a run may reach
-    solver.MAX_ITER before it passes RHO; a run may abort; a pls2 or pca
-    run may end off the predicted set)."""
+    solver.MAX_ITER before it passes RHO; a pls2 or pca run may end off
+    the predicted set)."""
     if _cheap_rows(ctx0):
         predicted = _first_step_size(ctx0)
         plan = _schedule(lam_top, grid_cfg,
@@ -351,7 +340,7 @@ def _solve_on_demand(ctx0, lam_top, grid_cfg, runs) -> list[float]:
         missing = [lam for lam in dict.fromkeys(missing) if lam not in runs]
         if missing:
             runs.update(zip(missing, minimize_batch(ctx0, missing, grid_cfg.K)))
-        return [_terminal_size(runs[lam]) for lam in lams]
+        return [terminal_subset(runs[lam].terminal_t).size for lam in lams]
 
     return _schedule(lam_top, grid_cfg, sizes)
 
@@ -380,41 +369,28 @@ def dynamic_grid(
     recorded in that order, and runs solved but not in it are discarded, so
     the path is the one the penalties solved one at a time would give.
 
-    Every successful run feeds the top-K orderings it visited into the size
-    buckets (score_buckets), so buckets are filled for all k = 1..K as soon
-    as one run succeeds. A penalty whose run aborts contributes nothing but
-    the grid continues; if every run aborts, SolverAbort is raised. A K
-    above p, or a Y unfit for the model, raises DimensionError first.
+    Every run feeds the top-K orderings it visited into the size buckets
+    (score_buckets), so buckets are filled for all k = 1..K. Refusals come
+    in this order: a Y unfit for the model (DimensionError), data whose
+    kernel ObjectiveContext refuses (NonFiniteInputError), a K above p
+    (DimensionError).
     """
     ctx0 = make_context(X, Y, model=model)
     if grid_cfg.K > ctx0.p:
         raise DimensionError(f"K={grid_cfg.K} exceeds p={ctx0.p}")
-    try:
-        lam_top = lambda_max(ctx0)
-    except NonFiniteInputError as exc:
-        raise SolverAbort(f"cannot start the grid: {exc}") from exc
+    lam_top = lambda_max(ctx0)
 
-    runs: dict[float, SolverRun | SolverAbort] = {}
-    diagnostics: list[LambdaDiagnostic] = []
-    traces: list[np.ndarray] = []  # of every successful recorded run
+    runs: dict[float, SolverRun] = {}
+    diagnostics = []
     for lam in _plan_and_solve(ctx0, lam_top, grid_cfg, runs):
         run = runs[lam]
-        if isinstance(run, SolverAbort):
-            diagnostics.append(
-                LambdaDiagnostic(lam, -1, run.iteration or 0, False, None, failed=True)
-            )
-            continue
         diagnostics.append(LambdaDiagnostic(
-            lam, _terminal_size(run), run.iterations, run.converged,
+            lam, terminal_subset(run.terminal_t).size, run.iterations, run.converged,
             run.objective,
         ))
-        traces.append(run.trace)
-    if not traces:
-        raise SolverAbort("no penalty value produced a successful run")
-
-    # Every successful run visits at least one top-K ordering, so no bucket
-    # is empty here.
-    buckets = score_buckets(ctx0, unique_rows(np.concatenate(traces)), grid_cfg.K)
+    # Every run visits at least one top-K ordering, so no bucket is empty.
+    orders = unique_rows(np.concatenate([runs[d.lam].trace for d in diagnostics]))
+    buckets = score_buckets(ctx0, orders, grid_cfg.K)
 
     return SolutionPath(
         model=model,
@@ -423,8 +399,7 @@ def dynamic_grid(
         q=ctx0.q,
         K=grid_cfg.K,
         buckets=buckets,
-        lambda_grid=sorted(((d.lam, d.terminal_size) for d in diagnostics
-                            if not d.failed), reverse=True),
+        lambda_grid=sorted(((d.lam, d.terminal_size) for d in diagnostics), reverse=True),
         diagnostics=diagnostics,
     )
 

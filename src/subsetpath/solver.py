@@ -9,9 +9,9 @@ of t.
 One loop serves every caller: minimize_batch runs a whole sweep of
 penalties at once, with r, t and the Adam moments held as (B, p) arrays,
 one row per penalty still running, and one stacked objective evaluation
-per iteration. Each row ends on its own (converged, capped or aborted);
-rows share no arithmetic, so every row gives bit for bit what a run of
-its penalty alone gives.
+per iteration. Each row ends on its own (converged or capped); rows share
+no arithmetic, so every row gives bit for bit what a run of its penalty
+alone gives.
 
 The solver has no settings: the method (Adam), the step, the moments, the
 stop test and the start point are module constants.
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverAbort
 from .objective import (
+    TRACE_LIMIT,
     ObjectiveContext,
     eval_batch,
     grad_r,
@@ -99,29 +99,30 @@ def unique_rows(A: np.ndarray) -> np.ndarray:
 
 def minimize_batch(
     ctx: ObjectiveContext, lams, K: int | None = None
-) -> list[SolverRun | SolverAbort]:
+) -> list[SolverRun]:
     """Run Adam on g(r) = f(t(r)) for every penalty in ``lams``, in one
-    loop.
+    loop; entry b is the run of penalty lams[b].
 
-    Entry b is the run of penalty lams[b], or the SolverAbort that ended
-    it when its objective or gradient went non-finite (naming the
-    iteration); an aborted row ends only its own run. Every visited point,
-    the initial and the terminal one included, adds its top-K ordering
-    (see top_k_order) to the run's ``trace`` unless an earlier point of
-    that run had the same one. K defaults to p.
+    Every visited point, the initial and the terminal one included, adds
+    its top-K ordering (see top_k_order) to the run's ``trace`` unless an
+    earlier point of that run had the same one. K defaults to p.
 
     A row terminates at its first update that moves no t_j by TOL or more
-    (converged), or after MAX_ITER updates.
+    (converged), or after MAX_ITER updates. The context's bounded kernel
+    (ObjectiveContext) and penalties that are finite and at most
+    TRACE_LIMIT in magnitude, else ValueError, keep every number finite.
     """
     if K is None:
         K = ctx.p
     if not (1 <= K <= ctx.p):
         raise ValueError(f"K={K} out of range 1..{ctx.p}")
     lams = np.asarray(lams, dtype=float)
+    if not (np.abs(lams) <= TRACE_LIMIT).all():
+        raise ValueError("penalties must be finite and at most 2^500 in magnitude")
     B = lams.shape[0]
     T = np.tile(_initial_t(ctx.p), (B, 1))
     R = r_of_t(T)
-    out: list[SolverRun | SolverAbort | None] = [None] * B
+    out: list[SolverRun | None] = [None] * B
     traces: list[list[np.ndarray]] = [[] for _ in range(B)]
 
     rows = list(range(B))  # penalty index of each row still running
@@ -140,28 +141,18 @@ def minimize_batch(
         if ev.dominant is not None:
             warm = ev.dominant.vector
 
-        ok = np.isfinite(G).all(axis=1) & np.isfinite(ev.value)
-        done = ~ok | quiet
-        if it >= MAX_ITER:
-            done[:] = True
+        done = quiet | (it >= MAX_ITER)
         if done.any():
             for i in np.flatnonzero(done):
-                b = rows[i]
-                if not ok[i]:
-                    out[b] = SolverAbort(
-                        f"non-finite objective or gradient at iteration {it}",
-                        iteration=it,
-                    )
-                else:
-                    out[b] = SolverRun(
-                        trace=unique_rows(np.array(traces[b])),
-                        converged=bool(quiet[i]),
-                        iterations=it,
-                        # A copy: a view would keep this iterate array
-                        # alive as long as the run.
-                        terminal_t=T[i].copy(),
-                        objective=float(ev.value[i]),
-                    )
+                out[rows[i]] = SolverRun(
+                    trace=unique_rows(np.array(traces[rows[i]])),
+                    converged=bool(quiet[i]),
+                    iterations=it,
+                    # A copy: a view would keep this iterate array alive as
+                    # long as the run.
+                    terminal_t=T[i].copy(),
+                    objective=float(ev.value[i]),
+                )
             live = ~done
             if not live.any():
                 return out

@@ -15,6 +15,10 @@ from subsetpath.errors import DegenerateScoreError
 from subsetpath.path import GridConfig
 
 
+# The line every refusal of overflowing cross-products prints.
+OVERFLOW_LINE = "error: data overflow: the cross-products are non-finite\n"
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -38,6 +42,13 @@ class TestCsvIo:
         (tmp_path / "h.csv").write_text("alpha,beta\n1.0,2.0\n3.0,4.0\n")
         A = read_csv_matrix(str(tmp_path / "h.csv"))
         np.testing.assert_array_equal(A, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_header_after_a_blank_line(self, tmp_path):
+        # The header test applies to the first non-blank row.
+        (tmp_path / "b.csv").write_text("\nalpha,beta\n1,2\n3,4\n5,6\n")
+        (tmp_path / "h.csv").write_text("alpha,beta\n1,2\n3,4\n5,6\n")
+        np.testing.assert_array_equal(read_csv_matrix(str(tmp_path / "b.csv")),
+                                      read_csv_matrix(str(tmp_path / "h.csv")))
 
     @pytest.mark.parametrize("first, column", [
         ("1.0,1O.5,3.0", 2),   # a letter O for a zero
@@ -178,17 +189,33 @@ class TestPathCommand:
         assert len(manifest["inputs"]) == 2
         assert all(len(i["sha256"]) == 64 for i in manifest["inputs"])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_solver_abort_exits_4(self, tmp_path):
-        # Values large enough that the objective overflows at the first
-        # evaluation for every penalty.
+    def test_solver_abort_exits_4(self, tmp_path, capsys):
+        # Values so large that z = X^T y / n overflows: the kernel is
+        # refused before any solver run, with no RuntimeWarning.
         write_csv_matrix(tmp_path / "X.csv", np.array([[1e200], [-1e200]]))
         write_csv_matrix(tmp_path / "y.csv", np.array([[1e200], [-1e200]]))
-        with np.errstate(over="ignore"):
-            code = run_cli("path", "--model", "pls1", "--x", str(tmp_path / "X.csv"),
-                           "--y", str(tmp_path / "y.csv"), "--k-max", "1",
-                           "--no-center", "--out", str(tmp_path / "out"))
+        code = run_cli("path", "--model", "pls1", "--x", str(tmp_path / "X.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--k-max", "1",
+                       "--no-center", "--out", str(tmp_path / "out"))
         assert code == 4
+        assert capsys.readouterr().err == OVERFLOW_LINE
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_data_exits_4(self, tmp_path, capsys):
+        # The criterion-2 design with X times 1e77: every cross-product is
+        # finite, but the kernel's Gram trace is far above 2^500.
+        run_cli("simulate", "--scenario", "multiresponse", "--seed", "50",
+                "--out", str(tmp_path / "sim"))
+        X = read_csv_matrix(str(tmp_path / "sim" / "X.csv"))
+        write_csv_matrix(tmp_path / "X.csv", X * 1e77)
+        code = run_cli("path", "--model", "pls2", "--x", str(tmp_path / "X.csv"),
+                       "--y", str(tmp_path / "sim" / "Y.csv"), "--k-max", "15",
+                       "--out", str(tmp_path / "out"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: data too large: the cross-products' Gram trace ")
+        assert err.endswith(" exceeds 2^500; rescale the data\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_k_max_exceeding_p_exits_3(self, tmp_path):
         x, y = write_toy(tmp_path)
@@ -666,7 +693,7 @@ class TestErrorExits:
         if command == "path":
             argv += ["--k-max", "2"]
         assert run_cli(*argv) == 4
-        self.assert_one_error_line(capsys)
+        assert capsys.readouterr().err == OVERFLOW_LINE
 
     @pytest.mark.parametrize("case", ["pca", "pca-wide", "pls2-q-ge-p", "fit-pca"])
     def test_all_cross_products_overflowing_exit_4(self, tmp_path, capsys, case):
@@ -686,7 +713,7 @@ class TestErrorExits:
         if case == "fit-pca":
             argv += ["--pick", "fixed-k=1"]
         assert run_cli(*argv) == 4
-        self.assert_one_error_line(capsys)
+        assert capsys.readouterr().err == OVERFLOW_LINE
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["path", "fit"])
@@ -707,7 +734,7 @@ class TestErrorExits:
         done = subprocess.run([sys.executable, "-m", "subsetpath.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 4
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert done.stderr == OVERFLOW_LINE
 
     def test_oracle_max_k_below_1_exits_2_before_reading(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -804,6 +831,49 @@ class TestErrorExits:
         assert run_cli(*argv) == 4
         self.assert_one_error_line(capsys)
         assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    def test_overflowing_holdout_predictions_exit_4(self, tmp_path, capsys):
+        # Every held-out prediction error of a holdout X times 1e306 is
+        # infinite; min-msep must not pick k = 1 from a row of infs.
+        sim = tmp_path / "sim"
+        run_cli("simulate", "--scenario", "multiresponse", "--holdout", "30", "--seed", "3",
+                "--out", str(sim))
+        write_csv_matrix(tmp_path / "X_test.csv", read_csv_matrix(str(sim / "X_test.csv")) * 1e306)
+        code = run_cli("fit", "--model", "pls2", "--x", str(sim / "X.csv"),
+                       "--y", str(sim / "Y.csv"), "--pick", "min-msep",
+                       "--test", str(tmp_path / "X_test.csv"), str(sim / "Y_test.csv"),
+                       "--out", str(tmp_path / "out"))
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: min-msep: the held-out prediction error overflows\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, model, saturated, extra", [
+        ("path", "pca", "X", ["--k-max", "2"]),
+        ("oracle", "pca", "X", []),
+        ("fit", "pca", "X", ["--pick", "fixed-k=2"]),
+        ("path", "pls2", "X", ["--k-max", "2"]),
+        ("oracle", "pls2", "X", []),
+        ("fit", "pls2", "X", ["--pick", "fixed-k=2"]),
+        ("fit", "pls2", "Y", ["--pick", "fixed-k=2"]),  # centered first by the Q2 check
+        ("fit", "pls2", "Y", ["--pick", "fixed-k=2", "--mode", "canonical"]),  # by fit
+    ], ids=["path-pca", "oracle-pca", "fit-pca", "path-pls2", "oracle-pls2", "fit-pls2",
+            "fit-pls2-y", "fit-pls2-y-canonical"])
+    def test_overflowing_column_mean_exits_4(self, tmp_path, capsys, command, model,
+                                             saturated, extra):
+        # Column 1 of one matrix holds 1.7e308 on every row: its sum, and so
+        # its mean, overflows. pytest turns a RuntimeWarning into an error.
+        rng = np.random.default_rng(5)
+        data = {"X": rng.standard_normal((20, 6)), "Y": rng.standard_normal((20, 3))}
+        data[saturated][:, 0] = 1.7e308
+        for name, A in data.items():
+            write_csv_matrix(tmp_path / f"{name}.csv", A)
+        y = [] if model == "pca" else ["--y", str(tmp_path / "Y.csv")]
+        assert run_cli(command, "--model", model, "--x", str(tmp_path / "X.csv"), *y, *extra,
+                       "--out", str(tmp_path / "out")) == 4
+        assert capsys.readouterr().err == (
+            f"error: {saturated}: the mean of column 1 is not finite\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("X_test, Y_test", [
         (lambda X: X[:1], lambda Y: Y[:40]),    # row counts differ
@@ -922,7 +992,7 @@ class TestFoldsRefusedBeforeAnyGrid:
         Y = np.array([[1e200, 1.0], [-1e200, 2.0], [1e200, 3.0]])
         argv = self.argv(tmp_path, X, Y) + ["--pick", "max-cor", "--mode", "canonical"]
         assert run_cli(*argv) == 4
-        assert capsys.readouterr().err.count("\n") == 1
+        assert capsys.readouterr().err == OVERFLOW_LINE
 
 
 # (n, p, q): pls2 with q >= p and pca with n >= p on the p x p kernel, and

@@ -221,12 +221,11 @@ class TestTopEigpair:
     @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True), (3, True),
                                         (CROSSOVER, True)])
     def test_non_finite_stack_row_is_nan_alone(self, n, warm):
+        # A stack with one non-finite row is refused whole, as one matrix is.
         A = np.stack([spiked_psd(n, seed=1), spiked_psd(n, seed=2)])
         A[0, 0, 1] = np.nan
-        v0 = np.ones((2, n)) if warm else None
-        pair = top_eigpair(A, v0=v0)
-        assert np.isnan(pair.value[0]) and np.isnan(pair.vector[0]).all()
-        assert pair.value[1] == pytest.approx(np.linalg.eigvalsh(A[1])[-1], rel=1e-10)
+        with pytest.raises(ValueError, match="non-finite"):
+            top_eigpair(A, v0=np.ones((2, n)) if warm else None)
 
     def test_tied_spectrum(self):
         pair = top_eigpair(2.0 * np.eye(3))
@@ -305,17 +304,14 @@ class TestSquaredStep:
         np.testing.assert_array_equal(pair.vector[0], vector)
 
     def test_stack_equals_its_rows_alone_bit_for_bit(self):
-        # Rows that settle, are near-tied, are zero or have a non-finite
-        # entry give in a stack what they give alone.
+        # Rows that settle, are near-tied or are zero give in a stack what
+        # they give alone.
         n = 12
         tied, v_tied = near_tied(n, seed=8)
-        broken = spiked_psd(n, seed=5)
-        broken[2, 3] = np.inf
         A = np.stack([spiked_psd(n, seed=0), tied, np.zeros((n, n)),
-                      spiked_psd(n, seed=3), broken])
-        v0 = np.stack([np.ones(n), v_tied, np.ones(n), np.arange(n) - 5.0, np.ones(n)])
+                      spiked_psd(n, seed=3)])
+        v0 = np.stack([np.ones(n), v_tied, np.ones(n), np.arange(n) - 5.0])
         pair = top_eigpair(A, v0=v0)
-        assert np.isnan(pair.value[4]) and np.isnan(pair.vector[4]).all()
         for b in range(4):
             alone = top_eigpair(A[b:b + 1], v0=v0[b:b + 1])
             assert pair.value[b] == alone.value[0]

@@ -5,6 +5,7 @@ import pytest
 
 from subsetpath.linalg import center_columns
 from subsetpath.objective import (
+    TRACE_LIMIT,
     ObjectiveContext,
     corner_objective,
     corner_values,
@@ -15,7 +16,8 @@ from subsetpath.objective import (
     r_of_t,
     t_of_r,
 )
-from subsetpath.errors import DimensionError
+from subsetpath.errors import DimensionError, NonFiniteInputError
+from subsetpath.path import GridConfig, dynamic_grid
 
 from contexts import pca_context, pls2_context
 
@@ -187,6 +189,62 @@ class TestMakeContext:
     def test_pls1_rejects_multicolumn_response(self):
         with pytest.raises(DimensionError):
             make_context(np.eye(3), np.ones((3, 2)), "pls1")
+
+
+def kernel(kind, scale=1.0):
+    # A context of each kernel kind whose Gram trace is 16 * scale^2.
+    z = scale * np.array([3.0, 2.0, 1.0, 1.0, 1.0])
+    if kind == "z":
+        return ObjectiveContext("pls1", 8, 5, 1, z=z)
+    M = np.zeros((5, 2))
+    M[:, 0] = z
+    if kind == "M":
+        return ObjectiveContext("pls2", 8, 5, 2, M=M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = M @ M.T
+    return ObjectiveContext("pca", 8, 5, 0, G=G)
+
+
+class TestKernelBound:
+    """Construction refuses a kernel whose Gram trace (sum z_j^2, ||M||_F^2
+    or tr G) is not finite or exceeds TRACE_LIMIT = 2^500."""
+
+    @pytest.mark.parametrize("kind", ["z", "M", "G"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_is_refused(self, kind, bad):
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            kernel(kind, scale=bad)
+
+    @pytest.mark.parametrize("kind", ["z", "M", "G"])
+    def test_overflowing_trace_is_refused(self, kind):
+        # Finite entries whose squares overflow.
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            kernel(kind, scale=1e160)
+
+    @pytest.mark.parametrize("kind", ["z", "M", "G"])
+    def test_trace_above_the_limit_is_refused(self, kind):
+        # 16 (2^248)^2 (1 + 2^-52)^2 rounds to 2^500 (1 + 2^-51).
+        scale = np.nextafter(2.0**248, np.inf)
+        with pytest.raises(NonFiniteInputError, match="exceeds 2\\^500"):
+            kernel(kind, scale=scale)
+
+    @pytest.mark.parametrize("kind", ["z", "M", "G"])
+    def test_trace_at_the_limit_is_accepted(self, kind):
+        ctx = kernel(kind, scale=2.0**248)
+        assert lambda_max(ctx) == TRACE_LIMIT  # the top-1 block is the whole G
+
+    def test_grid_at_the_limit_runs_without_a_warning(self):
+        # z = X^T y / 8 = 2^248 (3, 2, 1, 1, 1) exactly, so sum z^2 = 2^500;
+        # pytest turns any RuntimeWarning into an error.
+        X = np.zeros((8, 5))
+        X[np.arange(5), np.arange(5)] = 2.0**126 * np.array([3.0, 2.0, 1.0, 1.0, 1.0])
+        y = np.full(8, 2.0**125)
+        assert np.sum(make_context(X, y, "pls1").z ** 2) == TRACE_LIMIT
+        path = dynamic_grid(X, y, "pls1", GridConfig(K=5, L=20))
+        assert path.buckets[1].best.idx == (0,)
+        assert path.buckets[2].best.idx == (0, 1)
+        assert path.buckets[5].best_value == -TRACE_LIMIT
+        assert path.lambda_grid[0] == (TRACE_LIMIT, 0)
 
 
 # --- evaluators ----------------------------------------------------------
@@ -454,11 +512,8 @@ class TestLambdaMax:
 
     def test_nan_on_the_diagonal_is_not_a_value(self):
         # eigvalsh may return a finite top eigenvalue for this block (sqrt 2
-        # with OpenBLAS); the scorer must not, or lambda_max would start a
-        # grid on it.
+        # with OpenBLAS); the context is refused before lambda_max or any
+        # corner could score it.
         G = np.array([[np.nan, 1.0], [1.0, 2.0]])
-        ctx = ObjectiveContext("pca", 2, 2, 0, G=G)
-        assert np.isnan(corner_values(ctx, np.array([[0, 1], [0, 1]]))).all()
-        assert corner_values(ctx, np.array([[1]]))[0] == -2.0
-        with pytest.raises(ValueError, match="non-finite"):
-            lambda_max(ctx)
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            ObjectiveContext("pca", 2, 2, 0, G=G)

@@ -1,13 +1,12 @@
-import collections
 import json
 
 import numpy as np
 import pytest
 
 from subsetpath import path as path_module
-from subsetpath import linalg, solver
+from subsetpath import linalg
 from subsetpath.components import PickStrategy, fit
-from subsetpath.errors import DimensionError, SolverAbort
+from subsetpath.errors import DimensionError
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
 from subsetpath.objective import ObjectiveContext, lambda_max, make_context
 from subsetpath.path import (
@@ -408,7 +407,7 @@ def grid_case(model, branch=None, p=10, n=40, seed=21):
 
 
 def diagnostic(d):
-    return (d.lam, d.terminal_size, d.iterations, d.converged, d.objective, d.failed)
+    return (d.lam, d.terminal_size, d.iterations, d.converged, d.objective)
 
 
 def sequential_step1(X, Y, model, grid):
@@ -419,10 +418,8 @@ def sequential_step1(X, Y, model, grid):
 
     def solve(lam):
         run = minimize_batch(ctx0, [lam], grid.K)[0]
-        if isinstance(run, SolverAbort):
-            return (lam, -1, run.iteration or 0, False, None, True)
         size = terminal_subset(run.terminal_t).size
-        return (lam, size, run.iterations, run.converged, run.objective, False)
+        return (lam, size, run.iterations, run.converged, run.objective)
 
     runs = [solve(lam_top)]
     while len(runs) < grid.L and (len(runs) == 1 or runs[-1][1] < grid.K):
@@ -529,8 +526,7 @@ class TestSpeculativeStep1:
         discarded = []
 
         def poison(lams, runs, K):
-            sizes = [-1 if isinstance(r, SolverAbort)
-                     else terminal_subset(r.terminal_t).size for r in runs]
+            sizes = [terminal_subset(r.terminal_t).size for r in runs]
             first = next((i for i, k in enumerate(sizes) if k >= K), len(runs))
             discarded.extend(lams[first + 1:])
             return runs[:first + 1] + [Discarded()] * len(runs[first + 1:])
@@ -564,39 +560,6 @@ class TestSpeculativeStep1:
         assert all(size < grid.K for _, size in path.lambda_grid)
         want = sequential_step1(X, Y, "pls2", grid)
         assert [diagnostic(d) for d in path.diagnostics] == want
-
-    def test_row_aborting_mid_chunk(self, monkeypatch):
-        # The second halving's objective turns NaN at its fifth iteration:
-        # that run alone aborts, the chunk goes on, and the path is the one
-        # the same fault gives with the halvings solved one at a time.
-        X, Y = grid_case("pls2", "v")
-        grid = GridConfig(K=6, L=20)
-        target = lambda_max(make_context(X, Y, "pls2")) / 4.0
-        evaluate = solver.eval_batch
-
-        def poisoned_grid(run_grid):
-            seen = collections.Counter()
-
-            def poisoned(ctx, T, lam, **kwargs):
-                ev = evaluate(ctx, T, lam, **kwargs)
-                hit = lam == target
-                if hit.any():
-                    seen[target] += 1
-                    if seen[target] == 6:  # the evaluation at iteration 5
-                        ev.value[hit] = np.nan
-                return ev
-
-            with monkeypatch.context() as m:
-                m.setattr(solver, "eval_batch", poisoned)
-                return run_grid()
-
-        got = poisoned_grid(lambda: dynamic_grid(X, Y, "pls2", grid))
-        want = poisoned_grid(lambda: one_at_a_time(monkeypatch, X, Y, "pls2", grid))
-        aborted = got.diagnostics[2]
-        assert (aborted.lam, aborted.failed, aborted.iterations) == (target, True, 5)
-        assert len(got.diagnostics) > 3 and not got.diagnostics[3].failed
-        assert target not in {lam for lam, _ in got.lambda_grid}
-        assert_same_path(got, want)
 
     def test_k_reached_by_the_first_row_of_a_chunk(self, monkeypatch):
         # Chunks of 3 hold l = 0..2 and 3..5; K is the terminal size first
@@ -740,10 +703,6 @@ def sequential_path(X, Y, model, grid):
 
     def solve(lam):
         run = minimize_batch(ctx0, [lam], grid.K)[0]
-        if isinstance(run, SolverAbort):
-            diagnostics.append(LambdaDiagnostic(lam, -1, run.iteration or 0, False, None,
-                                                failed=True))
-            return -1
         size = terminal_subset(run.terminal_t).size
         diagnostics.append(LambdaDiagnostic(lam, size, run.iterations, run.converged,
                                             run.objective))
@@ -754,7 +713,7 @@ def sequential_path(X, Y, model, grid):
     while len(diagnostics) < grid.L and size < grid.K:
         size = solve(lam_top / 2.0 ** len(diagnostics))
     while len(diagnostics) < grid.L:
-        done = sorted((d.lam, d.terminal_size) for d in diagnostics if not d.failed)
+        done = sorted((d.lam, d.terminal_size) for d in diagnostics)
         mids = [(lo + hi) / 2.0 for (lo, k_lo), (hi, k_hi) in zip(done, done[1:])
                 if k_lo > k_hi + 1]
         if not mids:
@@ -764,8 +723,7 @@ def sequential_path(X, Y, model, grid):
     return SolutionPath(
         model, ctx0.n, ctx0.p, ctx0.q, grid.K,
         score_buckets(ctx0, unique_rows(np.concatenate(traces)), grid.K),
-        sorted(((d.lam, d.terminal_size) for d in diagnostics if not d.failed),
-               reverse=True),
+        sorted(((d.lam, d.terminal_size) for d in diagnostics), reverse=True),
         diagnostics,
     )
 
@@ -865,42 +823,6 @@ class TestPls1Plan:
         assert len(calls) > 1
         assert len(solved) == len(set(solved))
         assert len(solved) <= 2 * grid.L
-
-    def test_row_aborting_mid_plan(self, monkeypatch):
-        # The run at lambda_max / 4 turns NaN at its fifth iteration: it
-        # alone aborts, the rest of its batch goes on, and the path is the
-        # one the same fault gives with every penalty solved alone.
-        X, y = grid_case("pls1", p=12)
-        grid = GridConfig(K=12, L=30)
-        target = lambda_max(make_context(X, y, "pls1")) / 4.0
-        evaluate = solver.eval_batch
-
-        def poisoned_grid(run_grid):
-            seen = collections.Counter()
-
-            def poisoned(ctx, T, lam, **kwargs):
-                ev = evaluate(ctx, T, lam, **kwargs)
-                hit = lam == target
-                if hit.any():
-                    seen[target] += 1
-                    if seen[target] == 6:  # the evaluation at iteration 5
-                        ev.value[hit] = np.nan
-                return ev
-
-            with monkeypatch.context() as m:
-                m.setattr(solver, "eval_batch", poisoned)
-                return run_grid()
-
-        calls = spy_calls(monkeypatch)
-        got = poisoned_grid(lambda: dynamic_grid(X, y, "pls1", grid))
-        want = poisoned_grid(lambda: sequential_path(X, y, "pls1", grid))
-        aborted = got.diagnostics[2]
-        assert (aborted.lam, aborted.failed, aborted.iterations) == (target, True, 5)
-        assert not any(d.failed for d in got.diagnostics[3:])
-        assert target not in {lam for lam, _ in got.lambda_grid}
-        assert target in calls[0] and len(calls[0]) > 3
-        assert_same_path(got, want)
-
 
 def cert_case(seed):
     # The criterion-2 design (n=100, p=15, q=10, gamma=5, sigma=3), centered
@@ -1062,7 +984,6 @@ class TestPcaBelowP:
         monkeypatch.setattr(linalg, "_power_steps", spy)
         path = dynamic_grid(center_columns(inst.X), None, "pca", GridConfig(K=5, L=4))
         assert sorted(path.buckets) == [1, 2, 3, 4, 5]
-        assert not any(d.failed for d in path.diagnostics)
         assert linalg.POWER_STEP_CAP in np.concatenate(steps)
 
 

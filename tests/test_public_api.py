@@ -14,7 +14,7 @@ PUBLIC_NAMES = sorted([
     # errors
     "DegenerateLoadingError", "DegenerateScoreError",
     "DimensionError", "NonFiniteInputError", "ParseError", "SingularMatrixError",
-    "SizeGuardError", "SolverAbort",
+    "SizeGuardError",
     # linalg
     "DominantPair", "center_columns", "top_eigpair",
     # objective

@@ -1,17 +1,16 @@
 import inspect
-import itertools
 
 import numpy as np
 import pytest
 
 from subsetpath import linalg, solver
-from subsetpath.errors import SolverAbort
+from subsetpath.errors import NonFiniteInputError
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
-from subsetpath.objective import lambda_max, make_context
+from subsetpath.objective import TRACE_LIMIT, lambda_max, make_context
 from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.solver import minimize_batch, top_k_order
 
-from contexts import pls2_context, solver_config
+from contexts import solver_config
 
 
 @pytest.fixture()
@@ -128,26 +127,26 @@ class TestMinimize:
             np.testing.assert_array_equal(t1, t2)
             assert obj1 == obj2
 
-    def test_non_finite_abort_names_iteration(self):
+    def test_overflowing_pls1_kernel_never_reaches_the_solver(self):
+        # z = X^T y / n overflows to inf: the context is refused, so no run
+        # can start on it.
         X = np.array([[1e200], [-1e200]])
         y = np.array([1e200, -1e200])
-        with np.errstate(over="ignore"):
-            ctx = make_context(X, y, "pls1")  # z overflows to inf
-            run = minimize_batch(ctx, [0.0])[0]
-        assert isinstance(run, SolverAbort)
-        assert "iteration 0" in str(run)
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            make_context(X, y, "pls1")
 
     @pytest.mark.parametrize("branch", ["v", "u"])
-    def test_pls2_overflow_aborts_at_iteration_0(self, branch):
-        X = np.array([[1e200, 1.0], [-1e200, -1.0]])
+    def test_overflowing_pls2_kernel_never_reaches_the_solver(self, branch):
+        # q < p makes make_context store M ("v"), q >= p stores G ("u"); M
+        # overflows in both, and either context is refused before any run.
         Y = np.array([[1e200, 1.0], [-1e200, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ctx = pls2_context(X, Y, branch)
-            run = minimize_batch(ctx, [0.0])[0]
-            assert isinstance(run, SolverAbort)
-            assert "iteration 0" in str(run)
-            with pytest.raises(SolverAbort, match="cannot start the grid"):
-                dynamic_grid(X, Y, "pls2", GridConfig(K=1, L=2))
+        X = np.array([[1e200, 1.0, 2.0], [-1e200, -1.0, -2.0]])
+        if branch == "u":
+            X = X[:, :2]
+        for build in (lambda: make_context(X, Y, "pls2"),
+                      lambda: dynamic_grid(X, Y, "pls2", GridConfig(K=1, L=2))):
+            with pytest.raises(NonFiniteInputError, match="non-finite"):
+                build()
 
     def test_t_init_must_be_interior(self, iterates):
         # Every run starts at the constant vector T_INIT, inside (0, 1).
@@ -268,33 +267,23 @@ class TestBatchedSweep:
             # Rows stop at different iterations, so the batch shrinks mid-loop.
             assert len({run.iterations for run in batch}) > 1
 
-    @pytest.mark.parametrize("field", ["grad_t", "value"])
-    def test_non_finite_row_aborts_alone(self, field, monkeypatch):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**501, -(2.0**501)],
+                             ids=["nan", "inf", "-inf", "above", "-above"])
+    def test_penalties_must_be_finite_and_bounded(self, bad):
         ctx = sweep_context("pls2", "v")
-        lams = lambda_max(ctx) * np.array([0.6, 0.3, 0.1])
-        calls = itertools.count()
-        evaluate = solver.eval_batch
+        with pytest.raises(ValueError, match="penalties must be finite"):
+            minimize_batch(ctx, [0.1, bad])
 
-        def poisoned(ctx, T, lam, **kwargs):
-            ev = evaluate(ctx, T, lam, **kwargs)
-            if next(calls) == 5:  # iteration 5, all three rows still running
-                getattr(ev, field)[lam == lams[1]] = np.nan
-            return ev
-
-        monkeypatch.setattr(solver, "eval_batch", poisoned)
-        batch = minimize_batch(ctx, lams)
-        monkeypatch.undo()
-        assert isinstance(batch[1], SolverAbort)
-        assert batch[1].iteration == 5 and "iteration 5" in str(batch[1])
-        for i in (0, 2):
-            assert_same_run(batch[i], minimize_batch(ctx, [lams[i]])[0])
-
-    def test_single_row_abort_is_returned(self):
-        with np.errstate(over="ignore"):
-            ctx = make_context(np.array([[1e200], [-1e200]]),
-                               np.array([1e200, -1e200]), "pls1")
-            (run,) = minimize_batch(ctx, [0.0])
-        assert isinstance(run, SolverAbort) and run.iteration == 0
+    @pytest.mark.parametrize("model,branch", [("pls1", None), ("pls2", "v"), ("pls2", "u"),
+                                              ("pca", None)])
+    @pytest.mark.parametrize("lam", [TRACE_LIMIT, -TRACE_LIMIT], ids=["limit", "-limit"])
+    def test_penalties_at_the_limit_run(self, model, branch, lam):
+        # Every t_j leaves for 0 or 1 under a penalty that dwarfs the data;
+        # pytest turns any RuntimeWarning into an error.
+        ctx = sweep_context(model, branch)
+        (run,) = minimize_batch(ctx, [lam])
+        assert np.isfinite(run.objective)
+        assert np.all(run.terminal_t < 0.1 if lam > 0 else run.terminal_t > 0.9)
 
 
 class TestSolverConstants:
