@@ -4,16 +4,18 @@ Every run of path, oracle and fit, for every model, centered and with
 --no-center, on random, constant, zero-column, duplicated-column, ~1e200,
 ~1e76 (cross-products finite, but a Gram trace above the solver's bound
 of 2^500), ~1e-200 and saturated data (column 1 at 1.7e308, whose mean
-overflows), must end with a documented exit code: 0 with its --out
-directory, or an error code with exactly one `error:` line on stderr and
-no --out directory. A traceback (an exception escaping cli.main) or a
-RuntimeWarning fails the run. The shapes include both routes of
+overflows), and one metrics run per kind of data, as the predictions
+against finite random observations, must end with a documented exit
+code: 0 with its --out directory, or an error code with exactly one
+`error:` line on stderr and no --out directory. A traceback (an exception
+escaping cli.main) or a RuntimeWarning fails the run. The shapes include both routes of
 path._cheap_rows above 100 columns: (3, 101, 102) puts pls2 on the p x p
 kernel, solved on demand; (4, 120, 3) is planned on the M kernel.
 
 Run with: PYTHONPATH=src python -m pytest -q ci
 """
 
+import json
 import shutil
 import warnings
 
@@ -74,19 +76,34 @@ def runs(tmp_path, kind, n, p, q):
                        *command[1:], *center, "--out", str(tmp_path / "out")]
 
 
+def assert_documented_exit(argv, out, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    err = capsys.readouterr().err
+    if code == 0:
+        assert out.is_dir(), argv
+    else:
+        assert code in DOCUMENTED_ERRORS, (argv, code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert not out.exists(), argv
+    shutil.rmtree(out, ignore_errors=True)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n, p, q", SHAPES)
 def test_every_run_ends_with_a_documented_exit(tmp_path, capsys, kind, n, p, q):
-    out = tmp_path / "out"
     for argv in runs(tmp_path, kind, n, p, q):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-        err = capsys.readouterr().err
-        if code == 0:
-            assert out.is_dir(), argv
-        else:
-            assert code in DOCUMENTED_ERRORS, (argv, code, err)
-            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-            assert not out.exists(), argv
-        shutil.rmtree(out, ignore_errors=True)
+        assert_documented_exit(argv, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_metrics_run_ends_with_a_documented_exit(tmp_path, capsys, kind):
+    n, p = 5, 8
+    write_csv_matrix(tmp_path / "pred.csv", matrix(kind, n, p, seed=p))
+    write_csv_matrix(tmp_path / "test.csv", matrix("random", n, p, seed=p + 1))
+    (tmp_path / "truth.json").write_text(json.dumps({"p": p, "support": [0, 1, 2]}))
+    argv = ["metrics", "--truth", str(tmp_path / "truth.json"), "--subset", "0 1 3",
+            "--pred", str(tmp_path / "pred.csv"), "--test", str(tmp_path / "test.csv"),
+            "--out", str(tmp_path / "out")]
+    assert_documented_exit(argv, tmp_path / "out", capsys)

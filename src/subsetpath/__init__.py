@@ -36,7 +36,6 @@ from .linalg import DominantPair, center_columns, top_eigpair
 from .objective import (
     ObjectiveContext,
     ObjectiveEval,
-    corner_objective,
     corner_values,
     eval_batch,
     grad_r,

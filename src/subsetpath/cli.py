@@ -2,13 +2,15 @@
 
 Exit codes are stable API (see EXIT_CODES): 0 success, 2 parse error,
 3 dimension error, 4 non-finite or oversized input (a NaN or infinite
-value in a model input, a column mean of one that overflows, or
-cross-products of one that overflow or exceed objective.TRACE_LIMIT),
+value in any input matrix, a column mean of one that overflows,
+cross-products of one that overflow or exceed objective.TRACE_LIMIT, or
+a metrics msep that overflows),
 5 singular system, 6 size guard, 7 degenerate data (a zero loading or
-score, as from a response without signal). CSV files are RFC-4180 with an
-optional auto-detected header row; floats are serialized at full
-round-trip precision. Every command writes a manifest.json recording the
-resolved configuration and input checksums.
+score, as from a response without signal). Every command reads its CSV
+matrices through read_csv_matrix: RFC-4180 with an optional auto-detected
+header row, every value finite. Floats are serialized at full round-trip
+precision. Every command writes a manifest.json recording the resolved
+configuration and input checksums.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ EXIT_CODES = {
 
 def read_csv_matrix(path: str) -> np.ndarray:
     """Read a numeric UTF-8 CSV, ignoring a leading BOM and blank lines; a
-    first non-blank row with no numeric field is a header and is skipped."""
+    first non-blank row with no numeric field is a header and is skipped.
+    A malformed file raises ParseError, a NaN or infinite value
+    NonFiniteInputError."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -86,12 +90,7 @@ def read_csv_matrix(path: str) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ParseError(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
-    return np.asarray(rows, dtype=float)
-
-
-def read_finite_matrix(path: str) -> np.ndarray:
-    """read_csv_matrix for model inputs, which must hold finite values."""
-    A = read_csv_matrix(path)
+    A = np.asarray(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(A))
     if len(bad):
         i, j = bad[0]
@@ -109,12 +108,10 @@ def _is_float(x: str) -> bool:
         return False
 
 
-def write_csv_matrix(path: Path, A: np.ndarray, header: list[str] | None = None):
+def write_csv_matrix(path: Path, A: np.ndarray):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
         for row in A:
             writer.writerow([repr(float(x)) for x in row])
 
@@ -167,8 +164,8 @@ def _outdir(args) -> Path:
 
 
 def _load_xy(args):
-    X = read_finite_matrix(args.x)
-    Y = read_finite_matrix(args.y) if args.y else None
+    X = read_csv_matrix(args.x)
+    Y = read_csv_matrix(args.y) if args.y else None
     if not args.no_center:
         X = center_columns(X)
         if Y is not None:
@@ -221,13 +218,13 @@ def cmd_path(args) -> int:
 
 def cmd_fit(args) -> int:
     started = time.time()
-    X = read_finite_matrix(args.x)
-    Y = read_finite_matrix(args.y) if args.y else None
+    X = read_csv_matrix(args.x)
+    Y = read_csv_matrix(args.y) if args.y else None
     # Q2 runs for regression-mode pls only; fit checks a v-fold pick's folds.
     runs_q2 = args.model != "pca" and args.mode == "regression"
     if runs_q2 and args.folds > X.shape[0]:
         raise ParseError(f"--folds {args.folds} exceeds the {X.shape[0]} rows of X")
-    test = tuple(read_finite_matrix(f) for f in args.test) if args.test else None
+    test = tuple(read_csv_matrix(f) for f in args.test) if args.test else None
     grid = GridConfig(K=args.k_max or X.shape[1], L=args.budget)
     strategy = replace(args.pick, folds=args.folds)
     if runs_q2:  # Q2's folds are refused before any grid, after what fit refuses first

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     SingularMatrixError,
 )
-from .linalg import column_means, top_eigpair
+from .linalg import column_means, data_matrix, top_eigpair
 from .objective import MODELS, lambda_max, make_context, response_matrix
 from .path import GridConfig, SolutionPath, Subset, dynamic_grid
 
@@ -68,23 +68,33 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class PickStrategy:
-    """How to pick the one subset used for a component before deflation."""
+    """How to pick the one subset used for a component before deflation.
+
+    ``kind`` is fixed-k (needs ``k`` >= 1), cpev-drop (needs a
+    ``fraction`` in (0, 1)), min-msep or max-cor; construction raises
+    ValueError for any other kind or a missing or out-of-range argument."""
 
     kind: str
     k: int | None = None
     fraction: float | None = None
     folds: int = 5
 
+    def __post_init__(self):
+        if self.kind == "fixed-k":
+            if self.k is None or self.k < 1:
+                raise ValueError("fixed-k needs k >= 1")
+        elif self.kind == "cpev-drop":
+            if self.fraction is None or not 0.0 < self.fraction < 1.0:
+                raise ValueError("cpev-drop fraction must lie in (0, 1)")
+        elif self.kind not in ("min-msep", "max-cor"):
+            raise ValueError(f"unknown pick strategy {self.kind!r}")
+
     @classmethod
     def fixed_k(cls, k: int) -> "PickStrategy":
-        if k < 1:
-            raise ValueError("fixed-k needs k >= 1")
         return cls(kind="fixed-k", k=k)
 
     @classmethod
     def cpev_drop(cls, fraction: float) -> "PickStrategy":
-        if not (0.0 < fraction < 1.0):
-            raise ValueError("cpev-drop fraction must lie in (0, 1)")
         return cls(kind="cpev-drop", fraction=fraction)
 
     @classmethod
@@ -100,14 +110,13 @@ class PickStrategy:
         """Parse CLI forms: fixed-k=K, cpev-drop=F, min-msep, max-cor."""
         name, eq, arg = text.partition("=")
         if name == "fixed-k":
-            return cls.fixed_k(int(arg))
+            return cls(kind=name, k=int(arg))
         if name == "cpev-drop":
-            return cls.cpev_drop(float(arg))
-        if name in ("min-msep", "max-cor"):
-            if eq:
-                raise ValueError(f"{name} takes no argument")
-            return cls(kind=name)
-        raise ValueError(f"unknown pick strategy {text!r}")
+            return cls(kind=name, fraction=float(arg))
+        strategy = cls(kind=name)
+        if eq:
+            raise ValueError(f"{name} takes no argument")
+        return strategy
 
     def __str__(self) -> str:
         """The CLI form that parse reads."""
@@ -407,16 +416,16 @@ def q2(
     sparse model chose); by default all components use the full variable
     set. The folds are those of the v-fold picks in ``fit`` at the same
     ``folds`` and ``seed``. A model other than pls1 or pls2, folds outside
-    2..n, or a negative seed raise ParseError; a fold whose training rows
-    hold a constant response column (max == min), or no more rows than the
-    H components, raises DegenerateLoadingError.
+    2..n, or a negative seed raise ParseError; an X that is not 2-D or a Y
+    that does not fit the model (objective.response_matrix) DimensionError;
+    a fold whose training rows hold a constant response column
+    (max == min), or no more rows than the H components, raises
+    DegenerateLoadingError.
     """
     if model not in ("pls1", "pls2"):
         raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X = data_matrix(X)
+    Y = response_matrix(Y, model, X.shape[0])
     if not 2 <= folds <= X.shape[0]:
         raise ParseError(f"folds={folds} out of range 2..{X.shape[0]}")
     if seed < 0:
@@ -531,13 +540,10 @@ def _pick_subset_size(
                 return k
         return K
 
-    if strategy.kind in ("min-msep", "max-cor"):
-        scores = _cv_scores(strategy.kind, path, comps, splits, model, mode)
-        if strategy.kind == "min-msep":
-            return int(np.argmin(scores)) + 1
-        return int(np.argmax(scores)) + 1
-
-    raise ValueError(f"unknown pick strategy {strategy.kind!r}")
+    scores = _cv_scores(strategy.kind, path, comps, splits, model, mode)
+    if strategy.kind == "min-msep":
+        return int(np.argmin(scores)) + 1
+    return int(np.argmax(scores)) + 1
 
 
 def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test, seed):
@@ -560,7 +566,7 @@ def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test, seed):
         raise ParseError("a test pair needs a pls model in regression mode")
     if seed < 0:
         raise ParseError(f"seed={seed} is negative")
-    X = np.asarray(X, dtype=float)
+    X = data_matrix(X)
     n, p = X.shape
     if grid_cfg is None:
         grid_cfg = GridConfig(K=p)
@@ -612,10 +618,12 @@ def fit(
     mode, H below 1, a missing strategy, and options that cannot be
     combined (min-msep outside regression mode, max-cor on pca, fixed-k
     above K, ``test`` for a model that cannot predict, v-fold folds outside
-    2..n), and a negative seed raise ParseError; shapes that do not fit (K
-    above p, a missing or extra Y, rows or columns of ``test`` or Y unlike
-    X's) DimensionError; v-fold folds whose smallest training fold holds no
-    more rows than the H components DegenerateLoadingError.
+    2..n), and a negative seed raise ParseError; shapes that do not fit (an
+    X that is not 2-D, K above p, a missing or extra Y, rows or columns of
+    ``test`` or Y unlike X's) DimensionError; v-fold folds whose smallest
+    training fold holds no more rows than the H components
+    DegenerateLoadingError. An invalid strategy is refused when the
+    PickStrategy is built.
     """
     X, Y, mode, grid_cfg, test = _fit_arguments(X, Y, model, H, strategy, mode,
                                                 grid_cfg, test, seed)

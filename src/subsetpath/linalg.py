@@ -1,12 +1,12 @@
-"""Dense matrix primitives: column centering and the package's one
-dominant-eigenpair routine, top_eigpair. Cold solves go to dense eigh.
-Warm-started solves of small matrices take one power step with the 64th
-power of A / tr A, those of larger ones repeated power steps, each stacked
-across all the matrices of a call; any matrix the steps do not settle is
-finished with dense eigh, so no solve fails. Only the vector of a single
-cold matrix is sign-normalized. top_eigpair takes a (B, d, d) stack, which
-the solver passes to solve the eigenproblems of a whole sweep of penalties
-in one call.
+"""Dense matrix primitives: the 2-D check every entry point applies to X,
+column centering and the package's one dominant-eigenpair routine,
+top_eigpair. It solves one matrix cold, by dense eigh, with its vector
+sign-normalized, or a (B, d, d) stack cold or warm: the solver passes a
+stack to solve the eigenproblems of a whole sweep of penalties in one
+call. Warm-started solves of small matrices take one power step with the
+64th power of A / tr A, those of larger ones repeated power steps, each
+stacked across all the matrices of a call; any matrix the steps do not
+settle is finished with dense eigh, so no solve fails.
 
 Everything operates on plain float ndarrays. All functions are pure; the
 returned arrays never alias their inputs.
@@ -49,16 +49,11 @@ class DominantPair:
     which the solver's gradient and warm starts do not depend on.
 
     For a stack of B matrices every field is stacked: value and iterations
-    have shape (B,), vector (B, d); ``row(b)`` is the b-th pair."""
+    have shape (B,), vector (B, d)."""
 
     value: float
     vector: np.ndarray
     iterations: int
-
-    def row(self, b: int) -> "DominantPair":
-        return DominantPair(
-            float(self.value[b]), self.vector[b], int(self.iterations[b])
-        )
 
 
 def column_means(A: np.ndarray, name: str) -> np.ndarray:
@@ -73,11 +68,18 @@ def column_means(A: np.ndarray, name: str) -> np.ndarray:
     return means
 
 
-def center_columns(X: np.ndarray) -> np.ndarray:
-    """Subtract each column mean (column_means); requires at least two rows."""
+def data_matrix(X) -> np.ndarray:
+    """X as a float array; DimensionError unless it is 2-D."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={X.ndim}")
+        raise DimensionError(f"X must be 2-D, got ndim={X.ndim}")
+    return X
+
+
+def center_columns(X: np.ndarray) -> np.ndarray:
+    """Subtract each column mean (column_means) of a 2-D X (data_matrix);
+    requires at least two rows."""
+    X = data_matrix(X)
     if X.shape[0] < 2:
         raise DimensionError(f"need at least 2 rows to center, got {X.shape[0]}")
     return X - column_means(X, "X")
@@ -91,39 +93,33 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def top_eigpair(A: np.ndarray, v0: np.ndarray | None = None) -> DominantPair:
     """Dominant eigenpair of a symmetric PSD matrix, such as a Gram product,
-    or of each matrix in a (B, d, d) stack (then ``v0`` is (B, d) and the
-    pair is stacked, see DominantPair).
+    solved cold, or of each matrix in a (B, d, d) stack, solved cold or
+    warm-started from the rows of a (B, d) ``v0`` (the pair is then
+    stacked, see DominantPair).
 
-    Cold calls (``v0`` None) go to numpy's dense ``eigh``, which reads one
-    triangle: a single matrix's vector is sign-normalized (_fix_sign), a
-    stack is the dense finish of every row. Warm-started ones take
-    _squared_step up to EIGH_CROSSOVER rows and _power_steps above it; a
-    single warm matrix is the one-row stack. Warm vectors are not
-    sign-normalized: they keep the sign their start gives them. Checks only
-    finiteness: a matrix or stack with a non-finite entry raises
-    ValueError."""
+    Cold solves (``v0`` None) go to numpy's dense ``eigh``, which reads one
+    triangle; only a single matrix's vector is sign-normalized (_fix_sign).
+    Warm-started stacks take _squared_step up to EIGH_CROSSOVER rows and
+    _power_steps above it; their vectors are not sign-normalized: they
+    keep the sign their start gives them. A single matrix with ``v0``, or
+    a matrix or stack with a non-finite entry, raises ValueError."""
     A = np.asarray(A, dtype=float)
+    if A.ndim == 2 and v0 is not None:
+        raise ValueError("a single matrix is solved cold; warm-start a (B, d, d) stack")
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
-    if A.ndim == 3:
-        return _top_eigpairs(A, v0)
-    if v0 is not None:
-        return _top_eigpairs(A[None], np.asarray(v0, dtype=float)[None]).row(0)
-    w, V = np.linalg.eigh(A)
-    # The vector stays a view of eigh's column where its sign allows: BLAS
-    # products round differently on strided and contiguous vectors, and
-    # callers' outputs are pinned to this layout.
-    return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0)
-
-
-def _top_eigpairs(A: np.ndarray, v0: np.ndarray | None) -> DominantPair:
-    # top_eigpair on a finite (B, d, d) stack.
-    B, n = A.shape[:2]
+    if A.ndim == 2:
+        w, V = np.linalg.eigh(A)
+        # The vector stays a view of eigh's column where its sign allows:
+        # BLAS products round differently on strided and contiguous
+        # vectors, and callers' outputs are pinned to this layout.
+        return DominantPair(float(w[-1]), _fix_sign(V[:, -1]), 0)
+    B, d = A.shape[:2]
     if v0 is None:
-        pair = DominantPair(np.empty(B), np.empty((B, n)), np.zeros(B, dtype=int))
+        pair = DominantPair(np.empty(B), np.empty((B, d)), np.zeros(B, dtype=int))
         _dense_finish(A, np.ones(B, dtype=bool), pair.value, pair.vector)
         return pair
-    warm = _squared_step if n <= EIGH_CROSSOVER else _power_steps
+    warm = _squared_step if d <= EIGH_CROSSOVER else _power_steps
     return warm(A, np.asarray(v0, dtype=float))
 
 

@@ -17,7 +17,7 @@ kernel is fixed per dataset (ObjectiveContext) and the penalty is not:
 eval_batch evaluates a stack of points, each under its own penalty, in one
 pass. Corner values (a binary t, the column-deleted data) come from
 corner_values, which scores a stack of subsets of one size with numpy's
-dense eigvalsh; corner_objective and lambda_max are its one-row case.
+dense eigvalsh; lambda_max is its one-row case, the full subset.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLoadingError, DimensionError, NonFiniteInputError
-from .linalg import DominantPair, top_eigpair
+from .linalg import DominantPair, data_matrix, top_eigpair
 
 MODELS = ("pls1", "pls2", "pca")
 
@@ -100,18 +100,14 @@ class ObjectiveContext:
 
 @dataclass
 class ObjectiveEval:
-    """Objective values, gradients in t, and the spectral quantity behind
-    them, for a stack of B points: value and delta have shape (B,), grad_t
-    (B, p).
-
-    ``delta`` is delta_t^2 for pls2, delta_t for pca, and
-    ||X_t^T y||^2 / n^2 for pls1. ``dominant`` is the stacked eigenpair
-    behind it (None for pls1).
+    """Objective values and gradients in t for a stack of B points: value
+    has shape (B,), grad_t (B, p). ``dominant`` is the stacked eigenpair
+    behind them (None for pls1); its value is delta_t^2 for pls2 and
+    delta_t for pca.
     """
 
     value: np.ndarray
     grad_t: np.ndarray
-    delta: np.ndarray
     dominant: DominantPair | None = None
 
 
@@ -149,9 +145,7 @@ def make_context(
     cross-products overflow, or exceed TRACE_LIMIT, raises
     NonFiniteInputError without a warning.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionError(f"X must be 2-D, got ndim={X.ndim}")
+    X = data_matrix(X)
     n, p = X.shape
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
@@ -216,7 +210,7 @@ def eval_batch(
     if pair is not None:
         delta = pair.value
     value = -delta + lam * T.sum(axis=1)
-    return ObjectiveEval(value=value, grad_t=grad, delta=delta, dominant=pair)
+    return ObjectiveEval(value=value, grad_t=grad, dominant=pair)
 
 
 def grad_r(ev: ObjectiveEval, r: np.ndarray) -> np.ndarray:
@@ -244,21 +238,12 @@ def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
     return -np.linalg.eigvalsh(blocks)[:, -1]
 
 
-def corner_objective(ctx: ObjectiveContext, bits) -> float:
-    """Unpenalized objective at the binary corner ``bits``: the one-row case
-    of corner_values. Returns 0.0 for the empty subset."""
-    idx = np.flatnonzero(np.asarray(bits))
-    if idx.size == 0:
-        return 0.0
-    return float(corner_values(ctx, idx[None])[0])
-
-
 def lambda_max(ctx: ObjectiveContext) -> float:
     """Largest useful penalty: sum(z^2) for pls1, the top eigenvalue of
     M^T M for pls2 and of X^T X / n for pca. Equals -f_0 at the full
     subset for every model; the terminal subset at this penalty is empty.
     """
-    value = -corner_objective(ctx, np.ones(ctx.p, dtype=int))
+    value = -float(corner_values(ctx, np.arange(ctx.p)[None])[0])
     if value <= 0.0:
         raise DegenerateLoadingError("data carries no signal: lambda_max is zero")
     return value

@@ -15,6 +15,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import DimensionError, NonFiniteInputError, SizeGuardError
+from .linalg import data_matrix
 from .objective import MODELS, response_matrix
 from .path import Subset
 
@@ -55,8 +56,9 @@ def exhaustive_path(
 ) -> OracleResult:
     """Return the per-size argmin of the corner objective. Raises
     SizeGuardError for p above 25, for every model (enumeration cost grows
-    as 2^p), and DimensionError for a max_k outside 1..p or a response
-    that does not fit the model (objective.response_matrix).
+    as 2^p), and DimensionError for an X that is not 2-D (linalg.data_matrix),
+    a max_k outside 1..p or a response that does not fit the model
+    (objective.response_matrix).
 
     pls1 takes its closed form: the best k-subset holds the k largest
     z_j^2, ties to the higher index. pls2/pca enumerate combinations per
@@ -67,7 +69,7 @@ def exhaustive_path(
     _BOUND_SLACK go to one stacked dense eigen-solve; the rest cannot win
     or tie. Ties keep the lexicographically smallest bits.
     """
-    X = np.asarray(X, dtype=float)
+    X = data_matrix(X)
     n, p = X.shape
     if p > EXHAUSTIVE_P_LIMIT:
         raise SizeGuardError(

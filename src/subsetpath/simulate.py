@@ -17,11 +17,11 @@ splits are reproducible too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteInputError
 from .path import Subset
 
 SCENARIOS = ("multiresponse", "two-component", "univariate", "pca-cov")
@@ -60,13 +60,14 @@ class SimConfig:
 
 @dataclass
 class SimInstance:
+    """A generated dataset; ``truth`` is the record written to truth.json,
+    with the true ``support`` and the design's parameters."""
+
     X: np.ndarray
     Y: np.ndarray | None
-    true_support: Subset
     truth: dict
     X_test: np.ndarray | None = None
     Y_test: np.ndarray | None = None
-    component_supports: list[Subset] = field(default_factory=list)
 
 
 def default_c_vector(p: int, gamma: int) -> np.ndarray:
@@ -104,10 +105,6 @@ def gen_multiresponse(cfg: SimConfig) -> SimInstance:
     Y = T @ W + cfg.sigma * rng.standard_normal((ntot, cfg.q))
 
     active = np.flatnonzero(np.any(C != 0.0, axis=1))
-    support = Subset.from_indices(p, active)
-    comp_supports = [
-        Subset.from_indices(p, np.flatnonzero(C[:, j] != 0.0)) for j in range(H)
-    ]
     truth = {
         "scenario": cfg.scenario,
         "p": p,
@@ -115,13 +112,12 @@ def gen_multiresponse(cfg: SimConfig) -> SimInstance:
         "BDt": W.tolist(),
         "sigma": cfg.sigma,
         "support": [int(j) for j in active],
-        "component_supports": [[int(j) for j in s.indices] for s in comp_supports],
+        "component_supports": [np.flatnonzero(c).tolist() for c in C.T],
     }
     return SimInstance(
-        X=X[: cfg.n], Y=Y[: cfg.n], true_support=support, truth=truth,
+        X=X[: cfg.n], Y=Y[: cfg.n], truth=truth,
         X_test=X[cfg.n :] if cfg.holdout else None,
         Y_test=Y[cfg.n :] if cfg.holdout else None,
-        component_supports=comp_supports,
     )
 
 
@@ -147,7 +143,6 @@ def gen_univariate(cfg: SimConfig) -> SimInstance:
     sigma_f = float(np.sqrt(signal.var() / cfg.snr)) if np.isfinite(cfg.snr) else 0.0
     y = signal + sigma_f * rng.standard_normal(ntot)
 
-    support = Subset.from_indices(p, range(active))
     truth = {
         "scenario": "univariate",
         "p": p,
@@ -157,10 +152,9 @@ def gen_univariate(cfg: SimConfig) -> SimInstance:
         "blocks": list(bounds),
     }
     return SimInstance(
-        X=X[: cfg.n], Y=y[: cfg.n, None], true_support=support, truth=truth,
+        X=X[: cfg.n], Y=y[: cfg.n, None], truth=truth,
         X_test=X[cfg.n :] if cfg.holdout else None,
         Y_test=y[cfg.n :, None] if cfg.holdout else None,
-        component_supports=[support],
     )
 
 
@@ -200,23 +194,20 @@ def gen_pca_cov(cfg: SimConfig) -> SimInstance:
     root = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
     X = rng.standard_normal((ntot, 10)) @ root
 
-    s1 = Subset.from_indices(10, [0, 1, 2, 3, 8, 9])
-    s2 = Subset.from_indices(10, [4, 5, 6, 7, 8, 9])
+    s1, s2 = [0, 1, 2, 3, 8, 9], [4, 5, 6, 7, 8, 9]
     u1, u2 = pca_cov_basis()
     truth = {
         "scenario": "pca-cov",
         "p": 10,
-        "support": [int(j) for j in np.flatnonzero(np.asarray(s1.bits) | np.asarray(s2.bits))],
-        "component_supports": [[0, 1, 2, 3, 8, 9], [4, 5, 6, 7, 8, 9]],
+        "support": sorted(set(s1) | set(s2)),
+        "component_supports": [s1, s2],
         "u1": u1.tolist(),
         "u2": u2.tolist(),
         "eigenvalues": list(PCA_COV_EIGENVALUES),
     }
-    support = Subset.from_indices(10, truth["support"])
     return SimInstance(
-        X=X[: cfg.n], Y=None, true_support=support, truth=truth,
+        X=X[: cfg.n], Y=None, truth=truth,
         X_test=X[cfg.n :] if cfg.holdout else None,
-        component_supports=[s1, s2],
     )
 
 
@@ -246,7 +237,8 @@ def metrics(
     prediction error when a prediction/observation pair is supplied.
 
     Sensitivity is undefined (None) for an empty true support; specificity
-    likewise for a full one.
+    likewise for a full one. An msep that is not finite, as when the
+    squared errors overflow, raises NonFiniteInputError.
     """
     a = np.asarray(s_hat.bits, dtype=bool)
     b = np.asarray(s_true.bits, dtype=bool)
@@ -269,5 +261,8 @@ def metrics(
             raise DimensionError(
                 f"prediction shape {Y_hat.shape} != observation shape {Y_test.shape}"
             )
-        msep = float(np.mean((Y_hat - Y_test) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            msep = float(np.mean((Y_hat - Y_test) ** 2))
+        if not np.isfinite(msep):
+            raise NonFiniteInputError("msep: the mean squared prediction error is not finite")
     return MetricsReport(msep=msep, sensitivity=sens, specificity=spe, f1=f1)

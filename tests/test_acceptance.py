@@ -22,7 +22,7 @@ from subsetpath.components import (
 )
 from subsetpath.linalg import center_columns
 from subsetpath.objective import (
-    corner_objective,
+    corner_values,
     eval_batch,
     grad_r,
     make_context,
@@ -314,7 +314,8 @@ def test_criterion_7_structural_invariants():
     for model, (ctx, data_y) in contexts.items():
         for bits in itertools.product([0, 1], repeat=p):
             want = _discrete_corner(model, X, data_y, bits)
-            got = corner_objective(ctx, bits)
+            idx = np.flatnonzero(bits)
+            got = float(corner_values(ctx, idx[None])[0]) if idx.size else 0.0
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (
                 f"{model} corner {bits}: {got} vs {want}"
             )

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,23 @@ class TestMetricsCommand:
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[0] == "0.0"
 
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    def test_overflowing_msep_exits_4(self, truth_file, tmp_path, capsys, scale):
+        # Finite inputs whose squared errors overflow: one error line, no
+        # RuntimeWarning and no output.
+        write_csv_matrix(tmp_path / "pred.csv", np.full((3, 2), scale))
+        write_csv_matrix(tmp_path / "test.csv", -np.ones((3, 2)))
+        out = tmp_path / "m"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("metrics", "--truth", str(truth_file), "--subset", "1100",
+                           "--pred", str(tmp_path / "pred.csv"),
+                           "--test", str(tmp_path / "test.csv"), "--out", str(out))
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: msep: the mean squared prediction error is not finite\n")
+        assert not out.exists()
+
     def test_zero_p_exits_2(self, truth_file, tmp_path, capsys):
         out = tmp_path / "m"
         code = run_cli("metrics", "--truth", str(truth_file), "--subset", "1100",
@@ -741,7 +759,7 @@ class TestErrorExits:
         def no_work(*args, **kwargs):
             raise AssertionError("data read before the flags were checked")
 
-        monkeypatch.setattr(cli, "read_finite_matrix", no_work)
+        monkeypatch.setattr(cli, "read_csv_matrix", no_work)
         sim = self.sim(tmp_path)
         assert run_cli("oracle", "--model", "pca", "--x", str(sim / "X.csv"),
                        "--max-k", "0", "--out", str(tmp_path / "out")) == 2
@@ -793,18 +811,25 @@ class TestErrorExits:
         if bad[-1] in ("fixed-k=9", "fixed-k=4"):
             assert "exceeds the largest subset size" in err
 
-    @pytest.mark.parametrize("command", ["path", "oracle"])
+    @pytest.mark.parametrize("command", ["path", "oracle", "metrics"])
     @pytest.mark.parametrize("name", ["X.csv", "Y.csv"])
     def test_non_finite_input_exits_4(self, tmp_path, capsys, command, name):
+        # metrics reads X.csv as its predictions and Y.csv as its observations.
         sim = self.sim(tmp_path)
         A = read_csv_matrix(str(sim / name))
         A[3, 1] = np.nan
         write_csv_matrix(sim / name, A)
-        argv = [command, "--model", "pls2", "--x", str(sim / "X.csv"),
-                "--y", str(sim / "Y.csv"), "--out", str(tmp_path / "out")]
+        if command == "metrics":
+            argv = ["metrics", "--truth", str(sim / "truth.json"), "--subset", "0 1",
+                    "--pred", str(sim / "X.csv"), "--test", str(sim / "Y.csv")]
+        else:
+            argv = [command, "--model", "pls2", "--x", str(sim / "X.csv"),
+                    "--y", str(sim / "Y.csv")]
+        argv += ["--out", str(tmp_path / "out")]
         if command == "path":
             argv += ["--k-max", "3"]
         assert run_cli(*argv) == 4
+        assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: {sim / name}: non-finite value at data row 4, column 2")

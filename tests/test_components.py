@@ -351,6 +351,20 @@ class TestQ2:
         with pytest.raises(DegenerateLoadingError):
             q2(X, Y, model="pls2", H=1, folds=5, seed=0)
 
+    @pytest.mark.parametrize("model, x_shape, y_shape, message", [
+        ("pls2", (100, 4), (90, 2), "X has 100 rows but Y has 90"),
+        ("pls2", (100, 4), (100, 0), "response matrix has no columns"),
+        ("pls1", (100, 4), (100, 3), "pls1 requires a single response column, got 3"),
+        ("pls2", (100,), (100, 2), "X must be 2-D, got ndim=1"),
+    ], ids=["y-90-rows", "y-no-columns", "pls1-3-columns", "x-1-d"])
+    def test_data_that_do_not_fit_raise_dimension_error(self, model, x_shape, y_shape,
+                                                        message):
+        # The checks fit makes, before any arithmetic on the data.
+        rng = np.random.default_rng(21)
+        X, Y = rng.standard_normal(x_shape), rng.standard_normal(y_shape)
+        with pytest.raises(DimensionError, match=message):
+            q2(X, Y, model=model)
+
     def test_training_fold_of_at_most_H_rows_rejected(self):
         # Two folds of 4 rows leave training folds of 2 rows, too few to
         # refit 2 components; 3 rows carry them.
@@ -736,6 +750,25 @@ class TestFitArguments:
         args = {"model": "pls2", "strategy": PickStrategy.fixed_k(3), **kwargs}
         with pytest.raises(ParseError):
             fit(data.X, data.Y, **args)
+
+    def test_one_dimensional_x_rejected(self, data):
+        with pytest.raises(DimensionError, match="X must be 2-D, got ndim=1"):
+            fit(data.X[:, 0], data.Y, strategy=PickStrategy.fixed_k(1))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "bogus"}, "unknown pick strategy 'bogus'"),
+        ({"kind": "fixed-k"}, "fixed-k needs k >= 1"),
+        ({"kind": "fixed-k", "k": 0}, "fixed-k needs k >= 1"),
+        ({"kind": "cpev-drop"}, "cpev-drop fraction must lie in"),
+        ({"kind": "cpev-drop", "fraction": 2.0}, "cpev-drop fraction must lie in"),
+        ({"kind": "cpev-drop", "fraction": float("nan")}, "cpev-drop fraction must lie in"),
+    ], ids=["unknown-kind", "fixed-k-without-k", "fixed-k-0", "cpev-drop-without-fraction",
+            "cpev-drop-2", "cpev-drop-nan"])
+    def test_invalid_strategy_refused_before_any_grid(self, data, kwargs, message):
+        # Built directly, a strategy is checked as the factories check it;
+        # the data fixture's spy fails the test if a grid is solved.
+        with pytest.raises(ValueError, match=message):
+            fit(data.X, data.Y, model="pls2", strategy=PickStrategy(**kwargs))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("strategy,mode", [

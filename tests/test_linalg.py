@@ -5,7 +5,7 @@ import pytest
 
 from subsetpath.errors import DimensionError
 from subsetpath import linalg
-from subsetpath.linalg import _power_steps, center_columns, top_eigpair
+from subsetpath.linalg import DominantPair, _power_steps, center_columns, top_eigpair
 
 
 class TestCenterColumns:
@@ -49,11 +49,16 @@ def spiked_psd(n, seed):
     return B @ B.T + 4.0 * np.outer(u, u) / (u @ u)
 
 
+def first(pair):
+    # Row 0 of a stacked pair, as a pair of scalars and one vector.
+    return DominantPair(float(pair.value[0]), pair.vector[0], int(pair.iterations[0]))
+
+
 def power(A, v0=None):
-    # The stacked warm route on one matrix, started from v0 (all ones by
-    # default), whatever its size.
+    # The stacked warm route on a one-row stack of A, started from v0 (all
+    # ones by default), whatever its size.
     v0 = np.ones(A.shape[0]) if v0 is None else np.asarray(v0, dtype=float)
-    return _power_steps(A[None], v0[None]).row(0)
+    return first(_power_steps(A[None], v0[None]))
 
 
 def near_tied(n, seed, gap=1e-6):
@@ -164,9 +169,9 @@ class TestPowerIteration:
         pair = _power_steps(A, v0)
         assert len(set(pair.iterations.tolist())) == 4
         for b in range(4):
-            alone = _power_steps(A[b:b + 1], v0[b:b + 1]).row(0)
-            assert pair.row(b).value == alone.value
-            assert pair.row(b).iterations == alone.iterations
+            alone = first(_power_steps(A[b:b + 1], v0[b:b + 1]))
+            assert pair.value[b] == alone.value
+            assert pair.iterations[b] == alone.iterations
             np.testing.assert_array_equal(pair.vector[b], alone.vector)
 
 
@@ -181,11 +186,12 @@ class TestTopEigpair:
         A = spiked_psd(n, seed=n)
         w, V = np.linalg.eigh(A)
         ref = linalg._fix_sign(V[:, -1])
-        v0 = None
         if warm:
             rng = np.random.default_rng(n + 1)
             v0 = ref + 1e-3 * rng.standard_normal(n)
-        pair = top_eigpair(A, v0=v0)
+            pair = first(top_eigpair(A[None], v0=v0[None]))
+        else:
+            pair = top_eigpair(A)
         assert pair.value == pytest.approx(w[-1], rel=1e-10)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(pair.vector, ref, atol=1e-6)
@@ -194,19 +200,18 @@ class TestTopEigpair:
         else:
             assert pair.iterations == 0
 
-    def test_single_warm_call_is_the_one_row_stack(self):
-        n = CROSSOVER + 5
-        A, v0 = near_tied(n, seed=6)
-        pair = top_eigpair(A, v0=v0)
-        stacked = top_eigpair(A[None], v0=v0[None]).row(0)
-        assert pair.value == stacked.value and pair.iterations == stacked.iterations
-        np.testing.assert_array_equal(pair.vector, stacked.vector)
-        assert pair.value == dense(A)[0]  # capped, then finished densely
+    @pytest.mark.parametrize("n", [3, CROSSOVER + 1])
+    def test_single_matrix_with_a_start_rejected(self, n):
+        # A single matrix is solved cold; a warm start needs a stack.
+        with pytest.raises(ValueError, match="single matrix is solved cold"):
+            top_eigpair(spiked_psd(n, seed=n), v0=np.ones(n))
 
     @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True), (101, True)])
     def test_zero_matrix(self, n, warm):
-        v0 = np.ones(n) if warm else None
-        pair = top_eigpair(np.zeros((n, n)), v0=v0)
+        if warm:
+            pair = first(top_eigpair(np.zeros((1, n, n)), v0=np.ones((1, n))))
+        else:
+            pair = top_eigpair(np.zeros((n, n)))
         assert pair.value == 0.0
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0)
 
@@ -216,7 +221,10 @@ class TestTopEigpair:
         A = np.eye(n)
         A[0, 1] = A[1, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            top_eigpair(A, v0=np.ones(n) if warm else None)
+            if warm:
+                top_eigpair(A[None], v0=np.ones((1, n)))
+            else:
+                top_eigpair(A)
 
     @pytest.mark.parametrize("n,warm", [(3, False), (CROSSOVER + 1, True), (3, True),
                                         (CROSSOVER, True)])
@@ -316,15 +324,6 @@ class TestSquaredStep:
             alone = top_eigpair(A[b:b + 1], v0=v0[b:b + 1])
             assert pair.value[b] == alone.value[0]
             np.testing.assert_array_equal(pair.vector[b], alone.vector[0])
-
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_single_warm_call_is_the_one_row_stack(self, tied):
-        n = 12
-        A, v0 = near_tied(n, seed=6) if tied else (spiked_psd(n, seed=6), np.ones(n))
-        pair = top_eigpair(A, v0=v0)
-        stacked = top_eigpair(A[None], v0=v0[None]).row(0)
-        assert pair.value == stacked.value and pair.iterations == stacked.iterations == 1
-        np.testing.assert_array_equal(pair.vector, stacked.vector)
 
 
 class TestFixSign:

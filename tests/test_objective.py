@@ -7,7 +7,6 @@ from subsetpath.linalg import center_columns
 from subsetpath.objective import (
     TRACE_LIMIT,
     ObjectiveContext,
-    corner_objective,
     corner_values,
     eval_batch,
     grad_r,
@@ -267,7 +266,8 @@ class TestEvalPls1:
         ctx = make_context(np.eye(2), np.array([1.0, 2.0]), "pls1")
         t = np.array([0.3, 0.9])
         ev = eval_at(ctx, t, 0.7)
-        assert ev.value[0] == pytest.approx(-ev.delta[0] + 0.7 * t.sum())
+        delta = float(np.sum(t * t * ctx.z * ctx.z))
+        assert ev.value[0] == pytest.approx(-delta + 0.7 * t.sum())
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -305,7 +305,7 @@ class TestEvalPls2:
             np.diag([3.0, 1.0]) if ctx.M is not None else np.diag([9.0, 1.0]),
         )
         ev = eval_at(ctx, np.array([1.0, 1.0]), 0.0)
-        assert ev.delta[0] == pytest.approx(9.0, rel=1e-9)
+        assert ev.dominant.value[0] == pytest.approx(9.0, rel=1e-9)
         assert ev.value[0] == pytest.approx(-9.0, rel=1e-9)
         np.testing.assert_allclose(ev.grad_t[0], [-18.0, 0.0], atol=1e-7)
 
@@ -314,13 +314,13 @@ class TestEvalPls2:
         Y = np.sqrt(2.0) * np.diag([3.0, 1.0])
         ctx = make_context(X, Y, "pls2")
         ev = eval_at(ctx, np.array([0.0, 1.0]), 0.0)
-        assert ev.delta[0] == pytest.approx(1.0, rel=1e-9)
+        assert ev.dominant.value[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_point(self):
         X, Y, _ = draw_pls2(seed=3)
         ctx = make_context(X, Y, "pls2")
         ev = eval_at(ctx, np.zeros(8), 0.9)
-        assert ev.delta[0] == pytest.approx(0.0, abs=1e-12)
+        assert ev.dominant.value[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(ev.grad_t[0], np.full(8, 0.9))
 
     @pytest.mark.parametrize("branch", ["v", "u"])
@@ -362,7 +362,7 @@ class TestEvalPca:
         X = np.sqrt(n) * np.diag([2.0, 1.0])  # X^T X / n = diag(4, 1)
         ctx = make_context(X, model="pca")
         ev = eval_at(ctx, np.array([1.0, 1.0]), 0.0)
-        assert ev.delta[0] == pytest.approx(4.0, rel=1e-9)
+        assert ev.dominant.value[0] == pytest.approx(4.0, rel=1e-9)
         np.testing.assert_allclose(ev.grad_t[0], [-8.0, 0.0], atol=1e-7)
 
     def test_zero_point(self):
@@ -370,7 +370,7 @@ class TestEvalPca:
         ctx = make_context(X, model="pca")
         ev = eval_at(ctx, np.zeros(7), 0.5)
         assert ev.value[0] == 0.0
-        assert ev.delta[0] == pytest.approx(0.0, abs=1e-12)
+        assert ev.dominant.value[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         X, t = draw_pca(seed=17)
@@ -394,7 +394,7 @@ class TestPcaKernels:
         T = rng.uniform(0.05, 0.95, size=(5, p))
         lam = rng.uniform(0.0, 1.0, size=5)
         ev_m, ev_g = eval_batch(ctx_m, T, lam), eval_batch(ctx_g, T, lam)
-        np.testing.assert_allclose(ev_m.delta, ev_g.delta, rtol=1e-12)
+        np.testing.assert_allclose(ev_m.dominant.value, ev_g.dominant.value, rtol=1e-12)
         scale = np.abs(ev_g.grad_t).max()
         np.testing.assert_allclose(ev_m.grad_t, ev_g.grad_t, rtol=0, atol=1e-12 * scale)
         for k in (1, 5, n, 20, p):  # blocks k x k below n, n x n above
@@ -444,10 +444,10 @@ class TestCornerConsistency:
             want = discrete_value(model, X, data_y, bits)
             # relaxed objective evaluated exactly at the corner
             ev = eval_at(ctx, np.array(bits, dtype=float), 0.0)
-            assert -ev.delta[0] == pytest.approx(want, rel=1e-10, abs=1e-12)
-            assert corner_objective(ctx, bits) == pytest.approx(
-                want, rel=1e-10, abs=1e-12
-            )
+            assert ev.value[0] == pytest.approx(want, rel=1e-10, abs=1e-12)
+            idx = np.flatnonzero(bits)
+            got = float(corner_values(ctx, idx[None])[0]) if idx.size else 0.0
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("model", ["pls1", "pls2", "pca"])
     def test_monotone_decrease_per_coordinate(self, model):

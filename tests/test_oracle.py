@@ -105,6 +105,13 @@ class TestExhaustivePath:
         with pytest.raises(DimensionError, match="no columns"):
             exhaustive_path(np.eye(3), np.zeros((3, 0)), "pls2")
 
+    @pytest.mark.parametrize("model", ["pls1", "pca"])
+    def test_one_dimensional_x_rejected(self, model):
+        # The check make_context makes, before X.shape is read.
+        y = None if model == "pca" else np.arange(3.0)
+        with pytest.raises(DimensionError, match="X must be 2-D, got ndim=1"):
+            exhaustive_path(np.arange(3.0), y, model)
+
     @pytest.mark.parametrize("max_k", [3, 12])
     def test_enumerated_count_is_every_combination_visited(self, max_k):
         rng = np.random.default_rng(4)

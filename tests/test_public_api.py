@@ -18,7 +18,7 @@ PUBLIC_NAMES = sorted([
     # linalg
     "DominantPair", "center_columns", "top_eigpair",
     # objective
-    "ObjectiveContext", "ObjectiveEval", "corner_objective", "corner_values",
+    "ObjectiveContext", "ObjectiveEval", "corner_values",
     "eval_batch", "grad_r", "lambda_max", "make_context", "r_of_t", "t_of_r",
     # oracle
     "OracleResult", "exhaustive_path",

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from subsetpath.errors import DimensionError
+from subsetpath.errors import DimensionError, NonFiniteInputError
 from subsetpath.path import Subset
 from subsetpath.simulate import (
     SimConfig,
@@ -21,7 +23,7 @@ class TestMultiresponse:
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", seed=0))
         assert inst.X.shape == (100, 15)
         assert inst.Y.shape == (100, 10)
-        assert inst.true_support.size == 10
+        assert len(inst.truth["support"]) == 10
 
     def test_default_c_vector_pattern(self):
         c = default_c_vector(15, 5)
@@ -34,7 +36,7 @@ class TestMultiresponse:
             SimConfig(scenario="multiresponse", sigma=0.0, seed=1)
         )
         assert np.linalg.matrix_rank(inst.X) == 1
-        inactive = [j for j in range(15) if j not in inst.true_support.indices]
+        inactive = [j for j in range(15) if j not in inst.truth["support"]]
         assert np.all(inst.X[:, inactive] == 0.0)
 
     def test_seed_determinism(self):
@@ -53,9 +55,8 @@ class TestMultiresponse:
     def test_two_component_design(self):
         inst = gen_multiresponse(SimConfig(scenario="two-component", sigma=1.5, seed=3))
         assert inst.X.shape == (100, 30)
-        assert inst.component_supports[0].indices.tolist() == list(range(10))
-        assert inst.component_supports[1].indices.tolist() == list(range(10, 20))
-        assert inst.true_support.size == 20
+        assert inst.truth["component_supports"] == [list(range(10)), list(range(10, 20))]
+        assert inst.truth["support"] == list(range(20))
 
 
 class TestUnivariate:
@@ -63,7 +64,7 @@ class TestUnivariate:
         inst = gen_univariate(SimConfig(scenario="univariate", n=40, p=80, gamma=40,
                                         snr=10.0, seed=0))
         assert inst.truth["blocks"] == [0, 20, 40, 80]
-        assert inst.true_support.size == 40
+        assert inst.truth["support"] == list(range(40))
 
     def test_noise_free_signal_in_hidden_span(self):
         inst = gen_univariate(SimConfig(scenario="univariate", n=50, p=20, gamma=10,
@@ -117,8 +118,8 @@ class TestPcaCov:
 
     def test_supports(self):
         inst = gen_pca_cov(SimConfig(scenario="pca-cov", n=50, p=10, seed=1))
-        assert inst.component_supports[0].indices.tolist() == [0, 1, 2, 3, 8, 9]
-        assert inst.component_supports[1].indices.tolist() == [4, 5, 6, 7, 8, 9]
+        assert inst.truth["component_supports"] == [[0, 1, 2, 3, 8, 9], [4, 5, 6, 7, 8, 9]]
+        assert inst.truth["support"] == list(range(10))
 
     def test_wrong_p_rejected(self):
         with pytest.raises(DimensionError):
@@ -207,6 +208,14 @@ class TestMetrics:
             precision = tp / sum(a)
             lo, hi = sorted([precision, rep.sensitivity])
             assert lo - 1e-12 <= rep.f1 <= hi + 1e-12
+
+    @pytest.mark.parametrize("value", [1e200, np.nan], ids=["overflow", "nan"])
+    def test_non_finite_msep_rejected(self, value):
+        Y_hat = np.full((3, 2), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteInputError, match="msep"):
+                metrics(Subset.from_bits((1,)), Subset.from_bits((1,)), Y_hat, np.zeros((3, 2)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
