@@ -17,6 +17,7 @@ X w_h = X_{h-1} u_h.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ class FittedModel:
 class PickStrategy:
     """How to pick the one subset used for a component before deflation.
 
-    ``kind`` is fixed-k (needs ``k`` >= 1), cpev-drop (needs a
+    ``kind`` is fixed-k (needs an integer ``k`` >= 1), cpev-drop (needs a
     ``fraction`` in (0, 1)), min-msep or max-cor; construction raises
     ValueError for any other kind or a missing or out-of-range argument."""
 
@@ -81,8 +82,8 @@ class PickStrategy:
 
     def __post_init__(self):
         if self.kind == "fixed-k":
-            if self.k is None or self.k < 1:
-                raise ValueError("fixed-k needs k >= 1")
+            if not isinstance(self.k, numbers.Integral) or self.k < 1:
+                raise ValueError("fixed-k needs an integer k >= 1")
         elif self.kind == "cpev-drop":
             if self.fraction is None or not 0.0 < self.fraction < 1.0:
                 raise ValueError("cpev-drop fraction must lie in (0, 1)")

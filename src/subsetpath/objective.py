@@ -221,7 +221,8 @@ def grad_r(ev: ObjectiveEval, r: np.ndarray) -> np.ndarray:
 
 def corner_values(ctx: ObjectiveContext, I: np.ndarray) -> np.ndarray:
     """Unpenalized corner objectives of m subsets of one size k >= 1, given
-    as an (m, k) array of sorted column indices: -sum(z^2) over the subset
+    as an (m, k) array of sorted column indices of any integer type (the
+    path passes the solver's narrow unsigned one): -sum(z^2) over the subset
     for pls1, otherwise minus the top eigenvalue of the column-deleted
     Gram block (k x k, or the q x q or n x n one from M when that is
     smaller), each solved by numpy's dense eigvalsh."""

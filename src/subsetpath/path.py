@@ -3,12 +3,14 @@
 A single solver run visits a trajectory of points t; every visited point
 contributes, for each k up to K, the subset holding its k largest
 coordinates. The solver hands over only the distinct top-K orderings it
-visited, as an (m, K) int array. The grid stacks the orderings of all its
-runs into one (M, K) array of distinct rows, and bucket k is scored from
-it directly: the k-prefixes of the rows are sorted and deduplicated, and
-the resulting (m_k, k) array of index rows, ``SizeBucket.candidates``, is
-scored in stacks by objective.corner_values (the closed form for pls1, one
-stacked dense eigen-solve over the k x k or q x q blocks otherwise). The
+visited, as an (m, K) array in the narrowest unsigned integer type that
+holds the column indices (solver.minimize_batch picks it). The grid stacks
+the orderings of all its runs into one (M, K) array of distinct rows, and
+bucket k is scored from it directly: the k-prefixes of the rows are sorted
+and deduplicated, and the resulting (m_k, k) array of index rows of the
+same type, ``SizeBucket.candidates``, is scored in stacks by
+objective.corner_values (the closed form for pls1, one stacked dense
+eigen-solve over the k x k or q x q blocks otherwise). The
 lowest unpenalized corner objective wins; exact ties go to the smallest
 bits. Only the rows whose k-prefix trace can reach the best are scored
 (score_buckets).
@@ -128,8 +130,10 @@ class Subset:
 
 @dataclass
 class SizeBucket:
-    """``candidates`` is the (m, k) int array of the distinct sorted index
-    rows that passed score_buckets' trace bound; ``best`` wins among them."""
+    """``candidates`` is the (m, k) array of the distinct sorted index rows
+    that passed score_buckets' trace bound, of the orderings' index type
+    (uint8 up to 256 columns, uint16 up to 65,536); ``best`` wins among
+    them."""
 
     k: int
     candidates: np.ndarray
@@ -173,9 +177,10 @@ class SolutionPath:
 
 
 def best_row(ctx0: ObjectiveContext, I: np.ndarray) -> tuple[Subset, float]:
-    """Row of I, an (m, k) array of sorted column indices with m, k >= 1,
-    with the lowest unpenalized corner objective; exact ties go to the
-    smallest bits. Rows are scored in _BATCH-sized stacks."""
+    """Row of I, an (m, k) array of sorted column indices of any integer
+    type with m, k >= 1, with the lowest unpenalized corner objective;
+    exact ties go to the smallest bits. Rows are scored in _BATCH-sized
+    stacks."""
     if I.size == 0:
         raise ValueError("no candidate rows to score")
     values = np.concatenate([
@@ -189,26 +194,29 @@ def best_row(ctx0: ObjectiveContext, I: np.ndarray) -> tuple[Subset, float]:
 
 def prefix_rows(orders: np.ndarray, k: int) -> np.ndarray:
     """Distinct sorted k-prefixes of the rows of an (M, K) ordering array,
-    as an (m, k) array in order of first occurrence."""
+    as an (m, k) array of the orderings' index type, in order of first
+    occurrence."""
     return unique_rows(np.sort(orders[:, :k], axis=1))
 
 
 def score_buckets(
     ctx0: ObjectiveContext, orders: np.ndarray, K: int
 ) -> dict[int, SizeBucket]:
-    """Buckets k = 1..K from an (M, K) array of top-K orderings: each k
-    scores with best_row the distinct k-prefixes of the rows whose trace
-    (the sum of its single-column scores z_j^2, ||M_j||^2 or G_jj) reaches
-    the value of the largest-trace row's k-prefix, less _TRACE_SLACK. A
-    block's top eigenvalue is at most its trace, equal for pls1 (Moghaddam,
-    Weiss & Avidan 2006), so no row skipped can win; a NaN skips nothing."""
+    """Buckets k = 1..K from an (M, K) array of top-K orderings of any
+    integer type, which the candidates keep: each k scores with best_row
+    the distinct k-prefixes of the rows whose trace (the sum of its
+    single-column scores z_j^2, ||M_j||^2 or G_jj, added in visit order as
+    a running sum over k) reaches the value of the largest-trace row's
+    k-prefix, less _TRACE_SLACK. A block's top eigenvalue is at most its
+    trace, equal for pls1 (Moghaddam, Weiss & Avidan 2006), so no row
+    skipped can win; a NaN skips nothing."""
     d = -corner_values(ctx0, np.arange(ctx0.p)[:, None])
-    traces = np.cumsum(d[orders], axis=1)
+    s = np.zeros(len(orders))
     buckets = {}
     for k in range(1, K + 1):
-        s = traces[:, k - 1]
+        s = s + d[orders[:, k - 1]]
         top = -corner_values(ctx0, np.sort(orders[np.argmax(s), :k])[None])[0]
-        I = prefix_rows(orders[~(s < top * (1.0 - _TRACE_SLACK))], k)
+        I = prefix_rows(orders[~(s < top * (1.0 - _TRACE_SLACK)), :k], k)
         best, value = best_row(ctx0, I)
         buckets[k] = SizeBucket(k, I, best, value)
     return buckets

@@ -237,8 +237,9 @@ def metrics(
     prediction error when a prediction/observation pair is supplied.
 
     Sensitivity is undefined (None) for an empty true support; specificity
-    likewise for a full one. An msep that is not finite, as when the
-    squared errors overflow, raises NonFiniteInputError.
+    likewise for a full one. An empty prediction/observation pair raises
+    DimensionError; an msep that is not finite, as when the squared errors
+    overflow, raises NonFiniteInputError.
     """
     a = np.asarray(s_hat.bits, dtype=bool)
     b = np.asarray(s_true.bits, dtype=bool)
@@ -261,6 +262,8 @@ def metrics(
             raise DimensionError(
                 f"prediction shape {Y_hat.shape} != observation shape {Y_test.shape}"
             )
+        if Y_hat.size == 0:
+            raise DimensionError(f"msep needs at least one prediction, got shape {Y_hat.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             msep = float(np.mean((Y_hat - Y_test) ** 2))
         if not np.isfinite(msep):

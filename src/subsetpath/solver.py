@@ -2,9 +2,10 @@
 
 The path builder mines the visited trajectory, not just the terminal point,
 for candidate subsets, but it only needs each visited point's top-K
-ordering. The solver therefore records those orderings as it goes, hands
-them over deduplicated in first-visit order, and keeps no per-iterate copy
-of t.
+ordering. The solver therefore records those orderings as it goes, in the
+narrowest unsigned integer type that holds the column indices 0..p-1,
+hands them over deduplicated in first-visit order, and keeps no
+per-iterate copy of t.
 
 One loop serves every caller: minimize_batch runs a whole sweep of
 penalties at once, with r, t and the Adam moments held as (B, p) arrays,
@@ -47,8 +48,9 @@ T_INIT = 0.5
 
 @dataclass
 class SolverRun:
-    """``trace`` is an (m, K) int array of the distinct top-K orderings of
-    the visited points, in first-visit order; ``objective`` is the
+    """``trace`` is an (m, K) array of the distinct top-K orderings of the
+    visited points, in first-visit order, of dtype np.min_scalar_type(p - 1)
+    (uint8 up to 256 columns, uint16 up to 65,536); ``objective`` is the
     penalized value at ``terminal_t``."""
 
     trace: np.ndarray
@@ -105,7 +107,10 @@ def minimize_batch(
 
     Every visited point, the initial and the terminal one included, adds
     its top-K ordering (see top_k_order) to the run's ``trace`` unless an
-    earlier point of that run had the same one. K defaults to p.
+    earlier point of that run had the same one. K defaults to p. This is
+    the one place that picks the orderings' index type,
+    np.min_scalar_type(p - 1): column numbers below p fit it, and the
+    path's sorts, dedupes and candidate arrays inherit it.
 
     A row terminates at its first update that moves no t_j by TOL or more
     (converged), or after MAX_ITER updates. The context's bounded kernel
@@ -120,6 +125,7 @@ def minimize_batch(
     if not (np.abs(lams) <= TRACE_LIMIT).all():
         raise ValueError("penalties must be finite and at most 2^500 in magnitude")
     B = lams.shape[0]
+    index_type = np.min_scalar_type(ctx.p - 1)
     T = np.tile(_initial_t(ctx.p), (B, 1))
     R = r_of_t(T)
     out: list[SolverRun | None] = [None] * B
@@ -135,7 +141,7 @@ def minimize_batch(
     while True:
         ev = eval_batch(ctx, T, lams, v0=warm)
         G = grad_r(ev, R)
-        order = top_k_order(T, K)
+        order = top_k_order(T, K).astype(index_type)
         for i, b in enumerate(rows):
             traces[b].append(order[i])
         if ev.dominant is not None:

@@ -757,18 +757,23 @@ class TestFitArguments:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"kind": "bogus"}, "unknown pick strategy 'bogus'"),
-        ({"kind": "fixed-k"}, "fixed-k needs k >= 1"),
-        ({"kind": "fixed-k", "k": 0}, "fixed-k needs k >= 1"),
+        ({"kind": "fixed-k"}, "fixed-k needs an integer k >= 1"),
+        ({"kind": "fixed-k", "k": 0}, "fixed-k needs an integer k >= 1"),
+        ({"kind": "fixed-k", "k": 2.5}, "fixed-k needs an integer k >= 1"),
         ({"kind": "cpev-drop"}, "cpev-drop fraction must lie in"),
         ({"kind": "cpev-drop", "fraction": 2.0}, "cpev-drop fraction must lie in"),
         ({"kind": "cpev-drop", "fraction": float("nan")}, "cpev-drop fraction must lie in"),
-    ], ids=["unknown-kind", "fixed-k-without-k", "fixed-k-0", "cpev-drop-without-fraction",
-            "cpev-drop-2", "cpev-drop-nan"])
+    ], ids=["unknown-kind", "fixed-k-without-k", "fixed-k-0", "fixed-k-2.5",
+            "cpev-drop-without-fraction", "cpev-drop-2", "cpev-drop-nan"])
     def test_invalid_strategy_refused_before_any_grid(self, data, kwargs, message):
         # Built directly, a strategy is checked as the factories check it;
         # the data fixture's spy fails the test if a grid is solved.
         with pytest.raises(ValueError, match=message):
             fit(data.X, data.Y, model="pls2", strategy=PickStrategy(**kwargs))
+
+    @pytest.mark.parametrize("k", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
+    def test_fixed_k_takes_python_and_numpy_integers(self, k):
+        assert str(PickStrategy(kind="fixed-k", k=k)) == "fixed-k=3"
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("strategy,mode", [

@@ -8,7 +8,7 @@ from subsetpath import linalg
 from subsetpath.components import PickStrategy, fit
 from subsetpath.errors import DimensionError
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
-from subsetpath.objective import ObjectiveContext, lambda_max, make_context
+from subsetpath.objective import ObjectiveContext, corner_values, lambda_max, make_context
 from subsetpath.path import (
     GridConfig,
     LambdaDiagnostic,
@@ -1015,3 +1015,72 @@ class TestCurveAndJson:
         for entry in doc["lambda_grid"]:
             assert set(entry) == {"lambda", "terminal_size"}
         json.dumps(doc)  # serializable
+
+
+def grid_orders(monkeypatch, X, Y, model, grid):
+    # The path-wide orderings dynamic_grid hands to score_buckets, and the path.
+    seen = []
+    score = path_module.score_buckets
+
+    def spy(ctx0, orders, K):
+        seen.append(orders)
+        return score(ctx0, orders, K)
+
+    monkeypatch.setattr(path_module, "score_buckets", spy)
+    path = dynamic_grid(X, Y, model, grid)
+    return seen[0], path
+
+
+def cumsum_buckets(ctx, orders, K):
+    # score_buckets with every k-prefix trace read off the whole (M, K)
+    # np.cumsum matrix, which adds in the same sequence as the running sum.
+    d = -corner_values(ctx, np.arange(ctx.p)[:, None])
+    traces = np.cumsum(d[orders], axis=1)
+    buckets = {}
+    for k in range(1, K + 1):
+        s = traces[:, k - 1]
+        top = -corner_values(ctx, np.sort(orders[np.argmax(s), :k])[None])[0]
+        I = prefix_rows(orders[~(s < top * (1.0 - path_module._TRACE_SLACK))], k)
+        buckets[k] = (I, *best_row(ctx, I))
+    return buckets
+
+
+class TestIndexType:
+    """The solver records orderings in np.min_scalar_type(p - 1), and the
+    path's orderings and candidates keep that type."""
+
+    @pytest.mark.parametrize("p,dtype", [(200, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_orderings_and_candidates_take_the_narrowest_unsigned_type(
+            self, monkeypatch, p, dtype):
+        K = 5
+        inst = generate(SimConfig(scenario="univariate", n=50, p=p, gamma=p - 6, seed=50))
+        # Columns reversed, so the active ones sit above 127, where a signed
+        # byte would wrap.
+        X, y = center_columns(inst.X[:, ::-1]), center_columns(inst.Y)
+        ctx = make_context(X, y, "pls1")
+        assert minimize_batch(ctx, [lambda_max(ctx) / 4], K)[0].trace.dtype == dtype
+        orders, path = grid_orders(monkeypatch, X, y, "pls1", GridConfig(K=K, L=20))
+        assert orders.dtype == dtype
+        assert all(b.candidates.dtype == dtype for b in path.buckets.values())
+        # The closed form holds: the best k-subset holds the k largest z_j^2.
+        z2 = ((X.T @ y[:, 0]) / 50) ** 2
+        order = np.argsort(-z2, kind="stable")
+        assert order[:K].min() > 127
+        for k in range(1, K + 1):
+            assert set(path.buckets[k].best.idx) == set(order[:k].tolist())
+
+    @pytest.mark.parametrize("X,Y,grid", [
+        (*grid_case("pls2", "v", p=300), GridConfig(K=30, L=20)),
+        (*cert_case(50), CERT_GRID),  # K = p
+    ], ids=["v300", "cert50-K=p"])
+    def test_narrow_orderings_score_as_intp(self, monkeypatch, X, Y, grid):
+        orders, path = grid_orders(monkeypatch, X, Y, "pls2", grid)
+        assert orders.dtype == np.min_scalar_type(X.shape[1] - 1)
+        ctx = make_context(X, Y, "pls2")
+        want = cumsum_buckets(ctx, orders.astype(np.intp), grid.K)
+        for k, bucket in path.buckets.items():
+            I, best, value = want[k]
+            assert bucket.best.bits == best.bits
+            assert bucket.best_value == value
+            assert bucket.candidates.dtype == orders.dtype
+            np.testing.assert_array_equal(bucket.candidates, I)

@@ -217,6 +217,15 @@ class TestMetrics:
             with pytest.raises(NonFiniteInputError, match="msep"):
                 metrics(Subset.from_bits((1,)), Subset.from_bits((1,)), Y_hat, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_empty_pair_rejected_by_shape(self, shape):
+        # Refused before np.mean warns about an empty slice.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DimensionError, match="at least one prediction"):
+                metrics(Subset.from_bits((1,)), Subset.from_bits((1,)),
+                        np.zeros(shape), np.zeros(shape))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             metrics(Subset.from_bits((1, 0)), Subset.from_bits((1, 0, 0)))
