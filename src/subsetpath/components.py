@@ -72,8 +72,9 @@ class PickStrategy:
     """How to pick the one subset used for a component before deflation.
 
     ``kind`` is fixed-k (needs an integer ``k`` >= 1), cpev-drop (needs a
-    ``fraction`` in (0, 1)), min-msep or max-cor; construction raises
-    ValueError for any other kind or a missing or out-of-range argument."""
+    ``fraction`` in (0, 1)), min-msep or max-cor; ``folds`` is an integer
+    (fit checks its range). Construction raises ValueError for any other
+    kind, a non-integer ``folds``, or a missing or out-of-range argument."""
 
     kind: str
     k: int | None = None
@@ -81,6 +82,8 @@ class PickStrategy:
     folds: int = 5
 
     def __post_init__(self):
+        if not isinstance(self.folds, numbers.Integral):
+            raise ValueError(f"folds={self.folds!r} is not an integer")
         if self.kind == "fixed-k":
             if not isinstance(self.k, numbers.Integral) or self.k < 1:
                 raise ValueError("fixed-k needs an integer k >= 1")
@@ -351,7 +354,10 @@ def _splits(X: np.ndarray, Y: np.ndarray, folds: int, seed: int) -> Iterator[Spl
     same means, the raw held-out Y rows and the training Y means."""
     n = X.shape[0]
     for val in _fold_indices(n, folds, np.random.default_rng(seed)):
-        tr = np.setdiff1d(np.arange(n), val)
+        # A mask, not np.setdiff1d, whose np.unique imports numpy.ma (~1.2 MB).
+        keep = np.ones(n, dtype=bool)
+        keep[val] = False
+        tr = np.flatnonzero(keep)
         xm, ym = column_means(X[tr], "X"), column_means(Y[tr], "Y")
         yield X[tr] - xm, Y[tr] - ym, X[val] - xm, Y[val], ym
 
@@ -402,6 +408,18 @@ def _refit_fixed(
     return comps
 
 
+def _check_integer(name: str, value):
+    """Refuse a count that is not a Python or numpy integer with ParseError."""
+    if not isinstance(value, numbers.Integral):
+        raise ParseError(f"{name}={value!r} is not an integer")
+
+
+def _check_seed(seed):
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ParseError(f"seed={seed} is negative")
+
+
 def q2(
     X: np.ndarray,
     Y: np.ndarray,
@@ -416,21 +434,21 @@ def q2(
     ``supports`` fixes the per-component subsets (e.g. those a fitted
     sparse model chose); by default all components use the full variable
     set. The folds are those of the v-fold picks in ``fit`` at the same
-    ``folds`` and ``seed``. A model other than pls1 or pls2, folds outside
-    2..n, or a negative seed raise ParseError; an X that is not 2-D or a Y
-    that does not fit the model (objective.response_matrix) DimensionError;
-    a fold whose training rows hold a constant response column
-    (max == min), or no more rows than the H components, raises
-    DegenerateLoadingError.
+    ``folds`` and ``seed``. A model other than pls1 or pls2, folds that are
+    not an integer in 2..n, or a seed that is not a non-negative integer
+    raise ParseError; an X that is not 2-D or a Y that does not fit the
+    model (objective.response_matrix) DimensionError; a fold whose
+    training rows hold a constant response column (max == min), or no
+    more rows than the H components, raises DegenerateLoadingError.
     """
     if model not in ("pls1", "pls2"):
         raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
     X = data_matrix(X)
     Y = response_matrix(Y, model, X.shape[0])
+    _check_integer("folds", folds)
     if not 2 <= folds <= X.shape[0]:
         raise ParseError(f"folds={folds} out of range 2..{X.shape[0]}")
-    if seed < 0:
-        raise ParseError(f"seed={seed} is negative")
+    _check_seed(seed)
     p = X.shape[1]
     q_dim = Y.shape[1]
     if supports is None:
@@ -565,8 +583,7 @@ def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test, seed):
         raise ParseError("max-cor needs a response; pca has none")
     if test is not None and mode != "regression":
         raise ParseError("a test pair needs a pls model in regression mode")
-    if seed < 0:
-        raise ParseError(f"seed={seed} is negative")
+    _check_seed(seed)
     X = data_matrix(X)
     n, p = X.shape
     if grid_cfg is None:
@@ -619,12 +636,12 @@ def fit(
     mode, H below 1, a missing strategy, and options that cannot be
     combined (min-msep outside regression mode, max-cor on pca, fixed-k
     above K, ``test`` for a model that cannot predict, v-fold folds outside
-    2..n), and a negative seed raise ParseError; shapes that do not fit (an
-    X that is not 2-D, K above p, a missing or extra Y, rows or columns of
-    ``test`` or Y unlike X's) DimensionError; v-fold folds whose smallest
-    training fold holds no more rows than the H components
-    DegenerateLoadingError. An invalid strategy is refused when the
-    PickStrategy is built.
+    2..n), and a seed that is not a non-negative integer raise ParseError;
+    shapes that do not fit (an X that is not 2-D, K above p, a missing or
+    extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError;
+    v-fold folds whose smallest training fold holds no more rows than the
+    H components DegenerateLoadingError. An invalid strategy is refused
+    when the PickStrategy is built.
     """
     X, Y, mode, grid_cfg, test = _fit_arguments(X, Y, model, H, strategy, mode,
                                                 grid_cfg, test, seed)

@@ -52,7 +52,7 @@ from .objective import (
     lambda_max,
     make_context,
 )
-from .solver import SolverRun, _initial_t, minimize_batch, unique_rows
+from .solver import SolverRun, _initial_t, minimize_batch
 
 # Candidates per stacked eigen-solve in best_row; bounds the block stack to
 # _BATCH * K^2 floats.
@@ -190,6 +190,21 @@ def best_row(ctx0: ObjectiveContext, I: np.ndarray) -> tuple[Subset, float]:
     tied = np.flatnonzero(values == low)
     best = min(Subset(ctx0.p, tuple(I[i].tolist())) for i in tied)
     return best, float(low)
+
+
+def unique_rows(A: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D array, in order of first occurrence."""
+    A = np.ascontiguousarray(A)
+    keys = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+    # Not np.unique: it copies the keys twice more (flattened, and the
+    # distinct ones it returns). A stable sort puts each row's first
+    # occurrence first among its equals.
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    del sorted_keys
+    return A[np.sort(order[first])]
 
 
 def prefix_rows(orders: np.ndarray, k: int) -> np.ndarray:
@@ -398,6 +413,7 @@ def dynamic_grid(
         ))
     # Every run visits at least one top-K ordering, so no bucket is empty.
     orders = unique_rows(np.concatenate([runs[d.lam].trace for d in diagnostics]))
+    del runs, run  # scoring is a K = p path's memory peak; hold no per-run trace there
     buckets = score_buckets(ctx0, orders, grid_cfg.K)
 
     return SolutionPath(

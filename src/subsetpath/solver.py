@@ -4,8 +4,10 @@ The path builder mines the visited trajectory, not just the terminal point,
 for candidate subsets, but it only needs each visited point's top-K
 ordering. The solver therefore records those orderings as it goes, in the
 narrowest unsigned integer type that holds the column indices 0..p-1,
-hands them over deduplicated in first-visit order, and keeps no
-per-iterate copy of t.
+and keeps no per-iterate copy of t. Each running row holds its orderings
+once, as the bytes of each distinct one in an insertion-ordered dict, so
+a repeat visit adds nothing and first-visit order is kept; when the row
+ends they are joined into its (m, K) trace.
 
 One loop serves every caller: minimize_batch runs a whole sweep of
 penalties at once, with r, t and the Adam moments held as (B, p) arrays,
@@ -91,14 +93,6 @@ def _initial_t(p: int) -> np.ndarray:
     return np.full(p, T_INIT)
 
 
-def unique_rows(A: np.ndarray) -> np.ndarray:
-    """Distinct rows of a 2-D array, in order of first occurrence."""
-    A = np.ascontiguousarray(A)
-    keys = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    return A[np.sort(first)]
-
-
 def minimize_batch(
     ctx: ObjectiveContext, lams, K: int | None = None
 ) -> list[SolverRun]:
@@ -107,10 +101,14 @@ def minimize_batch(
 
     Every visited point, the initial and the terminal one included, adds
     its top-K ordering (see top_k_order) to the run's ``trace`` unless an
-    earlier point of that run had the same one. K defaults to p. This is
-    the one place that picks the orderings' index type,
-    np.min_scalar_type(p - 1): column numbers below p fit it, and the
-    path's sorts, dedupes and candidate arrays inherit it.
+    earlier point of that run had the same one. A running row records
+    each ordering at its first visit, as a bytes key of an
+    insertion-ordered dict; no view of an iteration's (B, K) order array
+    is kept, and the keys are joined into the (m, K) trace when the row
+    ends. K defaults to p. This is the one place that picks the orderings'
+    index type, np.min_scalar_type(p - 1): column numbers below p fit it,
+    and the path's sorts, dedupes and candidate arrays inherit it. An
+    empty ``lams`` gives [].
 
     A row terminates at its first update that moves no t_j by TOL or more
     (converged), or after MAX_ITER updates. The context's bounded kernel
@@ -125,11 +123,14 @@ def minimize_batch(
     if not (np.abs(lams) <= TRACE_LIMIT).all():
         raise ValueError("penalties must be finite and at most 2^500 in magnitude")
     B = lams.shape[0]
+    if B == 0:
+        return []
     index_type = np.min_scalar_type(ctx.p - 1)
+    width = K * index_type.itemsize  # bytes per ordering
     T = np.tile(_initial_t(ctx.p), (B, 1))
     R = r_of_t(T)
     out: list[SolverRun | None] = [None] * B
-    traces: list[list[np.ndarray]] = [[] for _ in range(B)]
+    seen: dict[int, dict[bytes, None]] = {b: {} for b in range(B)}  # orderings per row
 
     rows = list(range(B))  # penalty index of each row still running
     m = np.zeros_like(T)
@@ -141,17 +142,19 @@ def minimize_batch(
     while True:
         ev = eval_batch(ctx, T, lams, v0=warm)
         G = grad_r(ev, R)
-        order = top_k_order(T, K).astype(index_type)
+        order = top_k_order(T, K).astype(index_type).tobytes()
         for i, b in enumerate(rows):
-            traces[b].append(order[i])
+            seen[b].setdefault(order[i * width:(i + 1) * width])
         if ev.dominant is not None:
             warm = ev.dominant.vector
 
         done = quiet | (it >= MAX_ITER)
         if done.any():
             for i in np.flatnonzero(done):
-                out[rows[i]] = SolverRun(
-                    trace=unique_rows(np.array(traces[rows[i]])),
+                b = rows[i]
+                trace = np.frombuffer(bytearray().join(seen.pop(b)), dtype=index_type)
+                out[b] = SolverRun(
+                    trace=trace.reshape(-1, K),
                     converged=bool(quiet[i]),
                     iterations=it,
                     # A copy: a view would keep this iterate array alive as

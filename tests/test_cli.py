@@ -356,6 +356,29 @@ class TestFitCommand:
         assert -1.0 <= q2_first <= 1.0
 
 
+class TestFitMemory:
+    def test_min_msep_fit_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma holds about 1.2 MB once imported, and np.setdiff1d's
+        # np.unique imports it; a two-component v-fold min-msep fit with its
+        # Q2 report on the criterion-2 design must not, in a fresh
+        # interpreter where nothing else has.
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", "multiresponse", "--seed", "50",
+                       "--out", str(sim)) == 0
+        argv = ["fit", "--model", "pls2", "--x", str(sim / "X.csv"),
+                "--y", str(sim / "Y.csv"), "--components", "2", "--pick", "min-msep",
+                "--out", str(tmp_path / "fit")]
+        code = ("import sys\n"
+                "from subsetpath import cli\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "print(code, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(subsetpath.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["0", "False"]
+        assert (tmp_path / "fit" / "report.csv").exists()
+
+
 class TestFitSeed:
     """fit --seed seeds the v-fold split of the CV pick and of Q2, exactly as
     the API's fit(seed=) and q2(seed=) do."""

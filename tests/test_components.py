@@ -305,6 +305,27 @@ class TestQ2:
         with pytest.raises(ParseError, match="seed=-1 is negative"):
             q2(X, Y, seed=-1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"folds": 2.5}, "folds=2.5 is not an integer"),
+        ({"folds": 2.9}, "folds=2.9 is not an integer"),
+        ({"seed": 1.5}, "seed=1.5 is not an integer"),
+    ], ids=["folds-2.5", "folds-2.9", "seed-1.5"])
+    def test_non_integer_folds_or_seed_raise_parse_error(self, kwargs, message):
+        # np.array_split would truncate the folds to 2, and SeedSequence
+        # would refuse the seed with an untyped TypeError.
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
+        with pytest.raises(ParseError, match=message):
+            q2(X, Y, **kwargs)
+
+    def test_numpy_integer_folds_and_seed_are_taken(self):
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((12, 3)), rng.standard_normal((12, 2))
+        want = q2(X, Y, folds=3, seed=1)
+        got = q2(X, Y, folds=np.int64(3), seed=np.uint8(1))
+        np.testing.assert_array_equal(got.total, want.total)
+        np.testing.assert_array_equal(got.per_response, want.per_response)
+
     def test_noise_free_single_component(self):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=0.0, seed=3))
         report = q2(inst.X, inst.Y, model="pls2", H=1, folds=5, seed=0)
@@ -744,8 +765,8 @@ class TestFitArguments:
             fit(data.X, Y, model=model, mode=mode, strategy=strategy, test=pair)
 
     @pytest.mark.parametrize("kwargs", [
-        {"H": 0}, {"mode": "bogus"}, {"model": "bogus"}, {"seed": -1},
-    ], ids=["H-0", "mode-bogus", "model-bogus", "seed-negative"])
+        {"H": 0}, {"mode": "bogus"}, {"model": "bogus"}, {"seed": -1}, {"seed": 1.5},
+    ], ids=["H-0", "mode-bogus", "model-bogus", "seed-negative", "seed-1.5"])
     def test_bad_option_values_raise_parse_error(self, data, kwargs):
         args = {"model": "pls2", "strategy": PickStrategy.fixed_k(3), **kwargs}
         with pytest.raises(ParseError):
@@ -763,8 +784,11 @@ class TestFitArguments:
         ({"kind": "cpev-drop"}, "cpev-drop fraction must lie in"),
         ({"kind": "cpev-drop", "fraction": 2.0}, "cpev-drop fraction must lie in"),
         ({"kind": "cpev-drop", "fraction": float("nan")}, "cpev-drop fraction must lie in"),
+        ({"kind": "min-msep", "folds": 2.5}, "folds=2.5 is not an integer"),
+        ({"kind": "max-cor", "folds": 2.9}, "folds=2.9 is not an integer"),
     ], ids=["unknown-kind", "fixed-k-without-k", "fixed-k-0", "fixed-k-2.5",
-            "cpev-drop-without-fraction", "cpev-drop-2", "cpev-drop-nan"])
+            "cpev-drop-without-fraction", "cpev-drop-2", "cpev-drop-nan",
+            "min-msep-folds-2.5", "max-cor-folds-2.9"])
     def test_invalid_strategy_refused_before_any_grid(self, data, kwargs, message):
         # Built directly, a strategy is checked as the factories check it;
         # the data fixture's spy fails the test if a grid is solved.
@@ -774,6 +798,12 @@ class TestFitArguments:
     @pytest.mark.parametrize("k", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
     def test_fixed_k_takes_python_and_numpy_integers(self, k):
         assert str(PickStrategy(kind="fixed-k", k=k)) == "fixed-k=3"
+
+    @pytest.mark.parametrize("folds", [4, np.int64(4), np.uint8(4)],
+                             ids=["int", "int64", "uint8"])
+    def test_folds_take_python_and_numpy_integers(self, folds):
+        assert PickStrategy.min_msep(folds=folds).folds == 4
+        assert PickStrategy.max_cor(folds=folds).folds == 4
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("strategy,mode", [

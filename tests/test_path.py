@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from subsetpath.path import (
     prefix_rows,
     score_buckets,
     terminal_subset,
+    unique_rows,
 )
-from subsetpath.solver import minimize_batch, top_k_order, unique_rows
+from subsetpath.solver import minimize_batch, top_k_order
 from subsetpath.simulate import SimConfig, gen_multiresponse, generate
 
 from contexts import pca_context, pls2_context, solver_config
@@ -371,6 +373,34 @@ class TestDynamicGrid:
         p1 = dynamic_grid(X, Y, "pls2", GridConfig(K=5, L=10))
         p2 = dynamic_grid(X, Y, "pls2", GridConfig(K=5, L=10))
         assert path_to_dict(p1) == path_to_dict(p2)
+
+    @pytest.mark.parametrize("model", ["pls1", "pls2"])
+    @pytest.mark.parametrize("route", ["planned", "on-demand"])
+    def test_solver_runs_are_released_before_scoring(self, model, route, monkeypatch):
+        # The runs' traces are joined into the path-wide orderings, then
+        # dropped: none of them is alive while the buckets are scored.
+        X, Y = cert_case(50)
+        if model == "pls1":
+            Y = Y[:, 0]
+        if route == "on-demand":
+            on_demand(monkeypatch)
+        traces, alive = [], []
+        solve, score = path_module.minimize_batch, path_module.score_buckets
+
+        def solve_spy(ctx, lams, K):
+            runs = solve(ctx, lams, K)
+            traces.extend(weakref.ref(run.trace) for run in runs)
+            return runs
+
+        def score_spy(ctx0, orders, K):
+            alive.append(sum(ref() is not None for ref in traces))
+            return score(ctx0, orders, K)
+
+        monkeypatch.setattr(path_module, "minimize_batch", solve_spy)
+        monkeypatch.setattr(path_module, "score_buckets", score_spy)
+        dynamic_grid(X, Y, model, CERT_GRID)
+        assert len(traces) >= CERT_GRID.K
+        assert alive == [0]
 
     def test_bucket_candidates_reproducible_from_traces(self):
         rng = np.random.default_rng(3)

@@ -1,8 +1,13 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subsetpath
 from subsetpath import linalg, solver
 from subsetpath.errors import NonFiniteInputError
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
@@ -31,6 +36,16 @@ def iterates(monkeypatch):
 
     monkeypatch.setattr(solver, "eval_batch", recording)
     return seen
+
+
+def first_visit_orders(iterates, K):
+    """The distinct top-K orderings of the iterates, in first-visit order."""
+    want = []
+    for t, _ in iterates:
+        order = np.argsort(-t, kind="stable")[:K].tolist()
+        if order not in want:
+            want.append(order)
+    return want
 
 
 def pls1_context(z_target, n=2):
@@ -199,14 +214,10 @@ class TestStreamedOrderings:
             ctx = make_context(X, center_columns(rng.standard_normal((30, 3))), model)
         solver_config(monkeypatch, MAX_ITER=300)
         run = minimize_batch(ctx, [0.02], K=5)[0]
-        want = []
-        for t, _ in iterates:
-            order = tuple(int(j) for j in np.argsort(-t, kind="stable")[:5])
-            if order not in want:
-                want.append(order)
+        want = first_visit_orders(iterates, 5)
         assert len(iterates) == run.iterations + 1
         assert len(want) > 1
-        assert run.trace.tolist() == [list(w) for w in want]
+        assert run.trace.tolist() == want
 
     def test_k_out_of_range_rejected(self):
         ctx = pls1_context(np.array([0.5, 1.0]))
@@ -245,7 +256,8 @@ class TestBatchedSweep:
         # the squared step on near-tied p x p blocks, some finished densely
         ("pca", None, 15, 1000),
     ])
-    def test_batch_equals_single_runs_bitwise(self, model, branch, p, max_iter, monkeypatch):
+    def test_batch_equals_single_runs_bitwise(self, model, branch, p, max_iter, iterates,
+                                              monkeypatch):
         n = 40 if p > 10 else 30
         ctx = sweep_context(model, branch, p=p, n=n)
         lams = lambda_max(ctx) * np.array([0.9, 0.45, 0.2, 0.07])
@@ -262,10 +274,25 @@ class TestBatchedSweep:
         if (model, p) == ("pca", 15):
             assert sum(finished) > 0
         for lam, run in zip(lams, batch):
+            iterates.clear()
             assert_same_run(run, minimize_batch(ctx, [lam], K=min(p, 6))[0])
+            assert run.trace.tolist() == first_visit_orders(iterates, min(p, 6))
         if max_iter == 1000:
             # Rows stop at different iterations, so the batch shrinks mid-loop.
             assert len({run.iterations for run in batch}) > 1
+
+    def test_empty_penalty_list_gives_no_runs(self):
+        # In a fresh interpreter under a timeout, so that a loop that never
+        # ends fails the test instead of hanging the suite.
+        code = ("import numpy as np\n"
+                "from subsetpath.objective import make_context\n"
+                "from subsetpath.solver import minimize_batch\n"
+                "ctx = make_context(np.eye(3), np.array([1.0, 2.0, 3.0]), 'pls1')\n"
+                "print(minimize_batch(ctx, []), minimize_batch(ctx, np.zeros(0), K=2))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(subsetpath.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[] []\n")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**501, -(2.0**501)],
                              ids=["nan", "inf", "-inf", "above", "-above"])
