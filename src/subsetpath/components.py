@@ -414,6 +414,12 @@ def _check_integer(name: str, value):
         raise ParseError(f"{name}={value!r} is not an integer")
 
 
+def _check_components(H):
+    _check_integer("H", H)
+    if H < 1:
+        raise ParseError(f"H={H}: at least one component is needed")
+
+
 def _check_seed(seed):
     _check_integer("seed", seed)
     if seed < 0:
@@ -435,11 +441,11 @@ def q2(
     sparse model chose); by default all components use the full variable
     set. The folds are those of the v-fold picks in ``fit`` at the same
     ``folds`` and ``seed``. A model other than pls1 or pls2, folds that are
-    not an integer in 2..n, or a seed that is not a non-negative integer
-    raise ParseError; an X that is not 2-D or a Y that does not fit the
-    model (objective.response_matrix) DimensionError; a fold whose
-    training rows hold a constant response column (max == min), or no
-    more rows than the H components, raises DegenerateLoadingError.
+    not an integer in 2..n, or an H or seed that is not an integer, H below
+    1 or a negative seed raise ParseError; an X that is not 2-D or a Y that
+    does not fit the model (objective.response_matrix) DimensionError; a
+    fold whose training rows hold a constant response column (max == min),
+    or no more rows than the H components, raises DegenerateLoadingError.
     """
     if model not in ("pls1", "pls2"):
         raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
@@ -449,6 +455,7 @@ def q2(
     if not 2 <= folds <= X.shape[0]:
         raise ParseError(f"folds={folds} out of range 2..{X.shape[0]}")
     _check_seed(seed)
+    _check_components(H)
     p = X.shape[1]
     q_dim = Y.shape[1]
     if supports is None:
@@ -487,14 +494,16 @@ def _cv_scores(
     comps: list[ComponentState],
     splits: Iterable[Split],
     model: str,
-    mode: str,
+    mode: str | None,
 ) -> np.ndarray:
-    """Held-out score, for k = 1..K, of bucket k's best subset as the next
-    component (the protocols of Le Cao et al. 2008), over ``splits`` of the
-    form _splits yields (a holdout set is one split): the mean squared
+    """Score, for k = 1..K, of bucket k's best subset as the next component,
+    over ``splits`` of the form _splits yields: the held-out mean squared
     prediction error for min-msep (NonFiniteInputError if one is not
-    finite), the mean absolute correlation of the held-out X and Y scores
-    for max-cor (splits where either score is constant are skipped).
+    finite) and the mean absolute correlation of the held-out X and Y
+    scores for max-cor (splits where either score is constant are skipped),
+    the protocols of Le Cao et al. 2008; the mean CPEV of all the components
+    on the undeflated training X for cpev-drop. A holdout set is one split,
+    and so is cpev-drop's in-sample (X0, Y0, X0, Y0, 0.0), Y0 None for pca.
 
     Per split, the earlier components are refitted on the training rows,
     and each deflates the training and held-out rows in turn; each k then
@@ -502,20 +511,23 @@ def _cv_scores(
     """
     K, h = path.K, len(comps) + 1
     sse = [0.0] * K
-    cors: list[list[float]] = [[] for _ in range(K)]
+    per_split: list[list[float]] = [[] for _ in range(K)]  # max-cor, cpev-drop
     count = 0
-    for Xtr, Ytr, X_val, Y_val, ym in splits:
-        Xv, Yv = X_val, Y_val - ym
+    for X0, Ytr, X_val, Y_val, ym in splits:
+        Xtr, Xv, Yv = X0, X_val, None if Y_val is None else Y_val - ym
+        count += 0 if Y_val is None else Y_val.size
         prev = []
         for j, earlier in enumerate(comps, start=1):
             comp = _build_component(Xtr, Ytr, model, earlier.subset, j, mode)
             Xtr, Ytr = deflate(Xtr, Ytr, comp, mode, model)
             Xv, Yv = deflate(Xv, Yv, comp, mode, model)
             prev.append(comp)
-        count += Y_val.size
         for k in range(1, K + 1):
             last = _build_component(Xtr, Ytr, model, path.buckets[k].best, h, mode)
-            if kind == "min-msep":
+            if kind == "cpev-drop":
+                W = adjusted_weights(X0, prev + [last])
+                per_split[k - 1].append(pev_cpev(X0, W)[1][-1])
+            elif kind == "min-msep":
                 beta = regression_coefficients(prev + [last])
                 with np.errstate(over="ignore", invalid="ignore"):
                     pred = X_val @ beta + ym
@@ -523,43 +535,28 @@ def _cv_scores(
             else:
                 xi_v, psi_v = Xv @ last.u, Yv @ last.v
                 if float(np.std(xi_v)) > 0.0 and float(np.std(psi_v)) > 0.0:
-                    cors[k - 1].append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
+                    per_split[k - 1].append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
     if kind == "min-msep":
         msep = np.array(sse) / count
         if not np.isfinite(msep).all():
             raise NonFiniteInputError("min-msep: the held-out prediction error overflows")
         return msep
-    return np.array([np.mean(c) if c else -np.inf for c in cors])
+    return np.array([np.mean(s) if s else -np.inf for s in per_split])
 
 
 def _pick_subset_size(
     strategy: PickStrategy,
     path: SolutionPath,
     comps: list[ComponentState],
-    X0: np.ndarray,
-    Xh: np.ndarray,
-    Yh: np.ndarray | None,
     model: str,
     mode: str | None,
     splits: Iterable[Split],
 ) -> int:
-    K, h = path.K, len(comps) + 1
     if strategy.kind == "fixed-k":
         return strategy.k
-
-    if strategy.kind == "cpev-drop":
-        cpevs = np.zeros(K + 1)
-        for k in range(1, K + 1):
-            trial = _build_component(Xh, Yh, model, path.buckets[k].best, h, mode)
-            W = adjusted_weights(X0, comps + [trial])
-            cpevs[k] = pev_cpev(X0, W)[1][-1]
-        floor = (1.0 - strategy.fraction) * cpevs[K]
-        for k in range(1, K + 1):
-            if cpevs[k] >= floor:
-                return k
-        return K
-
     scores = _cv_scores(strategy.kind, path, comps, splits, model, mode)
+    if strategy.kind == "cpev-drop":
+        return int(np.argmax(scores >= (1.0 - strategy.fraction) * scores[-1])) + 1
     if strategy.kind == "min-msep":
         return int(np.argmin(scores)) + 1
     return int(np.argmax(scores)) + 1
@@ -567,8 +564,7 @@ def _pick_subset_size(
 
 def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test, seed):
     """fit's argument checks, in order; returns X, Y, mode, grid_cfg, test as fit uses them."""
-    if H < 1:
-        raise ParseError(f"H={H}: at least one component is needed")
+    _check_components(H)
     if strategy is None:
         raise ParseError("a pick strategy is required")
     if model not in MODELS:
@@ -633,10 +629,10 @@ def fit(
     of the min-msep and max-cor picks when they cross-validate.
 
     Arguments are checked before any path is solved: an unknown model or
-    mode, H below 1, a missing strategy, and options that cannot be
-    combined (min-msep outside regression mode, max-cor on pca, fixed-k
-    above K, ``test`` for a model that cannot predict, v-fold folds outside
-    2..n), and a seed that is not a non-negative integer raise ParseError;
+    mode, a missing strategy, options that cannot be combined (min-msep
+    outside regression mode, max-cor on pca, fixed-k above K, ``test`` for
+    a model that cannot predict, v-fold folds outside 2..n), and an H or a
+    seed that is not an integer, H below 1 or a negative seed raise ParseError;
     shapes that do not fit (an X that is not 2-D, K above p, a missing or
     extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError;
     v-fold folds whose smallest training fold holds no more rows than the
@@ -651,10 +647,11 @@ def fit(
     if Y is not None:
         y_means = column_means(Y, "Y") if center else np.zeros(Y.shape[1])
         Y0 = Y - y_means
-    holdout = None
+    # The one split a cpev-drop or holdout pick scores on.
+    split = (X0, Y0, X0, Y0, 0.0) if strategy.kind == "cpev-drop" else None
     if test is not None and strategy.kind == "min-msep":
-        holdout = [(X0, Y0, test[0] - x_means, test[1], y_means)]
-    if strategy.kind in ("min-msep", "max-cor") and not holdout:
+        split = (X0, Y0, test[0] - x_means, test[1], y_means)
+    if strategy.kind in ("min-msep", "max-cor") and split is None:
         with _grid_refusals_first(X0, Y0, model):
             _check_fold_rows(X.shape[0], strategy.folds, H)
 
@@ -663,10 +660,8 @@ def fit(
     for h in range(1, H + 1):
         try:
             path = dynamic_grid(Xh, Yh, model, grid_cfg)
-            splits = holdout or _splits(X, Y, strategy.folds, seed)
-            k = _pick_subset_size(
-                strategy, path, comps, X0, Xh, Yh, model, mode, splits,
-            )
+            splits = [split] if split else _splits(X, Y, strategy.folds, seed)
+            k = _pick_subset_size(strategy, path, comps, model, mode, splits)
             bucket = path.buckets[k]
             comp = _build_component(
                 Xh, Yh, model, bucket.best, h, mode, objective=bucket.best_value,

@@ -9,6 +9,7 @@ eigendecomposition.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
@@ -57,8 +58,8 @@ def exhaustive_path(
     """Return the per-size argmin of the corner objective. Raises
     SizeGuardError for p above 25, for every model (enumeration cost grows
     as 2^p), and DimensionError for an X that is not 2-D (linalg.data_matrix),
-    a max_k outside 1..p or a response that does not fit the model
-    (objective.response_matrix).
+    a max_k that is not an integer in 1..p, or a response that does not fit
+    the model (objective.response_matrix).
 
     pls1 takes its closed form: the best k-subset holds the k largest
     z_j^2, ties to the higher index. pls2/pca enumerate combinations per
@@ -77,8 +78,8 @@ def exhaustive_path(
         )
     if max_k is None:
         max_k = p
-    if not (1 <= max_k <= p):
-        raise DimensionError(f"max_k={max_k} out of range 1..{p}")
+    if not isinstance(max_k, numbers.Integral) or not 1 <= max_k <= p:
+        raise DimensionError(f"max_k={max_k!r} is not an integer in 1..{p}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     Y = response_matrix(Y, model, n)

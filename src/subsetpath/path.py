@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,9 @@ from .objective import (
 )
 from .solver import SolverRun, _initial_t, minimize_batch
 
-# Candidates per stacked eigen-solve in best_row; bounds the block stack to
-# _BATCH * K^2 floats.
+# Candidates per stacked eigen-solve in best_row. Their blocks hold at most
+# _BATCH * K^2 floats; on the pls2 M kernel corner_values first gathers ctx.M[I],
+# a (_BATCH, k, q) float64 stack, 39 MB traced at p = 2000, q = 10, k = 1990.
 _BATCH = 256
 
 # Terminal threshold: a run selects the coordinates with t_j > RHO. Terminal
@@ -149,10 +151,10 @@ class GridConfig:
     L: int = 50
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("grid budget L must be at least 2")
-        if self.K < 1:
-            raise ValueError("largest subset size K must be at least 1")
+        if not isinstance(self.L, numbers.Integral) or self.L < 2:
+            raise ValueError(f"grid budget L={self.L!r} must be an integer of at least 2")
+        if not isinstance(self.K, numbers.Integral) or self.K < 1:
+            raise ValueError(f"largest subset size K={self.K!r} must be an integer >= 1")
 
 
 @dataclass

@@ -27,7 +27,7 @@ from subsetpath.errors import (
 )
 from subsetpath.linalg import center_columns
 from subsetpath.path import GridConfig, Subset, dynamic_grid
-from subsetpath.simulate import SimConfig, gen_multiresponse
+from subsetpath.simulate import SimConfig, gen_multiresponse, gen_pca_cov
 
 from contexts import solver_config
 
@@ -318,11 +318,22 @@ class TestQ2:
         with pytest.raises(ParseError, match=message):
             q2(X, Y, **kwargs)
 
+    @pytest.mark.parametrize("H, message", [
+        (1.5, "H=1.5 is not an integer"),
+        (0, "H=0: at least one component is needed"),
+    ], ids=["H-1.5", "H-0"])
+    def test_bad_component_count_raises_parse_error(self, H, message):
+        # 1.5 used to raise an untyped TypeError, and 0 to return an empty report.
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
+        with pytest.raises(ParseError, match=message):
+            q2(X, Y, H=H)
+
     def test_numpy_integer_folds_and_seed_are_taken(self):
         rng = np.random.default_rng(5)
         X, Y = rng.standard_normal((12, 3)), rng.standard_normal((12, 2))
         want = q2(X, Y, folds=3, seed=1)
-        got = q2(X, Y, folds=np.int64(3), seed=np.uint8(1))
+        got = q2(X, Y, folds=np.int64(3), seed=np.uint8(1), H=np.int32(1))
         np.testing.assert_array_equal(got.total, want.total)
         np.testing.assert_array_equal(got.per_response, want.per_response)
 
@@ -701,6 +712,62 @@ class TestHoldoutPick:
         assert ks[0] == ks[1] == 13
 
 
+def reference_cpev_curve(path, comps, X0, Xh, Yh, model, mode):
+    """cpev-drop's curve rebuilt per k on the fit's own deflated data: the
+    CPEV of the earlier components and bucket k's best subset as the next
+    one, on the undeflated X0."""
+    h = len(comps) + 1
+    return np.array([
+        pev_cpev(X0, adjusted_weights(
+            X0, comps + [_build_component(Xh, Yh, model, path.buckets[k].best, h, mode)],
+        ))[1][-1]
+        for k in range(1, path.K + 1)
+    ])
+
+
+class TestCpevDropPick:
+    @pytest.mark.parametrize("model, mode, H, picks", [
+        ("pls2", "regression", 3, [5, 9, 8]),
+        ("pls2", "canonical", 3, [5, 9, 4]),
+        ("pca", None, 2, [6, 3]),
+    ], ids=["pls2-regression", "pls2-canonical", "pca-cov"])
+    def test_components_match_the_per_k_rebuild(self, model, mode, H, picks,
+                                                monkeypatch, quick_solver):
+        # Every CPEV the fit computes, in order: K per component as it
+        # scores the buckets, then the fitted model's.
+        seen = []
+
+        def recording(X, W):
+            pev, cpev = pev_cpev(X, W)
+            seen.append(cpev[-1])
+            return pev, cpev
+
+        monkeypatch.setattr(components, "pev_cpev", recording)
+        if model == "pca":
+            inst = gen_pca_cov(SimConfig(scenario="pca-cov", p=10, seed=23))
+            grid = GridConfig(K=10, L=12)
+        else:
+            inst = gen_multiresponse(SimConfig(scenario="two-component", sigma=2.0, seed=24))
+            grid = GridConfig(K=15, L=10)
+        result = fit(inst.X, inst.Y, model=model, H=H, mode=mode,
+                     strategy=PickStrategy.cpev_drop(0.01), grid_cfg=grid)
+        assert [c.subset.size for c in result.components] == picks
+        K = grid.K
+        assert len(seen) == H * K + 1
+        X0 = Xh = inst.X - result.x_means
+        Yh = None if inst.Y is None else inst.Y - result.y_means
+        for h in range(1, H + 1):
+            prev = result.components[:h - 1]
+            if prev:
+                Xh, Yh = deflate(Xh, Yh, prev[-1], result.mode, model)
+            path = dynamic_grid(Xh, Yh, model, grid)
+            want = reference_cpev_curve(path, prev, X0, Xh, Yh, model, result.mode)
+            assert np.array_equal(seen[(h - 1) * K:h * K], want)
+            floor = 0.99 * want[-1]
+            k = next(k for k in range(1, K + 1) if want[k - 1] >= floor)
+            assert result.components[h - 1].subset == path.buckets[k].best
+
+
 class TestFitArguments:
     """fit checks its arguments with typed errors before any path is solved."""
 
@@ -765,8 +832,9 @@ class TestFitArguments:
             fit(data.X, Y, model=model, mode=mode, strategy=strategy, test=pair)
 
     @pytest.mark.parametrize("kwargs", [
-        {"H": 0}, {"mode": "bogus"}, {"model": "bogus"}, {"seed": -1}, {"seed": 1.5},
-    ], ids=["H-0", "mode-bogus", "model-bogus", "seed-negative", "seed-1.5"])
+        {"H": 0}, {"H": 1.5}, {"mode": "bogus"}, {"model": "bogus"}, {"seed": -1},
+        {"seed": 1.5},
+    ], ids=["H-0", "H-1.5", "mode-bogus", "model-bogus", "seed-negative", "seed-1.5"])
     def test_bad_option_values_raise_parse_error(self, data, kwargs):
         args = {"model": "pls2", "strategy": PickStrategy.fixed_k(3), **kwargs}
         with pytest.raises(ParseError):

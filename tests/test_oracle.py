@@ -112,6 +112,17 @@ class TestExhaustivePath:
         with pytest.raises(DimensionError, match="X must be 2-D, got ndim=1"):
             exhaustive_path(np.arange(3.0), y, model)
 
+    @pytest.mark.parametrize("max_k", [2.5, 0, 4])
+    def test_max_k_outside_the_integers_1_to_p_rejected(self, max_k):
+        # 2.5 used to fail with an untyped TypeError in the enumeration.
+        with pytest.raises(DimensionError, match=f"max_k={max_k} is not an integer in 1..3"):
+            exhaustive_path(np.eye(3), None, "pca", max_k=max_k)
+
+    def test_numpy_integer_max_k_taken(self):
+        X = np.random.default_rng(4).standard_normal((8, 5))
+        got = exhaustive_path(X, None, "pca", max_k=np.int64(3))
+        assert got.per_size == exhaustive_path(X, None, "pca", max_k=3).per_size
+
     @pytest.mark.parametrize("max_k", [3, 12])
     def test_enumerated_count_is_every_combination_visited(self, max_k):
         rng = np.random.default_rng(4)

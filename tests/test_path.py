@@ -306,6 +306,21 @@ class TestSelectBest:
         assert buckets[2].candidates.tolist() == [[0, 1]]
 
 
+class TestGridConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"K": 2.5}, "K=2.5 must be an integer"),
+        ({"K": 3, "L": 5.5}, "L=5.5 must be an integer"),
+    ], ids=["K-2.5", "L-5.5"])
+    def test_non_integer_sizes_rejected(self, kwargs, message):
+        # Both used to fail later, with an untyped TypeError inside the grid.
+        with pytest.raises(ValueError, match=message):
+            GridConfig(**kwargs)
+
+    def test_numpy_integers_taken(self):
+        cfg = GridConfig(K=np.int64(3), L=np.uint8(5))
+        assert (cfg.K, cfg.L) == (3, 5)
+
+
 class TestTerminalSubset:
     def test_threshold_is_a_constant(self):
         assert path_module.RHO == 0.9
