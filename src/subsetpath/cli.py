@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .components import (PickStrategy, _check_training_folds, _fit_arguments,
-                         _grid_refusals_first, fit, model_to_dict, predict, q2)
+from .components import (PickStrategy, _check_training_folds, _fit_arguments, fit,
+                         model_to_dict, predict, q2)
 from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
@@ -39,6 +39,7 @@ from .errors import (
     SizeGuardError,
 )
 from .linalg import center_columns, column_means
+from .objective import lambda_max, make_context
 from .oracle import exhaustive_path, oracle_to_dict
 from .path import GridConfig, Subset, dynamic_grid, path_to_dict
 from .simulate import SimConfig, generate, metrics
@@ -232,8 +233,8 @@ def cmd_fit(args) -> int:
                        args.seed)
         Xc, Yc = (X, Y) if args.no_center else (X - column_means(X, "X"),
                                                 Y - column_means(Y, "Y"))
-        with _grid_refusals_first(Xc, Yc, args.model):
-            _check_training_folds(X, Y, args.folds, args.seed, args.components)
+        lambda_max(make_context(Xc, Yc, args.model))  # the first grid's refusals come first
+        _check_training_folds(X, Y, args.folds, args.seed, args.components)
     result = fit(
         X, Y, model=args.model, H=args.components, strategy=strategy,
         mode=args.mode, grid_cfg=grid, center=not args.no_center, test=test,

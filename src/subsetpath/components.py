@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,12 +292,11 @@ def regression_coefficients(components: list[ComponentState]) -> np.ndarray:
 
 
 def predict(fit: FittedModel, X_new: np.ndarray) -> np.ndarray:
-    """Predict responses for raw X_new; centering uses the training means."""
+    """Predict responses for raw X_new, a 1-D one as one row; centering uses
+    the training means."""
     if fit.beta is None:
         raise ValueError("model has no regression coefficients to predict with")
-    X_new = np.asarray(X_new, dtype=float)
-    if X_new.ndim == 1:
-        X_new = X_new[None, :]
+    X_new = data_matrix(np.atleast_2d(X_new))
     if X_new.shape[1] != fit.x_means.shape[0]:
         raise DimensionError(
             f"X_new has {X_new.shape[1]} columns, model expects {fit.x_means.shape[0]}"
@@ -306,27 +304,26 @@ def predict(fit: FittedModel, X_new: np.ndarray) -> np.ndarray:
     return (X_new - fit.x_means) @ fit.beta + fit.y_means
 
 
-def pev_cpev(X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Explained-variance shares of X for each leading block of components.
-
-    CPEV_h projects X onto an orthonormal basis of the span of the first h
-    scores X w_1 .. X w_h (adjusted weights, original variable space), so
-    non-orthogonal sparse scores are not double counted:
-    CPEV_h = ||Q_h^T X||_F^2 / ||X||_F^2, PEV_h = CPEV_h - CPEV_{h-1}.
-    """
+def _cpev(X: np.ndarray, T: np.ndarray) -> float:
+    """Share of ||X||_F^2 in the span of the score columns T, from one QR:
+    ||Q^T X||_F^2 / ||X||_F^2 over the columns of Q whose R diagonal is not
+    negligible, so non-orthogonal sparse scores are not double counted."""
     total = float(np.sum(X * X))
     if total == 0.0:
         raise ValueError("X has zero norm")
+    Q, R = np.linalg.qr(T)
+    keep = np.abs(np.diag(R)) > 1e-12 * max(1.0, float(np.max(np.abs(T))))
+    return float(np.sum((Q[:, keep].T @ X) ** 2)) / total
+
+
+def pev_cpev(X: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Explained-variance shares of X for each leading block of components:
+    CPEV_h is _cpev of the first h scores X w_1 .. X w_h (adjusted weights,
+    original variable space), PEV_h = CPEV_h - CPEV_{h-1}.
+    """
     T = X @ W
-    H = T.shape[1]
-    cpev = np.zeros(H)
-    for h in range(1, H + 1):
-        Q, R = np.linalg.qr(T[:, :h])
-        keep = np.abs(np.diag(R)) > 1e-12 * max(1.0, float(np.max(np.abs(T[:, :h]))))
-        Qh = Q[:, keep]
-        cpev[h - 1] = float(np.sum((Qh.T @ X) ** 2)) / total
-    pev = np.diff(cpev, prepend=0.0)
-    return pev, cpev
+    cpev = np.array([_cpev(X, T[:, :h]) for h in range(1, T.shape[1] + 1)])
+    return np.diff(cpev, prepend=0.0), cpev
 
 
 @dataclass
@@ -380,18 +377,6 @@ def _check_training_folds(X: np.ndarray, Y: np.ndarray, folds: int, seed: int, H
         raise DegenerateLoadingError("a training fold has a constant response")
 
 
-@contextmanager
-def _grid_refusals_first(X0, Y0, model: str):
-    """Let a fold refusal (DegenerateLoadingError) raised inside through
-    only if the first grid on (X0, Y0) does not refuse the data first, as
-    it does before it solves (a non-finite or zero lambda_max)."""
-    try:
-        yield
-    except DegenerateLoadingError:
-        lambda_max(make_context(X0, Y0, model))
-        raise
-
-
 def _refit_fixed(
     Xtr: np.ndarray,
     Ytr: np.ndarray,
@@ -406,6 +391,19 @@ def _refit_fixed(
         Xh, Yh = deflate(Xh, Yh, comp, mode, model)
         comps.append(comp)
     return comps
+
+
+def _split_sse(split: Split, model: str, supports: list[Subset]) -> np.ndarray:
+    """Squared prediction errors (H, q) summed over a split's held-out
+    rows, row h - 1 through beta of the first h components refitted on its
+    training rows."""
+    Xtr, Ytr, X_val, Y_val, ym = split
+    comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
+    sse = []
+    for h in range(1, len(supports) + 1):
+        err = Y_val - (X_val @ regression_coefficients(comps[:h]) + ym)
+        sse.append(np.sum(err * err, axis=0))
+    return np.array(sse)
 
 
 def _check_integer(name: str, value):
@@ -440,12 +438,15 @@ def q2(
     ``supports`` fixes the per-component subsets (e.g. those a fitted
     sparse model chose); by default all components use the full variable
     set. The folds are those of the v-fold picks in ``fit`` at the same
-    ``folds`` and ``seed``. A model other than pls1 or pls2, folds that are
-    not an integer in 2..n, or an H or seed that is not an integer, H below
-    1 or a negative seed raise ParseError; an X that is not 2-D or a Y that
-    does not fit the model (objective.response_matrix) DimensionError; a
-    fold whose training rows hold a constant response column (max == min),
-    or no more rows than the H components, raises DegenerateLoadingError.
+    ``folds`` and ``seed``. _split_sse gives PRESS fold by fold, and RSS on
+    the in-sample split of the centered data. A model other than pls1 or
+    pls2, folds that are not an integer in 2..n, or an H or seed that is
+    not an integer, H below 1 or a negative seed raise ParseError; an X
+    that is not 2-D, a Y that does not fit the model
+    (objective.response_matrix), or ``supports`` that are not H subsets of
+    X's p columns DimensionError; a fold whose training rows hold a
+    constant response column (max == min), or no more rows than the H
+    components, raises DegenerateLoadingError.
     """
     if model not in ("pls1", "pls2"):
         raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
@@ -457,32 +458,20 @@ def q2(
     _check_seed(seed)
     _check_components(H)
     p = X.shape[1]
-    q_dim = Y.shape[1]
     if supports is None:
         supports = [Subset(p, tuple(range(p)))] * H
     if len(supports) != H:
-        raise ValueError(f"need {H} supports, got {len(supports)}")
+        raise DimensionError(f"need {H} supports, got {len(supports)}")
+    if any(s.p != p for s in supports):
+        raise DimensionError(f"supports must be subsets of the {p} columns of X")
 
-    # Full-data residual sums per component count, for the RSS denominators.
+    # Residual sums per component count on the centered data: RSS_0 .. RSS_H.
     Xc = X - column_means(X, "X")
     Yc = Y - column_means(Y, "Y")
-    rss = np.zeros((H + 1, q_dim))
-    rss[0] = np.sum(Yc * Yc, axis=0)
-    comps = _refit_fixed(Xc, Yc, model, supports, "regression")
-    for h in range(1, H + 1):
-        beta = regression_coefficients(comps[:h])
-        resid = Yc - Xc @ beta
-        rss[h] = np.sum(resid * resid, axis=0)
-
+    rss = np.vstack([np.sum(Yc * Yc, axis=0),
+                     _split_sse((Xc, Yc, Xc, Yc, 0.0), model, supports)])
     _check_training_folds(X, Y, folds, seed, H)
-    press = np.zeros((H, q_dim))
-    for Xtr, Ytr, Xval, Yval, ym in _splits(X, Y, folds, seed):
-        fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
-        for h in range(1, H + 1):
-            beta = regression_coefficients(fold_comps[:h])
-            err = Yval - (Xval @ beta + ym)
-            press[h - 1] += np.sum(err * err, axis=0)
-
+    press = sum(_split_sse(split, model, supports) for split in _splits(X, Y, folds, seed))
     per_response = 1.0 - press / rss[:-1]
     total = 1.0 - press.sum(axis=1) / rss[:-1].sum(axis=1)
     return Q2Report(total=total, per_response=per_response)
@@ -502,31 +491,32 @@ def _cv_scores(
     finite) and the mean absolute correlation of the held-out X and Y
     scores for max-cor (splits where either score is constant are skipped),
     the protocols of Le Cao et al. 2008; the mean CPEV of all the components
-    on the undeflated training X for cpev-drop. A holdout set is one split,
-    and so is cpev-drop's in-sample (X0, Y0, X0, Y0, 0.0), Y0 None for pca.
+    on the undeflated training X for cpev-drop (_cpev of their h scores). A
+    holdout set is one split, and so is cpev-drop's in-sample
+    (X0, Y0, X0, Y0, 0.0), Y0 None for pca.
 
     Per split, the earlier components are refitted on the training rows,
-    and each deflates the training and held-out rows in turn; each k then
-    builds only its last component.
+    each deflating them (and, for max-cor alone, the held-out rows) in
+    turn; each k then builds only its last component.
     """
     K, h = path.K, len(comps) + 1
     sse = [0.0] * K
     per_split: list[list[float]] = [[] for _ in range(K)]  # max-cor, cpev-drop
     count = 0
     for X0, Ytr, X_val, Y_val, ym in splits:
-        Xtr, Xv, Yv = X0, X_val, None if Y_val is None else Y_val - ym
+        Xtr, Xv, Yv = X0, X_val, Y_val - ym if kind == "max-cor" else None
         count += 0 if Y_val is None else Y_val.size
         prev = []
         for j, earlier in enumerate(comps, start=1):
             comp = _build_component(Xtr, Ytr, model, earlier.subset, j, mode)
             Xtr, Ytr = deflate(Xtr, Ytr, comp, mode, model)
-            Xv, Yv = deflate(Xv, Yv, comp, mode, model)
+            if kind == "max-cor":
+                Xv, Yv = deflate(Xv, Yv, comp, mode, model)
             prev.append(comp)
         for k in range(1, K + 1):
             last = _build_component(Xtr, Ytr, model, path.buckets[k].best, h, mode)
             if kind == "cpev-drop":
-                W = adjusted_weights(X0, prev + [last])
-                per_split[k - 1].append(pev_cpev(X0, W)[1][-1])
+                per_split[k - 1].append(_cpev(X0, X0 @ adjusted_weights(X0, prev + [last])))
             elif kind == "min-msep":
                 beta = regression_coefficients(prev + [last])
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -599,8 +589,12 @@ def _fit_arguments(X, Y, model, H, strategy, mode, grid_cfg, test, seed):
         Y_test = np.asarray(test[1], dtype=float)
         if Y_test.ndim == 1:
             Y_test = Y_test[:, None]
+        if X_test.ndim != 2 or Y_test.ndim != 2:
+            raise DimensionError(f"test X, Y have {X_test.ndim}, {Y_test.ndim} dimensions")
         if X_test.shape[0] != Y_test.shape[0]:
             raise DimensionError(f"test X has {len(X_test)} rows, test Y {len(Y_test)}")
+        if len(X_test) == 0:
+            raise DimensionError("the test pair has no rows")
         if X_test.shape[1] != p or Y_test.shape[1] != Y.shape[1]:
             raise DimensionError(f"test X, Y have {X_test.shape[1]}, {Y_test.shape[1]} "
                                  f"columns; X, Y have {p}, {Y.shape[1]}")
@@ -634,7 +628,8 @@ def fit(
     a model that cannot predict, v-fold folds outside 2..n), and an H or a
     seed that is not an integer, H below 1 or a negative seed raise ParseError;
     shapes that do not fit (an X that is not 2-D, K above p, a missing or
-    extra Y, rows or columns of ``test`` or Y unlike X's) DimensionError;
+    extra Y, rows or columns of ``test`` or Y unlike X's, a ``test`` pair
+    of more than two dimensions or of no rows) DimensionError;
     v-fold folds whose smallest training fold holds no more rows than the
     H components DegenerateLoadingError. An invalid strategy is refused
     when the PickStrategy is built.
@@ -652,8 +647,8 @@ def fit(
     if test is not None and strategy.kind == "min-msep":
         split = (X0, Y0, test[0] - x_means, test[1], y_means)
     if strategy.kind in ("min-msep", "max-cor") and split is None:
-        with _grid_refusals_first(X0, Y0, model):
-            _check_fold_rows(X.shape[0], strategy.folds, H)
+        lambda_max(make_context(X0, Y0, model))  # the first grid's refusals come first
+        _check_fold_rows(X.shape[0], strategy.folds, H)
 
     comps: list[ComponentState] = []
     Xh, Yh = X0, Y0

@@ -25,7 +25,7 @@ from subsetpath.errors import (
     ParseError,
     SingularMatrixError,
 )
-from subsetpath.linalg import center_columns
+from subsetpath.linalg import center_columns, column_means
 from subsetpath.path import GridConfig, Subset, dynamic_grid
 from subsetpath.simulate import SimConfig, gen_multiresponse, gen_pca_cov
 
@@ -292,6 +292,27 @@ class TestPevCpev:
         np.testing.assert_allclose(np.cumsum(pev), cpev, atol=1e-12)
 
 
+def reference_q2(X, Y, model, folds, seed, supports):
+    """q2 written out: RSS from Yc - Xc @ beta on the whole centered data,
+    PRESS summed fold by fold."""
+    H = len(supports)
+    Xc, Yc = X - column_means(X, "X"), Y - column_means(Y, "Y")
+    comps = _refit_fixed(Xc, Yc, model, supports, "regression")
+    rss = np.zeros((H + 1, Y.shape[1]))
+    rss[0] = np.sum(Yc * Yc, axis=0)
+    for h in range(1, H + 1):
+        resid = Yc - Xc @ regression_coefficients(comps[:h])
+        rss[h] = np.sum(resid * resid, axis=0)
+    press = np.zeros((H, Y.shape[1]))
+    for Xtr, Ytr, X_val, Y_val, ym in _splits(X, Y, folds, seed):
+        fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
+        for h in range(1, H + 1):
+            err = Y_val - (X_val @ regression_coefficients(fold_comps[:h]) + ym)
+            press[h - 1] += np.sum(err * err, axis=0)
+    total = 1.0 - press.sum(axis=1) / rss[:-1].sum(axis=1)
+    return total, 1.0 - press / rss[:-1]
+
+
 class TestQ2:
     def test_folds_above_n_raise_parse_error(self):
         rng = np.random.default_rng(5)
@@ -406,6 +427,37 @@ class TestQ2:
             q2(X[:4], Y[:4], model="pls2", H=2, folds=2, seed=0)
         assert q2(X, Y, model="pls2", H=2, folds=2, seed=0).total.shape == (2,)
 
+    @pytest.mark.parametrize("model, q", [("pls2", 3), ("pls1", 1)])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+    def test_matches_the_rss_and_press_loops_bit_for_bit(self, model, q, sparse):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((30, 6))
+        Y = X[:, :2] @ rng.standard_normal((2, q)) + 0.5 * rng.standard_normal((30, q))
+        supports = [full_subset(6)] * 2
+        if sparse:
+            supports = [Subset.from_indices(6, (0, 1, 3)), Subset.from_indices(6, (1, 2, 4, 5))]
+        report = q2(X, Y, model=model, H=2, folds=4, seed=3,
+                    supports=None if not sparse else supports)
+        total, per_response = reference_q2(X, Y, model, 4, 3, supports)
+        assert np.array_equal(report.total, total)
+        assert np.array_equal(report.per_response, per_response)
+
+    @pytest.mark.parametrize("supports, message", [
+        ([full_subset(3)], "need 2 supports, got 1"),
+        ([full_subset(3), full_subset(4)], "subsets of the 3 columns of X"),
+    ], ids=["one-for-two-components", "over-4-columns"])
+    def test_supports_that_do_not_fit_raise_dimension_error(self, supports, message,
+                                                            monkeypatch):
+        # They used to fail untyped: a ValueError, and an IndexError in the refit.
+        def no_refit(*args):
+            raise AssertionError("a component was refitted before supports were checked")
+
+        monkeypatch.setattr(components, "_refit_fixed", no_refit)
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
+        with pytest.raises(DimensionError, match=message):
+            q2(X, Y, H=2, supports=supports)
+
     def test_per_response_shape(self):
         rng = np.random.default_rng(19)
         X = rng.standard_normal((30, 5))
@@ -485,6 +537,17 @@ class TestFit:
         )
         with pytest.raises(DimensionError):
             predict(result, np.zeros((2, 7)))
+
+    def test_predict_refuses_more_than_two_dimensions(self, quick_solver):
+        # A 1-d X_new is one row; a (2, 15, 1) one used to broadcast to (2, 15, 10).
+        inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=12))
+        result = fit(
+            inst.X, inst.Y, model="pls2", H=1, strategy=PickStrategy.fixed_k(5),
+            grid_cfg=quick_grid(15),
+        )
+        assert np.array_equal(predict(result, inst.X[0]), predict(result, inst.X[:1]))
+        with pytest.raises(DimensionError, match="X must be 2-D, got ndim=3"):
+            predict(result, np.zeros((2, 15, 1)))
 
     def test_fixed_k_above_grid_k_rejected(self, quick_solver):
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=1.0, seed=12))
@@ -734,15 +797,15 @@ class TestCpevDropPick:
     def test_components_match_the_per_k_rebuild(self, model, mode, H, picks,
                                                 monkeypatch, quick_solver):
         # Every CPEV the fit computes, in order: K per component as it
-        # scores the buckets, then the fitted model's.
+        # scores the buckets, then the fitted model's H.
         seen = []
+        cpev = components._cpev
 
-        def recording(X, W):
-            pev, cpev = pev_cpev(X, W)
-            seen.append(cpev[-1])
-            return pev, cpev
+        def recording(X, T):
+            seen.append(cpev(X, T))
+            return seen[-1]
 
-        monkeypatch.setattr(components, "pev_cpev", recording)
+        monkeypatch.setattr(components, "_cpev", recording)
         if model == "pca":
             inst = gen_pca_cov(SimConfig(scenario="pca-cov", p=10, seed=23))
             grid = GridConfig(K=10, L=12)
@@ -753,7 +816,8 @@ class TestCpevDropPick:
                      strategy=PickStrategy.cpev_drop(0.01), grid_cfg=grid)
         assert [c.subset.size for c in result.components] == picks
         K = grid.K
-        assert len(seen) == H * K + 1
+        assert len(seen) == H * K + H
+        assert np.array_equal(seen[H * K:], result.cpev)
         X0 = Xh = inst.X - result.x_means
         Yh = None if inst.Y is None else inst.Y - result.y_means
         for h in range(1, H + 1):
@@ -766,6 +830,34 @@ class TestCpevDropPick:
             floor = 0.99 * want[-1]
             k = next(k for k in range(1, K + 1) if want[k - 1] >= floor)
             assert result.components[h - 1].subset == path.buckets[k].best
+
+
+class TestPicksDeflateOnlyTrainingRows:
+    """A pick refits the earlier components on each split's training rows
+    and deflates those rows alone: min-msep predicts the raw held-out X,
+    and cpev-drop reads the training X only."""
+
+    @pytest.mark.parametrize("strategy, splits, train", [
+        (PickStrategy.min_msep(folds=4), 4, 75),
+        (PickStrategy.cpev_drop(0.01), 1, 100),
+    ], ids=["v-fold-min-msep", "cpev-drop"])
+    def test_three_components(self, strategy, splits, train, monkeypatch, quick_solver):
+        rows = []
+        real = components.deflate
+
+        def recording(X_h, *args):
+            rows.append(X_h.shape[0])
+            return real(X_h, *args)
+
+        monkeypatch.setattr(components, "deflate", recording)
+        inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=23))
+        result = fit(inst.X, inst.Y, model="pls2", H=3, strategy=strategy,
+                     grid_cfg=GridConfig(K=15, L=10))
+        assert result.H == 3
+        # The fit's own deflation of all 100 rows per component, and per
+        # split one per earlier component (0 + 1 + 2 of them) on the
+        # training rows: 75 of the 100 in 4 folds, all 100 in-sample.
+        assert sorted(rows) == sorted([100] * 3 + [train] * 3 * splits)
 
 
 class TestFitArguments:
@@ -800,6 +892,17 @@ class TestFitArguments:
     def test_one_test_x_column_rejected(self, data):
         with pytest.raises(DimensionError, match="columns"):
             self.fit_min_msep(data, test=(data.X_test[:, :1], data.Y_test))
+
+    def test_empty_test_pair_rejected(self, data):
+        # It used to solve a grid, warn, and fail on a non-finite msep.
+        with pytest.raises(DimensionError, match="the test pair has no rows"):
+            self.fit_min_msep(data, test=(np.empty((0, 15)), np.empty((0, 10))))
+
+    def test_test_x_of_three_dimensions_rejected(self, data):
+        # Its second axis is p: it used to pass, and numpy refused the
+        # broadcast after the first grid.
+        with pytest.raises(DimensionError, match="test X, Y have 3, 2 dimensions"):
+            self.fit_min_msep(data, test=(data.X_test[:, :, None], data.Y_test))
 
     def test_test_row_counts_must_agree(self, data):
         with pytest.raises(DimensionError, match="rows"):
