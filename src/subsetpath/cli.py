@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -27,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .components import (PickStrategy, _check_training_folds, _fit_arguments, fit,
-                         model_to_dict, predict, q2)
+from .components import (PickStrategy, _check_signal, _check_training_folds, _fit_arguments,
+                         fit, model_to_dict, predict, q2)
 from .errors import (
     DegenerateLoadingError,
     DegenerateScoreError,
@@ -39,7 +40,6 @@ from .errors import (
     SizeGuardError,
 )
 from .linalg import center_columns, column_means
-from .objective import lambda_max, make_context
 from .oracle import exhaustive_path, oracle_to_dict
 from .path import GridConfig, Subset, dynamic_grid, path_to_dict
 from .simulate import SimConfig, generate, metrics
@@ -233,7 +233,7 @@ def cmd_fit(args) -> int:
                        args.seed)
         Xc, Yc = (X, Y) if args.no_center else (X - column_means(X, "X"),
                                                 Y - column_means(Y, "Y"))
-        lambda_max(make_context(Xc, Yc, args.model))  # the first grid's refusals come first
+        _check_signal(Xc, Yc, args.model)
         _check_training_folds(X, Y, args.folds, args.seed, args.components)
     result = fit(
         X, Y, model=args.model, H=args.components, strategy=strategy,
@@ -411,6 +411,7 @@ def _pick(text: str) -> PickStrategy:
         ) from None
 
 
+@functools.cache  # built once per process, however often main runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subsetpath",

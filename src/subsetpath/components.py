@@ -369,6 +369,15 @@ def _check_fold_rows(n: int, folds: int, H: int):
                                      f"of {rows} row(s), too few for {H} component(s)")
 
 
+def _check_signal(X0: np.ndarray, Y0: np.ndarray | None, model: str):
+    """Make the first grid's refusals of the centered data (non-finite or
+    zero lambda_max) ahead of a fold check, worded as fit words them."""
+    try:
+        lambda_max(make_context(X0, Y0, model))
+    except DegenerateLoadingError as exc:
+        raise DegenerateLoadingError(f"component 1: {exc}") from exc
+
+
 def _check_training_folds(X: np.ndarray, Y: np.ndarray, folds: int, seed: int, H: int):
     """Refuse q2's folds if a training fold holds too few rows for H
     components (_check_fold_rows), or a constant response column."""
@@ -647,7 +656,7 @@ def fit(
     if test is not None and strategy.kind == "min-msep":
         split = (X0, Y0, test[0] - x_means, test[1], y_means)
     if strategy.kind in ("min-msep", "max-cor") and split is None:
-        lambda_max(make_context(X0, Y0, model))  # the first grid's refusals come first
+        _check_signal(X0, Y0, model)
         _check_fold_rows(X.shape[0], strategy.folds, H)
 
     comps: list[ComponentState] = []

@@ -708,6 +708,28 @@ class TestErrorExits:
         self.assert_one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--pick", "min-msep"],
+        ["--pick", "fixed-k=1"],
+        ["--pick", "min-msep", "--test", "X_test.csv", "Y_test.csv"],
+        ["--pick", "max-cor", "--mode", "canonical"],
+        ["--pick", "cpev-drop=0.1", "--mode", "canonical"],
+    ], ids=["v-fold-and-q2", "fixed-k-and-q2", "holdout-and-q2", "v-fold", "grid"])
+    def test_no_signal_is_worded_once(self, tmp_path, capsys, extra):
+        # A constant X: Q2's pre-check, the v-fold pick's and the first
+        # grid each refuse it, in the same words.
+        rng = np.random.default_rng(3)
+        write_csv_matrix(tmp_path / "X.csv", np.ones((20, 4)))
+        write_csv_matrix(tmp_path / "Y.csv", rng.standard_normal((20, 2)))
+        write_csv_matrix(tmp_path / "X_test.csv", rng.standard_normal((5, 4)))
+        write_csv_matrix(tmp_path / "Y_test.csv", rng.standard_normal((5, 2)))
+        extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+        assert run_cli("fit", "--model", "pls2", "--x", str(tmp_path / "X.csv"),
+                       "--y", str(tmp_path / "Y.csv"), *extra,
+                       "--out", str(tmp_path / "out")) == 7
+        err = capsys.readouterr().err
+        assert err == "error: component 1: data carries no signal: lambda_max is zero\n"
+
     def test_degenerate_score_exits_7(self, tmp_path, capsys, monkeypatch):
         def zero_score(*args, **kwargs):
             raise DegenerateScoreError("component 1 has a zero score")
@@ -957,6 +979,32 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err == "error: a test pair needs a pls model in regression mode\n"
         assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+class TestParserReuse:
+    """main parses with one parser per process, however often it runs."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_main_matches_separate_processes(self, tmp_path, capsys):
+        X, y = write_toy(tmp_path)
+        refused = ["fit", "--model", "pls1", "--x", str(X), "--y", str(y),
+                   "--pick", "k=1", "--out", str(tmp_path / "refused")]
+
+        def path_argv(out):
+            return ["path", "--model", "pls1", "--x", str(X), "--y", str(y),
+                    "--k-max", "2", "--out", str(tmp_path / out)]
+
+        assert [main(refused), main(path_argv("in-process"))] == [2, 0]
+        env = dict(os.environ, PYTHONPATH=str(Path(subsetpath.__file__).parents[1]))
+        codes = [subprocess.run([sys.executable, "-m", "subsetpath.cli", *argv], env=env,
+                                capture_output=True, timeout=120).returncode
+                 for argv in (refused, path_argv("own-process"))]
+        assert codes == [2, 0]
+        assert ((tmp_path / "in-process" / "path.json").read_bytes()
+                == (tmp_path / "own-process" / "path.json").read_bytes())
+        assert not (tmp_path / "refused").exists()
 
 
 class TestFoldsRefusedBeforeAnyGrid:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from subsetpath import oracle
 from subsetpath.errors import DimensionError, SizeGuardError
 from subsetpath.linalg import center_columns
 from subsetpath.oracle import exhaustive_path, oracle_to_dict
@@ -238,6 +239,14 @@ def pruning_design(name):
     return X, X[:, :4] @ rng.uniform(0.5, 2.0, size=(4, 3)) + rng.standard_normal((n, 3))
 
 
+def tied_design(p, q):
+    # Integer columns each repeated once; the response mixes the first q.
+    rng = np.random.default_rng(p)
+    Xi = rng.integers(-2, 3, size=(40, p // 2)).astype(float)
+    X = np.hstack([Xi, Xi])
+    return X, Xi[:, :q] @ rng.integers(-2, 3, size=(q, q)).astype(float)
+
+
 class TestBoundPruning:
     """The Frobenius bound skips eigen-solves, never changes an optimum."""
 
@@ -273,6 +282,54 @@ class TestBoundPruning:
         for k, (best, value) in result.per_size.items():
             assert best.bits == (0,) * (8 - k) + (1,) * k
             assert (best.bits, value) == want[k]
+
+    @pytest.mark.parametrize("model", ["pls2", "pca"])
+    def test_tied_p12_equals_direct_enumeration(self, model):
+        # Duplicated integer columns tie at every size; q = 5 puts pls2's
+        # blocks on both sides of k = q.
+        X, Y = tied_design(12, 5)
+        result = self.equal_to_enumeration(X, Y if model == "pls2" else None, model)
+        assert result.scored_count < result.enumerated_count
+
+    @pytest.mark.parametrize("model", ["pls2", "pca"])
+    @pytest.mark.parametrize("name", ["spiked", "integer-ties"])
+    def test_many_chunks_equal_direct_enumeration(self, monkeypatch, model, name):
+        # Four low bits split p = 10 into 64 chunks of shared high bits, so
+        # every size but 1 and 10 draws on chunks with their cross terms.
+        monkeypatch.setattr(oracle, "_LOW_BITS", 4)
+        X, Y = pruning_design(name)
+        result = self.equal_to_enumeration(X, Y if model == "pls2" else None, model)
+        assert result.scored_count < result.enumerated_count
+
+    @pytest.mark.parametrize("model", ["pls2", "pca"])
+    @pytest.mark.parametrize("g_scale", [1e-158, 1e-302, 1e-310])
+    def test_underflowing_squares_prune_nothing(self, model, g_scale):
+        # Equal columns scaled so that every entry of G is g_scale: its
+        # squares are subnormal or underflow to zero (G itself is subnormal
+        # at 1e-310). No norm bounds anything there, so every subset is
+        # solved and the tied subset with the smallest bits wins.
+        col = np.array([[1.0], [-2.0], [0.0], [3.0], [-2.0]])  # |col|^2 / 5 = 3.6
+        X = np.tile(col, (1, 8))
+        if model == "pls2":
+            s = (g_scale / (5 * 3.6 ** 2)) ** 0.25
+            X, Y = X * s, np.hstack([col, 2.0 * col]) * s
+        else:
+            X, Y = X * np.sqrt(g_scale / 3.6), None
+        result = self.equal_to_enumeration(X, Y, model)
+        assert result.scored_count == result.enumerated_count
+
+    @staticmethod
+    def equal_to_enumeration(X, Y, model):
+        p = X.shape[1]
+        result = exhaustive_path(X, Y, model)
+        want = unpruned_oracle(X, Y, model, p)
+        sizes = range(1, p + 1)
+        assert np.array_equal([result.per_size[k][0].bits for k in sizes],
+                              [want[k][0] for k in sizes])
+        assert np.array_equal([result.per_size[k][1] for k in sizes],
+                              [want[k][1] for k in sizes])
+        assert result.enumerated_count == (1 << p) - 1
+        return result
 
     def test_prunes_most_of_the_cert_fit_design(self):
         inst = generate(SimConfig(scenario="multiresponse", n=100, p=15, q=10,
