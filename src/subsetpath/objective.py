@@ -173,6 +173,49 @@ def make_context(
     return ObjectiveContext("pls2", n, p, q, G=G)
 
 
+def _gradient(
+    ctx: ObjectiveContext,
+    T: np.ndarray,
+    lam: np.ndarray,
+    v0: np.ndarray | None = None,
+) -> tuple[np.ndarray, DominantPair | None]:
+    """eval_batch's gradient part: the gradients in t at the rows of T, as
+    a new (B, p) array the caller may overwrite, and the stacked eigenpair
+    behind them (None for pls1)."""
+    pair = None
+    if ctx.model == "pls1":
+        grad = np.multiply(T, 2.0)
+        grad *= ctx.z * ctx.z
+    elif ctx.M is not None:
+        Mt = T[:, :, None] * ctx.M
+        pair = top_eigpair(Mt.transpose(0, 2, 1) @ Mt, v0=v0)
+        mv = (ctx.M @ pair.vector[:, :, None])[:, :, 0]
+        grad = np.multiply(T, 2.0)
+        grad *= mv
+        grad *= mv
+    else:
+        A = (T[:, :, None] * ctx.G) * T[:, None, :]
+        pair = top_eigpair(A, v0=v0)
+        grad = (ctx.G @ (T * pair.vector)[:, :, None])[:, :, 0]
+        grad *= np.multiply(pair.vector, 2.0)
+    return np.subtract(lam[:, None], grad, out=grad), pair
+
+
+def _value(
+    ctx: ObjectiveContext,
+    T: np.ndarray,
+    lam: np.ndarray,
+    delta: np.ndarray | None,
+) -> np.ndarray:
+    """eval_batch's value part: the penalized values at the rows of T,
+    given the top eigenvalues delta of their eigenpair (None for pls1,
+    whose delta is the closed form)."""
+    if delta is None:
+        z2 = ctx.z * ctx.z
+        delta = (T * T * z2).sum(axis=1)
+    return -delta + lam * T.sum(axis=1)
+
+
 def eval_batch(
     ctx: ObjectiveContext,
     T: np.ndarray,
@@ -190,26 +233,15 @@ def eval_batch(
     grad = lam - 2 (t * (M v_t) * (M v_t)). With G stored: the eigenpair
     of T_t G T_t gives delta and u_t, and grad = lam - 2 (u_t * (G (t * u_t))).
     The two agree, as u_t = M_t v_t / sqrt(delta).
+
+    This is the composition of two private parts, which the solver calls
+    apart: _gradient (grad and the eigenpair) at every iterate, and _value
+    (-delta + lam * sum(t), delta from that eigenpair) only on the rows
+    that end there. Either part gives bit for bit what this function gives.
     """
     lam = np.asarray(lam, dtype=float)
-    pair = None
-    if ctx.model == "pls1":
-        z2 = ctx.z * ctx.z
-        delta = (T * T * z2).sum(axis=1)
-        grad = lam[:, None] - 2.0 * T * z2
-    elif ctx.M is not None:
-        Mt = T[:, :, None] * ctx.M
-        pair = top_eigpair(Mt.transpose(0, 2, 1) @ Mt, v0=v0)
-        mv = (ctx.M @ pair.vector[:, :, None])[:, :, 0]
-        grad = lam[:, None] - 2.0 * T * mv * mv
-    else:
-        A = (T[:, :, None] * ctx.G) * T[:, None, :]
-        pair = top_eigpair(A, v0=v0)
-        gu = (ctx.G @ (T * pair.vector)[:, :, None])[:, :, 0]
-        grad = lam[:, None] - 2.0 * pair.vector * gu
-    if pair is not None:
-        delta = pair.value
-    value = -delta + lam * T.sum(axis=1)
+    grad, pair = _gradient(ctx, T, lam, v0)
+    value = _value(ctx, T, lam, None if pair is None else pair.value)
     return ObjectiveEval(value=value, grad_t=grad, dominant=pair)
 
 

@@ -11,7 +11,15 @@ import subsetpath
 from subsetpath import linalg, solver
 from subsetpath.errors import NonFiniteInputError
 from subsetpath.linalg import EIGH_CROSSOVER, center_columns
-from subsetpath.objective import TRACE_LIMIT, lambda_max, make_context
+from subsetpath.objective import (
+    TRACE_LIMIT,
+    eval_batch,
+    grad_r,
+    lambda_max,
+    make_context,
+    r_of_t,
+    t_of_r,
+)
 from subsetpath.path import GridConfig, dynamic_grid
 from subsetpath.solver import minimize_batch, top_k_order
 
@@ -23,18 +31,23 @@ def iterates(monkeypatch):
     """Every point the solver visits, as (t, objective), in visiting order
     (row by row within one batched evaluation).
 
-    The solver evaluates the objective exactly once per visited point, in
-    one batched call per iteration, so wrapping its evaluator sees every
-    iterate without the solver storing any of them."""
+    The solver computes the gradients of every running row exactly once
+    per visited point, in one batched call of eval_batch's gradient part
+    per iteration, so wrapping that part sees every iterate without the
+    solver storing any of them. Each iterate's objective comes from the
+    public eval_batch at the same point, whose gradients must equal the
+    part's bit for bit."""
     seen = []
-    evaluate = solver.eval_batch
+    gradient = solver._gradient
 
-    def recording(ctx, T, lam, **kwargs):
-        ev = evaluate(ctx, T, lam, **kwargs)
+    def recording(ctx, T, lam, v0=None):
+        grad, pair = gradient(ctx, T, lam, v0)
+        ev = eval_batch(ctx, T, lam, v0=v0)
+        np.testing.assert_array_equal(grad, ev.grad_t)
         seen.extend((t.copy(), float(value)) for t, value in zip(T, ev.value))
-        return ev
+        return grad, pair
 
-    monkeypatch.setattr(solver, "eval_batch", recording)
+    monkeypatch.setattr(solver, "_gradient", recording)
     return seen
 
 
@@ -301,6 +314,19 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="penalties must be finite"):
             minimize_batch(ctx, [0.1, bad])
 
+    @pytest.mark.parametrize("lams,K,name", [
+        (0.1, None, "lams"),
+        ([[0.1, 0.2]], None, "lams"),
+        ([0.1], 2.5, "K"),
+    ], ids=["scalar-lams", "2d-lams", "fractional-K"])
+    def test_malformed_arguments_refused_before_any_work(self, lams, K, name, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the solver evaluated before checking its arguments")
+
+        monkeypatch.setattr(solver, "_gradient", no_work)
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            minimize_batch(sweep_context("pls1"), lams, K=K)
+
     @pytest.mark.parametrize("model,branch", [("pls1", None), ("pls2", "v"), ("pls2", "u"),
                                               ("pca", None)])
     @pytest.mark.parametrize("lam", [TRACE_LIMIT, -TRACE_LIMIT], ids=["limit", "-limit"])
@@ -311,6 +337,65 @@ class TestBatchedSweep:
         (run,) = minimize_batch(ctx, [lam])
         assert np.isfinite(run.objective)
         assert np.all(run.terminal_t < 0.1 if lam > 0 else run.terminal_t > 0.9)
+
+
+def reference_runs(ctx, lams, K):
+    """The solver as a textbook loop, one penalty at a time: the public
+    eval_batch, grad_r and t_of_r at every iterate, Adam's updates out of
+    place, and the distinct top-K orderings by a search of a list."""
+    runs = []
+    for lam in lams:
+        t = np.full(ctx.p, solver.T_INIT)
+        r = r_of_t(t)
+        m = np.zeros(ctx.p)
+        v = np.zeros(ctx.p)
+        trace, warm, quiet, it = [], None, False, 0
+        while True:
+            ev = eval_batch(ctx, t[None], np.array([lam]), v0=warm)
+            g = grad_r(ev, r[None])[0]
+            order = np.argsort(-t, kind="stable")[:K].tolist()
+            if order not in trace:
+                trace.append(order)
+            if ev.dominant is not None:
+                warm = ev.dominant.vector
+            if quiet or it >= solver.MAX_ITER:
+                runs.append(solver.SolverRun(np.array(trace), quiet, it, t, float(ev.value[0])))
+                break
+            it += 1
+            m = solver.BETA1 * m + (1.0 - solver.BETA1) * g
+            v = solver.BETA2 * v + (1.0 - solver.BETA2) * g * g
+            m_hat = m / (1.0 - solver.BETA1**it)
+            v_hat = v / (1.0 - solver.BETA2**it)
+            r = r - solver.LEARNING_RATE * m_hat / (np.sqrt(v_hat) + solver.EPS)
+            t_next = t_of_r(r)
+            quiet = bool(np.abs(t_next - t).max() < solver.TOL)
+            t = t_next
+    return runs
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("model,branch,p,n", [
+        ("pls1", None, 8, 30),
+        ("pls2", "v", 8, 30),   # M kernel, q x q
+        ("pls2", "u", 6, 30),   # G kernel, p x p
+        ("pca", None, 12, 10),  # M kernel, n x n
+        ("pca", None, 8, 30),   # G kernel, p x p
+    ])
+    def test_batch_equals_textbook_loop_bitwise(self, model, branch, p, n, monkeypatch):
+        ctx = sweep_context(model, branch, p=p, n=n)
+        K = 4
+        lams = lambda_max(ctx) * np.array([0.9, 0.45, 0.2, 0.07, 0.0])
+        # Cap the slowest row one update before its end, so that the batch
+        # also holds a row ended by MAX_ITER.
+        cap = max(run.iterations for run in reference_runs(ctx, lams, K)) - 1
+        solver_config(monkeypatch, MAX_ITER=cap)
+        want = reference_runs(ctx, lams, K)
+        assert any(run.converged for run in want) and not all(run.converged for run in want)
+        assert len({run.iterations for run in want}) > 2
+        got = minimize_batch(ctx, lams, K=K)
+        for run, ref in zip(got, want, strict=True):
+            assert run.trace.dtype == np.min_scalar_type(p - 1)
+            assert_same_run(run, ref)
 
 
 class TestSolverConstants:
