@@ -3,8 +3,8 @@
 Computes, for each subset size k, the best k-variable subset for building
 PCA and PLS components, by gradient descent on a penalized continuous
 relaxation of the discrete selection problem. Includes multi-component
-fitting via deflation, prediction, an exhaustive oracle at small p, and
-simulation-study tooling.
+fitting via deflation, prediction, an exact oracle (pls1 at any p, pls2
+and pca at small p), and simulation-study tooling.
 """
 
 __version__ = "0.1.0"

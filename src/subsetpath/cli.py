@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--seed", type=_int_from(0), default=0)
     fit_p.set_defaults(func=cmd_fit)
 
-    orc = sub.add_parser("oracle", help="exhaustive best subsets (small p)")
+    orc = sub.add_parser("oracle", help="exact best subsets (pls2, pca: p <= 25)")
     common_model_flags(orc)
     orc.add_argument("--max-k", type=_int_from(1), default=None)
     orc.add_argument("--compare", help="path.json to compare against")

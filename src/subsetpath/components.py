@@ -447,11 +447,12 @@ def q2(
     ``supports`` fixes the per-component subsets (e.g. those a fitted
     sparse model chose); by default all components use the full variable
     set. The folds are those of the v-fold picks in ``fit`` at the same
-    ``folds`` and ``seed``. _split_sse gives PRESS fold by fold, and RSS on
-    the in-sample split of the centered data. A model other than pls1 or
-    pls2, folds that are not an integer in 2..n, or an H or seed that is
-    not an integer, H below 1 or a negative seed raise ParseError; an X
-    that is not 2-D, a Y that does not fit the model
+    ``folds`` and ``seed``. _split_sse gives PRESS_1 .. PRESS_H fold by
+    fold, and RSS_1 .. RSS_{H-1} on the in-sample split of the centered
+    data from the first H - 1 supports (nothing reads RSS_H). A model other
+    than pls1 or pls2, folds that are not an integer in 2..n, or an H or
+    seed that is not an integer, H below 1 or a negative seed raise
+    ParseError; an X that is not 2-D, a Y that does not fit the model
     (objective.response_matrix), or ``supports`` that are not H subsets of
     X's p columns DimensionError; a fold whose training rows hold a
     constant response column (max == min), or no more rows than the H
@@ -474,15 +475,15 @@ def q2(
     if any(s.p != p for s in supports):
         raise DimensionError(f"supports must be subsets of the {p} columns of X")
 
-    # Residual sums per component count on the centered data: RSS_0 .. RSS_H.
+    # Residual sums per component count on the centered data: RSS_0 .. RSS_{H-1}.
     Xc = X - column_means(X, "X")
     Yc = Y - column_means(Y, "Y")
     rss = np.vstack([np.sum(Yc * Yc, axis=0),
-                     _split_sse((Xc, Yc, Xc, Yc, 0.0), model, supports)])
+                     *_split_sse((Xc, Yc, Xc, Yc, 0.0), model, supports[:-1])])
     _check_training_folds(X, Y, folds, seed, H)
     press = sum(_split_sse(split, model, supports) for split in _splits(X, Y, folds, seed))
-    per_response = 1.0 - press / rss[:-1]
-    total = 1.0 - press.sum(axis=1) / rss[:-1].sum(axis=1)
+    per_response = 1.0 - press / rss
+    total = 1.0 - press.sum(axis=1) / rss.sum(axis=1)
     return Q2Report(total=total, per_response=per_response)
 
 

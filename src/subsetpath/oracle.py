@@ -1,5 +1,5 @@
-"""Exact oracle for small p: the closed form for pls1, exhaustive
-enumeration with eigen-solves pruned by a Frobenius bound for pls2 and pca.
+"""Exact oracle: the closed form for pls1 at any p, exhaustive enumeration
+with eigen-solves pruned by a Frobenius bound for pls2 and pca at p <= 25.
 
 The exhaustive enumerator is the reference the heuristic path is judged
 against, so it shares no eigen-solver or search code with the rest of the
@@ -69,13 +69,13 @@ def exhaustive_path(
     max_k: int | None = None,
 ) -> OracleResult:
     """Return the per-size argmin of the corner objective. Raises
-    SizeGuardError for p above 25, for every model (enumeration cost grows
+    SizeGuardError for pls2 and pca above p = 25 (enumeration cost grows
     as 2^p), and DimensionError for an X that is not 2-D (linalg.data_matrix),
     a max_k that is not an integer in 1..p, or a response that does not fit
     the model (objective.response_matrix).
 
-    pls1 takes its closed form: the best k-subset holds the k largest
-    z_j^2, ties to the higher index. pls2/pca bound each subset S by
+    pls1 takes its closed form at any p: the best k-subset holds the k
+    largest z_j^2, ties to the higher index. pls2/pca bound each subset S by
     ||G_S||_F, which the top eigenvalue of the PSD block cannot exceed. The
     squared norms come from the recurrence
     F(S + {j}) = F(S) + 2 sum_{i in S} G_ij^2 + G_jj^2 over bit masks, a
@@ -88,7 +88,7 @@ def exhaustive_path(
     """
     X = data_matrix(X)
     n, p = X.shape
-    if p > EXHAUSTIVE_P_LIMIT:
+    if p > EXHAUSTIVE_P_LIMIT and model != "pls1":
         raise SizeGuardError(
             f"exhaustive search refused for p={p} > {EXHAUSTIVE_P_LIMIT}"
         )

@@ -27,13 +27,13 @@ each run's terminal size from the gradient at the solver's start point
 solver call (solver.minimize_batch) and records it by replaying the
 schedule on the real runs, solving there whatever a wrong prediction
 left out. Where they are not, and in the replay where a run is missing,
-the grid solves as the schedule asks: the halvings of the first phase in
-chunks, and the penalties of one bisection sweep (for cheap rows with
-the midpoints of the next sweep) in one batch. Each row of a batch is
-bit for bit the run of its penalty alone, so runs solved ahead and
-recorded later, or never, leave the path as it would be. Its eigen-solves
-cannot fail (linalg.top_eigpair finishes the ones its power steps do not
-settle densely), so a batch is never redone.
+the grid solves as the schedule asks: the halvings of the first phase
+_STEP1_CHUNK (8) at a time, and the penalties of one bisection sweep
+(for cheap rows with the midpoints of the next sweep) in one batch. Each
+row of a batch is bit for bit the run of its penalty alone, so runs
+solved ahead and recorded later, or never, leave the path as it would
+be. Its eigen-solves cannot fail (linalg.top_eigpair finishes the ones
+its power steps do not settle densely), so a batch is never redone.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ RHO = 0.9
 # backward error is about k eps lambda (2e-14 and 1e-14 at k = 50); a slack
 # far above both, as this one is for k below 10^6, keeps every exact tie.
 _TRACE_SLACK = 1e-9
+
+# Halvings solved per batch in step 1 of a grid solved on demand. A run past
+# the one that reaches K is solved for nothing; 16 ran slower (CHANGES.md).
+_STEP1_CHUNK = 8
 
 
 @functools.total_ordering
@@ -248,12 +252,6 @@ def _cheap_rows(ctx0: ObjectiveContext) -> bool:
     return ctx0.G is None or ctx0.p <= 100
 
 
-def _chunk(ctx0: ObjectiveContext) -> int:
-    """Halvings solved per batch in step 1 of a grid solved on demand; a run
-    past the one that reaches K is solved for nothing."""
-    return 16 if _cheap_rows(ctx0) else 8
-
-
 def terminal_subset(t: np.ndarray) -> Subset:
     """Threshold the terminal point: bit j is set iff t_j > RHO (strict)."""
     t = np.asarray(t)
@@ -349,16 +347,15 @@ def _solve_on_demand(ctx0, lam_top, grid_cfg, runs) -> list[float]:
     """The schedule, solving each penalty not yet in runs (a dict from
     penalty to run) when it is first asked for, together with runs it may
     ask for next. A halving of lambda_max not yet solved comes with the
-    next ones, _chunk(ctx0) in all and no more than the budget left. For
+    next ones, _STEP1_CHUNK in all and no more than the budget left. For
     cheap rows, the missing midpoints of a sweep come with their two
     children, while budget remains after the sweep."""
-    chunk = _chunk(ctx0)
     speculate = _cheap_rows(ctx0)
 
     def sizes(step, lams, ahead):
         missing = [lam for lam in lams if lam not in runs]
         if missing and step == 1:
-            missing += itertools.islice(ahead[0], chunk - 1)
+            missing += itertools.islice(ahead[0], _STEP1_CHUNK - 1)
         elif missing and speculate:
             missing += [kid for lam, kids in zip(lams, ahead) if lam not in runs
                         for kid in kids]
@@ -390,9 +387,10 @@ def dynamic_grid(
     terminal sizes _first_step_size predicts and solves it in one batch
     (_plan_and_solve). Then, for every grid, the schedule is replayed on
     the real runs, and a penalty not yet solved is solved when it is asked
-    for, with runs the schedule may ask for next (_solve_on_demand). It is
-    recorded in that order, and runs solved but not in it are discarded, so
-    the path is the one the penalties solved one at a time would give.
+    for, with runs it may ask for next (_solve_on_demand: _STEP1_CHUNK
+    halvings in all in step 1). It is recorded in that order, and runs
+    solved but not in it are discarded, so the path is the one the
+    penalties solved one at a time would give.
 
     Every run feeds the top-K orderings it visited into the size buckets
     (score_buckets), so buckets are filled for all k = 1..K. Refusals come

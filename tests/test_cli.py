@@ -555,13 +555,30 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err == "error: pls1 requires a single response column, got 10\n"
 
-    def test_guard_exit_6(self, tmp_path):
+    @pytest.mark.parametrize("model", ["pls2", "pca"])
+    def test_guard_exit_6(self, tmp_path, model):
         rng = np.random.default_rng(0)
         write_csv_matrix(tmp_path / "X.csv", rng.standard_normal((4, 26)))
-        write_csv_matrix(tmp_path / "y.csv", rng.standard_normal((4, 1)))
-        code = run_cli("oracle", "--model", "pls1", "--x", str(tmp_path / "X.csv"),
-                       "--y", str(tmp_path / "y.csv"), "--out", str(tmp_path / "o"))
+        write_csv_matrix(tmp_path / "Y.csv", rng.standard_normal((4, 2)))
+        y = [] if model == "pca" else ["--y", str(tmp_path / "Y.csv")]
+        code = run_cli("oracle", "--model", model, "--x", str(tmp_path / "X.csv"),
+                       *y, "--out", str(tmp_path / "o"))
         assert code == 6
+
+    def test_pls1_closed_form_at_p_500(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((20, 500)), rng.standard_normal((20, 1))
+        write_csv_matrix(tmp_path / "X.csv", X)
+        write_csv_matrix(tmp_path / "y.csv", y)
+        out = tmp_path / "o"
+        code = run_cli("oracle", "--model", "pls1", "--x", str(tmp_path / "X.csv"),
+                       "--y", str(tmp_path / "y.csv"), "--out", str(out))
+        assert code == 0
+        buckets = json.loads((out / "oracle.json").read_text())["buckets"]
+        assert [b["k"] for b in buckets] == list(range(1, 501))
+        Xc, yc = X - X.mean(axis=0), y[:, 0] - y.mean()
+        assert buckets[0]["bits"].index("1") == int(np.argmax(np.abs(Xc.T @ yc)))
+        assert buckets[-1]["bits"] == "1" * 500
 
 
 class TestMetricsCommand:

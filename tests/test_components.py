@@ -427,20 +427,41 @@ class TestQ2:
             q2(X[:4], Y[:4], model="pls2", H=2, folds=2, seed=0)
         assert q2(X, Y, model="pls2", H=2, folds=2, seed=0).total.shape == (2,)
 
-    @pytest.mark.parametrize("model, q", [("pls2", 3), ("pls1", 1)])
+    @pytest.mark.parametrize("model, q, H", [
+        ("pls2", 3, 2), ("pls1", 1, 2), ("pls2", 3, 1), ("pls1", 1, 1),
+        ("pls2", 3, 3), ("pls1", 1, 3),
+    ], ids=["pls2-3", "pls1-1", "pls2-3-H1", "pls1-1-H1", "pls2-3-H3", "pls1-1-H3"])
     @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
-    def test_matches_the_rss_and_press_loops_bit_for_bit(self, model, q, sparse):
+    def test_matches_the_rss_and_press_loops_bit_for_bit(self, model, q, H, sparse):
         rng = np.random.default_rng(22)
         X = rng.standard_normal((30, 6))
         Y = X[:, :2] @ rng.standard_normal((2, q)) + 0.5 * rng.standard_normal((30, q))
-        supports = [full_subset(6)] * 2
+        supports = [full_subset(6)] * H
         if sparse:
-            supports = [Subset.from_indices(6, (0, 1, 3)), Subset.from_indices(6, (1, 2, 4, 5))]
-        report = q2(X, Y, model=model, H=2, folds=4, seed=3,
+            supports = [Subset.from_indices(6, (0, 1, 3)), Subset.from_indices(6, (1, 2, 4, 5)),
+                        Subset.from_indices(6, (0, 2, 3, 5))][:H]
+        report = q2(X, Y, model=model, H=H, folds=4, seed=3,
                     supports=None if not sparse else supports)
         total, per_response = reference_q2(X, Y, model, 4, 3, supports)
         assert np.array_equal(report.total, total)
         assert np.array_equal(report.per_response, per_response)
+
+    @pytest.mark.parametrize("H", [1, 2, 3])
+    def test_refits_in_sample_only_the_components_rss_reads(self, H, monkeypatch):
+        # RSS_0 .. RSS_{H-1} need the first H - 1 components in-sample;
+        # PRESS_1 .. PRESS_H need all H on each of the 4 folds.
+        builds = []
+        build = components._build_component
+
+        def spy(*args, **kwargs):
+            builds.append(args[4])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(components, "_build_component", spy)
+        rng = np.random.default_rng(23)
+        X, Y = rng.standard_normal((30, 6)), rng.standard_normal((30, 2))
+        q2(X, Y, model="pls2", H=H, folds=4, seed=0)
+        assert builds == list(range(1, H)) + list(range(1, H + 1)) * 4
 
     @pytest.mark.parametrize("supports, message", [
         ([full_subset(3)], "need 2 supports, got 1"),

@@ -91,10 +91,31 @@ class TestExhaustivePath:
         for k in range(1, 9):
             assert path.buckets[k].best_value >= oracle.per_size[k][1] - 1e-9
 
-    def test_size_guard(self):
+    @pytest.mark.parametrize("model", ["pls2", "pca"])
+    def test_size_guard(self, model):
         X = np.zeros((2, 26))
         with pytest.raises(SizeGuardError):
-            exhaustive_path(X, np.zeros(2), "pls1")
+            exhaustive_path(X, None if model == "pca" else np.zeros((2, 2)), model)
+
+    def test_pls1_closed_form_above_the_size_guard(self):
+        # Columns j and j + 13 are equal, so z^2 ties in pairs: the brute
+        # force ranks by exact sums and breaks ties to the smallest bits,
+        # the sort sends them to the higher index.
+        rng = np.random.default_rng(26)
+        half = center_columns(rng.standard_normal((30, 13)))
+        X, y = np.hstack([half, half]), rng.standard_normal(30)
+        p = X.shape[1]
+        z2 = ((X.T @ y) / 30) ** 2
+        result = exhaustive_path(X, y, "pls1")
+        assert sorted(result.per_size) == list(range(1, p + 1))
+        for k in range(1, 4):
+            want = min((-math.fsum(z2[list(idx)]), Subset(p, idx))
+                       for idx in itertools.combinations(range(p), k))[1]
+            assert result.per_size[k][0] == want
+        order = sorted(range(p), key=lambda j: (-z2[j], -j))
+        for k in range(1, p + 1):
+            want = Subset.from_indices(p, order[:k])
+            assert result.per_size[k] == (want, -float(np.sum(z2[want.indices])))
 
     @pytest.mark.parametrize("model", ["pls1", "pls2"])
     def test_response_required(self, model):

@@ -486,7 +486,7 @@ def assert_same_path(got, want):
 def one_at_a_time(monkeypatch, *args, **kwargs):
     # The grid with step 1 solving one halving per call.
     with monkeypatch.context() as m:
-        m.setattr(path_module, "_chunk", lambda ctx0: 1)
+        m.setattr(path_module, "_STEP1_CHUNK", 1)
         return dynamic_grid(*args, **kwargs)
 
 
@@ -532,7 +532,7 @@ SPECULATION_CASES = [
 
 
 class TestSpeculativeStep1:
-    """Step 1 of a grid solved on demand solves _chunk(ctx0) halvings per
+    """Step 1 of a grid solved on demand solves _STEP1_CHUNK halvings per
     batch and keeps only the runs that solving them one at a time would
     record."""
 
@@ -546,8 +546,7 @@ class TestSpeculativeStep1:
         want = sequential_step1(X, Y, model, grid)
         assert [diagnostic(d) for d in path.diagnostics[:len(want)]] == want
         # The run that reaches K is not the last of its chunk (l = 0, 1, ...).
-        chunk = path_module._chunk(make_context(X, Y, model))
-        assert want[-1][1] >= grid.K and len(want) % chunk
+        assert want[-1][1] >= grid.K and len(want) % path_module._STEP1_CHUNK
         assert_same_path(path, one_at_a_time(monkeypatch, X, Y, model, grid))
 
     def test_lambda_max_is_the_first_row_of_the_first_chunk(self, monkeypatch):
@@ -592,7 +591,7 @@ class TestSpeculativeStep1:
         # With chunks of 3 from lambda_max on and K = p out of reach within
         # L runs, step 1 spends the whole budget; the last chunk holds what
         # is left of it.
-        monkeypatch.setattr(path_module, "_chunk", lambda ctx0: 3)
+        monkeypatch.setattr(path_module, "_STEP1_CHUNK", 3)
         on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         grid = GridConfig(K=10, L=L)
@@ -609,7 +608,7 @@ class TestSpeculativeStep1:
     def test_k_reached_by_the_first_row_of_a_chunk(self, monkeypatch):
         # Chunks of 3 hold l = 0..2 and 3..5; K is the terminal size first
         # reached at l = 3.
-        monkeypatch.setattr(path_module, "_chunk", lambda ctx0: 3)
+        monkeypatch.setattr(path_module, "_STEP1_CHUNK", 3)
         on_demand(monkeypatch)
         X, Y = grid_case("pls2", "v")
         first = sequential_step1(X, Y, "pls2", GridConfig(K=10, L=4))
@@ -620,6 +619,22 @@ class TestSpeculativeStep1:
         assert [len(c) for c in calls] == [3, 3]
         assert [diagnostic(d) for d in path.diagnostics[:4]] == first
         assert calls[1][1] not in {d.lam for d in path.diagnostics}
+
+    def test_halvings_a_plan_left_out_come_a_chunk_at_a_time(self, monkeypatch):
+        # Cheap rows whose predicted sizes reach K at the first halving: the
+        # plan's step 1 stops there, short of the real runs' K, and the
+        # replay solves the halvings after it _STEP1_CHUNK at a time.
+        X, Y = cert_case(51)
+        ctx0 = make_context(X, Y, "pls2")
+        assert path_module._cheap_rows(ctx0)
+        lam_top = lambda_max(ctx0)
+        monkeypatch.setattr(path_module, "_first_step_size",
+                            lambda ctx0: lambda lam: 0 if lam == lam_top else CERT_GRID.K)
+        calls = spy_step1(monkeypatch)
+        got = dynamic_grid(X, Y, "pls2", CERT_GRID)
+        assert calls[0] == [lam_top / 2.0**ell
+                            for ell in range(2, 2 + path_module._STEP1_CHUNK)]
+        assert_same_path(got, sequential_path(X, Y, "pls2", CERT_GRID))
 
 
 def spy_step2(monkeypatch, edit=None):
@@ -993,7 +1008,6 @@ class TestCheapRows:
         X, Y = grid_case(model, branch, p=p, n=n)
         ctx0 = make_context(X, Y, model)
         assert path_module._cheap_rows(ctx0) is cheap
-        assert path_module._chunk(ctx0) == (16 if cheap else 8)
 
 
 class TestPcaBelowP:
