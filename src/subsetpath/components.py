@@ -190,15 +190,8 @@ def loading_from_subset(
     raise ValueError(f"unknown model {model!r}")
 
 
-def _build_component(
-    X_h: np.ndarray,
-    Y_h: np.ndarray | None,
-    model: str,
-    subset: Subset,
-    h: int,
-    mode: str | None,
-    objective: float | None = None,
-) -> ComponentState:
+def _build_component(X_h: np.ndarray, Y_h: np.ndarray | None, model: str, subset: Subset,
+                     h: int, mode: str | None, objective: float | None = None) -> ComponentState:
     u, v, delta = loading_from_subset(X_h, Y_h, model, subset)
     xi = X_h @ u
     ss = float(xi @ xi)
@@ -369,6 +362,19 @@ def _check_fold_rows(n: int, folds: int, H: int):
                                      f"of {rows} row(s), too few for {H} component(s)")
 
 
+def _check_rank(X: np.ndarray, Y: np.ndarray | None, H: int, center: bool, mode: str | None):
+    """Refuse more components than the data carry: each deflation lowers X's
+    rank by one (and Y's in canonical mode), and a centered n x p X has rank
+    at most min(n - 1, p), an uncentered one min(n, p)."""
+    n, p = X.shape
+    q = Y.shape[1] if mode == "canonical" else p
+    m = min(n - 1 if center else n, p, q)
+    if m < H:
+        y = f" and {q}-column Y in canonical mode" if mode == "canonical" else ""
+        raise DegenerateLoadingError(f"{'a centered' if center else 'an uncentered'} {n} x {p} "
+                                     f"X{y} carries at most {m} component(s), too few for H={H}")
+
+
 def _check_signal(X0: np.ndarray, Y0: np.ndarray | None, model: str):
     """Make the first grid's refusals of the centered data (non-finite or
     zero lambda_max) ahead of a fold check, worded as fit words them."""
@@ -386,33 +392,34 @@ def _check_training_folds(X: np.ndarray, Y: np.ndarray, folds: int, seed: int, H
         raise DegenerateLoadingError("a training fold has a constant response")
 
 
-def _refit_fixed(
-    Xtr: np.ndarray,
-    Ytr: np.ndarray,
-    model: str,
-    supports: list[Subset],
-    mode: str,
-) -> list[ComponentState]:
+def _refit_fixed(Xtr: np.ndarray, Ytr: np.ndarray | None, model: str, supports: list[Subset],
+                 mode: str | None) -> tuple[list[ComponentState], np.ndarray, np.ndarray | None]:
+    """Refit components on ``supports`` in turn on training rows, each on the
+    rows deflated through the ones before it; returns them and the rows
+    deflated through all of them, which the caller's next build reads."""
     comps = []
-    Xh, Yh = Xtr, Ytr
     for h, subset in enumerate(supports, start=1):
-        comp = _build_component(Xh, Yh, model, subset, h, mode)
-        Xh, Yh = deflate(Xh, Yh, comp, mode, model)
-        comps.append(comp)
-    return comps
+        comps.append(_build_component(Xtr, Ytr, model, subset, h, mode))
+        Xtr, Ytr = deflate(Xtr, Ytr, comps[-1], mode, model)
+    return comps, Xtr, Ytr
+
+
+def _sq_errors(split: Split, comps: list[ComponentState]) -> np.ndarray:
+    """Squared errors (m, q) of a split's held-out rows predicted through
+    beta of ``comps``; min-msep sums them all, q2 per response."""
+    _, _, X_val, Y_val, ym = split
+    return (X_val @ regression_coefficients(comps) + ym - Y_val) ** 2
 
 
 def _split_sse(split: Split, model: str, supports: list[Subset]) -> np.ndarray:
     """Squared prediction errors (H, q) summed over a split's held-out
-    rows, row h - 1 through beta of the first h components refitted on its
-    training rows."""
-    Xtr, Ytr, X_val, Y_val, ym = split
-    comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
-    sse = []
-    for h in range(1, len(supports) + 1):
-        err = Y_val - (X_val @ regression_coefficients(comps[:h]) + ym)
-        sse.append(np.sum(err * err, axis=0))
-    return np.array(sse)
+    rows, row h - 1 through beta of the first h components: the first H - 1
+    refitted on its training rows, the last (if any) built on the rows they leave."""
+    comps, Xh, Yh = _refit_fixed(*split[:2], model, supports[:-1], "regression")
+    for subset in supports[-1:]:
+        comps.append(_build_component(Xh, Yh, model, subset, len(supports), "regression"))
+    return np.array([np.sum(_sq_errors(split, comps[:h]), axis=0)
+                     for h in range(1, len(comps) + 1)])
 
 
 def _check_integer(name: str, value):
@@ -449,14 +456,16 @@ def q2(
     set. The folds are those of the v-fold picks in ``fit`` at the same
     ``folds`` and ``seed``. _split_sse gives PRESS_1 .. PRESS_H fold by
     fold, and RSS_1 .. RSS_{H-1} on the in-sample split of the centered
-    data from the first H - 1 supports (nothing reads RSS_H). A model other
+    data from the first H - 1 supports (nothing reads RSS_H), through the
+    picks' refit and held-out error. A model other
     than pls1 or pls2, folds that are not an integer in 2..n, or an H or
     seed that is not an integer, H below 1 or a negative seed raise
     ParseError; an X that is not 2-D, a Y that does not fit the model
     (objective.response_matrix), or ``supports`` that are not H subsets of
-    X's p columns DimensionError; a fold whose training rows hold a
-    constant response column (max == min), or no more rows than the H
-    components, raises DegenerateLoadingError.
+    X's p columns DimensionError; an H above min(n - 1, p), the components
+    the centered X carries, or a fold whose training rows hold a constant
+    response column (max == min) or no more rows than the H components,
+    DegenerateLoadingError.
     """
     if model not in ("pls1", "pls2"):
         raise ParseError("the PRESS/RSS criterion applies to regression-mode PLS")
@@ -474,6 +483,7 @@ def q2(
         raise DimensionError(f"need {H} supports, got {len(supports)}")
     if any(s.p != p for s in supports):
         raise DimensionError(f"supports must be subsets of the {p} columns of X")
+    _check_rank(X, Y, H, True, "regression")
 
     # Residual sums per component count on the centered data: RSS_0 .. RSS_{H-1}.
     Xc = X - column_means(X, "X")
@@ -487,14 +497,8 @@ def q2(
     return Q2Report(total=total, per_response=per_response)
 
 
-def _cv_scores(
-    kind: str,
-    path: SolutionPath,
-    comps: list[ComponentState],
-    splits: Iterable[Split],
-    model: str,
-    mode: str | None,
-) -> np.ndarray:
+def _cv_scores(kind: str, path: SolutionPath, comps: list[ComponentState],
+               splits: Iterable[Split], model: str, mode: str | None) -> np.ndarray:
     """Score, for k = 1..K, of bucket k's best subset as the next component,
     over ``splits`` of the form _splits yields: the held-out mean squared
     prediction error for min-msep (NonFiniteInputError if one is not
@@ -505,53 +509,43 @@ def _cv_scores(
     holdout set is one split, and so is cpev-drop's in-sample
     (X0, Y0, X0, Y0, 0.0), Y0 None for pca.
 
-    Per split, the earlier components are refitted on the training rows,
-    each deflating them (and, for max-cor alone, the held-out rows) in
-    turn; each k then builds only its last component.
+    Per split, _refit_fixed refits the earlier components on the training
+    rows; each k builds only its last component on the rows it returns, and
+    max-cor alone deflates the held-out rows too. min-msep scores through
+    _sq_errors, as q2 does.
     """
     K, h = path.K, len(comps) + 1
-    sse = [0.0] * K
-    per_split: list[list[float]] = [[] for _ in range(K)]  # max-cor, cpev-drop
+    per_split: list[list[float]] = [[] for _ in range(K)]
     count = 0
-    for X0, Ytr, X_val, Y_val, ym in splits:
-        Xtr, Xv, Yv = X0, X_val, Y_val - ym if kind == "max-cor" else None
+    for split in splits:
+        X0, Ytr, X_val, Y_val, ym = split
         count += 0 if Y_val is None else Y_val.size
-        prev = []
-        for j, earlier in enumerate(comps, start=1):
-            comp = _build_component(Xtr, Ytr, model, earlier.subset, j, mode)
-            Xtr, Ytr = deflate(Xtr, Ytr, comp, mode, model)
-            if kind == "max-cor":
+        prev, Xtr, Ytr = _refit_fixed(X0, Ytr, model, [c.subset for c in comps], mode)
+        if kind == "max-cor":
+            Xv, Yv = X_val, Y_val - ym
+            for comp in prev:
                 Xv, Yv = deflate(Xv, Yv, comp, mode, model)
-            prev.append(comp)
         for k in range(1, K + 1):
             last = _build_component(Xtr, Ytr, model, path.buckets[k].best, h, mode)
             if kind == "cpev-drop":
                 per_split[k - 1].append(_cpev(X0, X0 @ adjusted_weights(X0, prev + [last])))
             elif kind == "min-msep":
-                beta = regression_coefficients(prev + [last])
                 with np.errstate(over="ignore", invalid="ignore"):
-                    pred = X_val @ beta + ym
-                    sse[k - 1] += float(np.sum((pred - Y_val) ** 2))
+                    per_split[k - 1].append(float(np.sum(_sq_errors(split, prev + [last]))))
             else:
                 xi_v, psi_v = Xv @ last.u, Yv @ last.v
                 if float(np.std(xi_v)) > 0.0 and float(np.std(psi_v)) > 0.0:
                     per_split[k - 1].append(abs(float(np.corrcoef(xi_v, psi_v)[0, 1])))
     if kind == "min-msep":
-        msep = np.array(sse) / count
+        msep = np.array([sum(s) for s in per_split]) / count
         if not np.isfinite(msep).all():
             raise NonFiniteInputError("min-msep: the held-out prediction error overflows")
         return msep
     return np.array([np.mean(s) if s else -np.inf for s in per_split])
 
 
-def _pick_subset_size(
-    strategy: PickStrategy,
-    path: SolutionPath,
-    comps: list[ComponentState],
-    model: str,
-    mode: str | None,
-    splits: Iterable[Split],
-) -> int:
+def _pick_subset_size(strategy: PickStrategy, path: SolutionPath, comps: list[ComponentState],
+                      model: str, mode: str | None, splits: Iterable[Split]) -> int:
     if strategy.kind == "fixed-k":
         return strategy.k
     scores = _cv_scores(strategy.kind, path, comps, splits, model, mode)
@@ -640,12 +634,15 @@ def fit(
     shapes that do not fit (an X that is not 2-D, K above p, a missing or
     extra Y, rows or columns of ``test`` or Y unlike X's, a ``test`` pair
     of more than two dimensions or of no rows) DimensionError;
-    v-fold folds whose smallest training fold holds no more rows than the
-    H components DegenerateLoadingError. An invalid strategy is refused
-    when the PickStrategy is built.
+    an H above the components the data carry (_check_rank) or v-fold folds
+    whose smallest training fold holds no more rows than the H components
+    DegenerateLoadingError. An invalid strategy is refused when the
+    PickStrategy is built. The data are deflated only before a later
+    component's grid.
     """
     X, Y, mode, grid_cfg, test = _fit_arguments(X, Y, model, H, strategy, mode,
                                                 grid_cfg, test, seed)
+    _check_rank(X, Y, H, center, mode)
     x_means = column_means(X, "X") if center else np.zeros(X.shape[1])
     X0 = X - x_means
     y_means = Y0 = None
@@ -671,10 +668,11 @@ def fit(
             comp = _build_component(
                 Xh, Yh, model, bucket.best, h, mode, objective=bucket.best_value,
             )
-            Xh, Yh = deflate(Xh, Yh, comp, mode, model)
         except (DegenerateLoadingError, DegenerateScoreError) as exc:
             raise type(exc)(f"component {h}: {exc}") from exc
         comps.append(comp)
+        if h < H:
+            Xh, Yh = deflate(Xh, Yh, comp, mode, model)
 
     W = adjusted_weights(X0, comps)
     T = X0 @ W

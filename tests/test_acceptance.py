@@ -234,8 +234,8 @@ def test_criterion_5_msep_shape(design_replicates):
     msep = np.zeros((len(design_replicates), 15))
     for i, (inst, Xc, Yc, xm, ym, path) in enumerate(design_replicates):
         for k in range(1, 16):
-            comps = _refit_fixed(Xc, Yc, "pls2", [path.buckets[k].best],
-                                 "regression")
+            comps, _, _ = _refit_fixed(Xc, Yc, "pls2", [path.buckets[k].best],
+                                       "regression")
             beta = regression_coefficients(comps)
             pred = (inst.X_test - xm) @ beta + ym
             msep[i, k - 1] = np.mean((pred - inst.Y_test) ** 2)

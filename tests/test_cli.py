@@ -1108,6 +1108,44 @@ class TestFoldsRefusedBeforeAnyGrid:
         assert capsys.readouterr().err == OVERFLOW_LINE
 
 
+class TestNoComponentPastTheRank:
+    """A fit asking for more components than the data carry exits 7 before
+    any grid: a centered n x p X carries at most min(n - 1, p) of them, and
+    canonical mode at most q. They used to be built on the rounding residue
+    of fully deflated data."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        calls = []
+        solve = components.dynamic_grid
+        monkeypatch.setattr(components, "dynamic_grid",
+                            lambda *args: calls.append(args[2]) or solve(*args))
+        return calls
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--model", "pca", "--components", "7"],
+         "a centered 12 x 6 X carries at most 6 component(s), too few for H=7"),
+        (["--model", "pls2", "--components", "7"],
+         "a centered 12 x 6 X carries at most 6 component(s), too few for H=7"),
+        (["--model", "pls2", "--mode", "canonical", "--components", "4"],
+         "a centered 12 x 6 X and 3-column Y in canonical mode carries at most "
+         "3 component(s), too few for H=4"),
+    ], ids=["pca-H7", "pls2-H7", "pls2-canonical-H4"])
+    def test_exits_7_before_any_grid(self, tmp_path, capsys, grids, extra, message):
+        # pca at H = 7 used to exit 0 with a 7th component of objective
+        # -6.9e-31, pls2 to exit 5 after every grid, and canonical pls2 at
+        # H = 4 to exit 0 with a 4th component of objective -1.6e-30.
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", "multiresponse", "--n", "12", "--p", "6",
+                       "--q", "3", "--gamma", "2", "--seed", "1", "--out", str(sim)) == 0
+        y = [] if "pca" in extra else ["--y", str(sim / "Y.csv")]
+        assert run_cli("fit", "--x", str(sim / "X.csv"), *y, *extra, "--pick", "fixed-k=6",
+                       "--out", str(tmp_path / "out")) == 7
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        assert grids == []
+
+
 # (n, p, q): pls2 with q >= p and pca with n >= p on the p x p kernel, and
 # both on the smaller M kernel at (3, 5, 2).
 DEGENERATE_SHAPES = [(2, 1, 1), (3, 2, 2), (3, 5, 2)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from subsetpath.components import (
     _build_component,
     _cv_scores,
     _fold_indices,
-    _refit_fixed,
     _splits,
     adjusted_weights,
     deflate,
@@ -36,12 +37,14 @@ def full_subset(p):
     return Subset.from_bits((1,) * p)
 
 
-def regression_comps(X, Y, model, supports):
+def refit_comps(X, Y, model, supports, mode="regression"):
+    """The refit loop written out: each support's component built on the
+    data deflated through every component before it."""
     comps = []
     Xh, Yh = X, Y
     for h, s in enumerate(supports, start=1):
-        comp = _build_component(Xh, Yh, model, s, h, "regression")
-        Xh, Yh = deflate(Xh, Yh, comp, "regression", model)
+        comp = _build_component(Xh, Yh, model, s, h, mode)
+        Xh, Yh = deflate(Xh, Yh, comp, mode, model)
         comps.append(comp)
     return comps, Xh, Yh
 
@@ -173,7 +176,7 @@ class TestAdjustedWeights:
         rng = np.random.default_rng(7)
         X = center_columns(rng.standard_normal((30, 7)))
         Y = center_columns(rng.standard_normal((30, 4)))
-        comps, _, _ = regression_comps(X, Y, "pls2", [full_subset(7)] * 3)
+        comps, _, _ = refit_comps(X, Y, "pls2", [full_subset(7)] * 3)
         W = adjusted_weights(X, comps)
         U = np.column_stack([c.u for c in comps])
         C = np.column_stack([c.c for c in comps])
@@ -185,7 +188,7 @@ class TestAdjustedWeights:
         Y = center_columns(rng.standard_normal((30, 2)))
         supports = [Subset.from_bits((1, 1, 0, 1, 0, 0)), Subset.from_bits((0, 0, 1, 0, 1, 1)),
                     full_subset(6)]
-        comps, _, _ = regression_comps(X, Y, "pls2", supports)
+        comps, _, _ = refit_comps(X, Y, "pls2", supports)
         W = adjusted_weights(X, comps)
         for h, comp in enumerate(comps):
             np.testing.assert_allclose(X @ W[:, h], comp.xi, atol=1e-8)
@@ -194,7 +197,7 @@ class TestAdjustedWeights:
         rng = np.random.default_rng(9)
         X = center_columns(rng.standard_normal((10, 3)))
         Y = center_columns(rng.standard_normal((10, 2)))
-        (comp,), _, _ = regression_comps(X, Y, "pls2", [full_subset(3)])
+        (comp,), _, _ = refit_comps(X, Y, "pls2", [full_subset(3)])
         with pytest.raises(SingularMatrixError):
             regression_coefficients([comp, comp])
 
@@ -204,7 +207,7 @@ class TestAdjustedWeights:
         rng = np.random.default_rng(9)
         X = center_columns(rng.standard_normal((10, 3)))
         Y = center_columns(rng.standard_normal((10, 2)))
-        (comp,), _, _ = regression_comps(X, Y, "pls2", [full_subset(3)])
+        (comp,), _, _ = refit_comps(X, Y, "pls2", [full_subset(3)])
         U = np.column_stack([comp.u, comp.u])
         C = np.column_stack([comp.c, comp.c])
         assert np.linalg.cond(C.T @ U) > 1e12
@@ -217,7 +220,7 @@ class TestRegressionCoefficients:
         rng = np.random.default_rng(10)
         X = center_columns(rng.standard_normal((25, 5)))
         y = center_columns(rng.standard_normal((25, 1)))
-        comps, _, _ = regression_comps(X, y, "pls1", [full_subset(5)])
+        comps, _, _ = refit_comps(X, y, "pls1", [full_subset(5)])
         beta = regression_coefficients(comps)
         want = np.outer(comps[0].xi, comps[0].d)
         np.testing.assert_allclose(X @ beta, want, atol=1e-10)
@@ -226,7 +229,7 @@ class TestRegressionCoefficients:
         rng = np.random.default_rng(11)
         X = center_columns(rng.standard_normal((40, 8)))
         Y = center_columns(rng.standard_normal((40, 5)))
-        comps, _, _ = regression_comps(
+        comps, _, _ = refit_comps(
             X, Y, "pls2",
             [Subset.from_bits((1, 1, 1, 0, 0, 0, 0, 0)),
              Subset.from_bits((0, 0, 0, 1, 1, 1, 0, 0)), full_subset(8)],
@@ -242,7 +245,7 @@ class TestRegressionCoefficients:
         d_vec = rng.uniform(0.5, 2.0, size=3)
         X = center_columns(np.outer(t_lat, c_vec))
         Y = center_columns(np.outer(t_lat, d_vec))
-        comps, _, _ = regression_comps(X, Y, "pls2", [full_subset(4)])
+        comps, _, _ = refit_comps(X, Y, "pls2", [full_subset(4)])
         beta = regression_coefficients(comps)
         assert np.max(np.abs(Y - X @ beta)) <= 1e-8 * np.max(np.abs(Y))
 
@@ -250,10 +253,10 @@ class TestRegressionCoefficients:
         rng = np.random.default_rng(13)
         X = center_columns(rng.standard_normal((30, 6)))
         Y = center_columns(rng.standard_normal((30, 2)))
-        comps, _, _ = regression_comps(X, Y, "pls2", [full_subset(6)] * 2)
+        comps, _, _ = refit_comps(X, Y, "pls2", [full_subset(6)] * 2)
         beta = regression_coefficients(comps)
         perm = rng.permutation(6)
-        comps_p, _, _ = regression_comps(X[:, perm], Y, "pls2", [full_subset(6)] * 2)
+        comps_p, _, _ = refit_comps(X[:, perm], Y, "pls2", [full_subset(6)] * 2)
         beta_p = regression_coefficients(comps_p)
         np.testing.assert_allclose(beta_p, beta[perm], atol=1e-8)
 
@@ -284,7 +287,7 @@ class TestPevCpev:
         rng = np.random.default_rng(15)
         X = center_columns(rng.standard_normal((30, 6)))
         Y = center_columns(rng.standard_normal((30, 3)))
-        comps, _, _ = regression_comps(X, Y, "pls2", [full_subset(6)] * 3)
+        comps, _, _ = refit_comps(X, Y, "pls2", [full_subset(6)] * 3)
         W = adjusted_weights(X, comps)
         pev, cpev = pev_cpev(X, W)
         assert np.all(np.diff(cpev) >= -1e-12)
@@ -297,7 +300,7 @@ def reference_q2(X, Y, model, folds, seed, supports):
     PRESS summed fold by fold."""
     H = len(supports)
     Xc, Yc = X - column_means(X, "X"), Y - column_means(Y, "Y")
-    comps = _refit_fixed(Xc, Yc, model, supports, "regression")
+    comps, _, _ = refit_comps(Xc, Yc, model, supports)
     rss = np.zeros((H + 1, Y.shape[1]))
     rss[0] = np.sum(Yc * Yc, axis=0)
     for h in range(1, H + 1):
@@ -305,7 +308,7 @@ def reference_q2(X, Y, model, folds, seed, supports):
         rss[h] = np.sum(resid * resid, axis=0)
     press = np.zeros((H, Y.shape[1]))
     for Xtr, Ytr, X_val, Y_val, ym in _splits(X, Y, folds, seed):
-        fold_comps = _refit_fixed(Xtr, Ytr, model, supports, "regression")
+        fold_comps, _, _ = refit_comps(Xtr, Ytr, model, supports)
         for h in range(1, H + 1):
             err = Y_val - (X_val @ regression_coefficients(fold_comps[:h]) + ym)
             press[h - 1] += np.sum(err * err, axis=0)
@@ -686,7 +689,7 @@ def reference_cv_scores(kind, path, supports_prev, Xraw, Yraw, mode, folds, seed
         for val in fold_idx:
             tr = np.setdiff1d(np.arange(n), val)
             xm, ym = Xraw[tr].mean(axis=0), Yraw[tr].mean(axis=0)
-            comps = _refit_fixed(Xraw[tr] - xm, Yraw[tr] - ym, "pls2", supports, mode)
+            comps, _, _ = refit_comps(Xraw[tr] - xm, Yraw[tr] - ym, "pls2", supports, mode)
             if kind == "min-msep":
                 pred = (Xraw[val] - xm) @ regression_coefficients(comps) + ym
                 err += float(np.sum((pred - Yraw[val]) ** 2))
@@ -711,19 +714,25 @@ def reference_cv_scores(kind, path, supports_prev, Xraw, Yraw, mode, folds, seed
 
 
 class TestCrossValidatedPick:
-    @pytest.mark.parametrize("kind, mode", [("min-msep", "regression"),
-                                            ("max-cor", "canonical")])
-    def test_two_components_match_per_fold_refits(self, kind, mode, quick_solver):
-        # Picks fall inside 1..K here: (11, 6) for min-msep, (11, 2) for max-cor.
+    @pytest.mark.parametrize("kind, mode, H", [
+        pytest.param("min-msep", "regression", 2, id="min-msep-regression"),
+        pytest.param("max-cor", "canonical", 2, id="max-cor-canonical"),
+        # Two earlier components refitted per split for the third.
+        pytest.param("min-msep", "regression", 3, id="min-msep-regression-H3"),
+        pytest.param("max-cor", "canonical", 3, id="max-cor-canonical-H3"),
+    ])
+    def test_two_components_match_per_fold_refits(self, kind, mode, H, quick_solver):
+        # Picks fall inside 1..K here: (11, 6, 5) for min-msep, (11, 2, 3) for
+        # max-cor, the first two at H = 2.
         inst = gen_multiresponse(SimConfig(scenario="multiresponse", sigma=2.0, seed=23))
         strategy = PickStrategy(kind=kind, folds=4)
         result = fit(
-            inst.X, inst.Y, model="pls2", H=2, mode=mode, strategy=strategy,
+            inst.X, inst.Y, model="pls2", H=H, mode=mode, strategy=strategy,
             grid_cfg=GridConfig(K=15, L=10),
         )
         Xh = inst.X - result.x_means
         Yh = inst.Y - result.y_means
-        for h in (1, 2):
+        for h in range(1, H + 1):
             prev = result.components[:h - 1]
             if prev:
                 Xh, Yh = deflate(Xh, Yh, prev[-1], mode, "pls2")
@@ -875,10 +884,11 @@ class TestPicksDeflateOnlyTrainingRows:
         result = fit(inst.X, inst.Y, model="pls2", H=3, strategy=strategy,
                      grid_cfg=GridConfig(K=15, L=10))
         assert result.H == 3
-        # The fit's own deflation of all 100 rows per component, and per
-        # split one per earlier component (0 + 1 + 2 of them) on the
-        # training rows: 75 of the 100 in 4 folds, all 100 in-sample.
-        assert sorted(rows) == sorted([100] * 3 + [train] * 3 * splits)
+        # The fit's own deflation of all 100 rows before each later
+        # component (none after the last), and per split one per earlier
+        # component (0 + 1 + 2 of them) on the training rows: 75 of the 100
+        # in 4 folds, all 100 in-sample.
+        assert sorted(rows) == sorted([100] * 2 + [train] * 3 * splits)
 
 
 class TestFitArguments:
@@ -1017,3 +1027,48 @@ class TestFitArguments:
                      grid_cfg=GridConfig(K=15, L=8),
                      test=(inst.X_test, inst.Y_test))
         assert result.H == 1
+
+
+class TestRankBound:
+    """fit and q2 refuse more components than the data carry, before any
+    grid or refit: min(n - 1, p) for a centered n x p X, min(n, p) for an
+    uncentered one, and at most q in canonical mode."""
+
+    @pytest.fixture
+    def data(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a component was built past the rank bound")
+
+        monkeypatch.setattr(components, "dynamic_grid", no_work)
+        monkeypatch.setattr(components, "_build_component", no_work)
+        return gen_multiresponse(SimConfig(scenario="multiresponse", n=12, p=6, q=3,
+                                           gamma=2, seed=1))
+
+    @pytest.mark.parametrize("model, mode, H, center, message", [
+        ("pca", None, 7, True, "a centered 12 x 6 X carries at most 6"),
+        ("pls2", "regression", 7, True, "a centered 12 x 6 X carries at most 6"),
+        ("pls1", "regression", 7, False, "an uncentered 12 x 6 X carries at most 6"),
+        ("pls2", "canonical", 4, True, "3-column Y in canonical mode carries at most 3"),
+    ], ids=["pca", "pls2", "pls1-uncentered", "pls2-canonical"])
+    def test_fit_refuses_components_past_p_or_q(self, data, model, mode, H, center, message):
+        Y = None if model == "pca" else data.Y[:, :1] if model == "pls1" else data.Y
+        with pytest.raises(DegenerateLoadingError,
+                           match=re.escape(f"{message} component(s), too few for H={H}")):
+            fit(data.X, Y, model=model, H=H, mode=mode or "regression", center=center,
+                strategy=PickStrategy.fixed_k(6))
+
+    @pytest.mark.parametrize("center, H", [(True, 5), (False, 6)],
+                             ids=["centered", "uncentered"])
+    def test_fit_refuses_components_past_n(self, data, center, H):
+        # 5 rows, 12 columns: rank 4 once centered, 5 otherwise.
+        X = np.hstack([data.X, data.X[:, ::-1]])[:5]
+        with pytest.raises(DegenerateLoadingError, match=f"at most {H - 1} component"):
+            fit(X, model="pca", H=H, center=center, strategy=PickStrategy.fixed_k(1))
+
+    @pytest.mark.parametrize("rows, H, message", [
+        (12, 7, "a centered 12 x 6 X carries at most 6 component(s), too few for H=7"),
+        (5, 5, "a centered 5 x 6 X carries at most 4 component(s), too few for H=5"),
+    ], ids=["past-p", "past-n"])
+    def test_q2_refuses_components_past_the_rank(self, data, rows, H, message):
+        with pytest.raises(DegenerateLoadingError, match=re.escape(message)):
+            q2(data.X[:rows], data.Y[:rows], model="pls2", H=H, folds=2)
